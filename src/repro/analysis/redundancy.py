@@ -63,7 +63,7 @@ class RedundancyAnalysis:
         """``Val(ref, S_k)``: elements accessed by non-redundant computations."""
         info = self.model.arrays[ref.array]
         return {
-            info.element_at(it, ref.offset) for it in self.n_set(ref.stmt_index)
+            info.element_at(it, ref.c) for it in self.n_set(ref.stmt_index)
         }
 
     def edge_is_useful(self, dep: Dependence) -> bool:

@@ -12,7 +12,7 @@ nonuniformly generated references").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import index, mul
 
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, LoopNest
@@ -31,7 +31,8 @@ class Reference:
     ``stmt_index`` is the 0-based statement position; ``is_write`` marks
     the left-hand side.  ``slot`` disambiguates multiple reads of the
     same array within one statement (0 = LHS, then RHS reads in
-    left-to-right order).
+    left-to-right order).  ``c`` is ``offset`` as plain integers, for
+    the per-iteration-point arithmetic of :meth:`ArrayInfo.element_at`.
     """
 
     array: str
@@ -40,20 +41,21 @@ class Reference:
     is_write: bool
     slot: int
     ast: ArrayRef
+    c: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "c", self.offset.to_ints())
 
     @property
     def key(self) -> tuple:
         return (self.array, self.stmt_index, self.is_write, self.slot)
 
     def describe(self, indices: tuple[str, ...]) -> str:
-        subs = ", ".join(s for s in self._subscript_strings(indices))
-        role = "W" if self.is_write else "R"
-        return f"{self.array}[{subs}] ({role}@S{self.stmt_index + 1})"
-
-    def _subscript_strings(self, indices):
         from repro.lang.printer import expr_to_source
 
-        return [expr_to_source(s) for s in self.ast.subscripts]
+        subs = ", ".join(expr_to_source(s) for s in self.ast.subscripts)
+        role = "W" if self.is_write else "R"
+        return f"{self.array}[{subs}] ({role}@S{self.stmt_index + 1})"
 
 
 @dataclass
@@ -63,6 +65,10 @@ class ArrayInfo:
     name: str
     h: RatMat                     # d x n integer reference matrix
     references: list[Reference] = field(default_factory=list)
+    h_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.h_rows = tuple(tuple(r) for r in self.h.to_int_rows())
 
     @property
     def rank(self) -> int:
@@ -83,16 +89,17 @@ class ArrayInfo:
 
     def distinct_offsets(self) -> list[RatVec]:
         """Offsets of the *distinct* referenced variables (paper's s variables)."""
-        seen: list[RatVec] = []
-        for r in self.references:
-            if r.offset not in seen:
-                seen.append(r.offset)
-        return seen
+        return list(dict.fromkeys(r.offset for r in self.references))
 
-    def element_at(self, iteration, offset: RatVec) -> tuple[int, ...]:
-        """The array element ``H i + c`` touched at ``iteration`` via ``offset``."""
-        i = iteration if isinstance(iteration, RatVec) else RatVec(list(iteration))
-        return tuple(int(x) for x in (self.h @ i + offset))
+    def element_at(self, iteration, c: tuple[int, ...]) -> tuple[int, ...]:
+        """The element ``H i + c`` touched at ``iteration`` via a reference's
+        integer offset :attr:`Reference.c`; exact integer arithmetic, so a
+        non-integral iteration raises ``TypeError`` instead of truncating."""
+        if len(iteration) != self.h.ncols:
+            raise ValueError(
+                f"iteration of length {len(iteration)} for depth {self.depth}")
+        return tuple([index(sum(map(mul, row, iteration)) + cj)
+                      for row, cj in zip(self.h_rows, c)])
 
 
 @dataclass

@@ -97,14 +97,14 @@ def build_trace(model: ReferenceModel) -> SequentialTrace:
             comp: CompId = (k, iteration)
             read_elems: list[tuple[Element, Reference]] = []
             for rr in read_refs:
-                elem: Element = (rr.array, model.arrays[rr.array].element_at(iteration, rr.offset))
+                elem: Element = (rr.array, model.arrays[rr.array].element_at(iteration, rr.c))
                 read_elems.append((elem, rr))
                 ev = AccessEvent(time=(seq, 0), is_write=False, comp=comp,
                                  element=elem, ref=rr)
                 timelines.setdefault(elem, []).append(ev)
             welem: Element = (
                 write_ref.array,
-                model.arrays[write_ref.array].element_at(iteration, write_ref.offset),
+                model.arrays[write_ref.array].element_at(iteration, write_ref.c),
             )
             ev = AccessEvent(time=(seq, 1), is_write=True, comp=comp,
                              element=welem, ref=write_ref)

@@ -2,9 +2,10 @@
 
 ``P_Psi(I^n)`` groups iterations into blocks: two iterations land in the
 same block iff their difference lies in ``Psi``.  We realize this with
-the exact orthogonal-projection key of
-:meth:`repro.ratlinalg.span.Subspace.coset_key` -- equal keys iff the
-difference is in the subspace.  Block base points are the
+the integer key ``Q i``, ``Q`` being the primitive basis of ``Ker(Psi)``
+(:meth:`repro.ratlinalg.span.Subspace.kernel_rows`, the same ``Q`` the
+Section-IV transformation uses) -- equal keys iff the difference is in
+the subspace.  Block base points are the
 lexicographically smallest iteration of each block (a valid choice of
 the paper's ``b_j``), and blocks are numbered in base-point order.
 
@@ -17,12 +18,12 @@ accessed by the nonredundant computations must be considered").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from repro.analysis.references import ReferenceModel
 from repro.analysis.trace import CompId
 from repro.lang.space import IterationSpace
-from repro.ratlinalg.matrix import RatVec
 from repro.ratlinalg.span import Subspace
 
 
@@ -63,9 +64,10 @@ def iteration_partition(space: IterationSpace, psi: Subspace) -> list[IterationB
         raise ValueError(
             f"Psi lives in Q^{psi.ambient_dim} but the loop has depth {space.depth}"
         )
+    q = psi.kernel_rows()
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for it in space.iterate():
-        key = psi.coset_key(RatVec(it))
+        key = tuple([sum(map(mul, row, it)) for row in q])
         groups.setdefault(key, []).append(it)
     # space.iterate() is lexicographic, so each group's first entry is its
     # lexicographic minimum; order blocks by that base point.
@@ -97,16 +99,18 @@ def data_partition(
     computations contribute elements.
     """
     info = model.arrays[array]
+    if live is None:
+        # references sharing an offset touch the same elements
+        uses = [(c, None) for c in dict.fromkeys(r.c for r in info.references)]
+    else:
+        uses = [(r.c, r.stmt_index) for r in info.references]
     out: list[DataBlock] = []
     for b in blocks:
-        elements: set[tuple[int, ...]] = set()
-        for it in b.iterations:
-            for ref in info.references:
-                if live is not None and (ref.stmt_index, it) not in live:
-                    continue
-                elements.add(info.element_at(it, ref.offset))
+        elements = frozenset({
+            info.element_at(it, c) for c, k in uses for it in b.iterations
+            if live is None or (k, it) in live})
         out.append(DataBlock(array=array, block_index=b.index,
-                             elements=frozenset(elements)))
+                             elements=elements))
     return out
 
 

@@ -47,7 +47,6 @@ from repro.core.strategy import Strategy
 from repro.machine.memory import RemoteAccessError
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import Span, current_tracer
-from repro.ratlinalg.matrix import RatVec
 
 Coords = tuple[int, ...]
 
@@ -290,17 +289,17 @@ def _attribute(plan: PartitionPlan, info, block, it: Coords, ref,
             for ref2 in refs:
                 if live is not None and (ref2.stmt_index, it2) not in live:
                     continue
-                if info.element_at(it2, ref2.offset) != element:
+                if info.element_at(it2, ref2.c) != element:
                     continue
                 delta = tuple(a - b for a, b in zip(it, it2))
-                r = tuple(int(x) for x in (ref.offset - ref2.offset))
+                r = tuple(a - b for a, b in zip(ref.c, ref2.c))
                 return AuditViolation(
                     block=block.index, array=info.name, iteration=tuple(it),
                     element=element, reference=ref.describe(indices),
                     is_write=ref.is_write, owner_block=ob,
                     owner_iteration=tuple(it2),
                     owner_reference=ref2.describe(indices), r=r, delta=delta,
-                    delta_in_psi=RatVec(list(delta)) in plan.psi,
+                    delta_in_psi=delta in plan.psi,
                 )
     return AuditViolation(
         block=block.index, array=info.name, iteration=tuple(it),
@@ -311,15 +310,24 @@ def _attribute(plan: PartitionPlan, info, block, it: Coords, ref,
     )
 
 
+def _refs_by_stmt(model) -> dict[int, list]:
+    """statement index -> its ``(info, ref)`` pairs."""
+    out: dict[int, list] = {}
+    for info in model.arrays.values():
+        for ref in info.references:
+            out.setdefault(ref.stmt_index, []).append((info, ref))
+    return out
+
+
 def _static_replay(plan: PartitionPlan, max_detail: int) -> AuditReport:
     model = plan.model
     live = plan.live
     indices = model.nest.indices
     nstmts = len(model.nest.statements)
-    refs_by_stmt: dict[int, list] = {}
-    for info in model.arrays.values():
-        for ref in info.references:
-            refs_by_stmt.setdefault(ref.stmt_index, []).append((info, ref))
+    # pretty-print each reference once, not once per access
+    refs_by_stmt = {
+        k: [(info, ref, ref.describe(indices)) for info, ref in pairs]
+        for k, pairs in _refs_by_stmt(model).items()}
 
     footprints: dict[tuple[int, str], AccessFootprint] = {}
     element_counts: dict[str, dict[Coords, int]] = {
@@ -342,8 +350,8 @@ def _static_replay(plan: PartitionPlan, max_detail: int) -> AuditReport:
                     continue
                 ran = True
                 executed_comps += 1
-                for info, ref in refs_by_stmt.get(k, ()):
-                    e = info.element_at(it, ref.offset)
+                for info, ref, d in refs_by_stmt.get(k, ()):
+                    e = info.element_at(it, ref.c)
                     fp = footprints[(b.index, info.name)]
                     if ref.is_write:
                         fp.writes += 1
@@ -355,7 +363,6 @@ def _static_replay(plan: PartitionPlan, max_detail: int) -> AuditReport:
                         total_reads += 1
                     counts = element_counts[info.name]
                     counts[e] = counts.get(e, 0) + 1
-                    d = ref.describe(indices)
                     reference_counts[d] = reference_counts.get(d, 0) + 1
                     if e not in alloc[info.name]:
                         cross += 1
@@ -392,10 +399,7 @@ def block_cross_accesses(
     b = plan.blocks[block_index]
     alloc = {name: plan.data_blocks[name][b.index].elements
              for name in model.arrays}
-    refs_by_stmt: dict[int, list] = {}
-    for info in model.arrays.values():
-        for ref in info.references:
-            refs_by_stmt.setdefault(ref.stmt_index, []).append((info, ref))
+    refs_by_stmt = _refs_by_stmt(model)
 
     cross = 0
     violations: list[AuditViolation] = []
@@ -404,7 +408,7 @@ def block_cross_accesses(
             if live is not None and (k, it) not in live:
                 continue
             for info, ref in refs_by_stmt.get(k, ()):
-                e = info.element_at(it, ref.offset)
+                e = info.element_at(it, ref.c)
                 if e not in alloc[info.name]:
                     cross += 1
                     if len(violations) < max_detail:
@@ -506,7 +510,7 @@ def inject_violation(plan: PartitionPlan) -> PartitionPlan:
             for ref in info.references:
                 if live is not None and (ref.stmt_index, tuple(it)) not in live:
                     continue
-                owner.setdefault((name, info.element_at(it, ref.offset)), blk)
+                owner.setdefault((name, info.element_at(it, ref.c)), blk)
 
     data_blocks: dict[str, list[DataBlock]] = {}
     for name in model.arrays:

@@ -12,14 +12,15 @@ vs. options change vs. eviction) as ``cache.miss.<reason>`` counters.
 The disk store (one pickle per key under a directory, enabled via the
 ``REPRO_PLAN_CACHE_DIR`` environment variable or
 :func:`configure_plan_cache`) follows the clcache model: content hash
-in, artifact out, corrupt or unreadable entries treated as misses.  It
+in, artifact out, corrupt, unreadable or stale-layout
+(:data:`PLAN_FORMAT`) entries treated as misses and removed.  It
 runs on the shared :class:`repro.pipeline.diskstore.DiskStore`
 skeleton -- flock'd sidecar lock, ``manifest.json`` with a logical
 access clock, tmp + ``os.replace`` writes, byte-cap LRU eviction
 (``REPRO_PLAN_CACHE_MB``, default 64) -- so concurrent daemon workers
-sharing one plan directory cannot corrupt it.  Directories written by
-the pre-manifest format are adopted in place: a ``*.plan`` file with
-no manifest entry still hits and gains an entry.
+sharing one plan directory cannot corrupt it.  A current-layout
+``*.plan`` file with no manifest entry (manifest lost or torn) is
+adopted in place: it still hits and gains an entry.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ from repro.pipeline.instrument import Instrumentation
 HIT_COUNTER = "cache.hit"
 MISS_COUNTER = "cache.miss"
 EVICT_COUNTER = "cache.evict"
+
+#: Object layout of a pickled entry.  Bump it whenever a class reachable
+#: from a cached plan gains, loses or renames a field: an entry written
+#: under another layout unpickles without error and fails later on the
+#: missing attribute, so the reader treats it as corrupt instead.
+PLAN_FORMAT = 2
 
 #: Byte cap for the on-disk plan store, in MiB.
 DISK_MB_ENV_VAR = "REPRO_PLAN_CACHE_MB"
@@ -218,18 +225,20 @@ class PlanCache:
             with store.locked():
                 m = store.read_manifest()
                 try:
-                    plan = pickle.loads(store.read_file(f"{stem}.plan"))
+                    fmt, plan = pickle.loads(store.read_file(f"{stem}.plan"))
+                    if fmt != PLAN_FORMAT:
+                        raise ValueError(f"plan format {fmt!r}")
                 except (OSError, pickle.PickleError, EOFError,
-                        AttributeError):
-                    if stem in m["entries"]:
-                        del m["entries"][stem]
-                        store.remove(stem, (".plan",))
+                        AttributeError, TypeError, ValueError):
+                    # absent, torn or written under another layout
+                    store.remove(stem, (".plan",))
+                    if m["entries"].pop(stem, None) is not None:
                         store.write_manifest(m)
                     return None
                 if stem in m["entries"]:
                     store.touch(m, stem)
                 else:
-                    # pre-manifest directory: adopt the entry in place
+                    # no manifest entry: adopt the file in place
                     nbytes = (store.root / f"{stem}.plan").stat().st_size
                     store.record(m, stem, nbytes)
                 store.write_manifest(m)
@@ -243,7 +252,7 @@ class PlanCache:
             return
         stem = self._stem_for(key)
         try:
-            blob = pickle.dumps(plan)
+            blob = pickle.dumps((PLAN_FORMAT, plan))
             with store.locked():
                 m = store.read_manifest()
                 store.write_file(f"{stem}.plan", blob)

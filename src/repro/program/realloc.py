@@ -64,7 +64,7 @@ def writer_pids(plan: PartitionPlan,
                 for it in b.iterations:
                     if live is not None and (ref.stmt_index, it) not in live:
                         continue
-                    e = (info.name, info.element_at(it, ref.offset))
+                    e = (info.name, info.element_at(it, ref.c))
                     s = order[(ref.stmt_index, it)]
                     cur = out.get(e)
                     if cur is None or s > cur[0]:

@@ -14,7 +14,8 @@ rationals (``fractions.Fraction``) or the integers:
 - :class:`~repro.ratlinalg.lattice.IntLattice` -- integer solution
   lattices and bounded enumeration;
 - :class:`~repro.ratlinalg.span.Subspace` -- spans, membership, unions,
-  orthogonal complements and projections (the paper's ``span``/``Ker``);
+  orthogonal complements and the integer kernel basis ``Q`` (the paper's
+  ``span``/``Ker``);
 - :mod:`~repro.ratlinalg.fm` -- Fourier-Motzkin elimination for the
   loop-bound computation of Section IV.
 

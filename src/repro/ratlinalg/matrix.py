@@ -54,8 +54,7 @@ def vec_gcd(vec: Sequence[Number]) -> Fraction:
 class RatVec:
     """An exact rational vector.
 
-    Hashable and comparable, so vectors can key dicts and sets (used to
-    group iterations into blocks by their projection key).
+    Hashable and comparable, so vectors can key dicts and sets.
     """
 
     __slots__ = ("_data",)
@@ -184,10 +183,6 @@ class RatMat:
     @staticmethod
     def identity(n: int) -> "RatMat":
         return RatMat([RatVec.unit(n, i) for i in range(n)])
-
-    @staticmethod
-    def zeros(nrows: int, ncols: int) -> "RatMat":
-        return RatMat([[0] * ncols for _ in range(nrows)])
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence[Number]]) -> "RatMat":

@@ -3,13 +3,12 @@
 The paper manipulates subspaces constantly -- reference spaces
 ``Psi_A``, their unions across arrays (Theorems 1-4), kernels, and
 ``Ker(Psi)`` for the transformation.  :class:`Subspace` provides exact
-membership, sums, complements and projections.
+membership, sums, complements and the integer kernel basis ``Q``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.ratlinalg.matrix import RatMat, RatVec
 from repro.ratlinalg.rref import nullspace, rref
@@ -125,39 +124,21 @@ class Subspace:
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(v in other for v in self._basis)
 
-    # -- complements & projections ------------------------------------------
+    # -- complements ---------------------------------------------------------
     def orthogonal_complement(self) -> "Subspace":
         """``Ker(Psi)`` in the Section-IV sense: {x : b·x = 0 for all b in basis}."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
         return Subspace.kernel_of(RatMat(self._basis))
 
-    def projection_matrix(self) -> RatMat:
-        """Exact orthogonal projection matrix onto this subspace."""
-        n = self.ambient_dim
-        if self.dim == 0:
-            return RatMat.zeros(n, n)
-        b = RatMat(self._basis).T  # n x k, columns span the space
-        bt = b.T
-        return b @ (bt @ b).inverse() @ bt
+    def kernel_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The paper's ``Q`` (Sec. IV): the gcd-normalised integer basis of
+        ``Ker(Psi)``, as plain integer rows.
 
-    def complement_projection_matrix(self) -> RatMat:
-        """Projection onto the orthogonal complement (``I - P``)."""
-        return RatMat.identity(self.ambient_dim) - self.projection_matrix()
-
-    def project(self, v: RatVec) -> RatVec:
-        return self.projection_matrix() @ v
-
-    def coset_key(self, v: RatVec, _cache={}) -> tuple:
-        """Canonical key identifying the coset ``v + self``.
-
-        Two vectors get equal keys iff their difference lies in the
-        subspace -- exactly the paper's criterion for two iterations to
-        share an iteration block (Definition 2).
+        ``Q v == Q w`` iff ``v - w`` lies in this subspace, so ``Q i`` is
+        the canonical key of the coset ``i + self`` -- exactly the paper's
+        criterion for two iterations to share an iteration block
+        (Definition 2) -- in integer arithmetic for integer points.
         """
-        key = (self.ambient_dim, self._basis)
-        proj = _cache.get(key)
-        if proj is None:
-            proj = self.complement_projection_matrix()
-            _cache[key] = proj
-        return tuple(proj @ v)
+        return tuple(v.to_ints()
+                     for v in self.orthogonal_complement().primitive_basis())

@@ -133,7 +133,7 @@ def array_footprints(model: ReferenceModel) -> dict[str, tuple[Coords, Coords]]:
         hi: Optional[list[int]] = None
         for ref in info.references:
             for corner in corners:
-                e = info.element_at(corner, ref.offset)
+                e = info.element_at(corner, ref.c)
                 if lo is None:
                     lo, hi = list(e), list(e)
                 else:

@@ -84,8 +84,7 @@ def build_transform_basis(psi: Subspace, index_names) -> TransformBasis:
     g = psi.dim
     k = n - g
 
-    kernel = psi.orthogonal_complement()
-    q_rows = [v.primitive() for v in kernel.basis()]
+    q_rows = [RatVec(row) for row in psi.kernel_rows()]
     assert len(q_rows) == k
 
     if k:

@@ -50,7 +50,7 @@ def fig01_l1_dataspaces(n: int = 4) -> FigureArtifact:
     for name in ("A", "B", "C"):
         info = model.arrays[name]
         used = sorted({
-            info.element_at(it, ref.offset)
+            info.element_at(it, ref.c)
             for it in model.space.iterate() for ref in info.references
         })
         sections.append(render_data_space(used, title=f"array {name} (used elements)"))

@@ -1,5 +1,7 @@
 """Reference extraction and the uniformly-generated-references check."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.analysis import NonUniformReferenceError, extract_references
@@ -52,8 +54,28 @@ class TestExtraction:
     def test_element_at(self, l1):
         model = extract_references(l1)
         info = model.arrays["A"]
-        assert info.element_at((1, 1), info.references[0].offset) == (2, 1)
-        assert info.element_at((2, 2), info.references[1].offset) == (2, 1)
+        assert info.element_at((1, 1), info.references[0].c) == (2, 1)
+        assert info.element_at((2, 2), info.references[1].c) == (2, 1)
+
+    def test_integer_rows_and_offsets_mirror_h_and_c(self, l1):
+        for info in extract_references(l1).arrays.values():
+            assert info.h == RatMat(info.h_rows)
+            for ref in info.references:
+                assert ref.offset == RatVec(ref.c)
+                assert all(type(x) is int for x in ref.c)
+
+    @pytest.mark.parametrize("bad", [
+        (Fraction(3, 2), 1), (1.5, 1), (Fraction(2), 1)])
+    def test_element_at_rejects_non_integral_iteration(self, l1, bad):
+        # A[2i, j]: truncating 2 * 3/2 + 0 would silently name A[3, 1]
+        info = extract_references(l1).arrays["A"]
+        with pytest.raises(TypeError):
+            info.element_at(bad, info.references[0].c)
+
+    def test_element_at_rejects_wrong_depth(self, l1):
+        info = extract_references(l1).arrays["A"]
+        with pytest.raises(ValueError):
+            info.element_at((1, 1, 1), info.references[0].c)
 
     def test_all_references_flat(self, l1):
         model = extract_references(l1)

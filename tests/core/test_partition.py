@@ -103,7 +103,7 @@ class TestDataPartition:
             dblocks = data_partition(model, blocks, name)
             info = model.arrays[name]
             accessed = {
-                info.element_at(it, ref.offset)
+                info.element_at(it, ref.c)
                 for it in model.space.iterate() for ref in info.references
             }
             got = {e for db in dblocks for e in db.elements}

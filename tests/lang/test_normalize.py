@@ -33,14 +33,14 @@ class TestSteppedParsing:
         # i' in 1..4; i = 1 + (i'-1)*3 hits 1,4,7,10
         assert IterationSpace(nest).size() == 4
         info = extract_references(nest).arrays["A"]
-        elems = sorted(info.element_at((ip,), info.references[0].offset)
+        elems = sorted(info.element_at((ip,), info.references[0].c)
                        for ip in range(1, 5))
         assert elems == [(1,), (4,), (7,), (10,)]
 
     def test_stepped_lower_offset(self):
         nest = parse("for i = 2 to 9 step 2 { A[i] = 0; }")
         info = extract_references(nest).arrays["A"]
-        elems = sorted(info.element_at((ip,), info.references[0].offset)
+        elems = sorted(info.element_at((ip,), info.references[0].c)
                        for ip in range(1, 5))
         assert elems == [(2,), (4,), (6,), (8,)]
 

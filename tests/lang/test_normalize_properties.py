@@ -48,6 +48,6 @@ def test_stepped_iteration_values(lo, hi, step):
     nest = parse(f"for i = {lo} to {hi} step {step} {{ A[i] = 1; }}")
     model = extract_references(nest)
     info = model.arrays["A"]
-    touched = sorted(info.element_at(it, info.references[0].offset)[0]
+    touched = sorted(info.element_at(it, info.references[0].c)[0]
                      for it in model.space.iterate())
     assert touched == list(range(lo, hi + 1, step))

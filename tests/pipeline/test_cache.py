@@ -1,10 +1,14 @@
 """Plan cache: fingerprints, LRU behaviour, disk store, isolation."""
 
+import pickle
+
 import pytest
 
 from repro.lang import catalog, parse
 from repro.lang.fingerprint import fingerprint_nest, plan_cache_key
+from repro.obs.audit import audit_plan
 from repro.pipeline import PipelineConfig, PlanCache, run_pipeline
+from repro.pipeline.cache import PLAN_FORMAT
 from repro.pipeline.instrument import Instrumentation
 
 
@@ -141,6 +145,41 @@ class TestEvictionAndDisk:
                             cache=reader).plan
         assert reader.misses == 1
         assert plan.num_blocks == 7
+
+    @pytest.mark.parametrize("wrap", [
+        lambda entry: entry,                      # bare pre-format pickle
+        lambda entry: (PLAN_FORMAT - 1, entry),   # older tagged layout
+    ], ids=["untagged", "older-tag"])
+    def test_stale_format_entry_is_removed_and_rewritten(
+            self, tmp_path, l1, wrap):
+        writer = PlanCache(maxsize=8, directory=str(tmp_path))
+        run_pipeline(l1, PipelineConfig(), cache=writer)
+        (path,) = tmp_path.glob("*.plan")
+        fmt, entry = pickle.loads(path.read_bytes())
+        assert fmt == PLAN_FORMAT
+        # a layout from before Reference grew ``c``: unpickles fine,
+        # would fail on first use
+        for ref in entry.plan.model.all_references():
+            del ref.__dict__["c"]
+        path.write_bytes(pickle.dumps(wrap(entry)))
+
+        key = PlanCache.key_for(l1, PipelineConfig())
+        probe = PlanCache(maxsize=8, directory=str(tmp_path))
+        assert probe.get(key) is None
+        assert probe.misses == 1 and not path.exists()
+
+        rebuilder = PlanCache(maxsize=8, directory=str(tmp_path))
+        plan = run_pipeline(catalog.l1(), PipelineConfig(),
+                            cache=rebuilder).plan
+        assert rebuilder.misses == 1 and rebuilder.hits == 0
+        assert pickle.loads(path.read_bytes())[0] == PLAN_FORMAT
+
+        reader = PlanCache(maxsize=8, directory=str(tmp_path))
+        served = run_pipeline(catalog.l1(), PipelineConfig(),
+                              cache=reader).plan
+        assert reader.hits == 1 and reader.misses == 0
+        assert served.summary() == plan.summary()
+        assert audit_plan(served, run_engines=False).certified
 
 
 class TestFacade:

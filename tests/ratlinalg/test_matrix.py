@@ -167,7 +167,7 @@ class TestRatMat:
     def test_add_sub_scale(self):
         a = RatMat([[1, 2], [3, 4]])
         assert (a + a).scale(Fraction(1, 2)) == a
-        assert a - a == RatMat.zeros(2, 2)
+        assert a - a == RatMat([[0, 0], [0, 0]])
         assert (-a) == a.scale(-1)
 
     def test_submatrix(self):

@@ -73,7 +73,7 @@ class TestFootprints:
             info = model.arrays[name]
             for it in model.space.iterate():
                 for ref in info.references:
-                    (x,) = info.element_at(it, ref.offset)
+                    (x,) = info.element_at(it, ref.c)
                     assert lo[0] <= x <= hi[0]
 
 
