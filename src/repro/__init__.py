@@ -28,76 +28,33 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-reproduction record.
 """
 
-from repro.api import RunOptions, Session
-from repro.analysis import (
-    analyze_redundancy,
-    build_reference_graph,
-    data_referenced_vectors,
-    extract_references,
-    is_fully_duplicable,
-)
-from repro.baseline import hyperplane_partition
-from repro.core import (
-    PartitionPlan,
-    Strategy,
-    build_plan,
-    iteration_partition,
-    partitioning_space,
-)
-from repro.lang import catalog, parse, to_source
-from repro.machine import CostModel, Mesh2D, Multicomputer, TRANSPUTER
-from repro.mapping import assign_blocks, shape_grid, workload_stats
-from repro.perf import run_study, table1_rows, table2_rows
-from repro.pipeline import (
-    PipelineConfig,
-    PipelineContext,
-    PassManager,
-    default_manager,
-    run_pipeline,
-)
-from repro.runtime import make_arrays, run_parallel, run_sequential, verify_plan
-from repro.transform import compile_nest, to_pseudocode, transform_nest
+from repro._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Session",
-    "RunOptions",
-    "parse",
-    "to_source",
-    "catalog",
-    "extract_references",
-    "data_referenced_vectors",
-    "analyze_redundancy",
-    "build_reference_graph",
-    "is_fully_duplicable",
-    "Strategy",
-    "PartitionPlan",
-    "build_plan",
-    "partitioning_space",
-    "iteration_partition",
-    "transform_nest",
-    "to_pseudocode",
-    "compile_nest",
-    "shape_grid",
-    "assign_blocks",
-    "workload_stats",
-    "Multicomputer",
-    "Mesh2D",
-    "CostModel",
-    "TRANSPUTER",
-    "make_arrays",
-    "run_sequential",
-    "run_parallel",
-    "verify_plan",
-    "hyperplane_partition",
-    "run_study",
-    "table1_rows",
-    "table2_rows",
-    "run_pipeline",
-    "PipelineConfig",
-    "PipelineContext",
-    "PassManager",
-    "default_manager",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "api": ("RunOptions", "Session"),
+    "analysis": (
+        "analyze_redundancy", "build_reference_graph",
+        "data_referenced_vectors", "extract_references",
+        "is_fully_duplicable",
+    ),
+    "baseline": ("hyperplane_partition",),
+    "core": (
+        "PartitionPlan", "Strategy", "build_plan",
+        "iteration_partition", "partitioning_space",
+    ),
+    "lang": ("catalog", "parse", "to_source"),
+    "machine": ("CostModel", "Mesh2D", "Multicomputer", "TRANSPUTER"),
+    "mapping": ("assign_blocks", "shape_grid", "workload_stats"),
+    "perf": ("run_study", "table1_rows", "table2_rows"),
+    "pipeline": (
+        "PipelineConfig", "PipelineContext", "PassManager",
+        "default_manager", "run_pipeline",
+    ),
+    "runtime": (
+        "make_arrays", "run_parallel", "run_sequential", "verify_plan",
+    ),
+    "transform": ("compile_nest", "to_pseudocode", "transform_nest"),
+})
+__all__.append("__version__")

@@ -14,45 +14,20 @@
   (Section III.C).
 """
 
-from repro.analysis.references import (
-    ArrayInfo,
-    NonUniformReferenceError,
-    Reference,
-    ReferenceModel,
-    extract_references,
-)
-from repro.analysis.drv import data_referenced_vectors
-from repro.analysis.dependence import (
-    Dependence,
-    DependenceKind,
-    all_dependences,
-    dependence_between,
-    has_flow_dependence,
-    is_fully_duplicable,
-)
-from repro.analysis.refgraph import DataReferenceGraph, build_reference_graph
-from repro.analysis.trace import AccessEvent, Computation, SequentialTrace, build_trace
-from repro.analysis.redundancy import RedundancyAnalysis, analyze_redundancy
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "ArrayInfo",
-    "NonUniformReferenceError",
-    "Reference",
-    "ReferenceModel",
-    "extract_references",
-    "data_referenced_vectors",
-    "Dependence",
-    "DependenceKind",
-    "all_dependences",
-    "dependence_between",
-    "has_flow_dependence",
-    "is_fully_duplicable",
-    "DataReferenceGraph",
-    "build_reference_graph",
-    "AccessEvent",
-    "Computation",
-    "SequentialTrace",
-    "build_trace",
-    "RedundancyAnalysis",
-    "analyze_redundancy",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "references": (
+        "ArrayInfo", "NonUniformReferenceError", "Reference",
+        "ReferenceModel", "extract_references",
+    ),
+    "drv": ("data_referenced_vectors",),
+    "dependence": (
+        "Dependence", "DependenceKind", "all_dependences",
+        "dependence_between", "has_flow_dependence",
+        "is_fully_duplicable",
+    ),
+    "refgraph": ("DataReferenceGraph", "build_reference_graph"),
+    "trace": ("AccessEvent", "Computation", "SequentialTrace", "build_trace"),
+    "redundancy": ("RedundancyAnalysis", "analyze_redundancy"),
+})

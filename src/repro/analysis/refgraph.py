@@ -12,10 +12,8 @@ loop L3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
-
-import networkx as nx
 
 from repro.analysis.dependence import Dependence, DependenceKind, dependence_between
 from repro.analysis.references import ArrayInfo, Reference, ReferenceModel
@@ -23,13 +21,12 @@ from repro.analysis.references import ArrayInfo, Reference, ReferenceModel
 
 @dataclass
 class DataReferenceGraph:
-    """``G^A`` for one array, backed by a :class:`networkx.MultiDiGraph`."""
+    """``G^A`` for one array: its vertices and labelled dependence edges."""
 
     array: str
     writes: list[Reference]
     reads: list[Reference]
     edges: list[Dependence]
-    graph: nx.MultiDiGraph = field(repr=False, default_factory=nx.MultiDiGraph)
 
     def vertex_name(self, ref: Reference) -> str:
         """Paper-style vertex names: ``w1, w2, ...`` / ``r1, r2, ...``."""
@@ -63,10 +60,7 @@ def build_reference_graph(model: ReferenceModel, array: str) -> DataReferenceGra
     info: ArrayInfo = model.arrays[array]
     writes = info.writes()
     reads = info.reads()
-    g = nx.MultiDiGraph()
-    out = DataReferenceGraph(array=array, writes=writes, reads=reads, edges=[], graph=g)
-    for ref in writes + reads:
-        g.add_node(out.vertex_name(ref), ref=ref, role="W" if ref.is_write else "R")
+    out = DataReferenceGraph(array=array, writes=writes, reads=reads, edges=[])
     for a in info.references:
         for b in info.references:
             if a is b:
@@ -74,8 +68,6 @@ def build_reference_graph(model: ReferenceModel, array: str) -> DataReferenceGra
             dep = dependence_between(info, a, b, model.space)
             if dep is not None:
                 out.edges.append(dep)
-                g.add_edge(out.vertex_name(a), out.vertex_name(b),
-                           kind=dep.kind.value, dep=dep)
     return out
 
 

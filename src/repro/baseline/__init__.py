@@ -8,19 +8,12 @@ and data along ``(n-1)``-dimensional hyperplanes, yielding a
 reimplements that scheme so benches can compare degrees of parallelism.
 """
 
-from repro.baseline.hyperplane import HyperplaneResult, hyperplane_partition
-from repro.baseline.naive import (
-    MotivationComparison,
-    NaiveResult,
-    compare_with_commfree,
-    naive_partition,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "HyperplaneResult",
-    "hyperplane_partition",
-    "NaiveResult",
-    "MotivationComparison",
-    "naive_partition",
-    "compare_with_commfree",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "hyperplane": ("HyperplaneResult", "hyperplane_partition"),
+    "naive": (
+        "MotivationComparison", "NaiveResult", "compare_with_commfree",
+        "naive_partition",
+    ),
+})

@@ -42,24 +42,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis import (
-    build_reference_graph,
-    data_referenced_vectors,
-    is_fully_duplicable,
-)
-from repro.lang import catalog, parse, to_source
-from repro.lang.ast import LoopNest
-from repro.machine.cost import TRANSPUTER
-from repro.mapping import workload_stats
-from repro.perf import choose_strategy, table1_rows, table2_rows
-from repro.perf.tables import format_rows
-from repro.pipeline import PipelineConfig, PipelineContext, run_pipeline
-from repro.pipeline.instrument import Instrumentation, use_metrics
-from repro.transform import to_pseudocode, to_spmd_pseudocode
-from repro.viz import figures as figmod
-from repro.viz import render_data_partition, render_iteration_partition
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lang.ast import LoopNest
+    from repro.pipeline import PipelineConfig, PipelineContext
 
 
 def _finish(ok: bool, reason: str, code: int = 1) -> int:
@@ -74,6 +61,8 @@ def _finish(ok: bool, reason: str, code: int = 1) -> int:
 
 
 def _load_nest(args) -> LoopNest:
+    from repro.lang import catalog, parse
+
     if args.loop:
         fn = catalog.ALL_LOOPS.get(args.loop)
         if fn is None:
@@ -87,6 +76,12 @@ def _load_nest(args) -> LoopNest:
         return parse(fh.read(), name=args.file)
 
 
+def _config(args) -> PipelineConfig:
+    from repro.pipeline import PipelineConfig
+
+    return PipelineConfig.from_cli_args(args)
+
+
 def _render_diagnostics(ctx: PipelineContext) -> None:
     if ctx.diagnostics:
         print(ctx.diagnostics.render(), file=sys.stderr)
@@ -94,9 +89,9 @@ def _render_diagnostics(ctx: PipelineContext) -> None:
 
 def _compile(args, upto: str) -> PipelineContext:
     """Load the nest and run the pass pipeline up to ``upto``."""
-    nest = _load_nest(args)
-    config = PipelineConfig.from_cli_args(args)
-    ctx = run_pipeline(nest, config, upto=upto)
+    from repro.pipeline import run_pipeline
+
+    ctx = run_pipeline(_load_nest(args), _config(args), upto=upto)
     _render_diagnostics(ctx)
     return ctx
 
@@ -113,7 +108,7 @@ def _session_from_args(args, nest=None, tracer=None):
     from repro.obs.trace import current_tracer
 
     nest = nest if nest is not None else _load_nest(args)
-    config = PipelineConfig.from_cli_args(args)
+    config = _config(args)
     return Session(
         nest,
         strategy=config.strategy,
@@ -133,6 +128,10 @@ def _render_session_diagnostics(session) -> None:
 
 
 def cmd_analyze(args, out) -> int:
+    from repro.analysis import (build_reference_graph,
+                                data_referenced_vectors, is_fully_duplicable)
+    from repro.lang import to_source
+
     ctx = _compile(args, upto="eliminate-redundancy")
     nest, model = ctx.nest, ctx.model
     print(to_source(nest), file=out)
@@ -158,6 +157,8 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_partition(args, out) -> int:
+    from repro.viz import render_data_partition, render_iteration_partition
+
     ctx = _compile(args, upto="partition")
     nest, plan = ctx.nest, ctx.plan
     print(plan.summary(), file=out)
@@ -181,6 +182,9 @@ def cmd_partition(args, out) -> int:
 
 
 def cmd_transform(args, out) -> int:
+    from repro.mapping import workload_stats
+    from repro.transform import to_pseudocode, to_spmd_pseudocode
+
     ctx = _compile(args, upto="map" if args.processors else "transform")
     tnest = ctx.tnest
     if args.processors:
@@ -229,6 +233,9 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_select(args, out) -> int:
+    from repro.machine.cost import TRANSPUTER
+    from repro.perf import choose_strategy
+
     nest = _load_nest(args)
     result = choose_strategy(nest, args.processors, cost=TRANSPUTER,
                              consider_elimination=args.eliminate)
@@ -240,12 +247,13 @@ def cmd_select(args, out) -> int:
 
 def cmd_program(args, out) -> int:
     from repro.lang import parse_multi
+    from repro.machine.cost import TRANSPUTER
     from repro.program import Program, plan_program, verify_program
 
     with open(args.file) as fh:
         nests = parse_multi(fh.read())
     program = Program(nests=nests, name=args.file)
-    config = PipelineConfig.from_cli_args(args)
+    config = _config(args)
     strategy = config.strategy if args.duplicate else None
     pplan = plan_program(program, p=args.processors, cost=TRANSPUTER,
                          strategy=strategy,
@@ -261,7 +269,7 @@ def cmd_report(args, out) -> int:
     from repro.report import compile_report
 
     nest = _load_nest(args)
-    config = PipelineConfig.from_cli_args(args)
+    config = _config(args)
     rep = compile_report(nest, p=args.processors,
                          consider_elimination=not args.no_eliminate,
                          scalars=config.scalars_dict() or None,
@@ -433,7 +441,7 @@ def cmd_serve(args, out) -> int:
                 nest = fh.read()
         else:
             raise SystemExit("give a source file or --loop NAME")
-        config = PipelineConfig.from_cli_args(args)
+        config = _config(args)
         fields = dict(
             nest=nest,
             strategy=config.strategy.value,
@@ -602,6 +610,8 @@ def cmd_top(args, out) -> int:
 
 
 def cmd_figures(args, out) -> int:
+    from repro.viz import figures as figmod
+
     for fn in (figmod.fig01_l1_dataspaces, figmod.fig02_l1_data_partition,
                figmod.fig03_l1_iteration_partition,
                figmod.fig04_l2_data_partition,
@@ -623,6 +633,8 @@ def cmd_selftest(args, out) -> int:
 
 
 def cmd_tables(args, out) -> int:
+    from repro.perf.tables import format_rows, table1_rows, table2_rows
+
     print("Table I: execution time (s), simulated vs paper", file=out)
     print(format_rows(table1_rows(),
                       ["loop", "p", "M", "simulated_s", "paper_s"]), file=out)
@@ -932,6 +944,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     from repro.obs.export import chrome_trace
     from repro.obs.hooks import TracingHooks
     from repro.obs.profile import SamplingProfiler
+    from repro.pipeline.instrument import Instrumentation, use_metrics
 
     # fresh sinks so every dump covers exactly this command; the tracer
     # stays the null recorder unless a trace/event file was requested

@@ -12,42 +12,20 @@
   static communication-freedom checks.
 """
 
-from repro.core.refspace import (
-    minimal_reduced_reference_space,
-    minimal_reference_space,
-    reduced_reference_space,
-    reference_space,
-)
-from repro.core.strategy import Strategy, SpaceBreakdown, partitioning_space
-from repro.core.partition import (
-    DataBlock,
-    IterationBlock,
-    data_partition,
-    iteration_partition,
-)
-from repro.core.plan import (
-    PartitionPlan,
-    build_plan,
-    check_data_blocks_disjoint,
-    check_no_interblock_flow,
-    check_partition_covers_space,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "reference_space",
-    "reduced_reference_space",
-    "minimal_reference_space",
-    "minimal_reduced_reference_space",
-    "Strategy",
-    "SpaceBreakdown",
-    "partitioning_space",
-    "IterationBlock",
-    "DataBlock",
-    "iteration_partition",
-    "data_partition",
-    "PartitionPlan",
-    "build_plan",
-    "check_partition_covers_space",
-    "check_data_blocks_disjoint",
-    "check_no_interblock_flow",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "refspace": (
+        "minimal_reduced_reference_space", "minimal_reference_space",
+        "reduced_reference_space", "reference_space",
+    ),
+    "strategy": ("Strategy", "SpaceBreakdown", "partitioning_space"),
+    "partition": (
+        "DataBlock", "IterationBlock", "data_partition",
+        "iteration_partition",
+    ),
+    "plan": (
+        "PartitionPlan", "build_plan", "check_data_blocks_disjoint",
+        "check_no_interblock_flow", "check_partition_covers_space",
+    ),
+})

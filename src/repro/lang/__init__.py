@@ -21,46 +21,18 @@ nests programmatically; :mod:`repro.lang.catalog` has the paper's loops
 L1-L5 ready-made.
 """
 
-from repro.lang.ast import (
-    ArrayRef,
-    Assign,
-    BinOp,
-    Const,
-    Expr,
-    LoopNest,
-    Name,
-    UnaryOp,
-)
-from repro.lang.affine import AffineExpr, NotAffineError, affine_of
-from repro.lang.lexer import Lexer, LexError, Token, TokenType, tokenize
-from repro.lang.parser import ParseError, Parser, parse, parse_multi
-from repro.lang.printer import to_source
-from repro.lang.space import IterationSpace
-from repro.lang import builder, catalog
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "ArrayRef",
-    "Assign",
-    "BinOp",
-    "Const",
-    "Expr",
-    "LoopNest",
-    "Name",
-    "UnaryOp",
-    "AffineExpr",
-    "NotAffineError",
-    "affine_of",
-    "Lexer",
-    "LexError",
-    "Token",
-    "TokenType",
-    "tokenize",
-    "ParseError",
-    "Parser",
-    "parse",
-    "parse_multi",
-    "to_source",
-    "IterationSpace",
-    "builder",
-    "catalog",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "ast": (
+        "ArrayRef", "Assign", "BinOp", "Const", "Expr", "LoopNest",
+        "Name", "UnaryOp",
+    ),
+    "affine": ("AffineExpr", "NotAffineError", "affine_of"),
+    "lexer": ("Lexer", "LexError", "Token", "TokenType", "tokenize"),
+    "parser": ("ParseError", "Parser", "parse", "parse_multi"),
+    "printer": ("to_source",),
+    "space": ("IterationSpace",),
+    "builder": ("builder",),
+    "catalog": ("catalog",),
+})

@@ -20,51 +20,21 @@ simulate the same structure:
   patterns of loops L5, L5' and L5''.
 """
 
-from repro.machine.cost import CostModel, TRANSPUTER, UNIT_COSTS
-from repro.machine.topology import (
-    CompleteTopology,
-    HOST,
-    Hypercube,
-    Mesh2D,
-    RingTopology,
-    StarTopology,
-    Topology,
-    Torus2D,
-)
-from repro.machine.message import Message
-from repro.machine.memory import LocalMemory, RemoteAccessError
-from repro.machine.processor import Processor
-from repro.machine.network import Network
-from repro.machine.machine import Multicomputer
-from repro.machine.distribution import (
-    DistributionOp,
-    DistributionSchedule,
-    broadcast_array,
-    multicast_groups,
-    scatter_slices,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "CostModel",
-    "TRANSPUTER",
-    "UNIT_COSTS",
-    "Topology",
-    "Mesh2D",
-    "RingTopology",
-    "StarTopology",
-    "CompleteTopology",
-    "Hypercube",
-    "Torus2D",
-    "HOST",
-    "Message",
-    "LocalMemory",
-    "RemoteAccessError",
-    "Processor",
-    "Network",
-    "Multicomputer",
-    "DistributionOp",
-    "DistributionSchedule",
-    "scatter_slices",
-    "multicast_groups",
-    "broadcast_array",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "cost": ("CostModel", "TRANSPUTER", "UNIT_COSTS"),
+    "topology": (
+        "CompleteTopology", "HOST", "Hypercube", "Mesh2D",
+        "RingTopology", "StarTopology", "Topology", "Torus2D",
+    ),
+    "message": ("Message",),
+    "memory": ("LocalMemory", "RemoteAccessError"),
+    "processor": ("Processor",),
+    "network": ("Network",),
+    "machine": ("Multicomputer",),
+    "distribution": (
+        "DistributionOp", "DistributionSchedule", "broadcast_array",
+        "multicast_groups", "scatter_slices",
+    ),
+})

@@ -3,15 +3,13 @@
 Node processors are numbered ``0 .. p-1``; the special :data:`HOST`
 node (-1) models the paper's host processor, attached to node 0 (a
 corner of the mesh).  Hop counts come from exact shortest paths on the
-topology graph (networkx), so routing distance is topology-accurate.
+topology graph (one breadth-first search per node), so routing distance
+is topology-accurate.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
-
-import networkx as nx
 
 #: The host processor's node id.
 HOST = -1
@@ -25,13 +23,28 @@ class Topology:
         if num_nodes < 1:
             raise ValueError("need at least one node")
         self.num_nodes = num_nodes
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(range(num_nodes))
-        self.graph.add_edges_from(edges)
-        self.graph.add_edge(HOST, host_attach)
-        if not nx.is_connected(self.graph):
+        self._adj: dict[int, set[int]] = {
+            n: set() for n in (HOST, *range(num_nodes))}
+        for a, b in (*edges, (HOST, host_attach)):
+            self._adj.setdefault(a, set()).add(b)
+            self._adj.setdefault(b, set()).add(a)
+        self._hops = {src: self._bfs(src) for src in self._adj}
+        if len(self._hops[HOST]) != len(self._adj):
             raise ValueError("topology graph is not connected")
-        self._hops = dict(nx.all_pairs_shortest_path_length(self.graph))
+
+    def _bfs(self, src: int) -> dict[int, int]:
+        """Hop count from ``src`` to every node it can reach."""
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in self._adj[a]:
+                    if b not in dist:
+                        dist[b] = dist[a] + 1
+                        nxt.append(b)
+            frontier = nxt
+        return dist
 
     # -- queries -----------------------------------------------------------
     def nodes(self) -> list[int]:
@@ -42,7 +55,7 @@ class Topology:
         return self._hops[a][b]
 
     def neighbors(self, a: int) -> list[int]:
-        return sorted(n for n in self.graph.neighbors(a))
+        return sorted(self._adj[a])
 
     def diameter_from(self, src: int) -> int:
         """Longest shortest path from ``src`` to any node processor."""

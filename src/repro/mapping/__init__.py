@@ -11,15 +11,10 @@
   almost the same number of iterations").
 """
 
-from repro.mapping.grid import ProcessorGrid, shape_grid
-from repro.mapping.cyclic import CyclicAssignment, assign_blocks
-from repro.mapping.balance import WorkloadStats, workload_stats
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "ProcessorGrid",
-    "shape_grid",
-    "CyclicAssignment",
-    "assign_blocks",
-    "WorkloadStats",
-    "workload_stats",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "grid": ("ProcessorGrid", "shape_grid"),
+    "cyclic": ("CyclicAssignment", "assign_blocks"),
+    "balance": ("WorkloadStats", "workload_stats"),
+})

@@ -40,116 +40,45 @@ Every CLI subcommand accepts ``--trace FILE``, ``--metrics``,
 ``docs/OBSERVABILITY.md`` for the full knob reference.
 """
 
-from repro.obs.aggregate import WorkerObs, capture_worker_obs, merge_worker_obs
-from repro.obs.audit import (
-    AccessFootprint,
-    AuditReport,
-    AuditViolation,
-    EngineAuditRun,
-    audit_plan,
-    inject_violation,
-    render_audit_dashboard,
-)
-from repro.obs.export import (
-    chrome_trace,
-    event_log_lines,
-    metrics_json,
-    prometheus_text,
-    write_chrome_trace,
-    write_event_log,
-    write_metrics,
-)
-from repro.obs.metrics import (
-    METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    use_registry,
-)
-from repro.obs.history import (
-    append_history,
-    check_floors,
-    load_baseline,
-    load_history,
-    measure_entry,
-)
-from repro.obs.flight import (
-    FlightRecorder,
-    dump_blackbox,
-    flight,
-    latest_blackbox,
-    load_blackbox,
-    render_blackbox,
-)
-from repro.obs.profile import SamplingProfiler
-from repro.obs.schema import CHROME_TRACE_SCHEMA, validate_chrome_trace
-from repro.obs.slo import SLO, SLOResult, comm_optimality, evaluate_slos, watchdog
-from repro.obs.top import SnapshotWriter, current_writer, render_top, run_top
-from repro.obs.trace import (
-    NULL_SPAN,
-    NULL_TRACER,
-    Event,
-    Span,
-    Tracer,
-    current_tracer,
-    use_tracer,
-)
+from repro._lazy import lazy_surface
+# eager: ``flight`` is also this package's submodule name, and the import
+# system binds a loaded submodule over anything ``__getattr__`` could say
+from repro.obs.flight import flight
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "Event",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "current_tracer",
-    "use_tracer",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "METRICS",
-    "current_registry",
-    "use_registry",
-    "chrome_trace",
-    "write_chrome_trace",
-    "prometheus_text",
-    "metrics_json",
-    "write_metrics",
-    "event_log_lines",
-    "write_event_log",
-    "CHROME_TRACE_SCHEMA",
-    "validate_chrome_trace",
-    "WorkerObs",
-    "capture_worker_obs",
-    "merge_worker_obs",
-    "AccessFootprint",
-    "AuditReport",
-    "AuditViolation",
-    "EngineAuditRun",
-    "audit_plan",
-    "inject_violation",
-    "render_audit_dashboard",
-    "measure_entry",
-    "append_history",
-    "load_history",
-    "load_baseline",
-    "check_floors",
-    "FlightRecorder",
-    "flight",
-    "dump_blackbox",
-    "latest_blackbox",
-    "load_blackbox",
-    "render_blackbox",
-    "SamplingProfiler",
-    "SnapshotWriter",
-    "current_writer",
-    "render_top",
-    "run_top",
-    "SLO",
-    "SLOResult",
-    "evaluate_slos",
-    "watchdog",
-    "comm_optimality",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "aggregate": ("WorkerObs", "capture_worker_obs", "merge_worker_obs"),
+    "audit": (
+        "AccessFootprint", "AuditReport", "AuditViolation",
+        "EngineAuditRun", "audit_plan", "inject_violation",
+        "render_audit_dashboard",
+    ),
+    "export": (
+        "chrome_trace", "event_log_lines", "metrics_json",
+        "prometheus_text", "write_chrome_trace", "write_event_log",
+        "write_metrics",
+    ),
+    "metrics": (
+        "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "current_registry", "use_registry",
+    ),
+    "history": (
+        "append_history", "check_floors", "load_baseline",
+        "load_history", "measure_entry",
+    ),
+    "flight": (
+        "FlightRecorder", "dump_blackbox", "latest_blackbox",
+        "load_blackbox", "render_blackbox",
+    ),
+    "profile": ("SamplingProfiler",),
+    "schema": ("CHROME_TRACE_SCHEMA", "validate_chrome_trace"),
+    "slo": (
+        "SLO", "SLOResult", "comm_optimality", "evaluate_slos",
+        "watchdog",
+    ),
+    "top": ("SnapshotWriter", "current_writer", "render_top", "run_top"),
+    "trace": (
+        "NULL_SPAN", "NULL_TRACER", "Event", "Span", "Tracer",
+        "current_tracer", "use_tracer",
+    ),
+})
+__all__.append("flight")

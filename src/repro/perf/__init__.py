@@ -13,44 +13,18 @@
   estimated makespan (the paper's "can be appropriately estimated").
 """
 
-from repro.perf.model import t1_sequential, t2_duplicate_b, t3_duplicate_ab
-from repro.perf.matmul import (
-    MatmulSim,
-    simulate_l5,
-    simulate_l5_prime,
-    simulate_l5_doubleprime,
-    run_study,
-)
-from repro.perf.tables import (
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    paper_time,
-    paper_speedup,
-    table1_rows,
-    table2_rows,
-)
-from repro.perf.general import PlanEstimate, estimate_plan, mesh_for
-from repro.perf.selector import Candidate, SelectionResult, choose_strategy
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "PlanEstimate",
-    "estimate_plan",
-    "mesh_for",
-    "Candidate",
-    "SelectionResult",
-    "choose_strategy",
-    "t1_sequential",
-    "t2_duplicate_b",
-    "t3_duplicate_ab",
-    "MatmulSim",
-    "simulate_l5",
-    "simulate_l5_prime",
-    "simulate_l5_doubleprime",
-    "run_study",
-    "PAPER_TABLE1",
-    "PAPER_TABLE2",
-    "paper_time",
-    "paper_speedup",
-    "table1_rows",
-    "table2_rows",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "model": ("t1_sequential", "t2_duplicate_b", "t3_duplicate_ab"),
+    "matmul": (
+        "MatmulSim", "simulate_l5", "simulate_l5_prime",
+        "simulate_l5_doubleprime", "run_study",
+    ),
+    "tables": (
+        "PAPER_TABLE1", "PAPER_TABLE2", "paper_time", "paper_speedup",
+        "table1_rows", "table2_rows",
+    ),
+    "general": ("PlanEstimate", "estimate_plan", "mesh_for"),
+    "selector": ("Candidate", "SelectionResult", "choose_strategy"),
+})

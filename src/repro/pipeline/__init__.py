@@ -20,53 +20,22 @@ The compiler's stages run as named, registered passes over a
   :mod:`repro.lang.fingerprint`.
 """
 
-from repro.pipeline.cache import (
-    PLAN_CACHE,
-    MissReason,
-    PlanCache,
-    configure_plan_cache,
-)
-from repro.pipeline.context import PipelineConfig, PipelineContext
-from repro.pipeline.diagnostics import Diagnostic, DiagnosticBag, Severity
-from repro.pipeline.instrument import (
-    PIPELINE_METRICS,
-    Instrumentation,
-    PassStats,
-    PipelineHooks,
-)
-from repro.pipeline.passes import (
-    DEFAULT_MANAGER,
-    STANDARD_PASSES,
-    Pass,
-    PassManager,
-    PassOrderError,
-    PipelineError,
-    UnknownPassError,
-    default_manager,
-    run_pipeline,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "Pass",
-    "PassManager",
-    "PassOrderError",
-    "PipelineError",
-    "UnknownPassError",
-    "STANDARD_PASSES",
-    "DEFAULT_MANAGER",
-    "default_manager",
-    "run_pipeline",
-    "PipelineConfig",
-    "PipelineContext",
-    "Diagnostic",
-    "DiagnosticBag",
-    "Severity",
-    "Instrumentation",
-    "PassStats",
-    "PipelineHooks",
-    "PIPELINE_METRICS",
-    "PlanCache",
-    "PLAN_CACHE",
-    "MissReason",
-    "configure_plan_cache",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "cache": (
+        "PLAN_CACHE", "MissReason", "PlanCache",
+        "configure_plan_cache",
+    ),
+    "context": ("PipelineConfig", "PipelineContext"),
+    "diagnostics": ("Diagnostic", "DiagnosticBag", "Severity"),
+    "instrument": (
+        "PIPELINE_METRICS", "Instrumentation", "PassStats",
+        "PipelineHooks",
+    ),
+    "passes": (
+        "DEFAULT_MANAGER", "STANDARD_PASSES", "Pass", "PassManager",
+        "PassOrderError", "PipelineError", "UnknownPassError",
+        "default_manager", "run_pipeline",
+    ),
+})

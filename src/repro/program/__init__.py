@@ -17,25 +17,13 @@ whole-program schedule:
   reallocation traffic between phases, not just per-loop makespans.
 """
 
-from repro.program.model import (
-    Phase,
-    Program,
-    ProgramPlan,
-    plan_program,
-    run_program_parallel,
-    run_program_sequential,
-    verify_program,
-)
-from repro.program.realloc import ReallocationReport, reallocation_between
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "Phase",
-    "Program",
-    "ProgramPlan",
-    "plan_program",
-    "run_program_sequential",
-    "run_program_parallel",
-    "verify_program",
-    "ReallocationReport",
-    "reallocation_between",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "model": (
+        "Phase", "Program", "ProgramPlan", "plan_program",
+        "run_program_parallel", "run_program_sequential",
+        "verify_program",
+    ),
+    "realloc": ("ReallocationReport", "reallocation_between"),
+})

@@ -25,38 +25,22 @@ matters far more than raw speed here.  The performance-sensitive parts
 of the library (the simulator and the interpreters) use numpy instead.
 """
 
-from repro.ratlinalg.matrix import RatMat, RatVec, as_fraction, frac_gcd, vec_gcd
-from repro.ratlinalg.rref import rref, rank, nullspace, row_echelon_int
-from repro.ratlinalg.solve import solve_particular, solve_full
-from repro.ratlinalg.smith import smith_normal_form, solve_diophantine, DiophantineSolution
-from repro.ratlinalg.lattice import IntLattice, integer_kernel_basis
-from repro.ratlinalg.hermite import hermite_normal_form, lattice_canonical_basis
-from repro.ratlinalg.span import Subspace
-from repro.ratlinalg.fm import Ineq, FMSystem, eliminate, bounds_for_order, LoopBound
+from repro._lazy import lazy_surface
+# eager: ``rref`` is also this package's submodule name, and the import
+# system binds a loaded submodule over anything ``__getattr__`` could say
+from repro.ratlinalg.rref import rref
 
-__all__ = [
-    "RatMat",
-    "RatVec",
-    "as_fraction",
-    "frac_gcd",
-    "vec_gcd",
-    "rref",
-    "rank",
-    "nullspace",
-    "row_echelon_int",
-    "solve_particular",
-    "solve_full",
-    "smith_normal_form",
-    "solve_diophantine",
-    "DiophantineSolution",
-    "IntLattice",
-    "integer_kernel_basis",
-    "hermite_normal_form",
-    "lattice_canonical_basis",
-    "Subspace",
-    "Ineq",
-    "FMSystem",
-    "eliminate",
-    "bounds_for_order",
-    "LoopBound",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "matrix": ("RatMat", "RatVec", "as_fraction", "frac_gcd", "vec_gcd"),
+    "rref": ("rank", "nullspace", "row_echelon_int"),
+    "solve": ("solve_particular", "solve_full"),
+    "smith": (
+        "smith_normal_form", "solve_diophantine",
+        "DiophantineSolution",
+    ),
+    "lattice": ("IntLattice", "integer_kernel_basis"),
+    "hermite": ("hermite_normal_form", "lattice_canonical_basis"),
+    "span": ("Subspace",),
+    "fm": ("Ineq", "FMSystem", "eliminate", "bounds_for_order", "LoopBound"),
+})
+__all__.append("rref")

@@ -27,62 +27,28 @@
   :class:`~repro.api.Session` (or :func:`use_pool`) scopes one.
 """
 
-from repro.runtime.arrays import DataSpace, array_footprints, default_init, make_arrays
-from repro.runtime.seq import run_sequential, eval_expr
-from repro.runtime.parallel import ParallelResult, run_parallel
-from repro.runtime.merge import merge_copies
-from repro.runtime.verify import VerificationReport, cross_check_backends, verify_plan
-from repro.runtime.machine_run import MachineRun, run_on_machine
-from repro.runtime.engine import (
-    available_backends,
-    backend_names,
-    get_engine,
-    resolve_engine,
-)
-from repro.runtime.scheduler import (
-    BlockScheduler,
-    FaultPlan,
-    SchedulerResult,
-    current_fault_plan,
-    use_fault_plan,
-)
-from repro.runtime.blockstore import (
-    SharedBlockStore,
-    StoreDescriptor,
-    release_plan_segment,
-    shm_available,
-)
-from repro.runtime.pool import WorkerPool, current_pool, use_pool
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "DataSpace",
-    "array_footprints",
-    "default_init",
-    "make_arrays",
-    "run_sequential",
-    "eval_expr",
-    "ParallelResult",
-    "run_parallel",
-    "merge_copies",
-    "VerificationReport",
-    "cross_check_backends",
-    "verify_plan",
-    "MachineRun",
-    "run_on_machine",
-    "available_backends",
-    "backend_names",
-    "get_engine",
-    "resolve_engine",
-    "BlockScheduler",
-    "FaultPlan",
-    "SchedulerResult",
-    "current_fault_plan",
-    "use_fault_plan",
-    "SharedBlockStore",
-    "StoreDescriptor",
-    "release_plan_segment",
-    "shm_available",
-    "WorkerPool",
-    "current_pool",
-    "use_pool",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "arrays": (
+        "DataSpace", "array_footprints", "default_init", "make_arrays",
+    ),
+    "seq": ("run_sequential", "eval_expr"),
+    "parallel": ("ParallelResult", "run_parallel"),
+    "merge": ("merge_copies",),
+    "verify": ("VerificationReport", "cross_check_backends", "verify_plan"),
+    "machine_run": ("MachineRun", "run_on_machine"),
+    "engine": (
+        "available_backends", "backend_names", "get_engine",
+        "resolve_engine",
+    ),
+    "scheduler": (
+        "BlockScheduler", "FaultPlan", "SchedulerResult",
+        "current_fault_plan", "use_fault_plan",
+    ),
+    "blockstore": (
+        "SharedBlockStore", "StoreDescriptor", "release_plan_segment",
+        "shm_available",
+    ),
+    "pool": ("WorkerPool", "current_pool", "use_pool"),
+})

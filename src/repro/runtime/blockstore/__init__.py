@@ -26,21 +26,12 @@ by-value lease path, which is the copy-through store that keeps
 ``REPRO_NO_NUMPY`` and the PyGrid backend fully working.
 """
 
-from repro.runtime.blockstore.layout import StoreLayout, layout_for
-from repro.runtime.blockstore.store import (
-    NO_SHM_ENV_VAR,
-    SharedBlockStore,
-    StoreDescriptor,
-    release_plan_segment,
-    shm_available,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "NO_SHM_ENV_VAR",
-    "SharedBlockStore",
-    "StoreDescriptor",
-    "StoreLayout",
-    "layout_for",
-    "release_plan_segment",
-    "shm_available",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "layout": ("StoreLayout", "layout_for"),
+    "store": (
+        "NO_SHM_ENV_VAR", "SharedBlockStore", "StoreDescriptor",
+        "release_plan_segment", "shm_available",
+    ),
+})

@@ -20,22 +20,12 @@ final arrays and write stamps to the interpreter; the parity suite
 (``tests/runtime/test_engine_parity.py``) pins this.
 """
 
-from repro.runtime.engine.base import (
-    BackendUnavailable,
-    DEFAULT_BACKEND,
-    Engine,
-    available_backends,
-    backend_names,
-    get_engine,
-    resolve_engine,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "BackendUnavailable",
-    "DEFAULT_BACKEND",
-    "Engine",
-    "available_backends",
-    "backend_names",
-    "get_engine",
-    "resolve_engine",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "base": (
+        "BackendUnavailable", "DEFAULT_BACKEND", "Engine",
+        "available_backends", "backend_names", "get_engine",
+        "resolve_engine",
+    ),
+})

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 
-from repro.runtime.engine.base import Engine, get_engine, register_backend
+from repro.runtime.engine.base import Engine, get_engine
 
 #: Below this many total iterations, specialization always wins.
 SMALL_ENV_VAR = "REPRO_AUTO_SMALL"
@@ -93,6 +93,3 @@ class AutoEngine(Engine):
         result.backend = engine.name
         engine.run_blocks(plan, memories, result, initial, scalars,
                           strict=strict)
-
-
-register_backend(AutoEngine)

@@ -11,17 +11,18 @@ An engine implements two operations:
   :class:`~repro.runtime.parallel.ParallelResult` counters and write
   stamps (the ``run_parallel`` entry point).
 
-Backends register themselves under a canonical name plus aliases;
-:func:`resolve_engine` walks the declared ``fallback`` chain until it
-finds an available tier, so ``backend="vectorized"`` on a numpy-free
-interpreter silently degrades to ``compiled`` (and ultimately
-``interp``) instead of failing.
+Backends are declared in one static table (canonical name, defining
+module, aliases); :func:`get_engine` imports exactly the tier it
+resolves.  :func:`resolve_engine` walks the declared ``fallback`` chain
+until it finds an available tier, so ``backend="vectorized"`` on a
+numpy-free interpreter silently degrades to ``compiled`` (and
+ultimately ``interp``) instead of failing.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from importlib import import_module
 from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,43 +77,50 @@ class Engine:
         return get_engine(self.fallback or DEFAULT_BACKEND)
 
 
-_REGISTRY: dict[str, type] = {}
-_ALIASES: dict[str, str] = {}
+#: canonical name -> (defining module, class, aliases).  The listing order
+#: is what :func:`available_backends` callers print (``--backend all``,
+#: the audit dashboard), so it is part of the output contract.
+_BACKENDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "auto": ("auto", "AutoEngine", ()),
+    "compiled": ("compiled", "CompiledEngine", ("kernel", "kernels", "jit")),
+    "codegen": ("codegen.engine", "CodegenEngine", ("cg", "specialized")),
+    "interp": ("interp", "InterpreterEngine",
+               ("interpreter", "seq", "golden")),
+    "multiprocess": ("multiproc", "MultiprocessEngine",
+                     ("mp", "processes", "pool")),
+    "vectorized": ("vectorized", "VectorizedEngine",
+                   ("numpy", "vector", "simd")),
+}
+_ALIASES = {alias: name for name, (_, _, aliases) in _BACKENDS.items()
+            for alias in aliases}
 
 
-def register_backend(cls: type, aliases: tuple[str, ...] = ()) -> type:
-    _REGISTRY[cls.name] = cls
-    for a in aliases:
-        _ALIASES[a] = cls.name
-    return cls
-
-
-def _canonical(name: str) -> str:
-    name = name.strip().lower()
-    return _ALIASES.get(name, name)
+def _engine_class(canon: str) -> type:
+    """Import the one tier module ``canon`` names; -> its engine class."""
+    module, cls, _ = _BACKENDS[canon]
+    return getattr(import_module(f"repro.runtime.engine.{module}"), cls)
 
 
 def backend_names() -> list[str]:
-    """Canonical names of every registered backend, tier order."""
-    _load_backends()
-    return list(_REGISTRY)
+    """Canonical names of every backend (imports no tier)."""
+    return list(_BACKENDS)
 
 
 def available_backends() -> list[str]:
-    """Registered backends whose availability check passes right now."""
-    _load_backends()
-    return [name for name, cls in _REGISTRY.items() if cls.is_available()]
+    """Backends whose availability check passes right now (this one
+    imports every tier: availability is the tier's own answer)."""
+    return [name for name in _BACKENDS
+            if _engine_class(name).is_available()]
 
 
 def get_engine(name: str) -> Engine:
     """A fresh engine instance for ``name`` (alias-resolved, no fallback)."""
-    _load_backends()
-    canon = _canonical(name)
-    cls = _REGISTRY.get(canon)
-    if cls is None:
+    canon = name.strip().lower()
+    canon = _ALIASES.get(canon, canon)
+    if canon not in _BACKENDS:
         raise BackendUnavailable(
-            f"unknown backend {name!r}; known: {', '.join(backend_names())}")
-    return cls()
+            f"unknown backend {name!r}; known: {', '.join(_BACKENDS)}")
+    return _engine_class(canon)()
 
 
 def resolve_engine(name: Optional[str] = None) -> Engine:
@@ -134,7 +142,7 @@ def resolve_engine(name: Optional[str] = None) -> Engine:
         engine = get_engine(requested)
         hops = 0
         while not engine.is_available():
-            if engine.fallback is None or hops > len(_REGISTRY):
+            if engine.fallback is None or hops > len(_BACKENDS):
                 raise BackendUnavailable(
                     f"backend {requested!r} is unavailable and has no "
                     "fallback")
@@ -143,34 +151,3 @@ def resolve_engine(name: Optional[str] = None) -> Engine:
         sp.set(resolved=engine.name, fallback_hops=hops)
         current_registry().inc(f"engine.resolved.{engine.name}")
     return engine
-
-
-_loaded = False
-_load_lock = threading.RLock()
-
-
-def _load_backends() -> None:
-    """Import the backend modules (idempotent; registration on import).
-
-    Guarded by a flag rather than a non-empty registry: importing one
-    backend module directly registers it, which must not stop the rest
-    of the tiers from loading.  The flag flips only *after* every tier
-    is imported, under a lock -- concurrent first resolutions (e.g. a
-    fresh serving daemon dispatching a burst across executor threads)
-    must never observe a half-populated registry.
-    """
-    global _loaded
-    if _loaded:
-        return
-    with _load_lock:
-        if _loaded:
-            return
-        from repro.runtime.engine import (  # noqa: F401
-            auto,
-            codegen,
-            compiled,
-            interp,
-            multiproc,
-            vectorized,
-        )
-        _loaded = True

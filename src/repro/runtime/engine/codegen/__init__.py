@@ -1,7 +1,7 @@
 """Per-plan codegen engine tier with a persistent on-disk kernel cache.
 
-Importing this package registers the ``codegen`` backend (aliases
-``cg``, ``specialized``).  Submodules:
+The ``codegen`` backend (aliases ``cg``, ``specialized``; declared in
+:mod:`repro.runtime.engine.base`).  Submodules:
 
 - :mod:`.geometry` -- what can be specialized (flat grids, rect
   blocks, the communication-audit certificate);
@@ -13,15 +13,10 @@ Importing this package registers the ``codegen`` backend (aliases
   workers, attached by cache key through descriptor leases.
 """
 
-from repro.runtime.engine.codegen.diskcache import (  # noqa: F401
-    DiskKernelCache,
-    get_disk_cache,
-)
-from repro.runtime.engine.codegen.engine import (  # noqa: F401
-    CodegenEngine,
-    load_kernel,
-    program_for,
-)
-from repro.runtime.engine.codegen.geometry import (  # noqa: F401
-    CodegenUnsupported,
-)
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "diskcache": ("DiskKernelCache", "get_disk_cache"),
+    "engine": ("CodegenEngine", "load_kernel", "program_for"),
+    "geometry": ("CodegenUnsupported",),
+})

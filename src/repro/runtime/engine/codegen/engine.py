@@ -31,7 +31,7 @@ import marshal
 import os
 from typing import Callable, Mapping, Optional
 
-from repro.runtime.engine.base import Engine, register_backend
+from repro.runtime.engine.base import Engine
 from repro.runtime.engine.codegen import emit
 from repro.runtime.engine.codegen.diskcache import get_disk_cache
 from repro.runtime.engine.codegen.geometry import (
@@ -401,6 +401,3 @@ class CodegenEngine(Engine):
                     result.skipped_computations += \
                         len(blocks[bindex].iterations) - n
         return stmts
-
-
-register_backend(CodegenEngine, aliases=("cg", "specialized"))

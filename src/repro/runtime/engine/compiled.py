@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, BinOp, Const, Expr, LoopNest, Name, UnaryOp
-from repro.runtime.engine.base import Engine, register_backend
+from repro.runtime.engine.base import Engine
 
 
 class KernelCompileError(ValueError):
@@ -395,6 +395,3 @@ class CompiledEngine(Engine):
                         result.skipped_computations += len(b.iterations) - n
                 sp.set(statements=sum(counts),
                        remote_accesses=mem.remote_attempts - remote_before)
-
-
-register_backend(CompiledEngine, aliases=("kernel", "kernels", "jit"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.runtime.engine.base import Engine, register_backend
+from repro.runtime.engine.base import Engine
 
 
 class InterpreterEngine(Engine):
@@ -76,6 +76,3 @@ class InterpreterEngine(Engine):
                         result.executed_iterations += 1
                 sp.set(statements=statements,
                        remote_accesses=mem.remote_attempts - remote_before)
-
-
-register_backend(InterpreterEngine, aliases=("interpreter", "seq", "golden"))

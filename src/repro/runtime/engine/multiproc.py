@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import sys
 
-from repro.runtime.engine.base import Engine, register_backend
+from repro.runtime.engine.base import Engine
 from repro.runtime.scheduler import (
     BlockScheduler,
     PoolCollapse,
@@ -194,6 +194,3 @@ class MultiprocessEngine(Engine):
         finally:
             if store is not None:
                 store.close(unlink=True)
-
-
-register_backend(MultiprocessEngine, aliases=("mp", "processes", "pool"))

@@ -42,7 +42,7 @@ from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, BinOp, Const, Expr, Name, UnaryOp
 from repro.machine.memory import RemoteAccessError
 from repro.runtime import numpy_compat as npc
-from repro.runtime.engine.base import Engine, register_backend
+from repro.runtime.engine.base import Engine
 
 #: dense-grid size caps (elements); beyond these, fall back to compiled
 _MAX_GRID = 1 << 22
@@ -508,6 +508,3 @@ class VectorizedEngine(Engine):
                     result.skipped_computations += \
                         int(active_counts[lane]) - n
         result.executed_iterations += geom["executed_total"]
-
-
-register_backend(VectorizedEngine, aliases=("numpy", "vector", "simd"))

@@ -1,47 +1,17 @@
 """Dynamic, fault-tolerant block scheduling (see :mod:`.core`)."""
 
-from repro.runtime.scheduler.core import (
-    ATTEMPTS_ENV_VAR,
-    BATCH_ENV_VAR,
-    DYNAMIC,
-    SCHED_ENV_VAR,
-    STATIC,
-    TIMEOUT_ENV_VAR,
-    BlockScheduler,
-    LeaseRecord,
-    PoolCollapse,
-    RetryPolicy,
-    SchedulerError,
-    SchedulerResult,
-    default_batch_size,
-    scheduler_mode,
-)
-from repro.runtime.scheduler.faults import (
-    CHAOS_ENV_VAR,
-    FaultPlan,
-    current_fault_plan,
-    use_fault_plan,
-)
-from repro.runtime.scheduler.timeline import render_timeline
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "ATTEMPTS_ENV_VAR",
-    "BATCH_ENV_VAR",
-    "CHAOS_ENV_VAR",
-    "DYNAMIC",
-    "SCHED_ENV_VAR",
-    "STATIC",
-    "TIMEOUT_ENV_VAR",
-    "BlockScheduler",
-    "FaultPlan",
-    "LeaseRecord",
-    "PoolCollapse",
-    "RetryPolicy",
-    "SchedulerError",
-    "SchedulerResult",
-    "current_fault_plan",
-    "default_batch_size",
-    "render_timeline",
-    "scheduler_mode",
-    "use_fault_plan",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "core": (
+        "ATTEMPTS_ENV_VAR", "BATCH_ENV_VAR", "DYNAMIC",
+        "SCHED_ENV_VAR", "STATIC", "TIMEOUT_ENV_VAR", "BlockScheduler",
+        "LeaseRecord", "PoolCollapse", "RetryPolicy", "SchedulerError",
+        "SchedulerResult", "default_batch_size", "scheduler_mode",
+    ),
+    "faults": (
+        "CHAOS_ENV_VAR", "FaultPlan", "current_fault_plan",
+        "use_fault_plan",
+    ),
+    "timeline": ("render_timeline",),
+})

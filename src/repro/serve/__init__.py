@@ -17,17 +17,15 @@ stay compiled, the worker pool stays spawned.  Three pieces:
   blocking client used by the CLI, the CI smoke test and the bench.
 """
 
-from repro.serve.protocol import (  # noqa: F401
-    SCHEMA_VERSION,
-    Overloaded,
-    ProtocolError,
-    Request,
-    Response,
-    decode_frame,
-    encode_frame,
-    ensure_json_native,
-    request_key,
-)
-from repro.serve.server import AsyncServer  # noqa: F401
-from repro.serve.client import ServeClient  # noqa: F401
-from repro.serve.daemon import default_socket_path  # noqa: F401
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "protocol": (
+        "SCHEMA_VERSION", "Overloaded", "ProtocolError", "Request",
+        "Response", "decode_frame", "encode_frame",
+        "ensure_json_native", "request_key",
+    ),
+    "server": ("AsyncServer",),
+    "client": ("ServeClient",),
+    "daemon": ("default_socket_path",),
+})

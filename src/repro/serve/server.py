@@ -69,10 +69,8 @@ class AsyncServer:
     ) -> None:
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import NULL_TRACER
-        from repro.runtime.engine.base import backend_names
         from repro.runtime.pool import WorkerPool
 
-        backend_names()  # warm the engine registry before executor threads
         self.max_concurrency = max(1, int(max_concurrency))
         self.queue_limit = max(0, int(queue_limit))
         self.max_sessions = max(1, int(max_sessions))

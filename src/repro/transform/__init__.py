@@ -13,29 +13,15 @@ Pipeline:
    executable Python source for the transformed nest.
 """
 
-from repro.transform.basis import TransformBasis, build_transform_basis
-from repro.transform.loopnest import TransformedNest, transform_nest
-from repro.transform.codegen import to_pseudocode, to_python_source, compile_nest
-from repro.transform.spmd import (
-    compile_spmd,
-    iterations_of_processor,
-    to_spmd_pseudocode,
-    to_spmd_python_source,
-)
-from repro.transform.validate import TransformValidation, validate_transform
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "TransformBasis",
-    "build_transform_basis",
-    "TransformedNest",
-    "transform_nest",
-    "to_pseudocode",
-    "to_python_source",
-    "compile_nest",
-    "to_spmd_pseudocode",
-    "to_spmd_python_source",
-    "compile_spmd",
-    "iterations_of_processor",
-    "TransformValidation",
-    "validate_transform",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "basis": ("TransformBasis", "build_transform_basis"),
+    "loopnest": ("TransformedNest", "transform_nest"),
+    "codegen": ("to_pseudocode", "to_python_source", "compile_nest"),
+    "spmd": (
+        "compile_spmd", "iterations_of_processor",
+        "to_spmd_pseudocode", "to_spmd_python_source",
+    ),
+    "validate": ("TransformValidation", "validate_transform"),
+})

@@ -46,9 +46,11 @@ class TestL3Graph:
         assert tuple(int(x) for x in e.witness) == (1, 0)  # the paper's t1
         assert self.g.find_edge("r1", "r1") is None
 
-    def test_networkx_backing(self):
-        assert set(self.g.graph.nodes) == {"w1", "w2", "r1", "r2"}
-        assert self.g.graph.number_of_edges() == 6
+    def test_vertex_and_edge_counts(self):
+        g = self.g
+        assert {g.vertex_name(r) for r in g.writes + g.reads} == \
+            {"w1", "w2", "r1", "r2"}
+        assert len(g.edge_names()) == 6
 
 
 class TestOtherGraphs:

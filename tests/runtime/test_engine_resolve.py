@@ -129,15 +129,26 @@ class TestPrecedence:
         assert get_engine("pool").name == "multiprocess"
 
 
+TIERS = ["auto", "compiled", "codegen", "interp", "multiprocess",
+         "vectorized"]
+
+
+def _fresh(argv, **env):
+    import os
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, **env})
+
+
 class TestConcurrentRegistryLoad:
     def test_fresh_process_concurrent_first_resolutions(self):
         """A burst of first-ever get_engine() calls across threads (a
-        fresh serving daemon's first request burst) must never observe
-        a half-populated registry: _load_backends flips its flag only
-        after every tier module is imported, under a lock."""
-        import subprocess
-        import sys
-
+        fresh serving daemon's first request burst): every name is in
+        the static table from the start, and each tier module is
+        imported once, under the import lock."""
         script = (
             "import concurrent.futures\n"
             "from repro.runtime.engine.base import get_engine\n"
@@ -147,7 +158,34 @@ class TestConcurrentRegistryLoad:
             "    engines = list(pool.map(get_engine, names))\n"
             "print(len(engines))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=120)
+        proc = _fresh(["-c", script])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "24"
+
+
+class TestStaticRegistry:
+    def test_backend_names_imports_no_tier(self):
+        script = (
+            "import sys\n"
+            "from repro.runtime.engine import backend_names, get_engine\n"
+            "print(backend_names())\n"
+            "get_engine('seq')\n"
+            "print(sorted(m.rpartition('.')[2] for m in sys.modules\n"
+            "             if m.startswith('repro.runtime.engine.')))\n"
+        )
+        proc = _fresh(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        names, loaded = proc.stdout.splitlines()
+        assert names == repr(TIERS)
+        assert loaded == repr(["base", "interp"])  # one tier: the one asked
+
+    def test_unknown_backend_lists_every_tier(self, tmp_path):
+        with pytest.raises(BackendUnavailable,
+                           match="known: " + ", ".join(TIERS)):
+            get_engine("bogus")
+        proc = _fresh(["-m", "repro", "verify", "--loop", "L1",
+                       "--backend", "bogus"],
+                      REPRO_BLACKBOX_DIR=str(tmp_path))
+        assert proc.returncode == 1
+        assert "unknown backend 'bogus'; known: " + ", ".join(TIERS) \
+            in proc.stderr

@@ -1,0 +1,180 @@
+"""Package surfaces resolve lazily, and each entry path imports only the
+layers it walks (DESIGN.md, "Import graph").
+
+Two contracts:
+
+- **surface parity** -- every package under ``src/repro`` exports exactly
+  the names recorded in ``tests/golden/import_surface.json`` (taken from
+  the eager ``__init__`` files this replaced), each one the very object
+  its defining submodule holds;
+- **import budget** -- a warm ``repro verify`` loads no layer it does
+  not use, ``repro -V`` loads almost nothing, and ``REPRO_NO_NUMPY=1``
+  keeps numpy out of every command.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+SURFACE = json.loads((Path(__file__).parent / "golden"
+                      / "import_surface.json").read_text())
+PACKAGES = sorted(
+    ".".join(("repro", *init.parent.relative_to(SRC).parts))
+    for init in SRC.rglob("__init__.py"))
+
+
+# -- surface parity ---------------------------------------------------------
+
+def test_snapshot_covers_every_package():
+    assert PACKAGES == sorted(SURFACE)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+class TestSurfaceParity:
+    def test_all_equals_snapshot(self, package):
+        pkg = importlib.import_module(package)
+        assert sorted(pkg.__all__) == sorted(SURFACE[package])
+        assert len(set(pkg.__all__)) == len(pkg.__all__)
+
+    def test_every_name_is_its_defining_object(self, package):
+        pkg = importlib.import_module(package)
+        for name, where in SURFACE[package].items():
+            module, _, attr = where.partition(":")
+            want = importlib.import_module(module)
+            if attr:
+                want = getattr(want, attr)
+            assert getattr(pkg, name) is want, f"{package}.{name}"
+
+    def test_dir_lists_the_surface(self, package):
+        pkg = importlib.import_module(package)
+        assert set(dir(pkg)) >= set(pkg.__all__)
+
+    def test_unknown_attribute_names_the_package(self, package):
+        pkg = importlib.import_module(package)
+        with pytest.raises(AttributeError, match=package.replace(".", r"\.")
+                           + r".*no_such_name"):
+            pkg.no_such_name
+
+
+# -- fresh interpreters -----------------------------------------------------
+
+def _python(code: str, env: dict, *argv: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def hermetic_env(tmp_path):
+    """The caller's environment with private cache directories and no
+    ``REPRO_*`` setting (the budget is for the program's defaults)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])])
+    env["XDG_CACHE_HOME"] = str(tmp_path / "xdg")
+    env["REPRO_PLAN_CACHE_DIR"] = str(tmp_path / "plans")
+    env["REPRO_BLACKBOX_DIR"] = str(tmp_path)
+    return env
+
+
+#: runs ``python -m repro ARGV`` in-process, then reports what it loaded
+CLI_THEN_MODULES = """
+import io, json, runpy, sys
+from contextlib import redirect_stdout
+argv = sys.argv[1:]
+sys.argv = ["repro", *argv]
+code = 0
+try:
+    with redirect_stdout(io.StringIO()):
+        runpy.run_module("repro", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code or 0
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def cli_modules(env: dict, *argv: str) -> set[str]:
+    doc = json.loads(_python(CLI_THEN_MODULES, env, *argv))
+    assert doc["exit"] == 0, argv
+    return set(doc["modules"])
+
+
+def _loaded(modules: set[str], prefix: str) -> list[str]:
+    return sorted(m for m in modules
+                  if m == prefix or m.startswith(prefix + "."))
+
+
+@pytest.mark.parametrize("package, name", [("repro.obs", "flight"),
+                                           ("repro.ratlinalg", "rref")])
+@pytest.mark.parametrize("submodule_first", [False, True])
+def test_function_wins_over_same_named_submodule(package, name,
+                                                 submodule_first,
+                                                 hermetic_env):
+    """``repro.obs.flight`` and ``repro.ratlinalg.rref`` are each a
+    function *and* a submodule; the package attribute is the function
+    whichever is imported first."""
+    first = f"import {package}.{name}\n" if submodule_first else ""
+    out = _python(
+        f"{first}from {package} import {name}\n"
+        f"import {package}.{name}, {package}, sys\n"
+        f"assert {package}.{name} is {name}\n"
+        f"assert sys.modules['{package}.{name}'].{name} is {name}\n"
+        f"print(callable({name}), type({name}).__name__)\n",
+        hermetic_env)
+    assert out.split() == ["True", "function"]
+
+
+class TestImportBudget:
+    VERIFY = ("verify", "--loop", "L1", "--duplicate", "--backend", "auto")
+
+    #: layers a one-shot verify has no business loading
+    FORBIDDEN = ("networkx", "multiprocessing", "asyncio",
+                 "repro.serve", "repro.viz", "repro.perf", "repro.baseline",
+                 "repro.program", "repro.report", "repro.machine.machine",
+                 "repro.machine.topology", "repro.runtime.engine.multiproc",
+                 "repro.runtime.scheduler.core")
+
+    def test_warm_verify_loads_only_what_it_walks(self, hermetic_env):
+        cli_modules(hermetic_env, *self.VERIFY)            # fill the caches
+        modules = cli_modules(hermetic_env, *self.VERIFY)
+        leaked = {p: _loaded(modules, p) for p in self.FORBIDDEN
+                  if _loaded(modules, p)}
+        assert not leaked
+        ours = _loaded(modules, "repro")
+        assert len(ours) <= 80, ours
+
+    def test_version_loads_no_layer(self, hermetic_env):
+        modules = cli_modules(hermetic_env, "-V")
+        assert "numpy" not in modules
+        assert _loaded(modules, "repro") == ["repro", "repro._lazy",
+                                             "repro.cli"]
+
+    def test_importing_the_cli_imports_no_networkx(self, hermetic_env):
+        out = _python("import repro.cli, sys\n"
+                      "print('networkx' in sys.modules)", hermetic_env)
+        assert out.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--loop", "L1", "--duplicate", "--backend", "all"),
+        ("run", "--loop", "L2", "--backend", "vectorized"),
+        ("audit", "--loop", "L1"),
+        ("report", "--loop", "L1", "-p", "4"),
+        ("select", "--loop", "L5", "-p", "4"),
+        ("figures",),
+        ("tables",),
+    ], ids=lambda argv: argv[0])
+    def test_no_numpy_means_no_numpy(self, argv, hermetic_env):
+        hermetic_env["REPRO_NO_NUMPY"] = "1"
+        assert not _loaded(cli_modules(hermetic_env, *argv), "numpy")
