@@ -50,11 +50,26 @@ class LocalMemory:
                  init=None) -> int:
         """Allocate elements locally; returns the number of words allocated.
 
-        ``init`` is an optional callable ``(coords) -> value`` supplying
-        initial contents (the host-distributed initial data).
+        ``init`` supplies the initial contents (the host-distributed
+        initial data): a callable ``(coords) -> value``, or a
+        ``{coords: float}`` table of the source array
+        (:meth:`~repro.runtime.arrays.DataSpace.value_table`) from which
+        the region is copied in bulk -- coordinates (integer tuples) and
+        values are stored as they come; an element the table lacks lies
+        outside the source array and raises ``IndexError``.
         """
         store = self.values.setdefault(array, {})
         alloc = self.allocated.setdefault(array, set())
+        if isinstance(init, dict):
+            try:
+                region = {c: init[c] for c in coords_iter}
+            except KeyError as exc:
+                raise IndexError(f"{array}{list(exc.args[0])} outside the "
+                                 "initial array") from None
+            before = len(alloc)
+            alloc.update(region)
+            store.update(region)
+            return len(alloc) - before
         n = 0
         for c in coords_iter:
             c = tuple(int(x) for x in c)

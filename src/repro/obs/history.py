@@ -87,22 +87,14 @@ def matmul_nest(n: int = DEFAULT_N):
 
 def _run_once(backend: str, plan, initial) -> float:
     """One fresh-allocation run; returns engine-only seconds."""
-    from repro.machine.memory import LocalMemory
     from repro.runtime.engine import get_engine
-    from repro.runtime.parallel import ParallelResult
+    from repro.runtime.parallel import ParallelResult, allocate_blocks
 
     engine = get_engine(backend)
-    memories = {}
-    for b in plan.blocks:
-        mem = LocalMemory(pid=b.index, strict=True)
-        for name, dblocks in plan.data_blocks.items():
-            src = initial[name]
-            mem.allocate(name, dblocks[b.index].elements,
-                         init=lambda c, s=src: s[c])
-        memories[b.index] = mem
-    result = ParallelResult(
-        plan=plan, memories=memories,
-        block_to_pid={b.index: b.index for b in plan.blocks})
+    mapping = {b.index: b.index for b in plan.blocks}
+    memories = allocate_blocks(plan, initial, mapping)
+    result = ParallelResult(plan=plan, memories=memories,
+                            block_to_pid=mapping)
     t0 = perf_counter()
     engine.run_blocks(plan, memories, result, initial, {}, strict=True)
     return perf_counter() - t0

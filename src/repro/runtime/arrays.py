@@ -67,9 +67,22 @@ class DataSpace:
         return itertools.product(*ranges)
 
     def fill_with(self, fn: Callable[[Coords], float]) -> "DataSpace":
-        for c in self.coords_iter():
-            self[c] = fn(c)
+        npc.assign_flat(self.data, [fn(c) for c in self.coords_iter()])
         return self
+
+    def value_table(self) -> dict[Coords, float]:
+        """``{coords: value}`` over the whole array, values as Python
+        floats (``coords_iter`` walks the grid in row-major order)."""
+        return dict(zip(self.coords_iter(), npc.flat_values(self.data)))
+
+    def differences(self, other: "DataSpace") -> list[tuple]:
+        """``(coords, mine, theirs)`` wherever the two arrays differ, in
+        :meth:`coords_iter` order; a NaN differs from everything."""
+        if (self.lo, self.hi) != (other.lo, other.hi):
+            raise IndexError(f"{self!r} and {other!r} span different bounds")
+        pairs = zip(npc.flat_values(self.data), npc.flat_values(other.data))
+        return [(c, a, b) for c, (a, b) in zip(self.coords_iter(), pairs)
+                if a != b]
 
     def copy(self) -> "DataSpace":
         out = DataSpace(self.name, self.lo, self.hi)

@@ -1,74 +1,35 @@
-"""Size/geometry-aware backend selection (the real ``auto`` tier).
+"""Backend selection from the measured ledger (the ``auto`` tier).
 
-``auto`` used to be a registry shim that picked the highest *available*
-tier regardless of the work; that loses badly at both ends -- a 16^2
-nest pays a process pool's startup for nothing, a fan-out-sized nest
-leaves the pool idle.  This engine inspects the plan before choosing:
+``auto`` runs every plan on the codegen tier, because that is the tier
+the performance ledger measures fastest on every shape it has: warm,
+its per-plan kernels beat the vectorized tier's lock-step numpy lanes
+on many small blocks and on one big block alike, and no committed run
+shows a process pool paying for its fan-out (two workers are no faster
+than one, ``runtime.multiprocess.scaling_w2``).  Plans codegen cannot
+specialize fall down its own chain (compiled, then interp).  The rule
+has no thresholds and no knobs; DESIGN.md carries the numbers and the
+condition under which to re-open it.
 
-- small nests (total iterations <= ``REPRO_AUTO_SMALL``, default 2048)
-  run on the codegen tier: per-plan specialization beats every other
-  tier's fixed setup at that size, and its kernels amortize via the
-  on-disk cache anyway;
-- otherwise the vectorized tier takes any plan it supports (lock-step
-  numpy lanes are the fastest in-process execution we have);
-- genuinely large multi-block plans (>= ``REPRO_AUTO_FANOUT``
-  iterations, default 32768, at least two blocks and two cores) fan
-  out across the process pool;
-- everything else -- mid-sized, numpy-free, single-block -- stays on
-  codegen, whose own fallback chain (compiled, then interp) absorbs
-  unsupported plans.
-
-The decision is observable: ``engine.auto.choice.<backend>`` counts
-each pick, an ``engine.auto.choice`` event records the reason, and the
-run's :class:`~repro.runtime.parallel.ParallelResult` reports the
-*chosen* backend, not ``auto``.
+Each pick is counted (``engine.auto.choice.<backend>``) and traced
+with its reason, and the run's
+:class:`~repro.runtime.parallel.ParallelResult` reports the *chosen*
+backend, not ``auto``.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.runtime.engine.base import Engine, get_engine
-
-#: Below this many total iterations, specialization always wins.
-SMALL_ENV_VAR = "REPRO_AUTO_SMALL"
-DEFAULT_SMALL = 2048
-
-#: At or above this many total iterations, fan-out can pay for a pool.
-FANOUT_ENV_VAR = "REPRO_AUTO_FANOUT"
-DEFAULT_FANOUT = 32768
-
-
-def _threshold(var: str, default: int) -> int:
-    try:
-        return int(os.environ.get(var, default))
-    except ValueError:
-        return default
 
 
 def choose_backend(plan) -> tuple[str, str]:
     """-> (backend name, reason) for one plan."""
     total = sum(len(b.iterations) for b in plan.blocks)
-    if total <= _threshold(SMALL_ENV_VAR, DEFAULT_SMALL):
-        return "codegen", f"small nest ({total} iterations)"
-    from repro.runtime.engine import vectorized
-
-    if vectorized.VectorizedEngine.is_available() \
-            and vectorized.supports_plan(plan):
-        return "vectorized", f"vectorizable ({total} iterations)"
-    from repro.runtime.engine.multiproc import MultiprocessEngine
-
-    if (total >= _threshold(FANOUT_ENV_VAR, DEFAULT_FANOUT)
-            and len(plan.blocks) > 1
-            and (os.cpu_count() or 1) >= 2
-            and MultiprocessEngine.is_available()):
-        return "multiprocess", f"fan-out sized ({total} iterations, " \
-                               f"{len(plan.blocks)} blocks)"
-    return "codegen", f"mid-sized ({total} iterations)"
+    return "codegen", (f"fastest measured tier ({total} iterations, "
+                       f"{len(plan.blocks)} blocks)")
 
 
 class AutoEngine(Engine):
-    """Plan-inspecting dispatch to the cheapest adequate tier."""
+    """Dispatch to the tier the ledger measures fastest."""
 
     name = "auto"
     fallback = "codegen"

@@ -100,10 +100,19 @@ def full(shape: tuple[int, ...], fill: float = 0.0):
     return PyGrid(shape, fill)
 
 
-def _flat_values(grid) -> list:
+def flat_values(grid) -> list:
+    """Row-major Python floats of either backing representation."""
     if isinstance(grid, PyGrid):
         return grid.tolist()
-    return [float(x) for x in grid.ravel()]
+    return grid.ravel().tolist()
+
+
+def assign_flat(grid, values: list) -> None:
+    """Overwrite every slot of ``grid``, in row-major order, in one step."""
+    if isinstance(grid, PyGrid):
+        grid._data[:] = map(float, values)
+    else:
+        grid.flat[:] = values
 
 
 def array_equal(a, b) -> bool:
@@ -112,7 +121,7 @@ def array_equal(a, b) -> bool:
         return bool(np.array_equal(a, b))
     if tuple(a.shape) != tuple(b.shape):
         return False
-    return _flat_values(a) == _flat_values(b)
+    return flat_values(a) == flat_values(b)
 
 
 def allclose(a, b, rtol: float = 1e-05, atol: float = 1e-08) -> bool:
@@ -122,4 +131,4 @@ def allclose(a, b, rtol: float = 1e-05, atol: float = 1e-08) -> bool:
     if tuple(a.shape) != tuple(b.shape):
         return False
     return all(abs(x - y) <= atol + rtol * abs(y)
-               for x, y in zip(_flat_values(a), _flat_values(b)))
+               for x, y in zip(flat_values(a), flat_values(b)))

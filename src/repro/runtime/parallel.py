@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Optional, Union
 
 from repro.core.plan import PartitionPlan
@@ -76,6 +77,11 @@ class ParallelResult:
     def remote_writes(self) -> int:
         return sum(m.remote_write_attempts for m in self.memories.values())
 
+    @cached_property
+    def memory_words(self) -> int:
+        """Total allocated words; regions are sized once, at allocation."""
+        return sum(m.words() for m in self.memories.values())
+
     def loads(self) -> dict[int, int]:
         """Executed iterations per *processor* (aggregating its blocks)."""
         counts: dict[int, int] = {}
@@ -113,7 +119,7 @@ class ParallelResult:
             "remote_accesses": self.remote_accesses,
             "remote_reads": self.remote_reads,
             "remote_writes": self.remote_writes,
-            "memory_words": sum(m.words() for m in self.memories.values()),
+            "memory_words": self.memory_words,
         }
         if self.scheduler is not None:
             data["scheduler"] = self.scheduler.to_json()
@@ -147,8 +153,22 @@ class ParallelResult:
         reg.set("runtime.executed_iterations", self.executed_iterations)
         reg.set("runtime.skipped_computations", self.skipped_computations)
         reg.set("runtime.blocks", len(self.plan.blocks))
-        reg.set("runtime.memory_words",
-                sum(m.words() for m in self.memories.values()))
+        reg.set("runtime.memory_words", self.memory_words)
+
+
+def allocate_blocks(plan: PartitionPlan, initial: dict[str, DataSpace],
+                    block_to_pid: Mapping[int, int],
+                    strict: bool = True) -> dict[int, LocalMemory]:
+    """Step 2: one private region per block, each array's share of it
+    one bulk copy out of that array's ``{coords: value}`` table."""
+    tables = {name: initial[name].value_table() for name in plan.data_blocks}
+    memories: dict[int, LocalMemory] = {}
+    for b in plan.blocks:
+        mem = LocalMemory(pid=block_to_pid[b.index], strict=strict)
+        for name, dblocks in plan.data_blocks.items():
+            mem.allocate(name, dblocks[b.index].elements, init=tables[name])
+        memories[b.index] = mem
+    return memories
 
 
 def _run_parallel(
@@ -181,32 +201,23 @@ def _run_parallel(
         chaos = chaos if chaos is not None else options.chaos
 
     scalars = scalars or {}
-    model = plan.model
     if initial is None:
-        initial = make_arrays(model)
+        initial = make_arrays(plan.model)
     if block_to_pid is None:
         mapping = {b.index: b.index for b in plan.blocks}
     else:
         mapping = {b.index: block_to_pid[b.index] for b in plan.blocks}
 
     tracer = current_tracer()
-
-    # -- allocation: one private region per block -------------------------
-    memories: dict[int, LocalMemory] = {}
     with tracer.span("runtime.allocate", category="engine",
                      blocks=len(plan.blocks)) as sp:
-        for b in plan.blocks:
-            mem = LocalMemory(pid=mapping[b.index], strict=strict)
-            for name, dblocks in plan.data_blocks.items():
-                elems = dblocks[b.index].elements
-                src = initial[name]
-                mem.allocate(name, elems, init=lambda c, s=src: s[c])
-            memories[b.index] = mem
-        sp.set(words=sum(m.words() for m in memories.values()))
+        memories = allocate_blocks(plan, initial, mapping, strict=strict)
+        result = ParallelResult(plan=plan, memories=memories,
+                                block_to_pid=mapping)
+        sp.set(words=result.memory_words)
 
     engine = resolve_engine("interp" if not strict else backend)
-    result = ParallelResult(plan=plan, memories=memories, block_to_pid=mapping,
-                            backend=engine.name)
+    result.backend = engine.name
 
     # -- execution (write stamps record the global sequential order of
     # each computation, rank_of(it) * nstmts + k, for the merge) ----------

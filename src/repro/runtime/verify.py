@@ -143,11 +143,9 @@ def _verify_plan(
         mismatches: list[tuple[str, tuple[int, ...], float, float]] = []
         with tracer.span("verify.compare", category="runtime"):
             for name, ds in seq_arrays.items():
-                other = merged[name]
-                for coords in ds.coords_iter():
-                    a, b = ds[coords], other[coords]
-                    if a != b:
-                        mismatches.append((name, tuple(coords), a, b))
+                mismatches.extend(
+                    (name, coords, a, b)
+                    for coords, a, b in ds.differences(merged[name]))
 
         report = VerificationReport(
             plan=plan,

@@ -96,6 +96,62 @@ class TestMakeArrays:
         assert arrays["C"][(1, 1)] == 42.0
 
 
+class TestBulkFillAndCompare:
+    """``fill_with`` / ``value_table`` / ``differences`` go through the
+    flat backing in one step; the per-element ``__setitem__`` /
+    ``__getitem__`` walk is the reference."""
+
+    BOUNDS = [((0, 0), (8, 4)),      # L1's A[0:8, 0:4]
+              ((1, 2), (4, 5)),      # ranges that do not start at 0
+              ((-3, -1), (2, 0)),    # negative origins
+              ((-2,), (3,))]
+
+    @pytest.mark.parametrize("lo,hi", BOUNDS)
+    def test_fill_with_equals_per_element_fill(self, lo, hi, backing):
+        def fn(c):
+            return sum((j + 2) * x * 0.25 for j, x in enumerate(c)) + 1 / 3
+
+        bulk = DataSpace("A", lo, hi).fill_with(fn)
+        ref = DataSpace("A", lo, hi)
+        for c in ref.coords_iter():
+            ref[c] = fn(c)
+        assert bulk == ref
+        assert all(bulk[c] == fn(c) for c in bulk.coords_iter())
+        assert type(bulk.data) is type(ref.data)
+
+    def test_fill_with_integer_valued_initialiser(self, backing):
+        ds = DataSpace("A", (1,), (3,)).fill_with(lambda c: c[0])
+        assert [ds[(i,)] for i in (1, 2, 3)] == [1.0, 2.0, 3.0]
+        assert all(type(v) is float for v in ds.value_table().values())
+
+    @pytest.mark.parametrize("lo,hi", BOUNDS)
+    def test_value_table_equals_getitem(self, lo, hi, backing):
+        ds = DataSpace("A", lo, hi).fill_with(default_init("A"))
+        table = ds.value_table()
+        assert list(table) == list(ds.coords_iter())
+        assert all(table[c] == ds[c] and type(table[c]) is float
+                   for c in ds.coords_iter())
+
+    def test_differences_in_coordinate_order_with_both_values(self, backing):
+        a = DataSpace("A", (1, -1), (2, 1)).fill_with(default_init("A"))
+        b = a.copy()
+        assert a.differences(b) == []
+        b[(2, 0)] = -1.0
+        b[(1, 1)] = -2.0
+        assert a.differences(b) == [((1, 1), a[(1, 1)], -2.0),
+                                    ((2, 0), a[(2, 0)], -1.0)]
+
+    def test_nan_differs_even_from_itself(self, backing):
+        a = DataSpace("A", (0,), (2,))
+        a[(1,)] = float("nan")
+        ((coords, x, y),) = a.differences(a.copy())
+        assert coords == (1,) and x != x and y != y
+
+    def test_differences_refuses_other_bounds(self, backing):
+        with pytest.raises(IndexError):
+            DataSpace("A", (0,), (2,)).differences(DataSpace("A", (0,), (3,)))
+
+
 class TestLinearIndex:
     """Vectorized flat offsets with origin subtraction -- what the
     merge fast path scatters through."""

@@ -28,10 +28,10 @@ from repro.core import Strategy, build_plan
 from repro.lang import catalog
 from repro.obs.history import matmul_nest
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import make_arrays, merge_copies, run_parallel
 from repro.runtime import numpy_compat as npc
 from repro.runtime.blockstore import shm_available
-from repro.runtime.engine import auto as auto_mod
 from repro.runtime.engine.auto import choose_backend
 from repro.runtime.engine.codegen import diskcache
 from repro.runtime.engine.codegen.diskcache import (
@@ -39,7 +39,6 @@ from repro.runtime.engine.codegen.diskcache import (
     get_disk_cache,
 )
 from repro.runtime.engine.multiproc import MultiprocessEngine
-from repro.runtime.engine.vectorized import supports_plan
 
 SCALARS = {"D": 2.0, "F": 3.0, "G": 1.5, "K": 0.5}
 
@@ -261,47 +260,82 @@ def test_two_processes_hammer_one_cache_dir(tmp_path):
 # the auto engine's choice
 # ---------------------------------------------------------------------------
 
+_CHOICE_CHILD = """
+import sys
+from repro.core import build_plan
+from repro.lang import catalog
+from repro.runtime.engine.auto import choose_backend
+
+assert choose_backend(build_plan(catalog.l3()))[0] == "codegen"
+tiers = [m for m in sys.modules
+         if m in ("repro.runtime.engine.vectorized",
+                  "repro.runtime.engine.multiproc")]
+assert not tiers, tiers
+"""
+
+
 class TestAutoChoice:
+    """``auto`` runs every plan on codegen, the tier the ledger measures
+    fastest; no size threshold, core count or numpy probe moves it."""
+
     def test_small_plan_runs_on_codegen_and_counts_the_choice(self):
         plan = build_plan(catalog.l2(), strategy=Strategy.DUPLICATE)
         initial = make_arrays(plan.model)
-        reg = MetricsRegistry()
-        with use_registry(reg):
+        reg, tracer = MetricsRegistry(), Tracer()
+        with use_registry(reg), use_tracer(tracer):
             res = run_parallel(plan, initial=initial, scalars=SCALARS,
                                backend="auto")
         assert res.backend == "codegen"
         assert reg.value("engine.auto.choice.codegen") == 1
+        (evt,) = [e for e in tracer.events if e.name == "engine.auto.choice"]
+        assert evt.attributes["chosen"] == "codegen"
+        assert evt.attributes["reason"] == choose_backend(plan)[1]
+        assert "fastest measured tier" in evt.attributes["reason"]
 
-    @pytest.mark.skipif(not npc.have_numpy(), reason="numpy not available")
-    def test_vectorizable_midsize_prefers_vectorized(self, monkeypatch):
-        monkeypatch.setenv(auto_mod.SMALL_ENV_VAR, "0")
-        plan = build_plan(catalog.l3())
-        assert supports_plan(plan)
-        assert choose_backend(plan)[0] == "vectorized"
+    @pytest.mark.parametrize("n,strategy", [
+        (14, Strategy.NONDUPLICATE),    # one block, 2 744 iterations
+        (8, Strategy.DUPLICATE),        # 64 blocks
+    ], ids=["midsize-one-block", "many-blocks"])
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_every_shape_and_core_count_stays_on_codegen(
+            self, n, strategy, cores, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        plan = build_plan(matmul_nest(n), strategy=strategy)
+        name, reason = choose_backend(plan)
+        assert name == "codegen"
+        assert f"{n ** 3} iterations" in reason
+        assert f"{len(plan.blocks)} blocks" in reason
 
     def test_numpy_free_midsize_stays_on_codegen(self, monkeypatch):
         monkeypatch.setattr(npc, "np", None)
-        monkeypatch.setenv(auto_mod.SMALL_ENV_VAR, "0")
-        monkeypatch.setenv(auto_mod.FANOUT_ENV_VAR, str(10 ** 9))
-        plan = build_plan(catalog.l3())
-        name, reason = choose_backend(plan)
-        assert name == "codegen"
-        assert "mid-sized" in reason
-
-    def test_fanout_sized_plan_fans_out(self, monkeypatch):
-        if not MultiprocessEngine.is_available():
-            pytest.skip("needs the multiprocess tier")
-        monkeypatch.setattr(npc, "np", None)
-        monkeypatch.setenv(auto_mod.SMALL_ENV_VAR, "0")
-        monkeypatch.setenv(auto_mod.FANOUT_ENV_VAR, "1")
-        plan = build_plan(catalog.l2(), strategy=Strategy.DUPLICATE)
-        assert len(plan.blocks) > 1
-        # the choice reads the core count, it starts no process: pin it
-        # so both sides of the gate run on every host
-        monkeypatch.setattr(auto_mod.os, "cpu_count", lambda: 2)
-        assert choose_backend(plan)[0] == "multiprocess"
-        monkeypatch.setattr(auto_mod.os, "cpu_count", lambda: 1)
+        plan = build_plan(matmul_nest(14), strategy=Strategy.NONDUPLICATE)
         assert choose_backend(plan)[0] == "codegen"
+
+    def test_midsize_one_block_run_is_bit_identical_to_interp(self):
+        nest = matmul_nest(14)
+        with repro.Session(nest, strategy="nonduplicate") as session:
+            assert len(session.plan().blocks) == 1
+            got = session.run(backend="auto")
+            want = session.run(backend="interp")
+        assert (got.backend, want.backend) == ("codegen", "interp")
+        assert session.registry.value("engine.auto.choice.codegen") == 1
+        assert got.executed_iterations == want.executed_iterations == 14 ** 3
+        assert got.write_stamps == want.write_stamps
+        for blk, mem in want.memories.items():
+            assert got.memories[blk].values == mem.values
+            assert (got.memories[blk].reads, got.memories[blk].writes) == \
+                (mem.reads, mem.writes)
+
+    def test_the_thresholds_are_gone_from_source_and_docs(self):
+        root = Path(__file__).resolve().parents[2]
+        hits = [str(p) for d in ("src", "docs")
+                for p in (root / d).rglob("*")
+                if p.suffix in (".py", ".md")
+                and "REPRO_AUTO_" in p.read_text()]
+        assert hits == []
+
+    def test_choosing_imports_no_other_tier(self, tmp_path):
+        _run_child(_CHOICE_CHILD, _child_env(tmp_path))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,31 @@ def test_parallel_equals_sequential_and_communication_free(name, fn, kwargs):
     report.raise_on_failure()
 
 
+def test_mismatches_keep_their_shape_and_order(l1, monkeypatch):
+    """``(name, coords, sequential, parallel)``, arrays in model order,
+    coordinates in ``coords_iter`` order -- as the per-element compare
+    reported them."""
+    from repro.runtime import verify as verify_mod
+
+    real = verify_mod.merge_copies
+
+    def corrupting_merge(result, initial):
+        merged = real(result, initial)
+        merged["A"][(2, 1)] += 1.0
+        merged["A"][(0, 3)] = float("nan")
+        merged["C"][(1, 1)] -= 0.5
+        return merged
+
+    monkeypatch.setattr(verify_mod, "merge_copies", corrupting_merge)
+    report = verify_plan(build_plan(l1))
+    assert not report.equal
+    assert [(n, c) for n, c, _, _ in report.mismatches] == \
+        [("A", (0, 3)), ("A", (2, 1)), ("C", (1, 1))]
+    (_, _, seq, par), (_, _, seq2, par2), _ = report.mismatches
+    assert type(seq) is float and par != par          # NaN never equal
+    assert par2 == seq2 + 1.0
+
+
 class TestReport:
     def test_report_fields(self, l1):
         report = verify_plan(build_plan(l1))
