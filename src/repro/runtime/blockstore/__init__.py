@@ -15,10 +15,10 @@ parent reconstructs results from the shared write-stamp grid.
 - :mod:`.store`  -- the parent-side :class:`SharedBlockStore`: segment
   creation, seeding, result collection, leak-proof unlink, and the
   per-plan pickled plan segment workers attach once per process;
-- :mod:`.kernel` -- the statement-specialized store kernel (the
-  compiled tier's codegen retargeted at flat shared views);
 - :mod:`.worker` -- the worker-side lease runner with its attach /
-  plan / index caches (a respawned worker re-attaches by name).
+  plan / index caches (a respawned worker re-attaches by name) and the
+  generic store kernel's memory target (the shared per-iteration
+  lowering aimed at the flat views).
 
 When shared memory is unavailable (``REPRO_NO_SHM=1``, no numpy, or a
 platform without ``shared_memory``) the scheduler falls back to the

@@ -13,7 +13,9 @@ re-attaches to the store by name on its first lease:
   evicted contexts detach their segments);
 - the per-block tables (coords -> block-local slot maps plus the
   block's region spans), derived from the shared canonical layout;
-- the store kernel itself (its own compile cache).
+- the store kernel itself: the shared per-iteration lowering aimed at
+  the flat views by :func:`slot_target` (DESIGN.md, "Kernel lowering"),
+  or the certified storegen kernel attached by key.
 
 Each block attempt computes in a *worker-private* copy of the block's
 regions, seeded from the read-only seed buffer, and publishes final
@@ -43,14 +45,23 @@ import os
 import time
 from collections import OrderedDict
 
+from repro.lang.ast import ArrayRef, Assign, LoopNest
 from repro.machine.memory import RemoteAccessError
 from repro.runtime import numpy_compat as npc
-from repro.runtime.blockstore.kernel import compile_store_kernel
 from repro.runtime.blockstore.layout import layout_for
 from repro.runtime.blockstore.store import (
     StoreDescriptor,
     attach_segment,
     read_blob,
+)
+from repro.runtime.engine.lowering import (
+    KernelTarget,
+    coord_srcs,
+    iteration_kernel,
+    reads_per_statement,
+    remote_guard,
+    replay_statement,
+    tuple_src,
 )
 
 _MAX_CACHED = 4
@@ -64,6 +75,33 @@ _RUNS: "OrderedDict[str, dict]" = OrderedDict()
 _TABLES: dict[tuple[str, int], tuple] = {}
 #: (plan segment name, block) -> codegen store-kernel rect args
 _RECTS: dict[tuple[str, int], tuple] = {}
+
+
+def slot_target(nest: LoopNest) -> KernelTarget:
+    """Per-array coords -> slot dicts (``_idx``) over the flat float64
+    ``_vals`` and int64 ``_stamps`` views; a coordinate the block does
+    not hold goes to ``_remote``."""
+    indices = nest.indices
+    ivar = {n: f"_i{j}" for j, n in enumerate(nest.array_names())}
+
+    def slot_src(ref: ArrayRef) -> str:
+        return f"{ivar[ref.array]}[{tuple_src(coord_srcs(ref, indices))}]"
+
+    def read_src(ref: ArrayRef) -> str:
+        return f"float(_vals[{slot_src(ref)}])"
+
+    def write_lines(k: int, stmt: Assign, val: str) -> list[str]:
+        return remote_guard(k, [
+            f"_val = float({val})",
+            f"_p = {slot_src(stmt.lhs)}",
+            "_vals[_p] = _val",
+            f"_stamps[_p] = _r + {k}",
+        ])
+
+    return KernelTarget(
+        "_store_kernel", "_idx, _vals, _stamps, _remote",
+        [f"{v} = _idx[{n!r}]" for n, v in ivar.items()],
+        read_src, write_lines)
 
 
 def _plan_for(name: str):
@@ -127,8 +165,7 @@ def _run_ctx(desc: StoreDescriptor) -> dict:
         "blocks_by_index": {b.index: b for b in plan.blocks},
         "space": space,
         "rank_rect": space.rank_strides(),
-        "nreads": [len(list(s.rhs.array_refs()))
-                   for s in plan.nest.statements],
+        "nreads": reads_per_statement(plan.nest),
     }
     while len(_RUNS) >= _MAX_CACHED:
         _, stale = _RUNS.popitem(last=False)
@@ -167,7 +204,6 @@ def _block_tables(ctx: dict, bindex: int) -> tuple:
 def _run_block(ctx: dict, b, scalars, kernel, live, out) -> None:
     """One block through the store kernel (stats onto ``out``)."""
     from repro.obs.trace import current_tracer
-    from repro.runtime.seq import eval_expr, subscript_coords
 
     np = npc.np
     plan = ctx["plan"]
@@ -182,33 +218,24 @@ def _run_block(ctx: dict, b, scalars, kernel, live, out) -> None:
     for goff, loff, cnt in regions:
         values[loff:loff + cnt] = seed[goff:goff + cnt]
 
+    def slot(a, c, is_write):
+        p = idx[a].get(c)
+        if p is None:
+            raise RemoteAccessError(pid, a, c, is_write=is_write)
+        return p
+
+    def store(a, c, value):
+        values[slot(a, c, True)] = value
+
     def remote(k, it):
-        # slow path: one statement in the interpreter's exact evaluation
-        # order, raising the same RemoteAccessError it would raise first
-        stmt = nest.statements[k]
-        env = dict(zip(nest.indices, it))
-
-        def load(a, c):
-            slot = idx[a].get(c)
-            if slot is None:
-                raise RemoteAccessError(pid, a, c, is_write=False)
-            return float(values[slot])
-
-        value = eval_expr(stmt.rhs, env, scalars, load)
-        c = subscript_coords(stmt.lhs, env)
-        slot = idx[stmt.lhs.array].get(c)
-        if slot is None:
-            raise RemoteAccessError(pid, stmt.lhs.array, c, is_write=True)
-        values[slot] = value
-        raise AssertionError(
-            "store kernel raised KeyError but the interpreter slow path "
-            "found every element local")  # pragma: no cover
+        replay_statement(nest, scalars, k, it,
+                         lambda a, c: float(values[slot(a, c, False)]), store)
 
     with current_tracer().span("engine.block", category="engine",
                                backend="shm", block=b.index,
                                iterations=len(b.iterations)) as sp:
         executed, counts = kernel(b.index, b.iterations, idx, values,
-                                  stamps, live, ctx["space"].rank_of, remote)
+                                  stamps, remote, live, ctx["space"].rank_of)
         # publish finals: only written slots, values before stamps, so a
         # stamp >= 0 in the shared buffer always covers a final value
         for goff, loff, cnt in regions:
@@ -257,7 +284,7 @@ def _codegen_kernel(ctx: dict, key: str, scalars):
     nest = ctx["plan"].nest
     seg = ctx["plan_segment"]
 
-    def kernel(bindex, iters, idx, values, stamps, live, rank_of, remote):
+    def kernel(bindex, iters, idx, values, stamps, remote, live, rank_of):
         rkey = (seg, bindex)
         rect = _RECTS.get(rkey)
         if rect is None:
@@ -294,9 +321,8 @@ def run_store_lease(payload):
         if desc.codegen_key:
             kernel = _codegen_kernel(ctx, desc.codegen_key, scalars)
         if kernel is None:
-            kernel = compile_store_kernel(ctx["plan"].nest, scalars,
-                                          live is not None,
-                                          ctx["rank_rect"])
+            kernel = iteration_kernel(ctx["plan"].nest, scalars, slot_target,
+                                      ctx["rank_rect"], live is not None)
         try:
             for bindex in block_indices:
                 if bindex in slow_blocks and block_slow_s > 0:

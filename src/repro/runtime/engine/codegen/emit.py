@@ -1,39 +1,18 @@
 """Source emission for per-(plan, geometry) specialized kernels.
 
-Reuses the compiled tier's expression lowering (exact-interpreter
-constant folding, float-leaf index values) but retargets every array
-access at *flat* Python-list grids whose slot arithmetic was folded at
-emit time by :func:`repro.runtime.engine.codegen.geometry.flat_affine`.
-Adjacent statements of a nest share one fused loop body, and -- the
-codegen tier's defining move -- the interpreter's per-access ownership
-checks are gone: the engine only runs an unchecked kernel under the
+The shared statement lowering (:mod:`repro.runtime.engine.lowering`;
+parity rules and the table of targets in DESIGN.md, "Kernel lowering")
+aimed at *flat* Python-list grids whose slot arithmetic was folded at
+emit time by :func:`~repro.runtime.engine.codegen.geometry.flat_affine`.
+No ownership checks: the engine only runs these kernels under the
 communication audit's zero-cross-access certificate.
 
-Two kernel shapes:
-
-- **rect**: every block is the same dense lexicographic rectangle, so
-  blocks arrive as ``(base..., rank_base)`` tuples and the kernel runs
-  literal ``for _oK in range(extent)`` loops with block-invariant slot
-  bases hoisted out (``_cJ = 40*_b0 + _b1``) and the write-stamp rank
-  folded to ``rank_base + stride*_oK`` literal arithmetic;
-- **list**: blocks arrive as ``(index, iterations)`` and the kernel
-  streams the recorded tuples -- the shape that also carries ``live``
-  filtering (redundancy elimination) and per-block execution counts.
-
-``REPRO_CODEGEN_CHECKS=1`` selects a guarded **checked** variant (list
-shape) that verifies every access against the block's owned-slot sets
-before touching a grid, for debugging plans whose certificate you do
-not trust; a violation raises the interpreter's
-:class:`~repro.machine.memory.RemoteAccessError` through the engine's
-``_viol`` callback.  Checked kernels verify reads before evaluating
-the statement's value, so a statement that both divides by zero and
-reads remotely reports the remote access first (the interpreter, which
-interleaves reads with arithmetic, can surface the division first).
-
-Kernel keys are content hashes over the *inputs* of emission -- the
-rename-invariant canonical nest form, scalar bindings, grid specs,
-rect shape and rank strides -- never over the emitted text, so a warm
-process can address the on-disk cache without emitting anything.
+:func:`emit_rect_kernel` is the shape for uniform dense rectangular
+blocks (literal ``range`` loops); :func:`list_target` streams recorded
+iteration tuples through the shared per-iteration emitter and carries
+``live`` filtering and per-block counts.  Kernel keys hash the *inputs*
+of emission, never the emitted text, so a warm process can address the
+on-disk cache without emitting anything.
 """
 
 from __future__ import annotations
@@ -41,15 +20,15 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping, Optional
 
-from repro.lang.ast import ArrayRef, LoopNest
+from repro.lang.ast import ArrayRef, Assign, LoopNest
 from repro.lang.fingerprint import nest_canonical_form
 from repro.runtime.engine.codegen.geometry import GridSpec, flat_affine
-from repro.runtime.engine.compiled import (
-    _coord_srcs,
-    _iteration_prelude,
-    _tuple_src,
-    _value_indices,
-    _value_src,
+from repro.runtime.engine.lowering import (
+    KernelTarget,
+    sum_src,
+    term_src,
+    value_indices,
+    value_src,
 )
 
 KERNEL_NAME = "_cg_kernel"
@@ -59,15 +38,13 @@ KERNEL_NAME = "_cg_kernel"
 _VERSION = "cg1"
 
 
-def _term(coeff: int, var: str) -> str:
-    return var if coeff == 1 else f"{coeff}*{var}"
-
-
-def _sum_src(terms: list[str], const: int = 0) -> str:
-    parts = list(terms)
-    if const or not parts:
-        parts.append(str(const))
-    return " + ".join(parts)
+def content_key(*parts: str) -> str:
+    """sha256 over NUL-terminated parts (the on-disk cache's key form)."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 def kernel_key(mode: str, nest: LoopNest, scalars: Mapping[str, float],
@@ -75,8 +52,7 @@ def kernel_key(mode: str, nest: LoopNest, scalars: Mapping[str, float],
                rect_shape: Optional[tuple[int, ...]],
                rank_rect, has_live: bool) -> str:
     """Rename-invariant fingerprint + geometry digest of one kernel."""
-    h = hashlib.sha256()
-    for part in (
+    return content_key(
         _VERSION,
         mode,
         nest_canonical_form(nest),
@@ -85,11 +61,12 @@ def kernel_key(mode: str, nest: LoopNest, scalars: Mapping[str, float],
                    for n, s in sorted(specs.items()))),
         repr(rect_shape),
         repr(rank_rect),
-        repr(bool(has_live)),
-    ):
-        h.update(part.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+        repr(bool(has_live)))
+
+
+def _written(nest: LoopNest) -> list[str]:
+    """Written arrays, in first-write order."""
+    return list(dict.fromkeys(stmt.lhs.array for stmt in nest.statements))
 
 
 class _SlotNamer:
@@ -126,14 +103,11 @@ def emit_rect_kernel(nest: LoopNest, scalars: Mapping[str, float],
     depth = nest.depth
     nstmts = len(nest.statements)
     names = nest.array_names()
-    written: list[str] = []
-    for stmt in nest.statements:
-        if stmt.lhs.array not in written:
-            written.append(stmt.lhs.array)
+    written = _written(nest)
     gvar = {n: f"_g_{n}" for n in names}
     svar = {n: f"_s_{n}" for n in written}
     loop_dims = [k for k in range(depth) if shape[k] > 1]
-    used_vals = _value_indices(nest)
+    used_vals = value_indices(nest)
     namer = _SlotNamer()
     rank_los, rank_strides = rank_rect
 
@@ -141,20 +115,20 @@ def emit_rect_kernel(nest: LoopNest, scalars: Mapping[str, float],
         coeffs, const = flat_affine(ref, indices, specs[ref.array])
         base = namer.base(
             (ref.array, coeffs, const),
-            _sum_src([_term(coeffs[k], f"_b{k}")
+            sum_src([term_src(coeffs[k], f"_b{k}")
                       for k in range(depth) if coeffs[k]], const))
-        return base, [_term(coeffs[k], f"_o{k}")
+        return base, [term_src(coeffs[k], f"_o{k}")
                       for k in loop_dims if coeffs[k]]
 
     def stamp_src(k: int) -> str:
-        terms = [_term(rank_strides[d] * nstmts, f"_o{d}")
+        terms = [term_src(rank_strides[d] * nstmts, f"_o{d}")
                  for d in loop_dims if rank_strides[d]]
-        return _sum_src(["_rb"] + terms, k)
+        return sum_src(["_rb"] + terms, k)
 
     body: list[str] = []
     for k, stmt in enumerate(nest.statements):
         base, o_terms = slot_parts(stmt.lhs)
-        lhs_src = _sum_src([base] + o_terms)
+        lhs_src = sum_src([base] + o_terms)
         if o_terms:
             body.append(f"_w{k} = {lhs_src}")
             lhs_local = f"_w{k}"
@@ -164,12 +138,12 @@ def emit_rect_kernel(nest: LoopNest, scalars: Mapping[str, float],
         def read_src(ref: ArrayRef, _arr=stmt.lhs.array, _src=lhs_src,
                      _local=lhs_local) -> str:
             rbase, ro = slot_parts(ref)
-            src = _sum_src([rbase] + ro)
+            src = sum_src([rbase] + ro)
             if ref.array == _arr and src == _src:
                 src = _local  # the accumulation read reuses the lhs slot
             return f"{gvar[ref.array]}[{src}]"
 
-        val = _value_src(stmt.rhs, indices, scalars, read_src)
+        val = value_src(stmt.rhs, indices, scalars, read_src)
         body.append(f"{gvar[stmt.lhs.array]}[{lhs_local}] = {val}")
         body.append(f"{svar[stmt.lhs.array]}[{lhs_local}] = {stamp_src(k)}")
 
@@ -198,118 +172,32 @@ def emit_rect_kernel(nest: LoopNest, scalars: Mapping[str, float],
 
 
 # ---------------------------------------------------------------------------
-# list kernel: recorded iteration tuples (live filtering, ragged blocks)
+# list kernel target: recorded iteration tuples (live filtering, ragged blocks)
 # ---------------------------------------------------------------------------
 
-def _rank_src(rank_rect, nstmts: int) -> str:
-    if rank_rect is None:
-        return f"_rank_of(_it) * {nstmts}"
-    los, strides = rank_rect
-    terms = [f"(i{k} - {lo}) * {s}" if s != 1 else f"(i{k} - {lo})"
-             for k, (lo, s) in enumerate(zip(los, strides)) if s != 0]
-    inner = " + ".join(terms) or "0"
-    return f"({inner}) * {nstmts}"
-
-
-def emit_list_kernel(nest: LoopNest, scalars: Mapping[str, float],
-                     specs: Mapping[str, GridSpec], rank_rect,
-                     has_live: bool, checks: bool = False) -> str:
-    """``fn(_blocks, _g, _s, _live, _rank_of[, _viol])`` -> per-block stats.
-
-    ``_blocks`` is ``[(index, iterations), ...]`` (checked kernels get a
-    third ``{array: owned-slot frozenset}`` element); the return value
-    is ``[(index, executed_iterations, per-statement counts), ...]``.
-    """
+def list_target(nest: LoopNest,
+                specs: Mapping[str, GridSpec]) -> KernelTarget:
+    """Flat value lists ``_g[array]`` and stamp lists ``_s[array]``
+    shared by all blocks, every slot an emit-time-folded affine of the
+    loop indices; no miss handling (certificate)."""
     indices = nest.indices
-    nstmts = len(nest.statements)
-    names = nest.array_names()
-    written: list[str] = []
-    for stmt in nest.statements:
-        if stmt.lhs.array not in written:
-            written.append(stmt.lhs.array)
-    gvar = {n: f"_g_{n}" for n in names}
-    svar = {n: f"_s_{n}" for n in written}
-    ovar = {n: f"_own_{n}" for n in names}
 
     def slot_src(ref: ArrayRef) -> str:
         coeffs, const = flat_affine(ref, indices, specs[ref.array])
-        return _sum_src([_term(coeffs[k], f"i{k}")
-                         for k in range(len(indices)) if coeffs[k]], const)
+        return sum_src([term_src(a, f"i{k}")
+                        for k, a in enumerate(coeffs) if a], const)
 
-    sig = "_blocks, _g, _s, _live, _rank_of"
-    if checks:
-        sig += ", _viol"
-    lines = [f"def {KERNEL_NAME}({sig}):"]
-    for n in names:
-        lines.append(f"    {gvar[n]} = _g[{n!r}]")
-    for n in written:
-        lines.append(f"    {svar[n]} = _s[{n!r}]")
-    lines.append("    _out = []")
-    lines.append("    for _blk in _blocks:")
-    if checks:
-        lines.append("        _bindex, _iters, _own = _blk")
-        for n in names:
-            lines.append(f"        {ovar[n]} = _own[{n!r}]")
-    else:
-        lines.append("        _bindex, _iters = _blk")
-    for k in range(nstmts):
-        lines.append(f"        _n{k} = 0")
-    lines.append("        _ex = 0")
-    lines.append("        for _it in _iters:")
-    ind = "            "
-    for pre in _iteration_prelude(nest.depth, _value_indices(nest)):
-        lines.append(ind + pre)
-    lines.append(ind + f"_r = {_rank_src(rank_rect, nstmts)}")
-    if has_live:
-        lines.append(ind + "_any = False")
-    for k, stmt in enumerate(nest.statements):
-        sind = ind
-        if has_live:
-            lines.append(ind + f"if ({k}, _it) in _live:")
-            sind = ind + "    "
-        reads: list[tuple[str, str, str, str]] = []
+    def read_src(ref: ArrayRef) -> str:
+        return f"_g_{ref.array}[{slot_src(ref)}]"
 
-        def read_src(ref: ArrayRef) -> str:
-            src = slot_src(ref)
-            if not checks:
-                return f"{gvar[ref.array]}[{src}]"
-            var = f"_x{len(reads)}"
-            reads.append((var, ref.array,
-                          _tuple_src(_coord_srcs(ref, indices)), src))
-            return f"{gvar[ref.array]}[{var}]"
-
-        val = _value_src(stmt.rhs, indices, scalars, read_src)
-        lhs_src = slot_src(stmt.lhs)
+    def write_lines(k: int, stmt: Assign, val: str) -> list[str]:
         arr = stmt.lhs.array
-        if checks:
-            # reads registered in evaluation (leaf) order; verify them
-            # all before the statement's arithmetic runs
-            for var, _, _, src in reads:
-                lines.append(sind + f"{var} = {src}")
-            for var, rarr, coords, _ in reads:
-                lines.append(sind + f"if {var} not in {ovar[rarr]}:")
-                lines.append(sind + f"    _viol(_bindex, {rarr!r}, "
-                                    f"{coords}, False)")
-            lines.append(sind + f"_v{k} = {val}")
-            lines.append(sind + f"_w{k} = {lhs_src}")
-            lines.append(sind + f"if _w{k} not in {ovar[arr]}:")
-            lines.append(sind + f"    _viol(_bindex, {arr!r}, "
-                                f"{_tuple_src(_coord_srcs(stmt.lhs, indices))}"
-                                f", True)")
-            lines.append(sind + f"{gvar[arr]}[_w{k}] = _v{k}")
-            lines.append(sind + f"{svar[arr]}[_w{k}] = _r + {k}")
-        else:
-            lines.append(sind + f"_w{k} = {lhs_src}")
-            lines.append(sind + f"{gvar[arr]}[_w{k}] = {val}")
-            lines.append(sind + f"{svar[arr]}[_w{k}] = _r + {k}")
-        lines.append(sind + f"_n{k} += 1")
-        if has_live:
-            lines.append(sind + "_any = True")
-    if has_live:
-        lines += [ind + "if _any:", ind + "    _ex += 1"]
-    else:
-        lines.append(ind + "_ex += 1")
-    counts = ", ".join(f"_n{k}" for k in range(nstmts))
-    lines.append(f"        _out.append((_bindex, _ex, ({counts},)))")
-    lines.append("    return _out")
-    return "\n".join(lines) + "\n"
+        return [f"_w{k} = {slot_src(stmt.lhs)}",
+                f"_g_{arr}[_w{k}] = {val}",
+                f"_s_{arr}[_w{k}] = _r + {k}"]
+
+    return KernelTarget(
+        KERNEL_NAME, "_g, _s",
+        [f"_g_{n} = _g[{n!r}]" for n in nest.array_names()]
+        + [f"_s_{n} = _s[{n!r}]" for n in _written(nest)],
+        read_src, write_lines, per_block=True)

@@ -3,32 +3,25 @@
 The top engine tier.  ``run_blocks`` builds (and caches, per plan) a
 *program*: the plan's geometry, its communication-audit certificate,
 the per-block argument tuples, the seed/scatter coordinate tables and
-the compiled kernel itself.  Kernels come from a three-level cache:
-
-1. in-process, keyed by the rename-invariant fingerprint + geometry
-   digest (``engine.codegen.cache.memory.hit``);
-2. the on-disk :mod:`~repro.runtime.engine.codegen.diskcache` -- a
-   warm process unmarshals the stored code object and skips emit *and*
-   compile (zero ``engine.codegen.emit``/``compile`` spans);
-3. fresh emission (span ``engine.codegen.emit``) and compilation (span
-   ``engine.codegen.compile``), persisted for the next process.
+the compiled kernel itself.  :func:`load_kernel` walks three levels
+by content key: the engines' bounded in-process LRU
+(``engine.codegen.cache.memory.hit``), the on-disk
+:mod:`~repro.runtime.engine.codegen.diskcache` (a warm process
+unmarshals the code object: zero ``engine.codegen.emit``/``compile``
+spans), then fresh emission + compilation, persisted.
 
 Anything the specializer cannot take (non-affine subscripts, written
 replicas, oversized grids, a failed certificate) delegates to the
-compiled tier -- in particular a plan with *actual* cross-block
-accesses is never run unchecked, so a sabotaged plan raises the very
-same :class:`~repro.machine.memory.RemoteAccessError` the interpreter
-raises first, through the compiled tier's per-access slow path.
-
-``REPRO_CODEGEN_CHECKS=1`` runs the guarded kernel variant instead:
-every access is verified against the block's owned-slot sets, which is
-the debugging escape hatch for distrusted certificates.
+compiled tier -- a plan with *actual* cross-block accesses is never
+run unchecked, so a sabotaged plan raises the interpreter's first
+:class:`~repro.machine.memory.RemoteAccessError` through the compiled
+tier's per-access slow path.  For a run with every access checked ask
+for ``--backend compiled`` (or ``interp``).
 """
 
 from __future__ import annotations
 
 import marshal
-import os
 from typing import Callable, Mapping, Optional
 
 from repro.runtime.engine.base import Engine
@@ -42,23 +35,15 @@ from repro.runtime.engine.codegen.geometry import (
     grid_specs,
     rect_block_shape,
 )
-from repro.runtime.engine.compiled import _reads_per_statement
+from repro.runtime.engine.lowering import (
+    KERNEL_CACHE,
+    emit_iteration_kernel,
+    reads_per_statement,
+)
 
-#: Set to 1 to run the guarded (ownership-checked) kernel variant.
-CHECKS_ENV_VAR = "REPRO_CODEGEN_CHECKS"
-
-#: kernel key -> compiled function (the in-process tier of the cache)
-_KERNELS: dict[str, Callable] = {}
-
-#: id(plan) -> (weakref, geometry dict); plan-lifetime side-car
+#: id(plan) -> (weakref, geometry dict); plan-lifetime side-car, which
+#: also holds the plan's programs (one per scalar binding)
 _GEOMETRY: dict[int, tuple] = {}
-
-#: (id(plan), scalars key, checks) -> program dict
-_PROGRAMS: dict[tuple, dict] = {}
-
-
-def checks_enabled() -> bool:
-    return os.environ.get(CHECKS_ENV_VAR, "").strip() not in ("", "0")
 
 
 def load_kernel(key: str, emit_fn: Callable[[], str],
@@ -69,7 +54,7 @@ def load_kernel(key: str, emit_fn: Callable[[], str],
     from repro.obs.trace import current_tracer
 
     reg = current_registry()
-    fn = _KERNELS.get(key)
+    fn = KERNEL_CACHE.get(key)
     if fn is not None:
         reg.inc("engine.codegen.cache.memory.hit")
         return fn
@@ -94,7 +79,7 @@ def load_kernel(key: str, emit_fn: Callable[[], str],
     ns: dict = {}
     exec(code, ns)
     fn = ns[fn_name or emit.KERNEL_NAME]
-    _KERNELS[key] = fn
+    KERNEL_CACHE.put(key, fn)
     return fn
 
 
@@ -121,7 +106,7 @@ def _geometry_for(plan) -> dict:
     geo: dict = {}
     try:
         ref = weakref.ref(plan)
-        weakref.finalize(plan, _release_plan, key)
+        weakref.finalize(plan, _GEOMETRY.pop, key, None)
         _GEOMETRY[key] = (ref, geo)
     except TypeError:  # pragma: no cover - plans are always weakref-able
         pass
@@ -131,12 +116,6 @@ def _geometry_for(plan) -> dict:
         geo["unsupported"] = exc.reason
         raise
     return geo
-
-
-def _release_plan(key: int) -> None:
-    _GEOMETRY.pop(key, None)
-    for pkey in [k for k in _PROGRAMS if k[0] == key]:
-        del _PROGRAMS[pkey]
 
 
 def _build_geometry(plan) -> dict:
@@ -151,39 +130,33 @@ def _build_geometry(plan) -> dict:
         rect = rect_block_shape(plan)
     nstmts = len(nest.statements)
 
-    # coords -> flat slot per array, shared by seed and scatter tables
-    flats: dict[str, dict] = {}
-    for name, spec in specs.items():
-        if not spec.size:
-            flats[name] = {}
-            continue
-        lo, strides = spec.lo, spec.strides
-
-        def flat(c, lo=lo, strides=strides):
+    def flat_pairs(name, coords):
+        """(coords, flat slot) pairs, shared by seed and scatter tables"""
+        lo, strides = specs[name].lo, specs[name].strides
+        pairs = []
+        for c in coords:
             s = 0
             for d, v in enumerate(c):
                 s += (v - lo[d]) * strides[d]
-            return s
-
-        flats[name] = flat
+            pairs.append((c, s))
+        return pairs
 
     seed: list[tuple[str, int, list]] = []
-    for name, spec in specs.items():
-        flat = flats[name]
+    for name in specs:
         seen: set = set()
         for db in plan.data_blocks[name]:
-            pairs = [(c, flat(c)) for c in db.elements if c not in seen]
+            pairs = flat_pairs(name, [c for c in db.elements
+                                      if c not in seen])
             if pairs:
                 seen.update(c for c, _ in pairs)
                 seed.append((name, db.block_index, pairs))
     scatter: list[tuple[int, str, list]] = []
     for b in plan.blocks:
         for name in written:
-            flat = flats[name]
             db = plan.data_blocks[name][b.index]
             if db.elements:
                 scatter.append((b.index, name,
-                                [(c, flat(c)) for c in db.elements]))
+                                flat_pairs(name, db.elements)))
 
     if rect is not None:
         args = [tuple(b.iterations[0])
@@ -192,7 +165,6 @@ def _build_geometry(plan) -> dict:
     else:
         args = [(b.index, b.iterations) for b in plan.blocks]
 
-    own: Optional[list] = None  # built lazily, only for checked kernels
     return {
         "specs": specs,
         "rect": rect,
@@ -201,11 +173,10 @@ def _build_geometry(plan) -> dict:
         "seed": seed,
         "scatter": scatter,
         "written": tuple(n for n in specs if n in written),
-        "nreads": _reads_per_statement(nest),
+        "nreads": reads_per_statement(nest),
         "nstmts": nstmts,
-        "flats": flats,
-        "own": own,
-        "certified": None,  # resolved on first uncheck(ed) run
+        "certified": None,  # resolved on first run
+        "programs": {},
     }
 
 
@@ -224,50 +195,28 @@ def _certified(plan, geo: dict) -> bool:
     return geo["certified"]
 
 
-def _own_tables(plan, geo: dict) -> list:
-    """Per-block ``{array: owned-slot frozenset}`` for checked kernels."""
-    if geo["own"] is None:
-        own = []
-        for b in plan.blocks:
-            per = {}
-            for name in geo["specs"]:
-                flat = geo["flats"][name]
-                db = plan.data_blocks[name][b.index]
-                per[name] = frozenset(flat(c) for c in db.elements)
-            own.append((b.index, b.iterations, per))
-        geo["own"] = own
-    return geo["own"]
-
-
-def program_for(plan, scalars: Mapping[str, float],
-                checks: bool) -> dict:
-    """The runnable program for (plan, scalars, checks) -- cached."""
+def program_for(plan, scalars: Mapping[str, float]) -> dict:
+    """The runnable program for (plan, scalars) -- cached."""
+    geo = _geometry_for(plan)
     skey = tuple(sorted(scalars.items()))
-    pkey = (id(plan), skey, checks)
-    prog = _PROGRAMS.get(pkey)
+    prog = geo["programs"].get(skey)
     if prog is not None:
         return prog
-    geo = _geometry_for(plan)
     nest = plan.nest
     has_live = plan.live is not None
-    rect = geo["rect"] if not checks else None
+    specs, rect, rank_rect = geo["specs"], geo["rect"], geo["rank_rect"]
+    mode = "rect" if rect is not None else "list"
+    key = emit.kernel_key(mode, nest, scalars, specs, rect, rank_rect,
+                          has_live)
     if rect is not None:
-        mode = "rect"
-        key = emit.kernel_key(mode, nest, scalars, geo["specs"], rect,
-                              geo["rank_rect"], has_live)
-        fn = load_kernel(
-            key, lambda: emit.emit_rect_kernel(
-                nest, scalars, geo["specs"], rect, geo["rank_rect"]))
+        fn = load_kernel(key, lambda: emit.emit_rect_kernel(
+            nest, scalars, specs, rect, rank_rect))
     else:
-        mode = "checked" if checks else "list"
-        key = emit.kernel_key(mode, nest, scalars, geo["specs"], None,
-                              geo["rank_rect"], has_live)
-        fn = load_kernel(
-            key, lambda: emit.emit_list_kernel(
-                nest, scalars, geo["specs"], geo["rank_rect"], has_live,
-                checks=checks))
-    prog = {"mode": mode, "key": key, "fn": fn, "geo": geo}
-    _PROGRAMS[pkey] = prog
+        fn = load_kernel(key, lambda: emit_iteration_kernel(
+            nest, scalars, emit.list_target(nest, specs), rank_rect,
+            has_live))
+    prog = geo["programs"][skey] = {"mode": mode, "key": key, "fn": fn,
+                                    "geo": geo}
     return prog
 
 
@@ -307,15 +256,14 @@ class CodegenEngine(Engine):
             self.delegate().run_blocks(plan, memories, result, initial,
                                        scalars, strict=strict)
             return
-        checks = checks_enabled()
         try:
-            prog = program_for(plan, dict(scalars), checks)
+            prog = program_for(plan, dict(scalars))
         except CodegenUnsupported as exc:
             self._delegate_blocks(exc.reason, plan, memories, result,
                                   initial, scalars, strict)
             return
         geo = prog["geo"]
-        if not checks and not _certified(plan, geo):
+        if not _certified(plan, geo):
             # actual cross-block accesses: never run unchecked -- the
             # compiled tier reproduces the interpreter's bookkeeping
             # and its first RemoteAccessError exactly
@@ -352,19 +300,6 @@ class CodegenEngine(Engine):
                     mem.writes += n * nstmts
                     mem.reads += n * sum(nreads)
                 stmts = total_iters * nstmts
-            elif prog["mode"] == "checked":
-                def viol(bindex, array, coords, is_write):
-                    mem = memories[bindex]
-                    mem.note_remote(is_write=is_write)
-                    from repro.machine.memory import RemoteAccessError
-
-                    raise RemoteAccessError(mem.pid, array, coords,
-                                            is_write)
-
-                out = prog["fn"](_own_tables(plan, geo), grids, stamps,
-                                 live, space.rank_of, viol)
-                stmts = self._apply_counts(out, plan, memories, result,
-                                           live, nreads)
             else:
                 out = prog["fn"](geo["args"], grids, stamps, live,
                                  space.rank_of)

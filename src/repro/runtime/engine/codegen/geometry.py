@@ -60,7 +60,7 @@ class GridSpec:
     size: int
 
 
-def _c_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+def c_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
     strides = [1] * len(shape)
     for d in range(len(shape) - 2, -1, -1):
         strides[d] = strides[d + 1] * shape[d + 1]
@@ -97,7 +97,7 @@ def grid_specs(plan) -> dict[str, GridSpec]:
             raise CodegenUnsupported(
                 f"flat grids need {total} words (cap {MAX_WORDS})")
         specs[name] = GridSpec(lo=tuple(lo), shape=shape,
-                               strides=_c_strides(shape), size=size)
+                               strides=c_strides(shape), size=size)
     return specs
 
 

@@ -1,58 +1,43 @@
 """Codegen store kernels: specialized source for blockstore workers.
 
-The shared-memory block store lays every (array, block) region out in
-sorted coordinate order (:mod:`repro.runtime.blockstore.layout`).  When
-a region covers its full bounding box, sorted order *is* row-major
-order, so a reference's subscripts fold into block-local flat
-arithmetic -- ``const + sum(coeff_k * i_k)`` -- with the constants and
-coefficients derived from the region's rectangle.  Those region
-rectangles vary per block, so they travel as a per-block argument
-tuple (built worker-side from the shared layout, cached per block)
-while the kernel *source* depends only on the nest, scalars, liveness
-and rank strides: one kernel per plan shape, every block reuses it.
+The block store lays every (array, block) region out in sorted
+coordinate order; when a region fills its bounding box that *is*
+row-major order, so a reference folds into block-local flat arithmetic
+``const + sum(coeff_k * i_k)``.  The constants vary per block and
+travel as a per-block argument tuple (:func:`block_rect_args`), so the
+kernel *source* depends only on the nest, scalars, liveness and rank
+strides: one kernel per plan shape, every block reuses it.  The source
+is the shared per-iteration lowering
+(:mod:`repro.runtime.engine.lowering`; DESIGN.md, "Kernel lowering")
+aimed at the private block buffers by :func:`rect_target`.
 
-The parent prepares the kernel once per run (emitting into the on-disk
-cache) and ships only its cache key in the
-:class:`~repro.runtime.blockstore.store.StoreDescriptor`; workers
-attach by key -- a warm worker process takes the in-memory kernel, a
-fresh one unmarshals from disk, and only a worker with a cold cache
-*and* a missing disk entry re-emits from its unpickled plan.  The key
-is only ever set after the plan passes the communication audit's
-zero-cross-access certificate, which is what licenses dropping the
-dict-lookup ownership checks of the generic store kernel; the dict
-kernel remains the fallback for non-rectangular regions.
-
-The emitted function mirrors ``compile_store_kernel``'s contract
-(``(executed_iterations, per-statement counts)`` over the private
-block buffers, reads wrapped in ``float(...)`` for binary64 parity,
-stamps ``rank * nstmts + k``) minus the ``idx``/``remote`` machinery
-the certificate makes unnecessary.
+The parent prepares (emits, persists) the kernel once per run, only
+under the audit's zero-cross-access certificate, and ships its cache
+key in the store descriptor; workers attach by key (memory -> disk ->
+re-emit).  DESIGN.md, "Store kernels", has the protocol.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Mapping, Optional
 
-from repro.lang.ast import ArrayRef, LoopNest
+from repro.lang.ast import ArrayRef, Assign, LoopNest
 from repro.lang.fingerprint import nest_canonical_form
+from repro.runtime.engine.codegen.emit import content_key
 from repro.runtime.engine.codegen.geometry import (
     CodegenUnsupported,
+    c_strides,
     ref_affine,
 )
-from repro.runtime.engine.compiled import (
-    _iteration_prelude,
-    _value_indices,
-    _value_src,
+from repro.runtime.engine.lowering import (
+    KERNEL_CACHE,
+    KernelTarget,
+    emit_iteration_kernel,
 )
 
 STORE_KERNEL_NAME = "_cg_store_kernel"
 
 _VERSION = "cgs1"
-
-#: nest -> its reference table (plans with thousands of tiny blocks
-#: would otherwise re-derive the affines per block)
-_REF_TABLES: dict[LoopNest, list] = {}
 
 
 def ref_table(nest: LoopNest) -> list[tuple[str, tuple, tuple]]:
@@ -60,22 +45,17 @@ def ref_table(nest: LoopNest) -> list[tuple[str, tuple, tuple]]:
 
     Emission and the worker-side argument builder share this exact
     enumeration order -- it defines the layout of the per-block
-    argument tuple.
+    argument tuple.  Cached per nest: plans with thousands of tiny
+    blocks would otherwise re-derive the affines per block.
     """
-    hit = _REF_TABLES.get(nest)
+    hit = KERNEL_CACHE.get(("refs", nest))
     if hit is not None:
         return hit
-    indices = nest.indices
-    out: list[tuple[str, tuple, tuple]] = []
-    seen: dict[tuple, int] = {}
-    for stmt in nest.statements:
-        for ref in [stmt.lhs] + list(stmt.rhs.array_refs()):
-            matrix, consts = ref_affine(ref, indices)
-            key = (ref.array, matrix, consts)
-            if key not in seen:
-                seen[key] = len(out)
-                out.append(key)
-    _REF_TABLES[nest] = out
+    out = list(dict.fromkeys(
+        (ref.array, *ref_affine(ref, nest.indices))
+        for stmt in nest.statements
+        for ref in [stmt.lhs, *stmt.rhs.array_refs()]))
+    KERNEL_CACHE.put(("refs", nest), out)
     return out
 
 
@@ -89,25 +69,18 @@ def _used_dims(matrix: tuple) -> list[int]:
 
 def store_kernel_key(nest: LoopNest, scalars: Mapping[str, float],
                      has_live: bool, rank_rect) -> str:
-    h = hashlib.sha256()
-    for part in (_VERSION, nest_canonical_form(nest),
-                 repr(tuple(sorted(scalars.items()))),
-                 repr(bool(has_live)), repr(rank_rect)):
-        h.update(part.encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+    return content_key(_VERSION, nest_canonical_form(nest),
+                       repr(tuple(sorted(scalars.items()))),
+                       repr(bool(has_live)), repr(rank_rect))
 
 
-def emit_store_kernel(nest: LoopNest, scalars: Mapping[str, float],
-                      has_live: bool, rank_rect) -> str:
-    """``fn(_bindex, _iters, _rect, _vals, _stamps, _live, _rank_of)``.
-
-    ``_rect`` is the flat per-block tuple: for each entry of
-    :func:`ref_table`, its block-local constant followed by one
-    coefficient per used loop dimension.
-    """
+def rect_target(nest: LoopNest) -> KernelTarget:
+    """One flat private buffer per block (``_vals``/``_stamps``), every
+    slot ``_cJ + sum(_aJ_k * i_k)`` with the coefficients unpacked from
+    the per-block ``_rect`` tuple: for each entry of :func:`ref_table`,
+    its block-local constant followed by one coefficient per used loop
+    dimension.  No miss handling (certificate)."""
     indices = nest.indices
-    nstmts = len(nest.statements)
     refs = ref_table(nest)
     slot_of: dict[tuple, int] = {key: j for j, key in enumerate(refs)}
 
@@ -117,61 +90,23 @@ def emit_store_kernel(nest: LoopNest, scalars: Mapping[str, float],
         unpack += [f"_a{j}_{k}" for k in _used_dims(matrix)]
 
     def slot_src(ref: ArrayRef) -> str:
-        from repro.runtime.engine.codegen.geometry import ref_affine as ra
-
-        matrix, consts = ra(ref, indices)
+        matrix, consts = ref_affine(ref, indices)
         j = slot_of[(ref.array, matrix, consts)]
-        terms = [f"_c{j}"]
-        for k in _used_dims(matrix):
-            terms.append(f"_a{j}_{k}*i{k}")
-        return " + ".join(terms)
+        return " + ".join(
+            [f"_c{j}"] + [f"_a{j}_{k}*i{k}" for k in _used_dims(matrix)])
 
     def read_src(ref: ArrayRef) -> str:
         return f"float(_vals[{slot_src(ref)}])"
 
-    if rank_rect is not None:
-        los, strides = rank_rect
-        terms = [f"(i{k} - {lo}) * {s}" if s != 1 else f"(i{k} - {lo})"
-                 for k, (lo, s) in enumerate(zip(los, strides)) if s != 0]
-        rank_src = " + ".join(terms) or "0"
-    else:
-        rank_src = "_rank_of(_it)"
+    def write_lines(k: int, stmt: Assign, val: str) -> list[str]:
+        return [f"_w = {slot_src(stmt.lhs)}",
+                f"_vals[_w] = {val}",
+                f"_stamps[_w] = _r + {k}"]
 
-    lines = [f"def {STORE_KERNEL_NAME}(_bindex, _iters, _rect, _vals, "
-             "_stamps, _live, _rank_of):"]
-    lines.append(f"    {', '.join(unpack)}{',' if len(unpack) == 1 else ''}"
-                 " = _rect")
-    for k in range(nstmts):
-        lines.append(f"    _n{k} = 0")
-    lines.append("    _ex = 0")
-    lines.append("    for _it in _iters:")
-    ind = "        "
-    for pre in _iteration_prelude(nest.depth, _value_indices(nest)):
-        lines.append(ind + pre)
-    lines.append(ind + f"_r = ({rank_src}) * {nstmts}")
-    if has_live:
-        lines.append(ind + "_any = False")
-    for k, stmt in enumerate(nest.statements):
-        sind = ind
-        if has_live:
-            lines.append(ind + f"if ({k}, _it) in _live:")
-            sind = ind + "    "
-        val = _value_src(stmt.rhs, indices, scalars, read_src)
-        lines += [
-            sind + f"_w = {slot_src(stmt.lhs)}",
-            sind + f"_vals[_w] = {val}",
-            sind + f"_stamps[_w] = _r + {k}",
-            sind + f"_n{k} += 1",
-        ]
-        if has_live:
-            lines.append(sind + "_any = True")
-    if has_live:
-        lines += [ind + "if _any:", ind + "    _ex += 1"]
-    else:
-        lines.append(ind + "_ex += 1")
-    counts = ", ".join(f"_n{k}" for k in range(nstmts))
-    lines.append(f"    return _ex, ({counts},)")
-    return "\n".join(lines) + "\n"
+    return KernelTarget(
+        STORE_KERNEL_NAME, "_rect, _vals, _stamps",
+        [f"{', '.join(unpack)}{',' if len(unpack) == 1 else ''} = _rect"],
+        read_src, write_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +140,8 @@ def block_rect_args(layout, nest: LoopNest, bindex: int) -> tuple:
         if cnt:
             order = layout.order[(name, bindex)]
             lo, hi = order[0], order[-1]
-            shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-            strides = [1] * len(shape)
-            for d in range(len(shape) - 2, -1, -1):
-                strides[d] = strides[d + 1] * shape[d + 1]
-            info[name] = (lo, tuple(strides), loff)
+            strides = c_strides(tuple(h - l + 1 for l, h in zip(lo, hi)))
+            info[name] = (lo, strides, loff)
         else:
             info[name] = (None, None, loff)
         loff += cnt
@@ -241,14 +173,12 @@ def prepare_store_kernel(plan, scalars: Mapping[str, float]) -> Optional[str]:
     from repro.obs.metrics import current_registry
     from repro.runtime.blockstore.layout import layout_for
     from repro.runtime.engine.codegen.engine import _certified, _geometry_for
-    from repro.runtime.engine.codegen.engine import load_kernel
 
-    nest = plan.nest
     try:
         layout = layout_for(plan)
         if not regions_rectangular(layout):
             raise CodegenUnsupported("store regions are not rectangular")
-        ref_table(nest)
+        ref_table(plan.nest)
         geo = _geometry_for(plan)
     except CodegenUnsupported:
         current_registry().inc("engine.codegen.store.unsupported")
@@ -256,13 +186,9 @@ def prepare_store_kernel(plan, scalars: Mapping[str, float]) -> Optional[str]:
     if not _certified(plan, geo):
         current_registry().inc("engine.codegen.store.uncertified")
         return None
-    has_live = plan.live is not None
-    rank_rect = plan.model.space.rank_strides()
-    key = store_kernel_key(nest, scalars, has_live, rank_rect)
-    load_kernel(key,
-                lambda: emit_store_kernel(nest, scalars, has_live,
-                                          rank_rect),
-                label="store", fn_name=STORE_KERNEL_NAME)
+    key = store_kernel_key(plan.nest, scalars, plan.live is not None,
+                           plan.model.space.rank_strides())
+    attach_store_kernel(key, plan, scalars)
     return key
 
 
@@ -274,6 +200,7 @@ def attach_store_kernel(key: str, plan, scalars: Mapping[str, float]):
     has_live = plan.live is not None
     rank_rect = plan.model.space.rank_strides()
     return load_kernel(key,
-                       lambda: emit_store_kernel(nest, scalars, has_live,
-                                                 rank_rect),
+                       lambda: emit_iteration_kernel(
+                           nest, scalars, rect_target(nest), rank_rect,
+                           has_live),
                        label="store", fn_name=STORE_KERNEL_NAME)

@@ -115,16 +115,19 @@ class MultiprocessEngine(Engine):
         """
         from repro.obs.trace import current_tracer
         from repro.runtime.blockstore import SharedBlockStore, shm_available
-        from repro.runtime.blockstore.kernel import (
+        from repro.runtime.blockstore.worker import slot_target
+        from repro.runtime.engine.lowering import (
             KernelCompileError,
-            compile_store_kernel,
+            emit_iteration_kernel,
         )
 
         if not shm_available():
             return None
         try:
-            compile_store_kernel(plan.nest, scalars, plan.live is not None,
-                                 plan.model.space.rank_strides())
+            # lowerable? (the walk alone -- the parent compiles nothing)
+            emit_iteration_kernel(plan.nest, scalars, slot_target(plan.nest),
+                                  plan.model.space.rank_strides(),
+                                  plan.live is not None)
             store = SharedBlockStore(plan, memories)
             store.codegen_key = self._codegen_key(plan, scalars)
             return store

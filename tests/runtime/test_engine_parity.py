@@ -30,7 +30,8 @@ from repro.runtime.engine import (
     get_engine,
     resolve_engine,
 )
-from repro.runtime.engine.compiled import compile_block_kernel
+from repro.runtime.engine.compiled import dict_target
+from repro.runtime.engine.lowering import iteration_kernel
 from repro.runtime.engine.vectorized import supports_plan
 
 SCALARS = {"D": 2.0, "F": 3.0, "G": 1.5, "K": 0.5}
@@ -171,8 +172,8 @@ class TestWithoutNumpy:
 class TestCompiledKernels:
     def test_kernel_cache_reuses_compiled_closures(self):
         nest = catalog.l1()
-        k1 = compile_block_kernel(nest, {}, False, None)
-        k2 = compile_block_kernel(nest, {}, False, None)
+        k1 = iteration_kernel(nest, {}, dict_target, None, False)
+        k2 = iteration_kernel(nest, {}, dict_target, None, False)
         assert k1 is k2
 
     def test_unbound_scalar_matches_interpreter_error(self):
