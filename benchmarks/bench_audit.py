@@ -3,7 +3,7 @@
 The static audit replays every reference of a plan analytically, so it
 scales with ``iterations x references`` -- the same work one sequential
 execution does, minus the arithmetic.  This bench pins two properties
-on the Theorem 2 matmul workload that ``bench_engine.py`` uses:
+on the Theorem 2 matmul workload (``catalog.matmul``):
 
 1. the audit *certifies* the plan (zero cross-block accesses, exact
    read/write totals for the n^3 matmul reference pattern), and
@@ -22,7 +22,7 @@ from functools import lru_cache
 from time import perf_counter
 
 from repro.core import Strategy, build_plan
-from repro.lang.parser import parse
+from repro.lang.catalog import matmul
 from repro.obs.audit import audit_plan, inject_violation
 from repro.runtime import make_arrays, run_sequential
 
@@ -33,23 +33,9 @@ AUDIT_CEILING = 30.0
 MATMUL_N = 16
 
 
-def matmul_nest(n: int = MATMUL_N):
-    hi = n - 1
-    return parse(
-        f"""
-        for i = 0 to {hi} {{
-          for j = 0 to {hi} {{
-            for k = 0 to {hi} {{
-              C[i,j] = C[i,j] + A[i,k] * B[k,j];
-            }} }} }}
-        """,
-        name=f"MATMUL{n}",
-    )
-
-
 @lru_cache(maxsize=None)
 def measure():
-    plan = build_plan(matmul_nest(), strategy=Strategy.DUPLICATE)
+    plan = build_plan(matmul(MATMUL_N), strategy=Strategy.DUPLICATE)
 
     audit_s = float("inf")
     report = None

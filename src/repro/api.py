@@ -262,8 +262,8 @@ class Session:
         """Final ``repro top`` frame for a finished run: progress full,
         the communication-optimality gauge computed from the run's
         actual access counts."""
-        from repro.obs.slo import comm_optimality
-        from repro.obs.top import current_writer, registry_stats
+        from repro.obs.top import (comm_optimality, current_writer,
+                                   registry_stats)
 
         writer = current_writer()
         if writer is None:

@@ -7,7 +7,6 @@
     python -m repro select    <file|--loop L5> -p 16   strategy selection
     python -m repro audit     <file|--loop L1> [...]   communication audit
     python -m repro chaos     [--crash-prob 0.2 ...]   fault-injected run
-    python -m repro perf      [--check]                perf history + SLO gate
     python -m repro blackbox  [FILE]                   post-mortem flight dump
     python -m repro top       [--once]                 live run dashboard
     python -m repro figures                            regenerate Figs. 1-10
@@ -317,82 +316,6 @@ def cmd_audit(args, out) -> int:
                    f"audit violation: {report.summary()}")
 
 
-def cmd_perf(args, out) -> int:
-    from repro.obs import history as hist
-    from repro.obs import slo as slomod
-
-    n = args.n if args.n else hist.DEFAULT_N
-    repeats = args.repeats if args.repeats else hist.DEFAULT_REPEATS
-    history_path = args.history or hist.DEFAULT_HISTORY
-    baseline_path = args.baseline or hist.DEFAULT_BASELINE
-
-    entry = hist.measure_entry(n=n, repeats=repeats)
-    if args.inject_regression:
-        # negative control: synthetically degrade the measured entry so
-        # the floor gate and the EWMA watchdog demonstrably fire
-        entry["speedup"] = {b: round(s * 0.1, 2)
-                            for b, s in entry["speedup"].items()}
-        if "blocks_per_sec" in entry:
-            entry["blocks_per_sec"] = round(
-                entry["blocks_per_sec"] * 0.1, 2)
-        if "plans_per_sec" in entry.get("serve", {}):
-            entry["serve"]["plans_per_sec"] = round(
-                entry["serve"]["plans_per_sec"] * 0.001, 2)
-    slos = list(slomod.DEFAULT_SLOS)
-    slos.extend(slomod.serve_slos())  # committed BENCH_serve.json floors
-    if args.slo:
-        slos.extend(slomod.load_slos(args.slo))
-    slo_results = slomod.evaluate_slos(entry, slos)
-    entry["slo"] = slomod.slo_block(slo_results)
-    prior = hist.load_history(history_path)
-    count = hist.append_history(entry, history_path)
-    baseline = hist.load_baseline(baseline_path)
-    if baseline is not None and baseline.get("case") != entry["case"]:
-        # a different workload size: the committed numbers don't apply
-        baseline = None
-    floors = (dict((baseline or {}).get("floors") or {}) if baseline
-              else ({} if n != hist.DEFAULT_N else dict(hist.DEFAULT_FLOORS)))
-    for spec in args.floor or []:
-        backend, _, value = spec.partition("=")
-        if not value:
-            raise SystemExit(f"--floor expects BACKEND=X, got {spec!r}")
-        floors[backend.strip()] = float(value)
-
-    print(f"perf: {entry['case']} (n={entry['n']}, "
-          f"repeats={entry['repeats']}) -> {history_path} "
-          f"(entry {count})", file=out)
-    if baseline is None:
-        print(f"no baseline at {baseline_path}; deltas omitted", file=out)
-    print(hist.render_perf_table(entry, baseline, floors), file=out)
-    violated = [r for r in slo_results if not r.ok]
-    if args.check or violated:
-        for r in slo_results:
-            print(f"slo {r.describe()}", file=out)
-    if args.check:
-        floor_failures = hist.check_floors(entry, floors)
-        failures = list(floor_failures)
-        failures += [f"SLO {r.describe()}" for r in violated]
-        wd = slomod.watchdog(prior, entry)
-        if wd:
-            failures += [f"watchdog {w}" for w in wd]
-        else:
-            same_case = sum(1 for h in prior
-                            if h.get("case") == entry["case"])
-            engaged = same_case >= slomod.MIN_HISTORY
-            hint = "" if engaged else f", engages at {slomod.MIN_HISTORY}"
-            print(f"regression watchdog: {'PASS' if engaged else 'idle'} "
-                  f"({same_case} prior same-case runs{hint})", file=out)
-        if failures:
-            print("perf regression: " + "; ".join(failures), file=out)
-            # keep the historical stderr prefix when a floor is what
-            # broke -- shell pipelines grep for "perf below floor:"
-            prefix = ("perf below floor: " if floor_failures
-                      else "perf regression: ")
-            return _finish(False, prefix + "; ".join(failures))
-        print("perf floors: PASS", file=out)
-    return 0
-
-
 def cmd_serve(args, out) -> int:
     """The serving daemon: start/stop/status plus one-shot submit."""
     import json as jsonmod
@@ -474,9 +397,9 @@ def cmd_chaos(args, out) -> int:
     from dataclasses import replace as _replace
 
     from repro.core import Strategy, build_plan
+    from repro.lang.catalog import matmul
     from repro.machine.memory import RemoteAccessError
     from repro.obs.audit import audit_plan, inject_violation
-    from repro.obs.history import matmul_nest
     from repro.runtime.arrays import make_arrays
     from repro.runtime.merge import merge_copies
     from repro.runtime.parallel import _run_parallel
@@ -500,7 +423,7 @@ def cmd_chaos(args, out) -> int:
         ctx = _compile(args, upto="partition")
         plan = ctx.plan
     else:
-        nest = matmul_nest(args.matmul)
+        nest = matmul(args.matmul)
         plan = build_plan(nest, strategy=Strategy.DUPLICATE)
     if args.inject_violation:
         plan = inject_violation(plan)
@@ -802,31 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="FILE",
                    help="also write the audit report as JSON")
     p.set_defaults(fn=cmd_audit)
-
-    p = add_subparser("perf",
-                      help="measure engine speedups into the perf history")
-    p.add_argument("--n", type=int, default=None,
-                   help="matmul size (default: the baseline's)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="best-of repetitions per backend (default 3)")
-    p.add_argument("--history", default=None, metavar="FILE",
-                   help="JSON-lines history file "
-                        "(default BENCH_history.jsonl)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="committed baseline (default BENCH_engine.json)")
-    p.add_argument("--floor", action="append", metavar="BACKEND=X",
-                   help="override a speedup floor (repeatable)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero when a backend regresses below "
-                        "its floor, an SLO is violated, or the EWMA "
-                        "watchdog flags a drop against the history")
-    p.add_argument("--slo", metavar="FILE",
-                   help="extra SLO specs (JSON list of "
-                        "name/metric/kind/threshold objects)")
-    p.add_argument("--inject-regression", action="store_true",
-                   help="synthetically degrade the measured entry "
-                        "(negative control: --check must then fail)")
-    p.set_defaults(fn=cmd_perf)
 
     p = add_subparser("chaos",
                       help="fault-injected run + ASCII lease timeline "

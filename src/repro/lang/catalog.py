@@ -251,6 +251,26 @@ def forward_subst(n: int = 5) -> LoopNest:
     )
 
 
+def matmul(n: int) -> LoopNest:
+    """``C = C + A*B`` on a 0-based ``n x n x n`` space, named ``MATMUL{n}``.
+
+    The scalable run-time workload (``repro chaos --matmul``, the engine
+    parity suites).  Not in :data:`ALL_LOOPS`: its members run at their
+    default size in catalog-wide tests, and this one has none.
+    """
+    hi = n - 1
+    return parse(
+        f"""
+        for i = 0 to {hi} {{
+          for j = 0 to {hi} {{
+            for k = 0 to {hi} {{
+              C[i,j] = C[i,j] + A[i,k] * B[k,j];
+            }} }} }}
+        """,
+        name=f"MATMUL{n}",
+    )
+
+
 PAPER_LOOPS = {"L1": l1, "L2": l2, "L3": l3, "L4": l4, "L5": l5}
 
 ALL_LOOPS = {

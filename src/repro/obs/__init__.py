@@ -6,7 +6,8 @@ simulate (machine distribution/compute phases):
 
 - :mod:`~repro.obs.trace`: the hierarchical span tracer with a
   null-recorder fast path (disabled by default; near-zero overhead,
-  enforced by ``benchmarks/bench_obs_overhead.py``);
+  carried by the ledger's ``obs.trace.null_span_ns`` and
+  ``obs.trace.overhead_ratio``);
 - :mod:`~repro.obs.metrics`: the counters/gauges/histograms registry
   that absorbs the ``Instrumentation`` / ``ParallelResult`` /
   ``MachineStats`` counter systems behind one API;
@@ -22,18 +23,14 @@ simulate (machine distribution/compute phases):
   replay, per-block footprints, violation attribution (Definition 1's
   ``r`` vectors), engine reconciliation, and the ASCII dashboard behind
   ``repro audit``;
-- :mod:`~repro.obs.history`: the JSON-lines perf history and
-  floor-gated regression check behind ``repro perf``;
 - :mod:`~repro.obs.flight`: the always-on bounded flight recorder,
   dumped to a ``repro-blackbox-*.json`` post-mortem on failure and
   rendered by ``repro blackbox``;
 - :mod:`~repro.obs.profile`: the thread-based sampling profiler behind
   ``--profile`` (collapsed-stack flamegraphs, Chrome sample tracks,
   per-subsystem attribution);
-- :mod:`~repro.obs.top`: the periodic run-snapshot writer and the live
-  ``repro top`` dashboard;
-- :mod:`~repro.obs.slo`: declarative SLOs and the EWMA regression
-  watchdog behind ``repro perf --check``.
+- :mod:`~repro.obs.top`: the periodic run-snapshot writer, the
+  communication-optimality gauge and the live ``repro top`` dashboard.
 
 Every CLI subcommand accepts ``--trace FILE``, ``--metrics``,
 ``--metrics-out FILE``, ``--events FILE`` and ``--profile FILE``; see
@@ -61,21 +58,16 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
         "current_registry", "use_registry",
     ),
-    "history": (
-        "append_history", "check_floors", "load_baseline",
-        "load_history", "measure_entry",
-    ),
     "flight": (
         "FlightRecorder", "dump_blackbox", "latest_blackbox",
         "load_blackbox", "render_blackbox",
     ),
     "profile": ("SamplingProfiler",),
     "schema": ("CHROME_TRACE_SCHEMA", "validate_chrome_trace"),
-    "slo": (
-        "SLO", "SLOResult", "comm_optimality", "evaluate_slos",
-        "watchdog",
+    "top": (
+        "SnapshotWriter", "comm_optimality", "current_writer",
+        "render_top", "run_top",
     ),
-    "top": ("SnapshotWriter", "current_writer", "render_top", "run_top"),
     "trace": (
         "NULL_SPAN", "NULL_TRACER", "Event", "Span", "Tracer",
         "current_tracer", "use_tracer",

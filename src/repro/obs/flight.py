@@ -8,8 +8,9 @@ pass/engine/scheduler granularity, lease transitions, pool lifecycle,
 errors -- never per-iteration or per-block work), and it keeps only the
 last ``capacity`` entries in a ring (``collections.deque(maxlen=...)``),
 so steady-state cost is one tuple append per coarse event and memory is
-bounded regardless of run length.  ``benchmarks/bench_obs_overhead.py``
-enforces that the recording tax stays under 2% of a real workload.
+bounded regardless of run length.  ``tests/obs/test_flight.py`` pins the
+coarseness (entries per run bounded by the block count); the recorder
+stays on in every ledger workload, so its tax is inside each op time.
 
 When something dies, the ring is **dumped**: the scheduler dumps on
 :class:`~repro.runtime.scheduler.SchedulerError` and

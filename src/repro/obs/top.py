@@ -113,6 +113,22 @@ def _rate(hit: float, miss: float) -> Optional[float]:
     return None if total == 0 else hit / total
 
 
+def comm_optimality(total_accesses: float, remote_accesses: float) -> float:
+    """Fraction of accesses served block-locally, in [0, 1].
+
+    ``1.0`` = every access landed in the owning block's local memory --
+    the zero-communication certificate the audit proves statically; in
+    the lower-bounds framing of Christ et al. (arXiv:1308.0068), any gap
+    to 1.0 is communication a better allocation could have avoided.
+    With no accesses observed yet (a run that has not started) the
+    gauge optimistically reads 1.0: the plan was *built* to be
+    communication-free, and any observed remote access pulls it down.
+    """
+    if total_accesses <= 0:
+        return 1.0
+    return max(0.0, 1.0 - remote_accesses / total_accesses)
+
+
 def registry_stats(registry=None) -> dict[str, Any]:
     """The registry-derived block of a snapshot: pool, shm, caches.
 

@@ -10,8 +10,9 @@ cache decision) attached to whatever span is open.
 The process default is a *disabled* tracer: :meth:`Tracer.span` then
 returns one shared no-op context manager and records nothing, so call
 sites can stay unconditional even on hot-ish paths (per block, per
-pass -- never per iteration).  ``benchmarks/bench_obs_overhead.py``
-enforces that this disabled path stays under its recorded floor.
+pass -- never per iteration).  The ledger measures that disabled path
+as ``obs.trace.null_span_ns`` and the enabled one as
+``obs.trace.overhead_ratio``.
 
 Clocks are monotonic (:func:`time.perf_counter_ns`), anchored to the
 tracer's creation, so span timestamps are stable under wall-clock

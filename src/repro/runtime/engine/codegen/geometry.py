@@ -6,8 +6,9 @@ across blocks (no written replicas -- the same restriction the
 vectorized tier imposes), and grids small enough to materialize as
 flat dense buffers.  Everything here is derived once per plan and
 cached; the expensive parts (bounding boxes, the lexicographic-order
-check, the communication-audit certificate) are one-time setup costs
-that ``repro perf`` reports separately from steady-state runs.
+check, the communication-audit certificate) are one-time setup costs,
+which the ledger reports as ``runtime.engine.codegen.*.cold_s`` apart
+from the steady-state ``warm_s``.
 
 Three geometric facts drive the emitted source:
 

@@ -510,7 +510,7 @@ class BlockScheduler:
     def _snapshot_state(self, units, outcomes, inflight, pending, sres,
                         elapsed: float) -> dict:
         """One ``repro top`` snapshot of the live dispatch state."""
-        from repro.obs.slo import comm_optimality
+        from repro.obs.top import comm_optimality
 
         done_blocks = sum(len(u.blocks) for u in units if u.done)
         lanes: dict[str, dict] = {}

@@ -20,9 +20,10 @@ allowed attempt always runs clean, so any ``crash_prob < 1`` --
 including 1.0 -- still terminates.
 
 ``slow_blocks`` is different from the probabilistic faults: it is a
-deterministic per-block delay (a synthetic straggler), used by
-``benchmarks/bench_scheduler.py`` to skew block costs and show dynamic
-leasing beating static chunking.
+deterministic per-block delay (a synthetic straggler) that skews block
+costs, the case dynamic leasing exists for; what the worker processes
+buy on unskewed blocks is the ledger's
+``runtime.multiprocess.scaling_w2``.
 
 The active plan is scoped like the tracer and the metrics registry:
 :func:`use_fault_plan` pushes one for a region of code,

@@ -69,6 +69,24 @@ class TestRing:
         assert flight() is flight()
         assert isinstance(flight(), FlightRecorder)
 
+    def test_one_run_records_coarse_entries_only(self, monkeypatch):
+        """Pass/engine-grained entries, never per-block or per-iteration
+        ones: the structural reason the recorder can stay always-on."""
+        import sys
+
+        from repro.api import Session
+        from repro.lang import catalog
+
+        counting = FlightRecorder(capacity=1 << 20, enabled=True)
+        # the module, not the package's same-named ``flight`` accessor
+        monkeypatch.setattr(sys.modules[flight.__module__], "FLIGHT",
+                            counting)
+        with Session(catalog.matmul(12), strategy="duplicate") as s:
+            nblocks = len(s.run().plan.blocks)
+        assert 0 < len(counting) < max(64, nblocks), (
+            f"{len(counting)} flight entries for one run of {nblocks} "
+            f"blocks / {12 ** 3} iterations")
+
 
 class TestDump:
     def _recorder(self):

@@ -16,7 +16,6 @@ import pytest
 from repro.core import Strategy, build_plan
 from repro.lang import catalog
 from repro.machine.memory import LocalMemory
-from repro.obs.history import matmul_nest
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime import DataSpace, make_arrays, merge_copies
 from repro.runtime.engine import get_engine
@@ -32,7 +31,7 @@ PLANS = [
     for (name, fn), strategy, eliminate in itertools.product(
         catalog.ALL_LOOPS.items(), Strategy, (False, True))
 ] + [
-    (f"MATMUL8-{strategy.value}", lambda: matmul_nest(8),
+    (f"MATMUL8-{strategy.value}", lambda: catalog.matmul(8),
      dict(strategy=strategy)) for strategy in Strategy
 ]
 

@@ -18,7 +18,6 @@ from repro.core import Strategy, build_plan
 from repro.lang import catalog
 from repro.machine.memory import RemoteAccessError
 from repro.obs.audit import inject_violation
-from repro.obs.history import matmul_nest
 from repro.runtime import make_arrays, merge_copies, run_parallel
 from repro.runtime.scheduler import FaultPlan
 
@@ -72,7 +71,7 @@ def test_l2_duplicate_is_bit_identical_under_chaos(chaos, monkeypatch):
                                    "drop-prob=0.4,seed=9"])
 def test_matmul_is_bit_identical_under_chaos(chaos, monkeypatch):
     monkeypatch.setenv("REPRO_MP_WORKERS", "2")
-    plan = build_plan(matmul_nest(6), strategy=Strategy.DUPLICATE)
+    plan = build_plan(catalog.matmul(6), strategy=Strategy.DUPLICATE)
     golden, gm = _golden(plan)
     got, m = _chaotic(plan, chaos)
     _assert_identical(golden, gm, got, m)

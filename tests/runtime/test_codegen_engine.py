@@ -26,7 +26,6 @@ import pytest
 import repro
 from repro.core import Strategy, build_plan
 from repro.lang import catalog
-from repro.obs.history import matmul_nest
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import make_arrays, merge_copies, run_parallel
@@ -148,14 +147,14 @@ class TestDiskCache:
         # a spawn-fresh worker would re-emit per process without the
         # disk tier, so the parent must not set a codegen key at all
         monkeypatch.setenv(diskcache.DISABLE_ENV_VAR, "0")
-        plan = build_plan(matmul_nest(4), strategy=Strategy.DUPLICATE)
+        plan = build_plan(catalog.matmul(4), strategy=Strategy.DUPLICATE)
         assert MultiprocessEngine._codegen_key(plan, {}) is None
 
     def test_multiproc_prepares_a_store_kernel_key(self, tmp_path,
                                                    monkeypatch):
         monkeypatch.delenv(diskcache.DISABLE_ENV_VAR, raising=False)
         monkeypatch.setenv(diskcache.DIR_ENV_VAR, str(tmp_path))
-        plan = build_plan(matmul_nest(4), strategy=Strategy.DUPLICATE)
+        plan = build_plan(catalog.matmul(4), strategy=Strategy.DUPLICATE)
         key = MultiprocessEngine._codegen_key(plan, {})
         assert isinstance(key, str) and key
 
@@ -177,12 +176,12 @@ def _child_env(tmp_path, **extra):
 _WARM_CHILD = """
 import json
 from repro.core import Strategy, build_plan
-from repro.obs.history import matmul_nest
+from repro.lang.catalog import matmul
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import make_arrays, run_parallel
 
-plan = build_plan(matmul_nest(6), strategy=Strategy.DUPLICATE)
+plan = build_plan(matmul(6), strategy=Strategy.DUPLICATE)
 reg = MetricsRegistry()
 tracer = Tracer()
 with use_registry(reg), use_tracer(tracer):
@@ -300,7 +299,7 @@ class TestAutoChoice:
     def test_every_shape_and_core_count_stays_on_codegen(
             self, n, strategy, cores, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        plan = build_plan(matmul_nest(n), strategy=strategy)
+        plan = build_plan(catalog.matmul(n), strategy=strategy)
         name, reason = choose_backend(plan)
         assert name == "codegen"
         assert f"{n ** 3} iterations" in reason
@@ -308,11 +307,11 @@ class TestAutoChoice:
 
     def test_numpy_free_midsize_stays_on_codegen(self, monkeypatch):
         monkeypatch.setattr(npc, "np", None)
-        plan = build_plan(matmul_nest(14), strategy=Strategy.NONDUPLICATE)
+        plan = build_plan(catalog.matmul(14), strategy=Strategy.NONDUPLICATE)
         assert choose_backend(plan)[0] == "codegen"
 
     def test_midsize_one_block_run_is_bit_identical_to_interp(self):
-        nest = matmul_nest(14)
+        nest = catalog.matmul(14)
         with repro.Session(nest, strategy="nonduplicate") as session:
             assert len(session.plan().blocks) == 1
             got = session.run(backend="auto")

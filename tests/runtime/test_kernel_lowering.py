@@ -32,7 +32,6 @@ from repro.core import Strategy, build_plan
 from repro.lang import catalog
 from repro.machine.memory import RemoteAccessError
 from repro.obs.audit import inject_violation
-from repro.obs.history import matmul_nest
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import make_arrays
@@ -62,7 +61,7 @@ SCALARS = {"D": 2.0, "F": 3.0, "G": 1.5, "K": 0.5}
 NESTS = {
     "L1": catalog.l1, "L2": catalog.l2, "L3": catalog.l3,
     "L4": catalog.l4, "L5": catalog.l5,
-    "MATMUL": lambda: matmul_nest(4),
+    "MATMUL": lambda: catalog.matmul(4),
 }
 STRATEGIES = {"nondup": Strategy.NONDUPLICATE, "dup": Strategy.DUPLICATE}
 
@@ -361,7 +360,7 @@ def test_evicted_codegen_kernel_comes_back_from_disk(tmp_path, monkeypatch):
     KERNEL_CACHE._entries.clear()
     reg = MetricsRegistry()
     for n in (2, 3, 4):
-        with Session(matmul_nest(n), backend="codegen", registry=reg) as s:
+        with Session(catalog.matmul(n), backend="codegen", registry=reg) as s:
             assert s.run().backend == "codegen"
     assert len(KERNEL_CACHE) <= 2
     assert reg.value("engine.kernel_cache.evict") >= 1
@@ -369,7 +368,7 @@ def test_evicted_codegen_kernel_comes_back_from_disk(tmp_path, monkeypatch):
 
     # the first nest's kernel was evicted; a new plan object for it has
     # no program side-car either, so it walks memory -> disk
-    plan = dataclasses.replace(build_plan(matmul_nest(2)))
+    plan = dataclasses.replace(build_plan(catalog.matmul(2)))
     reg2, tracer = MetricsRegistry(), Tracer(enabled=True)
     with use_registry(reg2), use_tracer(tracer):
         program_for(plan, {})

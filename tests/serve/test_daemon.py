@@ -9,6 +9,11 @@ import pytest
 from repro.serve import daemon as dmod
 from repro.serve.client import ServeClient, ServeError
 
+#: Generous on purpose: these bounds only turn a wedged daemon into a
+#: report; a passing run waits on events (connect, thread exit), never
+#: on them.
+BOUND_S = 120
+
 
 def shm_segments():
     try:
@@ -17,19 +22,56 @@ def shm_segments():
         return set()
 
 
+def _orphaned(segment: str) -> bool:
+    """Names are ``repro-<kind>-<pid>-<seq>``: the segment is this
+    test's to answer for unless its creator is another live process (a
+    concurrent run on the same box)."""
+    try:
+        pid = int(segment.split("-")[-2])
+    except (ValueError, IndexError):
+        return True
+    return pid == os.getpid() or not dmod.pid_alive(pid)
+
+
+def leaked_since(before):
+    """Segments that appeared after ``before`` and no live process holds."""
+    return sorted(filter(_orphaned, shm_segments() - before))
+
+
+def start_daemon(sock, **kwargs):
+    """A foreground daemon in a thread, returned once it answers.
+
+    Connect-retry rather than polling for the socket file: the path
+    exists from ``bind()``, before ``listen()`` and before the pidfile
+    is written, and one ``status`` round trip is past all three.
+    """
+    thread = threading.Thread(target=dmod.run_daemon, args=(sock,),
+                              kwargs=kwargs, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + BOUND_S
+    while time.monotonic() < deadline:
+        try:
+            with ServeClient(sock) as client:
+                client.status()
+            return thread
+        except (FileNotFoundError, ConnectionRefusedError):
+            thread.join(0.02)  # returns at once if the daemon died
+            if not thread.is_alive():
+                pytest.fail("daemon died during startup")
+    pytest.fail(f"daemon not accepting on {sock} after {BOUND_S}s")
+
+
+def join_daemon(thread):
+    thread.join(BOUND_S)
+    assert not thread.is_alive(), \
+        f"daemon thread still running {BOUND_S}s after shutdown"
+
+
 @pytest.fixture
 def daemon(tmp_path):
     """A foreground daemon on a temp socket, running in a thread."""
     sock = tmp_path / "serve.sock"
-    thread = threading.Thread(target=dmod.run_daemon, args=(sock,),
-                              kwargs={"max_concurrency": 4},
-                              daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 10
-    while not sock.exists():
-        assert time.monotonic() < deadline, "daemon never bound its socket"
-        assert thread.is_alive(), "daemon died during startup"
-        time.sleep(0.02)
+    thread = start_daemon(sock, max_concurrency=4)
     yield sock
     if sock.exists():
         try:
@@ -37,7 +79,7 @@ def daemon(tmp_path):
                 c.shutdown()
         except (ConnectionError, OSError):
             pass
-    thread.join(timeout=10)
+    join_daemon(thread)
 
 
 class TestDaemonLifecycle:
@@ -84,7 +126,7 @@ class TestDaemonLifecycle:
             st = client.status()
         assert st["requests"] >= 12
         assert st["errors"] == 0
-        assert shm_segments() <= before
+        assert leaked_since(before) == []
 
     def test_typed_error_over_the_wire(self, daemon):
         with ServeClient(daemon) as client:
@@ -94,21 +136,14 @@ class TestDaemonLifecycle:
 
     def test_clean_shutdown_removes_socket_and_pidfile(self, tmp_path):
         sock = tmp_path / "s2.sock"
-        thread = threading.Thread(target=dmod.run_daemon, args=(sock,),
-                                  daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 10
-        while not sock.exists():
-            assert time.monotonic() < deadline
-            time.sleep(0.02)
+        thread = start_daemon(sock)
         before = shm_segments()
         with ServeClient(sock) as client:
             client.request("run", nest="L2", strategy="duplicate",
                            backend="multiprocess")
             client.shutdown()
-        thread.join(timeout=15)
-        assert not thread.is_alive()
+        join_daemon(thread)
         assert not sock.exists()
         assert dmod.pidfile_for(sock).exists() is False
         # the warm pool and every cached plan segment were released
-        assert shm_segments() <= before
+        assert leaked_since(before) == []

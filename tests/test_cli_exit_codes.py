@@ -46,16 +46,11 @@ class TestExitCodes:
         assert code == 0
         assert _stderr_reason(capsys) == []
 
-    def test_perf_check_below_absurd_floor_is_nonzero(self, tmp_path,
-                                                      capsys):
-        code, text = run("perf", "--n", "6", "--repeats", "1",
-                         "--history", str(tmp_path / "h.jsonl"),
-                         "--baseline", str(tmp_path / "nope.json"),
-                         "--floor", "compiled=999999", "--check")
-        assert code == 1
-        assert "perf regression" in text
-        (line,) = _stderr_reason(capsys)
-        assert line.startswith("repro: perf below floor:")
+    def test_perf_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("perf", "--check")
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
 
     def test_chaos_recovery_is_zero(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_MP_WORKERS", "2")
