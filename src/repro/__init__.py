@@ -40,6 +40,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "is_fully_duplicable",
     ),
     "baseline": ("hyperplane_partition",),
+    "config": ("config",),
     "core": (
         "PartitionPlan", "Strategy", "build_plan",
         "iteration_partition", "partitioning_space",

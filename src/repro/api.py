@@ -1,13 +1,13 @@
-"""The unified public API: one session, one options object, one result shape.
+"""The nest-level public API: one session, one options object, one result shape.
 
-The repository grew five loosely related entry points (``build_plan``,
-``run_sequential``, ``run_parallel``, ``verify_plan``, ``run_on_machine``)
-with divergent signatures and kwargs duplicated across them.  This
-module fronts them all:
+Two layers.  The plan-level functions (``build_plan``,
+``run_sequential``, ``run_parallel``, ``verify_plan``, ``audit_plan``,
+``run_on_machine``) take a :class:`~repro.core.plan.PartitionPlan` --
+a custom ``block_to_pid``, a sabotaged plan, a program phase.  This
+module is the layer above them, for callers that hold a *nest*:
 
 - :class:`RunOptions` -- one dataclass holding the execution kwargs
-  (backend, chaos, tracing, metrics) that used to be threaded through
-  each entry point separately;
+  (backend, chaos, tracing) the plan-level functions share;
 - :class:`Session` -- a facade that owns a nest, a plan, scoped
   observability recorders, and the options, and drives the whole
   pipeline::
@@ -27,9 +27,7 @@ module fronts them all:
   ``.summary()`` and ``.to_json()``, so callers (and the CLI, and the
   report) render any of them uniformly.
 
-The legacy entry points remain and keep their exact behavior; the
-facade composes them rather than replacing them (see ``docs/API.md``
-for the migration map).
+See ``docs/API.md``.
 """
 
 from __future__ import annotations
@@ -57,23 +55,15 @@ class Summary(Protocol):
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Execution options shared by every entry point.
+    """Execution options shared by every entry point: the engine
+    ``backend``, the ``chaos`` fault plan, and whether tracing is on."""
 
-    Consolidates the kwargs that were duplicated across
-    ``run_sequential`` / ``run_parallel`` / ``verify_plan`` /
-    ``run_on_machine``: the engine ``backend``, the ``chaos`` fault
-    plan, and whether tracing / metrics recording are enabled.
-    """
-
-    #: engine backend name (None = the default / ``$REPRO_BACKEND``)
+    #: engine backend name (None = the default, ``interp``)
     backend: Optional[str] = None
     #: fault plan (or spec string) scoped over parallel executions
     chaos: Union[FaultPlan, str, None] = None
     #: record spans/events (Session scopes a Tracer accordingly)
     trace: bool = False
-    #: keep a session-scoped metrics registry (always cheap; kept for
-    #: symmetry and for callers that want a fresh registry per session)
-    metrics: bool = True
 
     def __post_init__(self) -> None:
         # normalize a spec string eagerly so errors surface at build time
@@ -108,8 +98,8 @@ class Session:
 
     The session lazily builds (and caches) the partition plan, scopes
     its own observability recorders over every operation, and forwards
-    :class:`RunOptions` everywhere, so the five legacy entry points
-    collapse into five methods with no repeated kwargs.
+    :class:`RunOptions` to the plan-level functions, so no call repeats
+    the kwargs.
     """
 
     def __init__(
@@ -247,14 +237,14 @@ class Session:
         """Execute the plan in parallel; returns a
         :class:`~repro.runtime.parallel.ParallelResult`."""
         from repro.obs.flight import flight
-        from repro.runtime.parallel import _run_parallel
+        from repro.runtime.parallel import run_parallel
 
         with self._scope(), flight().span(
                 "session.run", case=self.nest.name or "?",
                 backend=backend or self.options.backend or "default"):
-            result = _run_parallel(self.plan(), scalars=self.scalars,
-                                   backend=backend, options=self.options,
-                                   **kwargs)
+            result = run_parallel(self.plan(), scalars=self.scalars,
+                                  backend=backend, options=self.options,
+                                  **kwargs)
         self._snapshot_done(result)
         return result
 
@@ -299,12 +289,12 @@ class Session:
     def verify(self, backend: Optional[str] = None, **kwargs):
         """Parallel == sequential, zero communication; returns a
         :class:`~repro.runtime.verify.VerificationReport`."""
-        from repro.runtime.verify import _verify_plan
+        from repro.runtime.verify import verify_plan
 
         with self._scope():
-            return _verify_plan(self.plan(), scalars=self.scalars,
-                                backend=backend, options=self.options,
-                                **kwargs)
+            return verify_plan(self.plan(), scalars=self.scalars,
+                               backend=backend, options=self.options,
+                               **kwargs)
 
     def audit(self, plan: Optional[PartitionPlan] = None, **kwargs):
         """Certify communication-freedom; returns an

@@ -402,7 +402,7 @@ def cmd_chaos(args, out) -> int:
     from repro.obs.audit import audit_plan, inject_violation
     from repro.runtime.arrays import make_arrays
     from repro.runtime.merge import merge_copies
-    from repro.runtime.parallel import _run_parallel
+    from repro.runtime.parallel import run_parallel
     from repro.runtime.scheduler import (FaultPlan, SchedulerError,
                                          render_timeline)
 
@@ -434,9 +434,9 @@ def cmd_chaos(args, out) -> int:
     # -- the runs: undisturbed interp golden, then chaos ------------------
     initial = make_arrays(plan.model)
     try:
-        golden = _run_parallel(plan, initial=initial, backend="interp")
-        res = _run_parallel(plan, initial=initial, backend="multiprocess",
-                            chaos=fp)
+        golden = run_parallel(plan, initial=initial, backend="interp")
+        res = run_parallel(plan, initial=initial, backend="multiprocess",
+                           chaos=fp)
     except SchedulerError as exc:
         return _finish(False, f"chaos non-recovery: {exc}")
     except RemoteAccessError as exc:
@@ -840,7 +840,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                            use_registry, use_tracer, write_event_log,
                            write_metrics)
     from repro.obs.export import chrome_trace
-    from repro.obs.hooks import TracingHooks
     from repro.obs.profile import SamplingProfiler
     from repro.pipeline.instrument import Instrumentation, use_metrics
 
@@ -849,8 +848,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     instr = Instrumentation()
     registry = MetricsRegistry()
     tracer = Tracer(enabled=bool(trace_path or events_path))
-    if tracer.enabled:
-        instr.add_hooks(TracingHooks(tracer))
     profiler = SamplingProfiler() if profile_path else None
     with use_metrics(instr), use_registry(registry), use_tracer(tracer):
         if profiler is not None:

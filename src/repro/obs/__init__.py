@@ -13,8 +13,6 @@ simulate (machine distribution/compute phases):
   ``MachineStats`` counter systems behind one API;
 - :mod:`~repro.obs.export`: Chrome trace-event JSON (Perfetto-viewable),
   Prometheus-style text, JSON metrics dumps and a JSON-lines event log;
-- :mod:`~repro.obs.hooks`: the ``PipelineHooks`` adapter mirroring pass
-  boundaries and diagnostics into the tracer;
 - :mod:`~repro.obs.schema`: the in-tree Chrome-trace schema check
   (``python -m repro.obs.schema trace.json``), used by CI;
 - :mod:`~repro.obs.aggregate`: cross-process re-homing of worker

@@ -421,12 +421,12 @@ def _run_engine_audit(plan: PartitionPlan, backend: Optional[str],
                       scalars: Optional[Mapping[str, float]],
                       report: AuditReport) -> EngineAuditRun:
     from repro.runtime.engine.base import resolve_engine
-    from repro.runtime.parallel import _run_parallel
+    from repro.runtime.parallel import run_parallel
 
     engine = resolve_engine(backend)
     requested = backend or "default"
     try:
-        res = _run_parallel(plan, scalars=scalars, backend=engine.name)
+        res = run_parallel(plan, scalars=scalars, backend=engine.name)
     except RemoteAccessError as exc:
         return EngineAuditRun(
             backend=requested, resolved=engine.name, completed=False,

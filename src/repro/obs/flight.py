@@ -24,8 +24,6 @@ dump site attaches (the scheduler attaches its lease timeline).
 events, the lease timeline, the final metric deltas -- so a post-mortem
 needs no re-run and no foresight.
 
-Knobs: ``REPRO_FLIGHT=0`` disables recording entirely,
-``REPRO_FLIGHT_CAPACITY`` resizes the ring (default 4096), and
 ``REPRO_BLACKBOX_DIR`` redirects dumps (default: the working
 directory).
 """
@@ -39,12 +37,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Optional
 
-#: Disable knob: ``REPRO_FLIGHT=0`` turns recording off.
-FLIGHT_ENV_VAR = "REPRO_FLIGHT"
-#: Ring capacity override (entries).
-CAPACITY_ENV_VAR = "REPRO_FLIGHT_CAPACITY"
-#: Directory for blackbox dumps (default: cwd).
-BLACKBOX_DIR_ENV_VAR = "REPRO_BLACKBOX_DIR"
+from repro import config
 
 DEFAULT_CAPACITY = 4096
 #: Dump filename prefix; ``repro blackbox`` globs on this.
@@ -83,19 +76,6 @@ class _FlightSpan:
         return False
 
 
-class _NullFlightSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullFlightSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_FLIGHT_SPAN = _NullFlightSpan()
-
-
 class FlightRecorder:
     """A bounded ring of coarse occurrences, dumpable on failure.
 
@@ -106,14 +86,7 @@ class FlightRecorder:
     tracer), so entry times read as run-relative offsets.
     """
 
-    def __init__(self, capacity: Optional[int] = None,
-                 enabled: Optional[bool] = None) -> None:
-        if capacity is None:
-            capacity = int(os.environ.get(CAPACITY_ENV_VAR,
-                                          DEFAULT_CAPACITY))
-        if enabled is None:
-            enabled = os.environ.get(FLIGHT_ENV_VAR, "1") != "0"
-        self.enabled = enabled
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = max(16, capacity)
         self._ring: deque = deque(maxlen=self.capacity)
         self._epoch_ns = time.perf_counter_ns()
@@ -123,15 +96,11 @@ class FlightRecorder:
     # -- recording --------------------------------------------------------
     def record(self, kind: str, name: str, **payload: Any) -> None:
         """Append one occurrence; near-free, never raises."""
-        if not self.enabled:
-            return
         self._ring.append((time.perf_counter_ns() - self._epoch_ns,
                            kind, name, payload or None))
 
     def span(self, name: str, **payload: Any):
         """A coarse timed region (use at pass/engine/run granularity)."""
-        if not self.enabled:
-            return _NULL_FLIGHT_SPAN
         return _FlightSpan(self, name, payload or None)
 
     def error(self, name: str, exc: BaseException, **payload: Any) -> None:
@@ -172,13 +141,11 @@ class FlightRecorder:
 
     def dump(self, reason: str, path: Optional[str] = None,
              extra: Optional[dict] = None, registry=None) -> Optional[str]:
-        """Write the blackbox; returns the path (None when disabled).
+        """Write the blackbox; returns the path (None if the write failed).
 
         Never raises: a post-mortem writer that throws would mask the
         failure it is documenting.
         """
-        if not self.enabled:
-            return None
         try:
             if path is None:
                 stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
@@ -198,7 +165,7 @@ class FlightRecorder:
 
 def blackbox_dir() -> str:
     """Where dumps land (``REPRO_BLACKBOX_DIR`` or the cwd)."""
-    return os.environ.get(BLACKBOX_DIR_ENV_VAR) or os.getcwd()
+    return config.get("REPRO_BLACKBOX_DIR") or os.getcwd()
 
 
 #: The process-wide recorder every instrumented site feeds.
@@ -214,7 +181,7 @@ def dump_blackbox(reason: str, extra: Optional[dict] = None) -> Optional[str]:
     """Dump the process recorder; announce the path on stderr.
 
     The one-liner failure paths call (scheduler, chaos certifier, CLI
-    driver).  Returns the path, or ``None`` when recording is off.
+    driver).  Returns the path, or ``None`` when the write failed.
     """
     import sys
 

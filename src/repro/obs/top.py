@@ -34,8 +34,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-#: Path of the live snapshot file; unset = no snapshots are written.
-SNAPSHOT_ENV_VAR = "REPRO_TOP_SNAPSHOT"
+from repro import config
+
 #: Seconds between snapshot writes (writer side).
 DEFAULT_INTERVAL_S = 0.5
 #: A snapshot older than this renders as stale (reader side).
@@ -82,7 +82,7 @@ class SnapshotWriter:
 
 def snapshot_path() -> Optional[str]:
     """The configured snapshot path, or None (snapshots off)."""
-    return os.environ.get(SNAPSHOT_ENV_VAR) or None
+    return config.get("REPRO_TOP_SNAPSHOT")
 
 
 _writer: Optional[SnapshotWriter] = None
@@ -296,7 +296,7 @@ def run_top(path: Optional[str] = None, interval_s: float = 1.0,
         pass
     if not seen:
         print(f"repro top: no snapshot at {path} (set "
-              f"{SNAPSHOT_ENV_VAR} on the run you want to watch)",
+              "REPRO_TOP_SNAPSHOT on the run you want to watch)",
               file=sys.stderr)
         return 1
     return 0

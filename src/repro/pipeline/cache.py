@@ -11,13 +11,13 @@ vs. options change vs. eviction) as ``cache.miss.<reason>`` counters.
 
 The disk store (one pickle per key under a directory, enabled via the
 ``REPRO_PLAN_CACHE_DIR`` environment variable or
-:func:`configure_plan_cache`) follows the clcache model: content hash
+``PlanCache(directory=...)``) follows the clcache model: content hash
 in, artifact out, corrupt, unreadable or stale-layout
 (:data:`PLAN_FORMAT`) entries treated as misses and removed.  It
 runs on the shared :class:`repro.pipeline.diskstore.DiskStore`
 skeleton -- flock'd sidecar lock, ``manifest.json`` with a logical
 access clock, tmp + ``os.replace`` writes, byte-cap LRU eviction
-(``REPRO_PLAN_CACHE_MB``, default 64) -- so concurrent daemon workers
+(:data:`DISK_CAP_MB`) -- so concurrent daemon workers
 sharing one plan directory cannot corrupt it.  A current-layout
 ``*.plan`` file with no manifest entry (manifest lost or torn) is
 adopted in place: it still hits and gains an entry.
@@ -26,11 +26,11 @@ adopted in place: it still hits and gains an entry.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 from collections import OrderedDict
 from typing import Any, Optional
 
+from repro import config
 from repro.lang.fingerprint import plan_cache_key
 from repro.obs.metrics import current_registry
 from repro.obs.trace import current_tracer
@@ -48,8 +48,7 @@ EVICT_COUNTER = "cache.evict"
 PLAN_FORMAT = 2
 
 #: Byte cap for the on-disk plan store, in MiB.
-DISK_MB_ENV_VAR = "REPRO_PLAN_CACHE_MB"
-DEFAULT_DISK_CAP_MB = 64
+DISK_CAP_MB = 64
 
 
 def cache_root():
@@ -62,7 +61,7 @@ def cache_root():
     """
     from pathlib import Path
 
-    env = os.environ.get("XDG_CACHE_HOME")
+    env = config.get("XDG_CACHE_HOME")
     base = Path(env) if env else Path.home() / ".cache"
     return base / "repro"
 
@@ -209,10 +208,9 @@ class PlanCache:
         store = self._disk
         if store is None or str(store.root) != str(self.directory):
             try:
-                cap = int(float(os.environ.get(
-                    DISK_MB_ENV_VAR, DEFAULT_DISK_CAP_MB)) * 1024 * 1024)
-                store = self._disk = DiskStore(self.directory, cap_bytes=cap)
-            except (OSError, ValueError):
+                store = self._disk = DiskStore(
+                    self.directory, cap_bytes=DISK_CAP_MB * 1024 * 1024)
+            except OSError:
                 return None  # unwritable directory: memory cache only
         return store
 
@@ -288,18 +286,4 @@ class PlanCache:
 
 
 #: Process-wide default used by ``build_plan`` and the CLI.
-PLAN_CACHE = PlanCache(
-    maxsize=int(os.environ.get("REPRO_PLAN_CACHE_SIZE", "256")),
-    directory=os.environ.get("REPRO_PLAN_CACHE_DIR") or None,
-)
-
-
-def configure_plan_cache(maxsize: Optional[int] = None,
-                         directory: Optional[str] = None) -> PlanCache:
-    """Reconfigure the global cache (drops current entries)."""
-    global PLAN_CACHE
-    PLAN_CACHE = PlanCache(
-        maxsize=maxsize if maxsize is not None else PLAN_CACHE.maxsize,
-        directory=directory,
-    )
-    return PLAN_CACHE
+PLAN_CACHE = PlanCache(directory=config.get("REPRO_PLAN_CACHE_DIR"))

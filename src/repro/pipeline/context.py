@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.core.strategy import Strategy
+from repro.obs.trace import current_tracer
 from repro.pipeline.diagnostics import DiagnosticBag
 from repro.pipeline.instrument import Instrumentation, current_metrics
 
@@ -158,7 +159,10 @@ class PipelineContext:
     def diagnose(self, severity, code: str, message: str,
                  loc: Optional[str] = None) -> None:
         diag = self.diagnostics.emit(severity, code, message, loc)
-        self.instrumentation.fire_diagnostic(diag)
+        current_tracer().event(
+            f"diagnostic:{diag.code}", category="pipeline",
+            severity=diag.severity.label, message=diag.message,
+            **({"loc": diag.loc} if diag.loc else {}))
 
     # -- typed accessors for the standard artifact chain ------------------
     @property

@@ -109,4 +109,3 @@ PARTIAL_DUPLICATION = "partial-duplication"
 NO_REDUNDANCY = "no-redundancy"
 REDUNDANCY_FOUND = "redundancy-found"
 NONUNIFORM_REFERENCES = "nonuniform-references"
-HOOK_ERROR = "hook-error"

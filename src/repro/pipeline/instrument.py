@@ -5,12 +5,6 @@ The pass manager reports every pass execution here via
 via :meth:`Instrumentation.count`.  ``--timings`` on any CLI subcommand
 prints :meth:`Instrumentation.timing_table`.
 
-Hooks (:class:`PipelineHooks`) let callers observe pass boundaries and
-diagnostics as they happen -- the protocol a build system or IDE
-integration would attach to.  A hook that raises never aborts the
-build: the error is isolated, counted under the ``hooks.errors``
-counter, and surfaced as a warning diagnostic on the context.
-
 Everything recorded here is also published to the unified metrics
 registry (:mod:`repro.obs.metrics`): pass timings as
 ``pipeline.pass.seconds.<name>`` histograms, counters under their own
@@ -21,31 +15,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 from repro.ctxstack import ScopeStack
 from repro.obs.metrics import current_registry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.pipeline.context import PipelineContext
-    from repro.pipeline.diagnostics import Diagnostic
-
-#: Counter charged once per isolated (swallowed) hook exception.
-HOOK_ERROR_COUNTER = "hooks.errors"
-
-
-class PipelineHooks:
-    """Event-hook protocol; subclass and override what you need."""
-
-    def on_pass_start(self, name: str, ctx: "PipelineContext") -> None:
-        pass
-
-    def on_pass_end(self, name: str, ctx: "PipelineContext",
-                    seconds: float) -> None:
-        pass
-
-    def on_diagnostic(self, diag: "Diagnostic") -> None:
-        pass
 
 
 @dataclass
@@ -61,14 +33,11 @@ class PassStats:
 
 
 class Instrumentation:
-    """Accumulates pass timings and named counters; fans out to hooks."""
+    """Accumulates pass timings and named counters."""
 
     def __init__(self) -> None:
         self.passes: dict[str, PassStats] = {}
         self.counters: dict[str, int] = {}
-        self.hooks: list[PipelineHooks] = []
-        #: isolated hook failures, newest last: (hook class, method, error)
-        self.hook_errors: list[tuple[str, str, str]] = []
 
     # -- recording --------------------------------------------------------
     def record(self, name: str, seconds: float) -> None:
@@ -91,50 +60,6 @@ class Instrumentation:
     def reset(self) -> None:
         self.passes.clear()
         self.counters.clear()
-        self.hook_errors.clear()
-
-    # -- hook fan-out -----------------------------------------------------
-    def add_hooks(self, hooks: PipelineHooks) -> None:
-        self.hooks.append(hooks)
-
-    def _isolate(self, hook: PipelineHooks, method: str, exc: Exception,
-                 ctx: Optional["PipelineContext"]) -> None:
-        """Record a hook failure without letting it abort the build."""
-        self.count(HOOK_ERROR_COUNTER)
-        name = type(hook).__name__
-        self.hook_errors.append((name, method, f"{type(exc).__name__}: {exc}"))
-        if ctx is not None:
-            # append directly (not via ctx.diagnose) so a broken
-            # on_diagnostic hook cannot recurse through the fan-out
-            from repro.pipeline import diagnostics as diag
-
-            ctx.diagnostics.emit(
-                diag.Severity.WARNING, diag.HOOK_ERROR,
-                f"pipeline hook {name}.{method} raised "
-                f"{type(exc).__name__}: {exc}; hook isolated, build "
-                "continues", loc=method)
-
-    def fire_pass_start(self, name: str, ctx: "PipelineContext") -> None:
-        for h in self.hooks:
-            try:
-                h.on_pass_start(name, ctx)
-            except Exception as exc:
-                self._isolate(h, "on_pass_start", exc, ctx)
-
-    def fire_pass_end(self, name: str, ctx: "PipelineContext",
-                      seconds: float) -> None:
-        for h in self.hooks:
-            try:
-                h.on_pass_end(name, ctx, seconds)
-            except Exception as exc:
-                self._isolate(h, "on_pass_end", exc, ctx)
-
-    def fire_diagnostic(self, diag: "Diagnostic") -> None:
-        for h in self.hooks:
-            try:
-                h.on_diagnostic(diag)
-            except Exception as exc:
-                self._isolate(h, "on_diagnostic", exc, None)
 
     # -- reporting --------------------------------------------------------
     def total_seconds(self) -> float:

@@ -13,8 +13,9 @@ The paper's flow (Secs. II-IV) runs as six standard passes over a
 plus an optional ``verify`` pass (parallel == sequential).  Each pass
 declares its input/output artifacts; the manager validates ordering,
 supports running a prefix (``upto="partition"``), skips passes whose
-outputs were injected (e.g. a shared ``model``), and times every
-execution through the instrumentation layer.
+outputs were injected (e.g. a shared ``model``), times every execution
+through the instrumentation layer and opens one ``pass:<name>`` tracer
+span around it.
 
 :func:`run_pipeline` is the shared entry point behind ``build_plan``,
 the CLI, ``report.py``, ``selftest.py``, the strategy selector and the
@@ -39,6 +40,7 @@ from repro.core.strategy import partitioning_space
 from repro.lang.ast import LoopNest
 from repro.mapping.cyclic import assign_blocks
 from repro.mapping.grid import shape_grid
+from repro.obs.trace import current_tracer
 from repro.pipeline import diagnostics as diag
 from repro.pipeline.cache import PLAN_CACHE, PlanCache
 from repro.pipeline.context import PipelineConfig, PipelineContext
@@ -168,6 +170,9 @@ class PassManager:
         """Run the (validated) schedule, skipping already-satisfied passes."""
         self.validate()
         instr = ctx.instrumentation
+        tracer = current_tracer()
+        span_attrs = {"config": ctx.config.describe(),
+                      "nest": ctx.nest.name or "<anon>"}
         for p in self._schedule(upto):
             if p.outputs and all(ctx.has(a) for a in p.outputs):
                 continue  # injected or cache-restored artifacts
@@ -176,11 +181,12 @@ class PassManager:
             if missing:
                 raise PipelineError(
                     f"pass {p.name!r} is missing inputs {missing}")
-            instr.fire_pass_start(p.name, ctx)
-            with Timer() as t:
-                p.run(ctx)
+            with tracer.span(f"pass:{p.name}", category="pipeline",
+                             **span_attrs) as sp:
+                with Timer() as t:
+                    p.run(ctx)
+                sp.set(artifacts=sorted(ctx.artifacts))
             instr.record(p.name, t.seconds)
-            instr.fire_pass_end(p.name, ctx, t.seconds)
             produced = [a for a in p.outputs if not ctx.has(a)]
             if produced:
                 raise PipelineError(
@@ -294,12 +300,12 @@ def _pass_map(ctx: PipelineContext) -> None:
 
 
 def _pass_verify(ctx: PipelineContext) -> None:
-    from repro.runtime.verify import _verify_plan
+    from repro.runtime.verify import verify_plan
 
     plan = ctx.require("plan")
     scalars = ctx.config.scalars_dict()
-    report = _verify_plan(plan, scalars=scalars or None,
-                          backend=ctx.config.backend)
+    report = verify_plan(plan, scalars=scalars or None,
+                         backend=ctx.config.backend)
     ctx.instrumentation.count(f"engine:{report.backend}")
     for name in report.cross_checked:
         if name != report.backend:

@@ -29,7 +29,7 @@ from repro.program.realloc import ReallocationReport, reallocation_between
 from repro.mapping.grid import shape_grid
 from repro.runtime.arrays import DataSpace, array_footprints, default_init
 from repro.runtime.merge import merge_copies
-from repro.runtime.parallel import _run_parallel
+from repro.runtime.parallel import run_parallel
 from repro.runtime.seq import run_sequential
 from repro.transform.loopnest import transform_nest
 
@@ -186,8 +186,8 @@ def run_program_parallel(pplan: ProgramPlan,
         # on the current global state
         model = ph.plan.model
         phase_initial = {name: state[name] for name in model.arrays}
-        result = _run_parallel(ph.plan, initial=phase_initial,
-                               scalars=scalars, block_to_pid=ph.mapping)
+        result = run_parallel(ph.plan, initial=phase_initial,
+                              scalars=scalars, block_to_pid=ph.mapping)
         merged = merge_copies(result, phase_initial)
         for name, ds in merged.items():
             state[name] = ds

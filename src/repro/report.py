@@ -31,7 +31,7 @@ from repro.lang.printer import to_source
 from repro.machine.cost import CostModel, TRANSPUTER
 from repro.perf.selector import SelectionResult, choose_strategy
 from repro.pipeline import PipelineConfig, run_pipeline
-from repro.runtime.verify import VerificationReport, _verify_plan
+from repro.runtime.verify import VerificationReport, verify_plan
 from repro.transform import to_pseudocode, to_spmd_pseudocode
 from repro.viz.dot import to_dot
 
@@ -202,7 +202,7 @@ def compile_report(
     # -- verification -------------------------------------------------------
     verification: Optional[VerificationReport] = None
     if verify:
-        verification = _verify_plan(plan, scalars=scalars, backend=backend)
+        verification = verify_plan(plan, scalars=scalars, backend=backend)
         body = (
             f"blocks: {verification.num_blocks}\n"
             f"remote accesses: {verification.remote_accesses}\n"

@@ -13,15 +13,16 @@
   (the duplicate-data strategy's output-dependence semantics);
 - :mod:`~repro.runtime.verify`: one-call end-to-end verification;
 - :mod:`~repro.runtime.engine`: the pluggable execution-engine layer
-  (interpreter / compiled kernels / vectorized / multiprocess), all
-  bit-identical, selected with ``backend=`` on the entry points;
+  (interpreter / compiled kernels / codegen / vectorized /
+  multiprocess / auto), all bit-identical, selected with ``backend=``
+  on the entry points;
 - :mod:`~repro.runtime.scheduler`: the dynamic, fault-tolerant block
   scheduler behind the multiprocess engine (leases, retries, chaos
-  injection via :class:`FaultPlan` / ``$REPRO_CHAOS``);
+  injection via :class:`FaultPlan`);
 - :mod:`~repro.runtime.blockstore`: the zero-copy shared-memory block
   store multiprocess leases execute against (by-descriptor payloads,
-  seed/publish idempotence; ``REPRO_NO_SHM=1`` forces the legacy
-  by-value copy-through path);
+  seed/publish idempotence; ``REPRO_NO_SHM=1`` forces the by-value
+  copy-through path);
 - :mod:`~repro.runtime.pool`: :class:`WorkerPool`, the reusable worker
   pool -- ephemeral per run by default, persistent across runs when a
   :class:`~repro.api.Session` (or :func:`use_pool`) scopes one.

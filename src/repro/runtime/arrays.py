@@ -89,34 +89,6 @@ class DataSpace:
         out.data = self.data.copy()
         return out
 
-    def linear_index(self, coords):
-        """Flat (row-major) backing-grid offsets of ``coords``.
-
-        ``coords`` is an ``(n, rank)`` integer ndarray of *array*
-        coordinates; the origin offsets (``lo``) are subtracted per
-        dimension, exactly as :meth:`_pos` does element-wise, so views
-        taken through these offsets line up with block-boundary
-        elements of arrays whose subscript ranges do not start at zero.
-        Out-of-bounds coordinates raise ``IndexError``.  Requires the
-        numpy backing (the vectorized merge path is the only caller).
-        """
-        np = npc.np
-        if np is None:
-            raise RuntimeError("linear_index requires the numpy backing")
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.ndim != 2 or coords.shape[1] != self.rank:
-            raise IndexError(f"{self.name}: expected (n, {self.rank}) "
-                             f"coords, got {coords.shape}")
-        pos = coords - np.array(self.lo, dtype=np.int64)
-        shape = np.array(self.data.shape, dtype=np.int64)
-        if ((pos < 0) | (pos >= shape)).any():
-            raise IndexError(f"{self.name}: coordinates outside "
-                             f"[{self.lo}..{self.hi}]")
-        strides = np.ones(self.rank, dtype=np.int64)
-        for k in range(self.rank - 2, -1, -1):
-            strides[k] = strides[k + 1] * shape[k + 1]
-        return pos @ strides
-
     def allclose(self, other: "DataSpace", **kw) -> bool:
         return (self.lo == other.lo and self.hi == other.hi
                 and npc.allclose(self.data, other.data, **kw))

@@ -31,7 +31,7 @@ from repro._lazy import lazy_surface
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "layout": ("StoreLayout", "layout_for"),
     "store": (
-        "NO_SHM_ENV_VAR", "SharedBlockStore", "StoreDescriptor",
-        "release_plan_segment", "shm_available",
+        "SharedBlockStore", "StoreDescriptor", "release_plan_segment",
+        "shm_available",
     ),
 })

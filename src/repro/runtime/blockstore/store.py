@@ -34,8 +34,8 @@ pickle into a one-time cost.
 
 Lifecycle: the engine creates the store, the scheduler leases block
 indices against its descriptor, :meth:`SharedBlockStore.collect`
-reconstructs write stamps / memory values / merge views from the stamp
-grid, and the engine unlinks the run segments in a ``finally`` -- on
+reconstructs write stamps / memory values from the stamp grid, and the
+engine unlinks the run segments in a ``finally`` -- on
 success, degradation *and* abort alike.  Workers attach by name and
 deregister from the resource tracker (attaching registers the segment
 for unlink-at-exit on Python < 3.13, which would tear the store down
@@ -53,11 +53,9 @@ import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro import config
 from repro.runtime import numpy_compat as npc
 from repro.runtime.blockstore.layout import layout_for
-
-#: Set to force the by-value lease path even when shared memory works.
-NO_SHM_ENV_VAR = "REPRO_NO_SHM"
 
 #: Prefix of every segment this process creates -- the chaos smoke test
 #: greps ``/dev/shm`` for it to assert leak-free unlinking.
@@ -74,7 +72,7 @@ def shm_available() -> bool:
     ``multiprocessing.shared_memory`` module, and honors
     ``REPRO_NO_SHM=1``.  Re-checked per run so tests can flip either.
     """
-    if os.environ.get(NO_SHM_ENV_VAR):
+    if config.get("REPRO_NO_SHM"):
         return False
     if npc.np is None:
         return False
@@ -279,54 +277,33 @@ class SharedBlockStore:
 
         Rebuilds ``result.write_stamps`` and scatters written values
         back into the per-block ``LocalMemory`` dicts (bit-identical to
-        the by-value path: a slot is written iff its stamp is >= 0),
-        and stashes per-array merge views (coords / stamps / values
-        copies) on the result so :func:`repro.runtime.merge.merge_copies`
-        can merge vectorized, without reconstructing arrays.
+        the by-value path: a slot is written iff its stamp is >= 0).
         """
         from repro.obs.flight import flight
         from repro.obs.trace import current_tracer
 
         np = npc.np
         write_stamps = result.write_stamps
-        merge_data: dict[str, tuple] = {}
         with flight().span("blockstore.collect",
                            words=self.layout.total_words), \
                 current_tracer().span("blockstore.collect", category="engine",
                                       words=self.layout.total_words) as sp:
             written_slots = 0
-            for name in self.layout.arrays:
-                if name not in self.layout.written:
+            for (name, bindex), (off, cnt) in self.layout.regions.items():
+                if name not in self.layout.written or not cnt:
                     continue
-                coords_acc: list = []
-                stamps_acc: list = []
-                values_acc: list = []
-                for (aname, bindex), (off, cnt) in self.layout.regions.items():
-                    if aname != name or not cnt:
-                        continue
-                    region_stamps = self.stamps[off:off + cnt]
-                    hits = np.nonzero(region_stamps >= 0)[0]
-                    if not len(hits):
-                        continue
-                    order = self.layout.order[(name, bindex)]
-                    mem_vals = memories[bindex].values[name]
-                    for i in hits.tolist():
-                        c = order[i]
-                        v = float(self.values[off + i])
-                        mem_vals[c] = v
-                        write_stamps[(bindex, name, c)] = \
-                            int(region_stamps[i])
-                        coords_acc.append(c)
-                        stamps_acc.append(int(region_stamps[i]))
-                        values_acc.append(v)
-                if coords_acc:
-                    written_slots += len(coords_acc)
-                    merge_data[name] = (
-                        np.array(coords_acc, dtype=np.int64),
-                        np.array(stamps_acc, dtype=np.int64),
-                        np.array(values_acc, dtype=np.float64))
+                region_stamps = self.stamps[off:off + cnt]
+                hits = np.nonzero(region_stamps >= 0)[0]
+                if not len(hits):
+                    continue
+                order = self.layout.order[(name, bindex)]
+                mem_vals = memories[bindex].values[name]
+                for i in hits.tolist():
+                    c = order[i]
+                    mem_vals[c] = float(self.values[off + i])
+                    write_stamps[(bindex, name, c)] = int(region_stamps[i])
+                written_slots += len(hits)
             sp.set(written=written_slots)
-        result.merge_data = merge_data
 
     def close(self, unlink: bool = True) -> None:
         """Release the run segments (idempotent).  The plan segment is

@@ -39,8 +39,7 @@ class AutoEngine(Engine):
         # tier's own chain (compiled -> interp) already picks well
         self.delegate().run_nest(nest, arrays, scalars, space)
 
-    def run_blocks(self, plan, memories, result, initial, scalars,
-                   strict: bool = True) -> None:
+    def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.metrics import current_registry
         from repro.obs.trace import current_tracer
 
@@ -52,5 +51,4 @@ class AutoEngine(Engine):
         current_tracer().event("engine.auto.choice", category="engine",
                                chosen=engine.name, reason=reason)
         result.backend = engine.name
-        engine.run_blocks(plan, memories, result, initial, scalars,
-                          strict=strict)
+        engine.run_blocks(plan, memories, result, initial, scalars)

@@ -12,7 +12,7 @@ An engine implements two operations:
   stamps (the ``run_parallel`` entry point).
 
 Backends are declared in one static table (canonical name, defining
-module, aliases); :func:`get_engine` imports exactly the tier it
+module, class); :func:`get_engine` imports exactly the tier it
 resolves.  :func:`resolve_engine` walks the declared ``fallback`` chain
 until it finds an available tier, so ``backend="vectorized"`` on a
 numpy-free interpreter silently degrades to ``compiled`` (and
@@ -21,7 +21,6 @@ ultimately ``interp``) instead of failing.
 
 from __future__ import annotations
 
-import os
 from importlib import import_module
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -33,11 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.arrays import DataSpace
     from repro.runtime.parallel import ParallelResult
 
-#: Default backend when neither the caller nor ``REPRO_BACKEND`` chooses.
+#: Default backend when the caller does not choose.
 DEFAULT_BACKEND = "interp"
-
-#: Environment variable consulted by :func:`resolve_engine`.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 class BackendUnavailable(RuntimeError):
@@ -67,8 +63,7 @@ class Engine:
                    memories: dict[int, "LocalMemory"],
                    result: "ParallelResult",
                    initial: dict[str, "DataSpace"],
-                   scalars: Mapping[str, float],
-                   strict: bool = True) -> None:
+                   scalars: Mapping[str, float]) -> None:
         raise NotImplementedError
 
     # -- chaining ---------------------------------------------------------
@@ -77,27 +72,22 @@ class Engine:
         return get_engine(self.fallback or DEFAULT_BACKEND)
 
 
-#: canonical name -> (defining module, class, aliases).  The listing order
-#: is what :func:`available_backends` callers print (``--backend all``,
-#: the audit dashboard), so it is part of the output contract.
-_BACKENDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
-    "auto": ("auto", "AutoEngine", ()),
-    "compiled": ("compiled", "CompiledEngine", ("kernel", "kernels", "jit")),
-    "codegen": ("codegen.engine", "CodegenEngine", ("cg", "specialized")),
-    "interp": ("interp", "InterpreterEngine",
-               ("interpreter", "seq", "golden")),
-    "multiprocess": ("multiproc", "MultiprocessEngine",
-                     ("mp", "processes", "pool")),
-    "vectorized": ("vectorized", "VectorizedEngine",
-                   ("numpy", "vector", "simd")),
+#: canonical name -> (defining module, class).  The listing order is what
+#: :func:`available_backends` callers print (``--backend all``, the audit
+#: dashboard), so it is part of the output contract.
+_BACKENDS: dict[str, tuple[str, str]] = {
+    "auto": ("auto", "AutoEngine"),
+    "compiled": ("compiled", "CompiledEngine"),
+    "codegen": ("codegen.engine", "CodegenEngine"),
+    "interp": ("interp", "InterpreterEngine"),
+    "multiprocess": ("multiproc", "MultiprocessEngine"),
+    "vectorized": ("vectorized", "VectorizedEngine"),
 }
-_ALIASES = {alias: name for name, (_, _, aliases) in _BACKENDS.items()
-            for alias in aliases}
 
 
 def _engine_class(canon: str) -> type:
     """Import the one tier module ``canon`` names; -> its engine class."""
-    module, cls, _ = _BACKENDS[canon]
+    module, cls = _BACKENDS[canon]
     return getattr(import_module(f"repro.runtime.engine.{module}"), cls)
 
 
@@ -114,9 +104,8 @@ def available_backends() -> list[str]:
 
 
 def get_engine(name: str) -> Engine:
-    """A fresh engine instance for ``name`` (alias-resolved, no fallback)."""
+    """A fresh engine instance for ``name`` (no fallback)."""
     canon = name.strip().lower()
-    canon = _ALIASES.get(canon, canon)
     if canon not in _BACKENDS:
         raise BackendUnavailable(
             f"unknown backend {name!r}; known: {', '.join(_BACKENDS)}")
@@ -124,19 +113,17 @@ def get_engine(name: str) -> Engine:
 
 
 def resolve_engine(name: Optional[str] = None) -> Engine:
-    """The engine for ``name`` (or ``$REPRO_BACKEND``, or the default),
+    """The engine for ``name`` (default :data:`DEFAULT_BACKEND`),
     degraded along the fallback chain until an available tier is found.
 
-    Precedence: an explicit ``name`` wins over ``$REPRO_BACKEND``, which
-    wins over :data:`DEFAULT_BACKEND`.  Every resolution is traced as an
-    ``engine.resolve`` span (requested vs. resolved backend, fallback
-    hops) and counted as ``engine.resolved.<name>`` in the metrics
-    registry.
+    Every resolution is traced as an ``engine.resolve`` span (requested
+    vs. resolved backend, fallback hops) and counted as
+    ``engine.resolved.<name>`` in the metrics registry.
     """
     from repro.obs.metrics import current_registry
     from repro.obs.trace import current_tracer
 
-    requested = name or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
+    requested = name or DEFAULT_BACKEND
     with current_tracer().span("engine.resolve", category="engine",
                                requested=requested) as sp:
         engine = get_engine(requested)

@@ -1,7 +1,7 @@
 """Per-plan codegen engine tier with a persistent on-disk kernel cache.
 
-The ``codegen`` backend (aliases ``cg``, ``specialized``; declared in
-:mod:`repro.runtime.engine.base`).  Submodules:
+The ``codegen`` backend (declared in :mod:`repro.runtime.engine.base`).
+Submodules:
 
 - :mod:`.geometry` -- what can be specialized (flat grids, rect
   blocks, the communication-audit certificate);

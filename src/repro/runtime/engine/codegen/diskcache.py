@@ -31,25 +31,21 @@ Stats surface through the ambient metrics registry:
 
 Knobs: ``REPRO_CODEGEN_CACHE_DIR`` (directory; default
 ``<cache-root>/codegen`` under :func:`repro.pipeline.cache.cache_root`),
-``REPRO_CODEGEN_CACHE_MB`` (byte cap, default 32),
-``REPRO_CODEGEN_DISK=0`` (disable persistence entirely).
+``REPRO_CODEGEN_DISK=0`` (disable persistence entirely).  The byte cap
+is :data:`CAP_MB`.
 """
 
 from __future__ import annotations
 
 import marshal
-import os
 import sys
 from pathlib import Path
 from typing import Optional
 
+from repro import config
 from repro.pipeline.diskstore import DiskStore
 
-DIR_ENV_VAR = "REPRO_CODEGEN_CACHE_DIR"
-MB_ENV_VAR = "REPRO_CODEGEN_CACHE_MB"
-DISABLE_ENV_VAR = "REPRO_CODEGEN_DISK"
-
-DEFAULT_CAP_MB = 32
+CAP_MB = 32
 
 _SUFFIXES = (".py", ".bin")
 
@@ -129,7 +125,7 @@ class DiskKernelCache:
 
 
 def default_cache_dir() -> Path:
-    env = os.environ.get(DIR_ENV_VAR)
+    env = config.get("REPRO_CODEGEN_CACHE_DIR")
     if env:
         return Path(env)
     from repro.pipeline.cache import cache_root
@@ -143,11 +139,10 @@ def get_disk_cache() -> Optional[DiskKernelCache]:
     Construction failures (read-only filesystem, permission walls)
     disable the cache for the call rather than failing the run.
     """
-    if os.environ.get(DISABLE_ENV_VAR, "").strip() == "0":
+    if not config.get("REPRO_CODEGEN_DISK"):
         return None
     try:
-        cap = int(float(os.environ.get(MB_ENV_VAR, DEFAULT_CAP_MB))
-                  * 1024 * 1024)
-        return DiskKernelCache(default_cache_dir(), cap)
-    except (OSError, ValueError):  # pragma: no cover - hostile filesystems
+        return DiskKernelCache(default_cache_dir(),
+                               CAP_MB * 1024 * 1024)
+    except OSError:  # pragma: no cover - hostile filesystems
         return None

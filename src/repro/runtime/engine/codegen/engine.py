@@ -237,7 +237,7 @@ class CodegenEngine(Engine):
         self.delegate().run_nest(nest, arrays, scalars, space)
 
     def _delegate_blocks(self, reason, plan, memories, result, initial,
-                         scalars, strict) -> None:
+                         scalars) -> None:
         from repro.obs.metrics import current_registry
         from repro.obs.trace import current_tracer
 
@@ -245,22 +245,21 @@ class CodegenEngine(Engine):
         current_tracer().event("engine.codegen.delegated",
                                category="engine", reason=reason)
         self.delegate().run_blocks(plan, memories, result, initial,
-                                   scalars, strict=strict)
+                                   scalars)
 
-    def run_blocks(self, plan, memories, result, initial, scalars,
-                   strict: bool = True) -> None:
+    def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.metrics import current_registry
         from repro.obs.trace import current_tracer
 
-        if not strict or not plan.blocks:
+        if not plan.blocks:
             self.delegate().run_blocks(plan, memories, result, initial,
-                                       scalars, strict=strict)
+                                       scalars)
             return
         try:
             prog = program_for(plan, dict(scalars))
         except CodegenUnsupported as exc:
             self._delegate_blocks(exc.reason, plan, memories, result,
-                                  initial, scalars, strict)
+                                  initial, scalars)
             return
         geo = prog["geo"]
         if not _certified(plan, geo):
@@ -268,7 +267,7 @@ class CodegenEngine(Engine):
             # compiled tier reproduces the interpreter's bookkeeping
             # and its first RemoteAccessError exactly
             self._delegate_blocks("certificate-failed", plan, memories,
-                                  result, initial, scalars, strict)
+                                  result, initial, scalars)
             return
 
         tracer = current_tracer()

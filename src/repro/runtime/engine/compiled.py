@@ -116,7 +116,7 @@ def dict_target(nest: LoopNest) -> KernelTarget:
 
 class CompiledEngine(Engine):
     """Statement-specialized kernels; falls back to interp when a nest
-    cannot be lowered or when ``strict=False`` bookkeeping is requested."""
+    cannot be lowered."""
 
     name = "compiled"
     fallback = "interp"
@@ -131,8 +131,7 @@ class CompiledEngine(Engine):
         grids = {n: arrays[n].data for n in nest.array_names()}
         kernel(space.points(), grids)
 
-    def run_blocks(self, plan, memories, result, initial, scalars,
-                   strict: bool = True) -> None:
+    def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         nest = plan.nest
         space = plan.model.space
         live = plan.live
@@ -140,13 +139,8 @@ class CompiledEngine(Engine):
             kernel = iteration_kernel(nest, scalars, dict_target,
                                       space.rank_strides(), live is not None)
         except KernelCompileError:
-            kernel = None
-        if kernel is None or not strict:
-            # tolerant remote-access bookkeeping needs element-wise
-            # LocalMemory traffic; the interpreter is the only tier that
-            # models it faithfully
             self.delegate().run_blocks(plan, memories, result, initial,
-                                       scalars, strict=strict)
+                                       scalars)
             return
         from repro.obs.trace import current_tracer
 

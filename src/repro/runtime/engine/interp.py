@@ -3,10 +3,10 @@
 This is the original tree-walking executor -- :func:`repro.runtime.seq.eval_expr`
 re-traversing the expression AST for every statement of every iteration.
 It is the slowest tier and the semantic reference: every other backend
-is cross-checked against it bit for bit.  It is also the only tier that
-supports ``strict=False`` (count-but-tolerate remote accesses), because
-its reads and writes go through :class:`~repro.machine.memory.LocalMemory`
-one element at a time.
+is cross-checked against it bit for bit.  It is also the only tier
+``run_parallel(strict=False)`` ever resolves (count-but-tolerate remote
+accesses), because its reads and writes go through
+:class:`~repro.machine.memory.LocalMemory` one element at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ class InterpreterEngine(Engine):
             for stmt in nest.statements:
                 execute_statement(stmt, env, scalars, read, write)
 
-    def run_blocks(self, plan, memories, result, initial, scalars,
-                   strict: bool = True) -> None:
+    def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.trace import current_tracer
         from repro.runtime.seq import eval_expr, subscript_coords
 

@@ -14,10 +14,8 @@ workers in small batches with deadlines, lost or expired leases are
 retried on surviving workers (safely -- block-disjointness is
 re-asserted against the plan's partition metadata first), crashed pools
 are respawned, and an active :class:`~repro.runtime.scheduler.FaultPlan`
-(``REPRO_CHAOS`` / ``use_fault_plan``) injects worker crashes, delays
-and lost results to exercise all of that on demand.  The old static
-one-chunk-per-worker split survives as the degenerate scheduler
-configuration (``REPRO_SCHED=static``).
+(``--chaos`` / ``use_fault_plan``) injects worker crashes, delays
+and lost results to exercise all of that on demand.
 
 Each worker runs the ``compiled`` tier on its unit under its *own*
 scoped tracer and metrics registry; the resulting spans, events and
@@ -44,6 +42,7 @@ from __future__ import annotations
 import os
 import sys
 
+from repro import config
 from repro.runtime.engine.base import Engine
 from repro.runtime.scheduler import (
     BlockScheduler,
@@ -51,16 +50,13 @@ from repro.runtime.scheduler import (
     current_fault_plan,
 )
 
-#: Environment variable overriding the worker count.
-WORKERS_ENV_VAR = "REPRO_MP_WORKERS"
-
 _MAX_WORKERS = 8
 
 
 def worker_count(nblocks: int) -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, min(int(env), nblocks))
+    workers = config.get("REPRO_MP_WORKERS")
+    if workers is not None:
+        return max(1, min(workers, nblocks))
     return max(1, min(os.cpu_count() or 1, _MAX_WORKERS, nblocks))
 
 
@@ -85,8 +81,8 @@ class MultiprocessEngine(Engine):
         # a sequential nest is one dependence chain; nothing to fan out
         self.delegate().run_nest(nest, arrays, scalars, space)
 
-    def _degrade(self, exc, plan, memories, result, initial, scalars,
-                 strict: bool) -> None:
+    def _degrade(self, exc, plan, memories, result, initial,
+                 scalars) -> None:
         """No process pool in this environment: run in-process instead,
         but say so -- a silent fallback reads as a broken speedup."""
         from repro.obs.metrics import current_registry
@@ -102,7 +98,7 @@ class MultiprocessEngine(Engine):
         print(f"repro: multiprocess pool unavailable ({reason}); "
               "degrading to the compiled tier in-process", file=sys.stderr)
         self.delegate().run_blocks(plan, memories, result, initial,
-                                   scalars, strict=strict)
+                                   scalars)
 
     def _make_store(self, plan, memories, scalars):
         """A SharedBlockStore for by-descriptor leases, or None.
@@ -161,15 +157,14 @@ class MultiprocessEngine(Engine):
         except Exception:  # pragma: no cover - codegen is optional here
             return None
 
-    def run_blocks(self, plan, memories, result, initial, scalars,
-                   strict: bool = True) -> None:
+    def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.metrics import current_registry
         from repro.obs.trace import current_tracer
         from repro.runtime.pool import current_pool
 
-        if not strict or not plan.blocks:
+        if not plan.blocks:
             self.delegate().run_blocks(plan, memories, result, initial,
-                                       scalars, strict=strict)
+                                       scalars)
             return
         if len(plan.blocks) == 1:
             # a single block has nothing to fan out: the pool would be
@@ -179,7 +174,7 @@ class MultiprocessEngine(Engine):
             current_tracer().event("engine.multiproc.single_block",
                                    category="engine", blocks=1)
             self.delegate().run_blocks(plan, memories, result, initial,
-                                       scalars, strict=strict)
+                                       scalars)
             return
         nw = worker_count(len(plan.blocks))
         store = self._make_store(plan, memories, dict(scalars))
@@ -192,8 +187,7 @@ class MultiprocessEngine(Engine):
                 RuntimeError, ImportError) as exc:
             # SchedulerError deliberately excluded: exhausting the retry
             # policy under chaos is a hard failure, not a fallback
-            self._degrade(exc, plan, memories, result, initial, scalars,
-                          strict)
+            self._degrade(exc, plan, memories, result, initial, scalars)
         finally:
             if store is not None:
                 store.close(unlink=True)

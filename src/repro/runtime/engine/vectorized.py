@@ -333,14 +333,13 @@ class VectorizedEngine(Engine):
         # tier preserves exact statement order
         self.delegate().run_nest(nest, arrays, scalars, space)
 
-    def run_blocks(self, plan, memories, result, initial, scalars,
-                   strict: bool = True) -> None:
+    def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.trace import current_tracer
 
         np = npc.np
-        if np is None or not strict:
+        if np is None:
             self.delegate().run_blocks(plan, memories, result, initial,
-                                       scalars, strict=strict)
+                                       scalars)
             return
         try:
             # all lanes advance together, so the whole sweep is one span
@@ -355,7 +354,7 @@ class VectorizedEngine(Engine):
                        statements=len(plan.nest.statements))
         except _Unsupported:
             self.delegate().run_blocks(plan, memories, result, initial,
-                                       scalars, strict=strict)
+                                       scalars)
 
     # -- the lock-step machine --------------------------------------------
     def _run_lockstep(self, np, plan, memories, result,

@@ -24,7 +24,7 @@ from repro.obs.trace import current_tracer
 from repro.perf.general import block_to_pid_map, mesh_for
 from repro.runtime.arrays import Coords, DataSpace, make_arrays
 from repro.runtime.merge import merge_copies
-from repro.runtime.parallel import ParallelResult, _run_parallel
+from repro.runtime.parallel import ParallelResult, run_parallel
 from repro.runtime.seq import run_sequential
 from repro.transform.loopnest import transform_nest
 
@@ -153,9 +153,9 @@ def run_on_machine(
 
         with tracer.span("machine.execute", category="machine",
                          blocks=len(plan.blocks)):
-            result = _run_parallel(plan, initial=initial, scalars=scalars,
-                                   block_to_pid=mapping, backend=backend,
-                                   chaos=chaos)
+            result = run_parallel(plan, initial=initial, scalars=scalars,
+                                  block_to_pid=mapping, backend=backend,
+                                  chaos=chaos)
         # charge compute: executed computations per processor, normalized
         # to the paper's "one iteration = one t_comp" unit
         nstmts = len(plan.nest.statements)

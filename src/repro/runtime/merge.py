@@ -8,48 +8,18 @@ computation -- exactly the output-dependence order the paper preserves.
 element, the copy with the greatest write timestamp (initial values
 where nobody wrote).
 
-Two equivalent paths produce bit-identical results:
-
-- the **dict path** walks ``result.write_stamps`` and the per-block
-  memory dicts element by element -- the reference semantics, and the
-  only path available without numpy;
-- the **view path** runs when a shared-memory store run left
-  ``result.merge_data`` behind (per-array coords / stamps / values
-  ndarrays of every written slot): the winners are selected with one
-  stable argsort per array and scattered straight into the merged
-  grid's flat view through
-  :meth:`~repro.runtime.arrays.DataSpace.linear_index` -- no
-  per-element dict reconstruction at all.
-
-Tie-breaking: write stamps are globally unique in any real run (stamp
-= ``rank * nstmts + k`` over a partition of the iteration space), but
-both paths still pin the same *first-writer-wins-on-equal-stamps* rule
--- the dict path keeps the earliest entry (strict ``>`` comparison),
-and the view path sorts equal stamps so the earliest slot is assigned
-last -- so even synthetic duplicate stamps cannot diverge.
+The merge walks ``result.write_stamps`` and the per-block memory dicts
+element by element, whatever engine filled them (the shared-memory
+store rebuilds both in :meth:`SharedBlockStore.collect`).  Write stamps
+are globally unique in any real run (stamp = ``rank * nstmts + k`` over
+a partition of the iteration space); on synthetic equal stamps the
+first entry seen wins (strict ``>`` comparison).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.runtime import numpy_compat as npc
 from repro.runtime.arrays import Coords, DataSpace
 from repro.runtime.parallel import ParallelResult
-
-
-def _merge_views(merge_data: dict, merged: dict[str, DataSpace]) -> None:
-    """Scatter the last writers from store views into the merged grids."""
-    np = npc.np
-    for name, (coords, stamps, values) in merge_data.items():
-        if not len(stamps):
-            continue
-        flat = merged[name].linear_index(coords)
-        # last assignment wins: ascending stamp order, and on (synthetic)
-        # equal stamps descending entry order so the first entry lands last
-        n = len(stamps)
-        order = np.lexsort((np.arange(n, 0, -1), stamps))
-        merged[name].data.reshape(-1)[flat[order]] = values[order]
 
 
 def merge_copies(result: ParallelResult,
@@ -60,10 +30,6 @@ def merge_copies(result: ParallelResult,
     seeded from (unwritten elements keep their initial values).
     """
     merged = {name: ds.copy() for name, ds in initial.items()}
-    merge_data = getattr(result, "merge_data", None)
-    if merge_data is not None and npc.np is not None:
-        _merge_views(merge_data, merged)
-        return merged
     # element -> (stamp, value) of the best writer seen so far
     best: dict[tuple[str, Coords], tuple[int, float]] = {}
     for (block, array, coords), stamp in result.write_stamps.items():

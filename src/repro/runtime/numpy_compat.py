@@ -12,19 +12,19 @@ tests can monkeypatch ``numpy_compat.np = None`` and back.
 
 The shared-memory block store is numpy-only (it is built on flat
 ndarray views over ``multiprocessing.shared_memory`` segments), so on
-the PyGrid fallback the multiprocess engine transparently keeps the
-legacy by-value copy-through lease path -- same results, just with
-pickled payloads instead of descriptors.
+the PyGrid fallback the multiprocess engine ships leases by value --
+same results, just with pickled payloads instead of descriptors.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from repro import config
 
 
 def _load_numpy():
-    if os.environ.get("REPRO_NO_NUMPY"):
+    if config.get("REPRO_NO_NUMPY"):
         return None
     try:
         import numpy

@@ -59,11 +59,6 @@ class ParallelResult:
     # filled by the multiprocess engine's BlockScheduler (lease history,
     # retry/respawn counters); None on in-process backends
     scheduler: Optional[Any] = None
-    # filled by the shared-memory block store: array -> (coords, stamps,
-    # values) ndarray views of every written slot, so merge_copies can
-    # merge vectorized without reconstructing per-element dicts; None
-    # when the run used the by-value path
-    merge_data: Optional[dict] = None
 
     @property
     def remote_accesses(self) -> int:
@@ -171,7 +166,7 @@ def allocate_blocks(plan: PartitionPlan, initial: dict[str, DataSpace],
     return memories
 
 
-def _run_parallel(
+def run_parallel(
     plan: PartitionPlan,
     initial: Optional[dict[str, DataSpace]] = None,
     scalars: Optional[Mapping[str, float]] = None,
@@ -185,9 +180,9 @@ def _run_parallel(
 
     ``block_to_pid`` defaults to the identity (one processor per
     block).  ``initial`` defaults to the standard deterministic init.
-    ``backend`` picks the execution engine (default: the interpreter,
-    or ``$REPRO_BACKEND``); non-strict runs always use the
-    interpreter, the only tier modeling tolerated remote accesses.
+    ``backend`` picks the execution engine (default: the interpreter);
+    non-strict runs always use the interpreter, the only tier modeling
+    tolerated remote accesses.
     ``chaos`` scopes a :class:`~repro.runtime.scheduler.FaultPlan` (or
     spec string) over the run; ``options`` is a
     :class:`repro.api.RunOptions` supplying defaults for both.
@@ -222,8 +217,7 @@ def _run_parallel(
     # -- execution (write stamps record the global sequential order of
     # each computation, rank_of(it) * nstmts + k, for the merge) ----------
     # an explicit chaos plan is scoped over the engine run; chaos=None
-    # leaves any ambient plan (outer use_fault_plan scope, $REPRO_CHAOS)
-    # in force
+    # leaves any ambient plan (an outer use_fault_plan scope) in force
     from repro.obs.flight import flight
 
     chaos_scope = nullcontext() if chaos is None else use_fault_plan(chaos)
@@ -235,28 +229,10 @@ def _run_parallel(
                 backend=engine.name,
                 blocks=len(plan.blocks),
                 statements=len(plan.nest.statements)) as sp:
-            engine.run_blocks(plan, memories, result, initial, scalars,
-                              strict=strict)
+            engine.run_blocks(plan, memories, result, initial, scalars)
             sp.set(executed_iterations=result.executed_iterations,
                    skipped_computations=result.skipped_computations,
                    remote_accesses=result.remote_accesses)
     finally:
         result.publish()
     return result
-
-
-def run_parallel(*args, **kwargs) -> ParallelResult:
-    """Deprecated free-function entry point.
-
-    Thin shim over the real implementation, kept for source
-    compatibility; new code should drive execution through
-    :class:`repro.api.Session` (``Session(nest).run()``), which scopes
-    observability and the persistent worker pool correctly.  See
-    ``docs/API.md`` for the migration map.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_parallel() is deprecated; use repro.api.Session(...).run() "
-        "(see docs/API.md)", DeprecationWarning, stacklevel=2)
-    return _run_parallel(*args, **kwargs)

@@ -1,9 +1,8 @@
 """The dynamic, fault-tolerant block scheduler.
 
-The multiprocess engine used to split the plan's blocks into one static
-contiguous chunk per worker: all-or-nothing, no recovery, and a single
-slow worker stalls the whole run.  This module replaces that split with
-a work-queue dispatcher built on the property the paper proves
+One contiguous chunk of blocks per worker is all-or-nothing: no
+recovery, and a single slow worker stalls the whole run.  This module
+is a work-queue dispatcher built on the property the paper proves
 (Theorems 1-4): iteration blocks of a communication-free partition are
 *independent*, so any lease can be killed, lost, or duplicated and
 simply re-executed -- retries are idempotent by theorem.
@@ -15,8 +14,8 @@ Mechanics:
 - a lease payload is normally just a **descriptor** -- segment names
   into the run's :class:`~repro.runtime.blockstore.SharedBlockStore`
   plus block indices -- so nothing heavy crosses the process boundary;
-  without a store (no numpy, ``REPRO_NO_SHM``) the legacy by-value
-  payload (plan + pickled memories) is shipped instead;
+  without a store (no numpy, ``REPRO_NO_SHM``) the by-value payload
+  (plan + pickled memories) is shipped instead;
 - the process pool comes from a :class:`~repro.runtime.pool.WorkerPool`
   -- the ambient one (a :class:`~repro.api.Session` keeps a persistent,
   warm pool across runs) or an ephemeral one owned by this run;
@@ -38,15 +37,11 @@ Mechanics:
   loud in-process degradation path (``engine.multiproc.degraded``).
 
 Everything is observable: a ``scheduler.run`` span anchors per-worker
-lanes (worker observability is re-homed exactly as the static path did,
-via :mod:`repro.obs.aggregate`), every lease/retry/expiry/respawn is a
+lanes (worker observability is re-homed via
+:mod:`repro.obs.aggregate`), every lease/retry/expiry/respawn is a
 trace event and a ``scheduler.*`` counter, and the full lease history
 is kept as a :class:`SchedulerResult` timeline that ``repro chaos``
 renders as ASCII.
-
-The *static* mode (``REPRO_SCHED=static``) is the degenerate
-configuration -- one lease per worker, no deadline, one attempt -- kept
-for the straggler-mitigation benchmark and as an escape hatch.
 """
 
 from __future__ import annotations
@@ -62,18 +57,8 @@ from typing import Any, Mapping, Optional
 from repro.machine.memory import RemoteAccessError
 from repro.runtime.scheduler.faults import CRASH, DROP, SLOW, FaultPlan
 
-#: Environment variable selecting the dispatch mode.
-SCHED_ENV_VAR = "REPRO_SCHED"
-#: Environment variable overriding the blocks-per-unit batch size.
-BATCH_ENV_VAR = "REPRO_SCHED_BATCH"
-#: Environment variable overriding the per-unit attempt cap.
-ATTEMPTS_ENV_VAR = "REPRO_SCHED_ATTEMPTS"
-#: Environment variable overriding the lease deadline (seconds; "none"
-#: disables deadlines).
-TIMEOUT_ENV_VAR = "REPRO_SCHED_TIMEOUT"
-
+#: The dispatch mode a :class:`SchedulerResult` reports (wire format).
 DYNAMIC = "dynamic"
-STATIC = "static"
 
 #: Sentinel a worker returns instead of its result for an injected
 #: lost-result fault.
@@ -87,15 +72,6 @@ class SchedulerError(Exception):
 class PoolCollapse(RuntimeError):
     """The worker pool cannot be (re)created or kept alive; callers
     degrade to in-process execution."""
-
-
-def scheduler_mode() -> str:
-    """The dispatch mode from ``$REPRO_SCHED`` (default: dynamic)."""
-    mode = os.environ.get(SCHED_ENV_VAR, DYNAMIC).strip().lower()
-    if mode not in (DYNAMIC, STATIC):
-        raise ValueError(
-            f"{SCHED_ENV_VAR}={mode!r}: expected {DYNAMIC!r} or {STATIC!r}")
-    return mode
 
 
 @dataclass(frozen=True)
@@ -121,18 +97,6 @@ class RetryPolicy:
     #: pool respawns tolerated; None derives a budget from the unit count
     max_respawns: Optional[int] = None
 
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        kwargs: dict = {}
-        attempts = os.environ.get(ATTEMPTS_ENV_VAR)
-        if attempts:
-            kwargs["max_attempts"] = max(1, int(attempts))
-        timeout = os.environ.get(TIMEOUT_ENV_VAR)
-        if timeout:
-            kwargs["lease_timeout_s"] = (None if timeout.lower() == "none"
-                                         else float(timeout))
-        return cls(**kwargs)
-
     def backoff(self, attempt: int) -> float:
         """Capped exponential backoff before attempt ``attempt`` (>= 1)."""
         return min(self.backoff_cap_s,
@@ -146,14 +110,9 @@ class RetryPolicy:
         return max(8, units * self.max_attempts)
 
 
-def default_batch_size(nblocks: int, workers: int, mode: str) -> int:
-    """Blocks per unit: static = one chunk per worker; dynamic = small
-    batches (~4 units per worker) so the queue can rebalance."""
-    env = os.environ.get(BATCH_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    if mode == STATIC:
-        return max(1, -(-nblocks // workers))
+def default_batch_size(nblocks: int, workers: int) -> int:
+    """Blocks per unit: small batches (~4 units per worker) so the
+    queue can rebalance."""
     return max(1, -(-nblocks // (workers * 4)))
 
 
@@ -309,9 +268,9 @@ def _run_lease(payload):
                     if b.index in slow_blocks:
                         time.sleep(block_slow_s)
                     engine.run_blocks(replace(sub, blocks=[b]), mems, out,
-                                      {}, scalars, strict=True)
+                                      {}, scalars)
             else:
-                engine.run_blocks(sub, mems, out, {}, scalars, strict=True)
+                engine.run_blocks(sub, mems, out, {}, scalars)
         except RemoteAccessError as exc:
             out.remote = (exc.pid, exc.array, exc.coords, exc.is_write)
         registry.inc("engine.worker.executed_iterations",
@@ -338,7 +297,6 @@ class BlockScheduler:
         batch: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         policy: Optional[RetryPolicy] = None,
-        mode: Optional[str] = None,
         store=None,
         pool=None,
     ) -> None:
@@ -352,15 +310,10 @@ class BlockScheduler:
         #: an external (session-scoped) WorkerPool, or None to build an
         #: ephemeral pool per run
         self.pool = pool
-        self.mode = mode if mode is not None else scheduler_mode()
         self.faults = faults
-        if policy is None:
-            policy = RetryPolicy.from_env()
-            if self.mode == STATIC:
-                policy = replace(policy, max_attempts=1, lease_timeout_s=None)
-        self.policy = policy
+        self.policy = policy if policy is not None else RetryPolicy()
         self.batch = batch if batch is not None else default_batch_size(
-            len(plan.blocks), self.workers, self.mode)
+            len(plan.blocks), self.workers)
         self._safety: dict[int, int] = {}  # block -> static cross count
 
     # -- setup ------------------------------------------------------------
@@ -423,20 +376,19 @@ class BlockScheduler:
         fr = flight()
         units = self._units()
         sres = SchedulerResult(
-            mode=self.mode, units=len(units), blocks=len(self.plan.blocks),
+            mode=DYNAMIC, units=len(units), blocks=len(self.plan.blocks),
             workers=self.workers, batch=self.batch,
             chaos=self.faults.describe() if self.faults
             and self.faults.active else "")
         outcomes: dict[int, _UnitOutcome] = {}
         epoch = time.perf_counter()
 
-        fr.record("event", "scheduler.start", mode=self.mode,
-                  workers=self.workers, units=len(units),
-                  blocks=sres.blocks, chaos=sres.chaos)
+        fr.record("event", "scheduler.start", workers=self.workers,
+                  units=len(units), blocks=sres.blocks, chaos=sres.chaos)
         with tracer.span("scheduler.run", category="scheduler",
-                         mode=self.mode, workers=self.workers,
-                         units=len(units), blocks=sres.blocks,
-                         batch=self.batch, chaos=sres.chaos) as ssp:
+                         workers=self.workers, units=len(units),
+                         blocks=sres.blocks, batch=self.batch,
+                         chaos=sres.chaos) as ssp:
             try:
                 self._loop(units, outcomes, sres, epoch, tracer, registry)
             except (SchedulerError, PoolCollapse) as exc:
@@ -444,8 +396,8 @@ class BlockScheduler:
                 # timeline attached before the failure propagates
                 sres.completed_units = len(outcomes)
                 sres.wall_s = time.perf_counter() - epoch
-                fr.error("scheduler.abort", exc, mode=self.mode,
-                         completed=len(outcomes), units=len(units))
+                fr.error("scheduler.abort", exc, completed=len(outcomes),
+                         units=len(units))
                 dump_blackbox(f"{type(exc).__name__}: {exc}",
                               extra={"scheduler": sres.to_json()})
                 raise
@@ -526,7 +478,6 @@ class BlockScheduler:
         return {
             "phase": "execute",
             "backend": "multiprocess",
-            "mode": self.mode,
             "case": getattr(getattr(self.plan, "nest", None), "name", None)
             or "?",
             "elapsed_s": elapsed,

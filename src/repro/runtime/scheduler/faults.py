@@ -27,22 +27,18 @@ buy on unskewed blocks is the ledger's
 
 The active plan is scoped like the tracer and the metrics registry:
 :func:`use_fault_plan` pushes one for a region of code,
-:func:`current_fault_plan` reads it (falling back to the
-``REPRO_CHAOS`` environment variable), so chaos reaches the engine
-through context, never through the ``Engine.run_blocks`` signature.
+:func:`current_fault_plan` reads it (``None`` outside any scope), so
+chaos reaches the engine through context, never through the
+``Engine.run_blocks`` signature.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from repro.ctxstack import ScopeStack
-
-#: Environment variable holding a fault-plan spec (see :meth:`FaultPlan.parse`).
-CHAOS_ENV_VAR = "REPRO_CHAOS"
 
 #: Fault kinds a lease can draw.
 CRASH = "crash"
@@ -192,13 +188,9 @@ def current_fault_plan() -> Optional[FaultPlan]:
 
     The innermost :func:`use_fault_plan` scope *on this thread* wins
     (including an explicit ``None``, which disables chaos for that
-    scope); outside any scope the ``REPRO_CHAOS`` environment variable
-    is parsed.
+    scope); outside any scope there is no plan.
     """
-    if _plan_stack.depth():
-        return _plan_stack.top()
-    spec = os.environ.get(CHAOS_ENV_VAR)
-    return FaultPlan.parse(spec) if spec else None
+    return _plan_stack.top()
 
 
 def use_fault_plan(plan: Union[FaultPlan, str, None]):

@@ -77,9 +77,9 @@ def run_sequential(
 ) -> dict[str, DataSpace]:
     """Run the nest in place over ``arrays``; returns ``arrays``.
 
-    ``backend`` picks the execution engine (default: the interpreter,
-    or ``$REPRO_BACKEND``); every engine is bit-identical to the
-    interpreter on the final arrays.  ``options`` is a
+    ``backend`` picks the execution engine (default: the interpreter);
+    every engine is bit-identical to the interpreter on the final
+    arrays.  ``options`` is a
     :class:`repro.api.RunOptions` supplying a default backend.
     """
     # local import: the engine layer's interp backend calls back into

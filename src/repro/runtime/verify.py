@@ -20,7 +20,7 @@ from repro.obs.metrics import current_registry
 from repro.obs.trace import current_tracer
 from repro.runtime.arrays import DataSpace, make_arrays
 from repro.runtime.merge import merge_copies
-from repro.runtime.parallel import ParallelResult, _run_parallel
+from repro.runtime.parallel import ParallelResult, run_parallel
 from repro.runtime.seq import run_sequential
 
 
@@ -99,7 +99,7 @@ class VerificationReport:
         return self
 
 
-def _verify_plan(
+def verify_plan(
     plan: PartitionPlan,
     scalars: Optional[Mapping[str, float]] = None,
     initial: Optional[dict[str, DataSpace]] = None,
@@ -123,17 +123,41 @@ def _verify_plan(
     if backend == "all":
         return cross_check_backends(plan, scalars=scalars, initial=initial,
                                     block_to_pid=block_to_pid, chaos=chaos)
+    return _verify_backend(plan, scalars, initial, block_to_pid, backend,
+                           chaos)[0]
+
+
+def _golden_arrays(plan: PartitionPlan, initial: dict[str, DataSpace],
+                   scalars: Optional[Mapping[str, float]],
+                   ) -> dict[str, DataSpace]:
+    """The sequential golden model's final arrays from ``initial``."""
+    seq_arrays = {name: ds.copy() for name, ds in initial.items()}
+    run_sequential(plan.nest, seq_arrays, scalars=scalars,
+                   space=plan.model.space)
+    return seq_arrays
+
+
+def _verify_backend(
+    plan: PartitionPlan,
+    scalars: Optional[Mapping[str, float]],
+    initial: Optional[dict[str, DataSpace]],
+    block_to_pid: Optional[Mapping[int, int]],
+    backend: Optional[str],
+    chaos: Optional[object],
+    golden: Optional[dict[str, DataSpace]] = None,
+) -> tuple[VerificationReport, ParallelResult]:
+    """One parallel run on ``backend`` against the golden arrays
+    (computed here unless the cross-check hands in the ones it has)."""
     tracer = current_tracer()
     with tracer.span("verify.plan", category="runtime",
                      nest=plan.nest.name or "<anon>",
                      backend=backend or "default") as vsp:
         if initial is None:
             initial = make_arrays(plan.model)
-        seq_arrays = {name: ds.copy() for name, ds in initial.items()}
-        run_sequential(plan.nest, seq_arrays, scalars=scalars,
-                       space=plan.model.space)
+        if golden is None:
+            golden = _golden_arrays(plan, initial, scalars)
 
-        result: ParallelResult = _run_parallel(
+        result = run_parallel(
             plan, initial=initial, scalars=scalars, block_to_pid=block_to_pid,
             backend=backend, chaos=chaos,
         )
@@ -142,7 +166,7 @@ def _verify_plan(
 
         mismatches: list[tuple[str, tuple[int, ...], float, float]] = []
         with tracer.span("verify.compare", category="runtime"):
-            for name, ds in seq_arrays.items():
+            for name, ds in golden.items():
                 mismatches.extend(
                     (name, coords, a, b)
                     for coords, a, b in ds.differences(merged[name]))
@@ -164,7 +188,7 @@ def _verify_plan(
         reg.inc("verify.runs")
         reg.set("verify.mismatches", len(mismatches))
         reg.set("verify.ok", int(report.ok))
-        return report
+        return report, result
 
 
 def cross_check_backends(
@@ -177,26 +201,23 @@ def cross_check_backends(
     """Verify the plan on *every* available backend.
 
     Each backend's merged arrays are compared against the sequential
-    golden model; additionally all backends must produce identical
-    write stamps (the merge inputs), so agreement is bit-for-bit, not
-    just value-equal.  Returns the interpreter's report with
-    ``cross_checked`` filled in; ``ok`` is True only if every backend
-    passed and agreed.
+    golden model (run once); additionally all backends must produce
+    identical write stamps (the merge inputs), so agreement is
+    bit-for-bit, not just value-equal.  Returns the interpreter's report
+    with ``cross_checked`` filled in; ``ok`` is True only if every
+    backend passed and agreed.
     """
     from repro.runtime.engine import available_backends
 
     if initial is None:
         initial = make_arrays(plan.model)
+    golden = _golden_arrays(plan, initial, scalars)
     reports: dict[str, VerificationReport] = {}
     stamps: dict[str, dict] = {}
     for name in available_backends():
-        result = _run_parallel(plan, initial=initial, scalars=scalars,
-                               block_to_pid=block_to_pid, backend=name,
-                               chaos=chaos)
+        reports[name], result = _verify_backend(
+            plan, scalars, initial, block_to_pid, name, chaos, golden)
         stamps[name] = result.write_stamps
-        reports[name] = _verify_plan(plan, scalars=scalars, initial=initial,
-                                     block_to_pid=block_to_pid, backend=name,
-                                     chaos=chaos)
     main = reports["interp"]
     main.cross_checked = reports
     golden_stamps = stamps["interp"]
@@ -210,19 +231,3 @@ def cross_check_backends(
                     (f"<write-stamps:{name}>", (), 0.0, 0.0))
                 main.equal = False
     return main
-
-
-def verify_plan(*args, **kwargs) -> VerificationReport:
-    """Deprecated free-function entry point.
-
-    Thin shim over the real implementation, kept for source
-    compatibility; new code should verify through
-    :class:`repro.api.Session` (``Session(nest).verify()``).  See
-    ``docs/API.md`` for the migration map.
-    """
-    import warnings
-
-    warnings.warn(
-        "verify_plan() is deprecated; use repro.api.Session(...).verify() "
-        "(see docs/API.md)", DeprecationWarning, stacklevel=2)
-    return _verify_plan(*args, **kwargs)

@@ -39,7 +39,7 @@ def _claims() -> list[Claim]:
     from repro.perf import simulate_l5, simulate_l5_doubleprime, simulate_l5_prime
     from repro.pipeline import PipelineConfig, run_pipeline
     from repro.ratlinalg import Subspace
-    from repro.runtime.verify import _verify_plan as verify_plan
+    from repro.runtime.verify import verify_plan
     from repro.transform import transform_nest
 
     def build_plan(loop, duplicate=False, duplicate_arrays=None,

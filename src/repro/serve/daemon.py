@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from repro import config
 from repro.serve.protocol import ProtocolError, Response, decode_frame, encode_frame
 from repro.serve.server import (
     DEFAULT_CONCURRENCY,
@@ -31,12 +32,10 @@ from repro.serve.server import (
     AsyncServer,
 )
 
-SOCKET_ENV_VAR = "REPRO_SERVE_SOCKET"
-
 
 def default_socket_path() -> Path:
     """``$REPRO_SERVE_SOCKET`` or ``<cache-root>/serve.sock``."""
-    env = os.environ.get(SOCKET_ENV_VAR)
+    env = config.get("REPRO_SERVE_SOCKET")
     if env:
         return Path(env)
     from repro.pipeline.cache import cache_root
@@ -68,8 +67,10 @@ def pid_alive(pid: int) -> bool:
 async def _handle_connection(server: AsyncServer,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-    """One client: read frames, answer each as its own task."""
+    """One client: read frames until EOF or shutdown, answer each as
+    its own task."""
     tasks: set[asyncio.Task] = set()
+    shutdown = asyncio.ensure_future(server.shutdown_event.wait())
 
     async def answer(line: bytes) -> None:
         try:
@@ -83,15 +84,23 @@ async def _handle_connection(server: AsyncServer,
 
     try:
         while True:
-            line = await reader.readline()
+            read = asyncio.ensure_future(reader.readline())
+            await asyncio.wait({read, shutdown},
+                               return_when=asyncio.FIRST_COMPLETED)
+            if not read.done():
+                # nothing more is served; a handler left waiting in
+                # readline() is cancelled by asyncio.run at teardown,
+                # which 3.11 logs as an exception in a callback
+                read.cancel()
+                break
+            line = read.result()
             if not line:
                 break
             task = asyncio.ensure_future(answer(line))
             tasks.add(task)
             task.add_done_callback(tasks.discard)
-            if server.shutdown_event.is_set():
-                break
     finally:
+        shutdown.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         writer.close()

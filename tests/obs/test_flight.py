@@ -18,7 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 
 class TestRing:
     def test_bounded_keeps_newest(self):
-        fr = FlightRecorder(capacity=16, enabled=True)
+        fr = FlightRecorder(capacity=16)
         for i in range(40):
             fr.record("event", f"e{i}")
         assert len(fr) == 16
@@ -26,28 +26,10 @@ class TestRing:
         assert names[0] == "e24" and names[-1] == "e39"
 
     def test_capacity_floor(self):
-        assert FlightRecorder(capacity=1, enabled=True).capacity == 16
-
-    def test_disabled_records_nothing(self):
-        fr = FlightRecorder(capacity=64, enabled=False)
-        fr.record("event", "x")
-        fr.error("boom", ValueError("v"))
-        with fr.span("region"):
-            pass
-        assert len(fr) == 0
-
-    def test_env_disable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT", "0")
-        assert not FlightRecorder().enabled
-        monkeypatch.setenv("REPRO_FLIGHT", "1")
-        assert FlightRecorder().enabled
-
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT_CAPACITY", "128")
-        assert FlightRecorder().capacity == 128
+        assert FlightRecorder(capacity=1).capacity == 16
 
     def test_span_records_duration_and_error(self):
-        fr = FlightRecorder(capacity=64, enabled=True)
+        fr = FlightRecorder(capacity=64)
         with fr.span("fine", tag=1):
             pass
         with pytest.raises(RuntimeError):
@@ -59,7 +41,7 @@ class TestRing:
         assert bad[3]["error"] == "RuntimeError: boom"
 
     def test_timestamps_monotone(self):
-        fr = FlightRecorder(capacity=64, enabled=True)
+        fr = FlightRecorder(capacity=64)
         for i in range(5):
             fr.record("event", f"e{i}")
         stamps = [ts for ts, _, _, _ in fr.entries()]
@@ -77,7 +59,7 @@ class TestRing:
         from repro.api import Session
         from repro.lang import catalog
 
-        counting = FlightRecorder(capacity=1 << 20, enabled=True)
+        counting = FlightRecorder(capacity=1 << 20)
         # the module, not the package's same-named ``flight`` accessor
         monkeypatch.setattr(sys.modules[flight.__module__], "FLIGHT",
                             counting)
@@ -90,7 +72,7 @@ class TestRing:
 
 class TestDump:
     def _recorder(self):
-        fr = FlightRecorder(capacity=64, enabled=True)
+        fr = FlightRecorder(capacity=64)
         fr.record("event", "scheduler.start", units=4)
         fr.record("lease", "submit", unit=0, attempt=1, fault="crash")
         fr.record("lease", "retry", unit=0, attempt=2,
@@ -111,10 +93,6 @@ class TestDump:
         assert doc["entries"][1]["kind"] == "lease"
         assert doc["entries"][1]["data"]["fault"] == "crash"
         assert doc["metrics"]["scheduler.retries"]["value"] == 2
-
-    def test_dump_disabled_returns_none(self, tmp_path):
-        fr = FlightRecorder(capacity=64, enabled=False)
-        assert fr.dump("x", path=str(tmp_path / "bb.json")) is None
 
     def test_dump_names_land_in_blackbox_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BLACKBOX_DIR", str(tmp_path))
@@ -169,7 +147,7 @@ class TestDump:
 
 class TestRender:
     def _doc(self, tmp_path):
-        fr = FlightRecorder(capacity=64, enabled=True)
+        fr = FlightRecorder(capacity=64)
         fr.record("event", "scheduler.start", units=2)
         fr.record("lease", "submit", unit=0, attempt=1, fault="crash")
         fr.record("lease", "retry", unit=0, attempt=2,
@@ -225,7 +203,6 @@ class TestSchedulerDump:
         """A chaos run the scheduler cannot absorb dumps before raising."""
         monkeypatch.setenv("REPRO_BLACKBOX_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_MP_WORKERS", "1")
-        monkeypatch.setenv("REPRO_SCHED_ATTEMPTS", "2")
         from repro.core import Strategy, build_plan
         from repro.lang import catalog
         from repro.runtime.parallel import run_parallel

@@ -107,18 +107,28 @@ class TestSpansFromRuns:
         outcomes = [s.attributes["outcome"] for s in lookups]
         assert "miss" in outcomes and "hit" in outcomes
 
-    def test_pipeline_pass_spans_via_hooks(self):
-        from repro.obs.hooks import TracingHooks
-        from repro.pipeline.instrument import Instrumentation, use_metrics
-
+    def test_pipeline_pass_spans(self):
         PLAN_CACHE.clear()
         tracer = Tracer()
-        instr = Instrumentation()
-        instr.add_hooks(TracingHooks(tracer))
-        with use_metrics(instr), use_tracer(tracer):
-            run_pipeline(catalog.l1(), PipelineConfig(), upto="partition")
+        with use_tracer(tracer):
+            ctx = run_pipeline(catalog.l1(), PipelineConfig(),
+                               upto="partition")
         passes = tracer.find(category="pipeline")
-        names = {s.name for s in passes}
-        assert "pass:extract-refs" in names
-        assert "pass:partition" in names
+        assert [s.name for s in passes] == [f"pass:{name}"
+                                            for name in ctx.completed]
+        assert "pass:partition" in {s.name for s in passes}
+        assert "plan" in passes[-1].attributes["artifacts"]
         assert all(s.duration_ns >= 0 for s in passes)
+
+    def test_session_trace_records_one_span_per_pass(self):
+        from repro.api import Session
+
+        PLAN_CACHE.clear()
+        with Session(catalog.l2(), trace=True) as s:
+            s.plan()
+        names = [sp.name for sp in s.tracer.find(category="pipeline")]
+        assert names == ["pass:extract-refs", "pass:eliminate-redundancy",
+                         "pass:choose-space", "pass:partition"]
+        # the degenerate-Psi warning of L2 rides along as an event
+        assert any(e.name == "diagnostic:degenerate-psi"
+                   for e in s.tracer.events)

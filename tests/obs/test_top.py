@@ -7,7 +7,6 @@ import time
 
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.top import (
-    SNAPSHOT_ENV_VAR,
     SnapshotWriter,
     current_writer,
     read_snapshot,
@@ -53,13 +52,13 @@ class TestSnapshotWriter:
         assert w.writes == 0
 
     def test_current_writer_follows_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SNAPSHOT_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_TOP_SNAPSHOT", raising=False)
         assert current_writer() is None
-        monkeypatch.setenv(SNAPSHOT_ENV_VAR, str(tmp_path / "t.json"))
+        monkeypatch.setenv("REPRO_TOP_SNAPSHOT", str(tmp_path / "t.json"))
         w = current_writer()
         assert w is not None and w.path == str(tmp_path / "t.json")
         assert current_writer() is w   # cached per path (throttle state)
-        monkeypatch.setenv(SNAPSHOT_ENV_VAR, str(tmp_path / "u.json"))
+        monkeypatch.setenv("REPRO_TOP_SNAPSHOT", str(tmp_path / "u.json"))
         assert current_writer() is not w
 
 
@@ -166,7 +165,7 @@ class TestRunTop:
                                                         monkeypatch):
         """An actual multiprocess run publishes execute-phase frames."""
         path = tmp_path / "top.json"
-        monkeypatch.setenv(SNAPSHOT_ENV_VAR, str(path))
+        monkeypatch.setenv("REPRO_TOP_SNAPSHOT", str(path))
         monkeypatch.setenv("REPRO_MP_WORKERS", "2")
         from repro.core import Strategy, build_plan
         from repro.lang import catalog

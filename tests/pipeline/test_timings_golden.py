@@ -61,7 +61,9 @@ class TestCliTimings:
         from repro.pipeline import PLAN_CACHE
 
         def structure(text):
-            # strip the timing digits; keep names, calls, counters
+            # strip the timing digits; keep names, calls, counters (as a
+            # multiset: rows are ordered by time, and two passes ~1 ms
+            # apart swap places between runs)
             lines = text.splitlines()
             keep = []
             for ln in lines:
@@ -69,7 +71,7 @@ class TestCliTimings:
                     keep.append(ln)
                 elif ln and not ln[0].isspace():
                     keep.append(ln.split()[0])
-            return keep
+            return sorted(keep)
 
         PLAN_CACHE.clear()
         out1 = io.StringIO()

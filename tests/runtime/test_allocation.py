@@ -1,6 +1,6 @@
 """Bulk allocation builds the very memories the per-element form does.
 
-``_run_parallel`` fills each block's private region out of one
+``run_parallel`` fills each block's private region out of one
 ``{coords: value}`` table per array (``LocalMemory.allocate`` with a
 table as ``init``).  The per-element callable form of ``allocate`` --
 ``init=lambda c: initial[name][c]``, through ``DataSpace.__getitem__``
@@ -19,7 +19,7 @@ from repro.machine.memory import LocalMemory
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime import DataSpace, make_arrays, merge_copies
 from repro.runtime.engine import get_engine
-from repro.runtime.parallel import ParallelResult, _run_parallel
+from repro.runtime.parallel import ParallelResult, run_parallel
 
 # pytest puts this directory on sys.path (rootdir-less test modules)
 from test_engine_parity import CASES as PARITY_CASES
@@ -67,7 +67,7 @@ def assert_same_memories(got, want):
 
 @pytest.fixture
 def allocated_by_run(monkeypatch):
-    """-> the memories ``_run_parallel`` hands the engine, before it runs."""
+    """-> the memories ``run_parallel`` hands the engine, before it runs."""
     import repro.runtime.engine as engine_pkg
 
     seen = {}
@@ -78,14 +78,14 @@ def allocated_by_run(monkeypatch):
         def run_blocks(self, plan, memories, *args, **kwargs):
             seen.update(memories)
 
-    # _run_parallel looks the resolver up on the package at call time
+    # run_parallel looks the resolver up on the package at call time
     monkeypatch.setattr(engine_pkg, "resolve_engine",
                         lambda name=None: Capture())
 
     def run(plan, initial, **kwargs):
         seen.clear()
         with use_registry(MetricsRegistry()):
-            _run_parallel(plan, initial=initial, **kwargs)
+            run_parallel(plan, initial=initial, **kwargs)
         return dict(seen)
 
     return run
@@ -133,7 +133,7 @@ def test_element_outside_the_initial_array_raises(backing):
     a = initial["A"]
     initial["A"] = DataSpace("A", a.lo, tuple(h - 1 for h in a.hi))
     with pytest.raises(IndexError, match="A"):
-        _run_parallel(plan, initial=initial)
+        run_parallel(plan, initial=initial)
     mapping = {b.index: b.index for b in plan.blocks}
     with pytest.raises(IndexError, match="A"):
         reference_memories(plan, initial, mapping)
@@ -161,10 +161,10 @@ def test_run_outputs_unchanged_on_the_parity_matrix(name, fn, kwargs, backing):
         plan=plan, memories=reference_memories(plan, initial, mapping),
         block_to_pid=mapping)
     get_engine("interp").run_blocks(plan, want.memories, want, initial,
-                                    SCALARS, strict=True)
+                                    SCALARS)
     for backend in ("interp", "auto"):
-        got = _run_parallel(plan, initial=initial, scalars=SCALARS,
-                            backend=backend)
+        got = run_parallel(plan, initial=initial, scalars=SCALARS,
+                           backend=backend)
         assert_same_memories(got.memories, want.memories)
         assert got.write_stamps == want.write_stamps
         assert merge_copies(got, initial) == merge_copies(want, initial)

@@ -150,56 +150,3 @@ class TestBulkFillAndCompare:
     def test_differences_refuses_other_bounds(self, backing):
         with pytest.raises(IndexError):
             DataSpace("A", (0,), (2,)).differences(DataSpace("A", (0,), (3,)))
-
-
-class TestLinearIndex:
-    """Vectorized flat offsets with origin subtraction -- what the
-    merge fast path scatters through."""
-
-    def _np(self):
-        from repro.runtime import numpy_compat as npc
-
-        if npc.np is None:
-            pytest.skip("numpy backing unavailable")
-        return npc.np
-
-    def test_matches_scalar_indexing_with_offset_origins(self):
-        np = self._np()
-        ds = DataSpace("A", (2, -3), (5, 1))
-        coords = [(2, -3), (5, 1), (3, 0), (2, 1), (5, -3)]
-        lin = ds.linear_index(np.array(coords, dtype=np.int64))
-        for c, flat in zip(coords, lin.tolist()):
-            ds[c] = 42.0
-            assert float(ds.data.reshape(-1)[flat]) == 42.0
-            ds[c] = 0.0
-
-    def test_block_boundary_corners(self):
-        np = self._np()
-        # the first/last elements of a region must land on the first/
-        # last flat slots -- an off-by-one here corrupts every block
-        # boundary in the merge scatter
-        ds = DataSpace("A", (-2,), (2,))
-        lin = ds.linear_index(np.array([[-2], [2]], dtype=np.int64))
-        assert lin.tolist() == [0, ds.data.shape[0] - 1]
-
-    def test_out_of_bounds_raises(self):
-        np = self._np()
-        ds = DataSpace("A", (1, 1), (4, 4))
-        with pytest.raises(IndexError):
-            ds.linear_index(np.array([[0, 1]], dtype=np.int64))
-        with pytest.raises(IndexError):
-            ds.linear_index(np.array([[1, 5]], dtype=np.int64))
-
-    def test_rank_mismatch_raises(self):
-        np = self._np()
-        ds = DataSpace("A", (0, 0), (3, 3))
-        with pytest.raises(IndexError):
-            ds.linear_index(np.array([[1]], dtype=np.int64))
-
-    def test_requires_numpy(self, monkeypatch):
-        from repro.runtime import numpy_compat as npc
-
-        ds = DataSpace("A", (0,), (3,))
-        monkeypatch.setattr(npc, "np", None)
-        with pytest.raises(RuntimeError):
-            ds.linear_index([(0,)])

@@ -136,7 +136,6 @@ class TestSharedBlockStore:
         res_shm = run_parallel(plan, initial=initial, scalars=SCALARS,
                                backend="multiprocess")
         merged_shm = merge_copies(res_shm, initial)
-        assert res_shm.merge_data is not None
 
         monkeypatch.setenv("REPRO_NO_SHM", "1")
         reg = MetricsRegistry()
@@ -144,7 +143,6 @@ class TestSharedBlockStore:
             res_val = run_parallel(plan, initial=initial, scalars=SCALARS,
                                    backend="multiprocess")
         merged_val = merge_copies(res_val, initial)
-        assert res_val.merge_data is None
         assert reg.value("engine.shm.stores") == 0
 
         assert res_shm.write_stamps == res_val.write_stamps

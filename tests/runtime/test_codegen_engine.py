@@ -32,7 +32,6 @@ from repro.runtime import make_arrays, merge_copies, run_parallel
 from repro.runtime import numpy_compat as npc
 from repro.runtime.blockstore import shm_available
 from repro.runtime.engine.auto import choose_backend
-from repro.runtime.engine.codegen import diskcache
 from repro.runtime.engine.codegen.diskcache import (
     DiskKernelCache,
     get_disk_cache,
@@ -135,10 +134,10 @@ class TestDiskCache:
         assert reg.value("cache.disk.hit") == 1
 
     def test_disable_knob_and_dir_knob(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(diskcache.DISABLE_ENV_VAR, "0")
+        monkeypatch.setenv("REPRO_CODEGEN_DISK", "0")
         assert get_disk_cache() is None
-        monkeypatch.delenv(diskcache.DISABLE_ENV_VAR)
-        monkeypatch.setenv(diskcache.DIR_ENV_VAR, str(tmp_path / "cg"))
+        monkeypatch.delenv("REPRO_CODEGEN_DISK")
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path / "cg"))
         cache = get_disk_cache()
         assert cache is not None and cache.root == tmp_path / "cg"
 
@@ -146,14 +145,14 @@ class TestDiskCache:
             self, monkeypatch):
         # a spawn-fresh worker would re-emit per process without the
         # disk tier, so the parent must not set a codegen key at all
-        monkeypatch.setenv(diskcache.DISABLE_ENV_VAR, "0")
+        monkeypatch.setenv("REPRO_CODEGEN_DISK", "0")
         plan = build_plan(catalog.matmul(4), strategy=Strategy.DUPLICATE)
         assert MultiprocessEngine._codegen_key(plan, {}) is None
 
     def test_multiproc_prepares_a_store_kernel_key(self, tmp_path,
                                                    monkeypatch):
-        monkeypatch.delenv(diskcache.DISABLE_ENV_VAR, raising=False)
-        monkeypatch.setenv(diskcache.DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.delenv("REPRO_CODEGEN_DISK", raising=False)
+        monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path))
         plan = build_plan(catalog.matmul(4), strategy=Strategy.DUPLICATE)
         key = MultiprocessEngine._codegen_key(plan, {})
         assert isinstance(key, str) and key
@@ -168,7 +167,7 @@ def _child_env(tmp_path, **extra):
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_CODEGEN_CACHE_DIR"] = str(tmp_path)
-    env.pop(diskcache.DISABLE_ENV_VAR, None)
+    env.pop("REPRO_CODEGEN_DISK", None)
     env.update(extra)
     return env
 
@@ -349,8 +348,8 @@ def test_chaos_bit_identical_with_codegen_store_kernels(tmp_path,
     leases carry a codegen key: respawned workers re-attach the kernel
     from the shared on-disk cache and republish identical bytes."""
     monkeypatch.setenv("REPRO_MP_WORKERS", "2")
-    monkeypatch.delenv(diskcache.DISABLE_ENV_VAR, raising=False)
-    monkeypatch.setenv(diskcache.DIR_ENV_VAR, str(tmp_path))
+    monkeypatch.delenv("REPRO_CODEGEN_DISK", raising=False)
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE_DIR", str(tmp_path))
     plan = build_plan(catalog.dft(), strategy=Strategy.DUPLICATE)
     initial = make_arrays(plan.model)
     golden = run_parallel(plan, initial=initial, scalars=SCALARS,

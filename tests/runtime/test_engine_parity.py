@@ -135,10 +135,13 @@ def test_sabotaged_plan_raises_identical_remote_access():
 
 def test_non_strict_runs_use_interpreter():
     bad = _sabotage(build_plan(catalog.l1()))
+    counts = set()
     for backend in BACKENDS:
         result = run_parallel(bad, strict=False, backend=backend)
         assert result.backend == "interp"
         assert result.remote_accesses > 0
+        counts.add((result.remote_reads, result.remote_writes))
+    assert len(counts) == 1
 
 
 class TestWithoutNumpy:
@@ -192,12 +195,9 @@ def test_registry_names_and_order():
     assert set(backend_names()) == \
         {"interp", "compiled", "vectorized", "multiprocess", "codegen",
          "auto"}
-    assert get_engine("jit").name == "compiled"
-    assert get_engine("numpy").name == "vectorized"
-    assert get_engine("mp").name == "multiprocess"
-    assert get_engine("cg").name == "codegen"
     for name in available_backends():
-        assert get_engine(name).is_available()
+        engine = get_engine(name)
+        assert engine.name == name and engine.is_available()
 
 
 def test_vectorized_supports_duplicate_readonly_but_not_written_replicas():

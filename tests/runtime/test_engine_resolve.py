@@ -1,4 +1,4 @@
-"""Engine resolution: fallback chains, availability errors, precedence."""
+"""Engine resolution: fallback chains, availability errors, the default."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.runtime.engine import (
     get_engine,
     resolve_engine,
 )
-from repro.runtime.engine.base import BACKEND_ENV_VAR, DEFAULT_BACKEND
+from repro.runtime.engine.base import DEFAULT_BACKEND
 from repro.runtime.engine.compiled import CompiledEngine
 from repro.runtime.engine.interp import InterpreterEngine
 from repro.runtime.engine.multiproc import MultiprocessEngine
@@ -92,41 +92,12 @@ class TestBackendUnavailable:
 
 
 class TestPrecedence:
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compiled")
-        assert resolve_engine("interp").name == "interp"
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compiled")
-        assert resolve_engine().name == "compiled"
-        assert resolve_engine(None).name == "compiled"
-
     def test_default_when_nothing_chooses(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        # the environment does not choose a backend; --backend /
+        # backend= / Session(backend=) do
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
         assert resolve_engine().name == DEFAULT_BACKEND
-
-    def test_run_parallel_backend_kwarg_beats_env(self, monkeypatch):
-        from repro.core import build_plan
-        from repro.lang import catalog
-        from repro.runtime.parallel import run_parallel
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
-        result = run_parallel(build_plan(catalog.l1()), backend="compiled")
-        assert result.backend == "compiled"
-
-    def test_run_parallel_env_applies_without_kwarg(self, monkeypatch):
-        from repro.core import build_plan
-        from repro.lang import catalog
-        from repro.runtime.parallel import run_parallel
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compiled")
-        result = run_parallel(build_plan(catalog.l1()))
-        assert result.backend == "compiled"
-
-    def test_aliases_resolve_to_canonical(self):
-        assert resolve_engine("mp").name in ("multiprocess", "compiled",
-                                             "interp")
-        assert get_engine("pool").name == "multiprocess"
+        assert resolve_engine(None).name == DEFAULT_BACKEND
 
 
 TIERS = ["auto", "compiled", "codegen", "interp", "multiprocess",
@@ -169,7 +140,7 @@ class TestStaticRegistry:
             "import sys\n"
             "from repro.runtime.engine import backend_names, get_engine\n"
             "print(backend_names())\n"
-            "get_engine('seq')\n"
+            "get_engine('interp')\n"
             "print(sorted(m.rpartition('.')[2] for m in sys.modules\n"
             "             if m.startswith('repro.runtime.engine.')))\n"
         )

@@ -54,7 +54,7 @@ from repro.runtime.engine.lowering import (
     emit_iteration_kernel,
     reads_per_statement,
 )
-from repro.runtime.parallel import _run_parallel, allocate_blocks
+from repro.runtime.parallel import allocate_blocks, run_parallel
 
 SCALARS = {"D": 2.0, "F": 3.0, "G": 1.5, "K": 0.5}
 
@@ -161,8 +161,8 @@ def _memories(plan):
 
 
 def _interp(plan) -> Outcome:
-    res = _run_parallel(plan, initial=make_arrays(plan.model),
-                        scalars=SCALARS, backend="interp")
+    res = run_parallel(plan, initial=make_arrays(plan.model),
+                       scalars=SCALARS, backend="interp")
     return Outcome(
         values={b: m.values for b, m in res.memories.items()},
         stamps=res.write_stamps, executed=res.executed_iterations,
@@ -308,7 +308,7 @@ def _first_remote(plan, backend, registry=None):
         registry = MetricsRegistry()
     with use_registry(registry):
         with pytest.raises(RemoteAccessError) as exc:
-            _run_parallel(plan, scalars=SCALARS, backend=backend)
+            run_parallel(plan, scalars=SCALARS, backend=backend)
     e = exc.value
     return e.pid, e.array, e.coords, e.is_write, str(e)
 
@@ -388,8 +388,8 @@ def _codegen_footprint(plan):
     KERNEL_CACHE._entries.clear()
     reg = MetricsRegistry()
     with use_registry(reg):
-        _run_parallel(dataclasses.replace(plan), scalars=SCALARS,
-                      backend="codegen")
+        run_parallel(dataclasses.replace(plan), scalars=SCALARS,
+                     backend="codegen")
         prog = program_for(dataclasses.replace(plan), SCALARS)
     src = get_disk_cache().load(prog["key"])[1]
     counters = {n: reg.value(n) for n in reg.names()

@@ -57,16 +57,8 @@ class TestMerge:
 
 
 class TestTieBreaking:
-    """Write stamps are globally unique in real runs, but both merge
-    paths pin first-writer-wins on (synthetic) equal stamps so they can
-    never diverge."""
-
-    def _numpy(self):
-        from repro.runtime import numpy_compat as npc
-
-        if npc.np is None:
-            pytest.skip("numpy backing unavailable")
-        return npc.np
+    """Write stamps are globally unique in real runs; on (synthetic)
+    equal stamps the first entry seen wins."""
 
     def _fixture(self):
         from types import SimpleNamespace
@@ -95,42 +87,26 @@ class TestTieBreaking:
         merged = merge_copies(result, initial)
         assert merged["A"][(1,)] == 9.0
 
-    def test_view_path_matches_dict_path_on_ties(self):
-        np = self._numpy()
-        initial, result = self._fixture()
-        # same element twice with equal stamps: the first entry wins,
-        # exactly like the dict path's first-seen-wins
-        result.merge_data = {"A": (
-            np.array([[1], [1]], dtype=np.int64),
-            np.array([7, 7], dtype=np.int64),
-            np.array([5.0, 9.0]))}
-        merged = merge_copies(result, initial)
-        assert merged["A"][(1,)] == 5.0
 
-    def test_view_path_higher_stamp_wins_regardless_of_entry_order(self):
-        np = self._numpy()
-        initial, result = self._fixture()
-        result.merge_data = {"A": (
-            np.array([[1], [1]], dtype=np.int64),
-            np.array([8, 7], dtype=np.int64),
-            np.array([9.0, 5.0]))}
-        merged = merge_copies(result, initial)
-        assert merged["A"][(1,)] == 9.0
+class TestStoreRunMerge:
+    @pytest.mark.parametrize("no_shm", [False, True], ids=["shm", "by-value"])
+    def test_multiprocess_merge_is_bit_identical_to_interp(self, no_shm,
+                                                           monkeypatch):
+        """Stamps and values a shared-memory store run collects (or a
+        by-value run ships home) merge to the interpreter's arrays."""
+        from repro.runtime.blockstore import release_plan_segment
 
-    def test_view_path_matches_dict_path_on_real_run(self, monkeypatch):
-        from repro.runtime.blockstore import shm_available
-
-        self._numpy()
-        if not shm_available():
-            pytest.skip("shared memory store unavailable")
         monkeypatch.setenv("REPRO_MP_WORKERS", "2")
-        nest = catalog.l2()
-        plan = build_plan(nest, strategy=Strategy.DUPLICATE)
+        if no_shm:
+            monkeypatch.setenv("REPRO_NO_SHM", "1")
+        plan = build_plan(catalog.l2(), strategy=Strategy.DUPLICATE)
         initial = make_arrays(plan.model)
+        golden = run_parallel(plan, initial=initial, backend="interp")
         res = run_parallel(plan, initial=initial, backend="multiprocess")
-        assert res.merge_data is not None
-        via_views = merge_copies(res, initial)
-        res.merge_data = None  # force the dict path on identical data
-        via_dicts = merge_copies(res, initial)
-        for name in via_dicts:
-            assert via_views[name] == via_dicts[name], name
+        assert res.backend == "multiprocess"
+        assert res.write_stamps == golden.write_stamps
+        want = merge_copies(golden, initial)
+        got = merge_copies(res, initial)
+        for name in want:
+            assert got[name] == want[name], name
+        release_plan_segment(plan)

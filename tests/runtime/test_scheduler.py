@@ -12,7 +12,6 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime.parallel import run_parallel
 from repro.runtime.scheduler import (
-    CHAOS_ENV_VAR,
     FaultPlan,
     RetryPolicy,
     SchedulerError,
@@ -72,16 +71,18 @@ class TestFaultPlan:
             FaultPlan.parse("crash-prob")
 
     def test_scoping_and_env(self, monkeypatch):
+        # chaos comes from a scope (--chaos / chaos= / use_fault_plan),
+        # never from the environment
+        monkeypatch.setenv("REPRO_CHAOS", "crash-prob=0.1")
         assert current_fault_plan() is None
-        monkeypatch.setenv(CHAOS_ENV_VAR, "crash-prob=0.1")
-        assert current_fault_plan().crash_prob == 0.1
         with use_fault_plan("drop-prob=0.5") as fp:
             assert current_fault_plan() is fp
             assert fp.drop_prob == 0.5
             with use_fault_plan(None):
-                # an explicit inner None disables chaos, beating the env
+                # an explicit inner None disables chaos for its scope
                 assert current_fault_plan() is None
-        assert current_fault_plan().crash_prob == 0.1
+            assert current_fault_plan() is fp
+        assert current_fault_plan() is None
 
 
 class TestPolicyAndBatching:
@@ -91,21 +92,10 @@ class TestPolicyAndBatching:
         assert p.backoff(2) == 0.04
         assert p.backoff(10) == 0.1
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_ATTEMPTS", "7")
-        monkeypatch.setenv("REPRO_SCHED_TIMEOUT", "none")
-        p = RetryPolicy.from_env()
-        assert p.max_attempts == 7
-        assert p.lease_timeout_s is None
-
-    def test_default_batch_sizes(self, monkeypatch):
-        # static: one contiguous chunk per worker (the old split)
-        assert default_batch_size(64, 4, "static") == 16
-        # dynamic: ~4 units per worker so the queue can rebalance
-        assert default_batch_size(64, 4, "dynamic") == 4
-        assert default_batch_size(3, 8, "dynamic") == 1
-        monkeypatch.setenv("REPRO_SCHED_BATCH", "5")
-        assert default_batch_size(64, 4, "dynamic") == 5
+    def test_default_batch_sizes(self):
+        # ~4 units per worker so the queue can rebalance
+        assert default_batch_size(64, 4) == 4
+        assert default_batch_size(3, 8) == 1
 
 
 def _plan():
@@ -132,15 +122,6 @@ class TestScheduledRun:
         assert reg.value("scheduler.leases") == sres.units
         assert res.ok and "ok" in res.summary()
         assert res.to_json()["scheduler"]["mode"] == "dynamic"
-
-    def test_static_mode_is_the_old_chunking(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SCHED", "static")
-        res, _ = _run(_plan())
-        sres = res.scheduler
-        assert sres.mode == "static"
-        assert sres.units == 2          # one chunk per worker
-        assert len(sres.leases) == 2
 
     def test_crash_recovery_is_counted_and_correct(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_WORKERS", "2")
@@ -209,7 +190,6 @@ class TestScheduledRun:
 
     def test_non_recovery_raises_scheduler_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_WORKERS", "1")
-        monkeypatch.setenv("REPRO_SCHED_ATTEMPTS", "2")
         with pytest.raises(SchedulerError):
             _run(_plan(), chaos="crash-prob=1,shield-final=0")
 

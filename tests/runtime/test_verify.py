@@ -98,3 +98,43 @@ class TestReport:
         for n in (2, 3, 5, 6):
             plan = build_plan(catalog.l1(n))
             assert verify_plan(plan).ok
+
+
+class TestCrossCheck:
+    def test_one_parallel_run_per_backend_and_one_golden_run(self,
+                                                             monkeypatch):
+        from repro.api import Session
+        from repro.runtime import verify as verify_mod
+        from repro.runtime.engine import available_backends
+
+        golden_runs = []
+        run_sequential = verify_mod.run_sequential
+        monkeypatch.setattr(
+            verify_mod, "run_sequential",
+            lambda *a, **kw: golden_runs.append(1) or run_sequential(*a, **kw))
+        monkeypatch.setenv("REPRO_MP_WORKERS", "2")
+        with Session("L1", strategy="duplicate") as s:
+            report = s.verify(backend="all")
+        backends = available_backends()
+        assert report.ok and sorted(report.cross_checked) == sorted(backends)
+        assert s.registry.value("runtime.runs") == len(backends)
+        assert s.registry.value("verify.runs") == len(backends)
+        assert len(golden_runs) == 1
+
+    def test_disagreeing_write_stamps_fail_the_cross_check(self, l1,
+                                                           monkeypatch):
+        from repro.runtime.engine.compiled import CompiledEngine
+
+        run_blocks = CompiledEngine.run_blocks
+
+        def skewed(self, plan, memories, result, initial, scalars):
+            run_blocks(self, plan, memories, result, initial, scalars)
+            key = next(iter(result.write_stamps))
+            result.write_stamps[key] += 1
+
+        monkeypatch.setattr(CompiledEngine, "run_blocks", skewed)
+        monkeypatch.setenv("REPRO_MP_WORKERS", "1")
+        report = verify_plan(build_plan(l1), backend="all")
+        assert not report.ok
+        assert any(name.startswith("<write-stamps:compiled")
+                   for name, _, _, _ in report.mismatches)

@@ -147,3 +147,36 @@ class TestDaemonLifecycle:
         assert dmod.pidfile_for(sock).exists() is False
         # the warm pool and every cached plan segment were released
         assert leaked_since(before) == []
+
+    def test_clean_shutdown_leaves_stderr_empty(self, tmp_path):
+        """The connection that sent ``shutdown`` stays open until the
+        daemon is gone: its handler must return, not be cancelled in
+        ``readline()`` (py3.11 logs that as an exception in a callback)."""
+        import subprocess
+        import sys
+
+        sock = tmp_path / "s3.sock"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve.daemon",
+             "--socket", str(sock)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            deadline = time.monotonic() + BOUND_S
+            while True:
+                try:
+                    client = ServeClient(sock)
+                    break
+                except (FileNotFoundError, ConnectionRefusedError):
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            with client:
+                client.status()
+                client.shutdown()
+                _, err = proc.communicate(timeout=BOUND_S)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert err == ""

@@ -70,7 +70,6 @@ class TestExitCodes:
 
     def test_chaos_non_recovery_is_nonzero(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_MP_WORKERS", "1")
-        monkeypatch.setenv("REPRO_SCHED_ATTEMPTS", "2")
         code, _ = run("chaos", "--matmul", "4",
                       "--chaos", "crash-prob=1,shield-final=0,seed=1")
         assert code == 1
