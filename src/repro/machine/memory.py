@@ -6,12 +6,19 @@ allocated locally raises :class:`RemoteAccessError` -- in a real
 multicomputer that access would be an interprocessor message, and the
 whole point of the paper is that none occur.  The parallel executor
 runs with these checks on and asserts a zero remote-access count.
+
+A region can also be allocated as a *view* of a flat store (one list
+per array; :mod:`repro.runtime.layout`): the memory then only records
+where its elements live, and the dicts it is read through are rendered
+from the store the first time anything asks for them -- and are the
+memory from then on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+from repro.obs.metrics import current_registry
 
 
 class RemoteAccessError(KeyError):
@@ -26,50 +33,89 @@ class RemoteAccessError(KeyError):
         self.is_write = is_write
 
 
-@dataclass
 class LocalMemory:
     """One processor's private memory: allocated elements + their values."""
 
-    pid: int
-    # array -> {coords -> value}
-    values: dict[str, dict[tuple[int, ...], float]] = field(default_factory=dict)
-    # array -> set of coords this processor owns (allocation map)
-    allocated: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
-    reads: int = 0
-    writes: int = 0
+    reads = 0
+    writes = 0
     # combined remote count (kept for compatibility) plus the read/write
     # split -- a remote *read* is a fetch message on a real machine, a
     # remote *write* a store message; the audit layer reports both
-    remote_attempts: int = 0
-    remote_read_attempts: int = 0
-    remote_write_attempts: int = 0
-    strict: bool = True
+    remote_attempts = 0
+    remote_read_attempts = 0
+    remote_write_attempts = 0
+
+    def __init__(self, pid: int, strict: bool = True) -> None:
+        self.pid = pid
+        self.strict = strict
+        # behind ``values`` / ``allocated``, once they have been read
+        self._values: dict[str, dict[tuple[int, ...], float]] = {}
+        self._allocated: dict[str, set[tuple[int, ...]]] = {}
+        # while a view: the store's lists, array -> (elements, slots)
+        self._grids: Optional[dict[str, list]] = None
+        self._rows: dict[str, tuple] = {}
+
+    # -- the view ---------------------------------------------------------
+    def is_view_of(self, grids: dict[str, list]) -> bool:
+        """Is this memory still an unrendered view of ``grids``?"""
+        return self._grids is grids
+
+    def _render(self) -> None:
+        """Turn every view region into its dict, in allocation order."""
+        grids, self._grids = self._grids, None
+        rows, self._rows = self._rows, {}
+        for array, (elements, slots) in rows.items():
+            self._values[array] = held = dict(
+                zip(elements, map(grids[array].__getitem__, slots)))
+            self._allocated[array] = set(held)  # takes the dict's hashes
+        current_registry().inc("runtime.memory.rendered_regions", len(rows))
+
+    @property
+    def values(self) -> dict[str, dict[tuple[int, ...], float]]:
+        """array -> {coords -> value}; a view renders on first read."""
+        if self._grids is not None:
+            self._render()
+        return self._values
+
+    @property
+    def allocated(self) -> dict[str, set[tuple[int, ...]]]:
+        """array -> set of coords this processor owns (allocation map)."""
+        if self._grids is not None:
+            self._render()
+        return self._allocated
+
+    def __getstate__(self) -> dict:
+        # a pickled memory (a by-value lease) is its rendered form: the
+        # store does not travel with one block's share of it
+        if self._grids is not None:
+            self._render()
+        return self.__dict__
 
     # -- allocation -------------------------------------------------------
     def allocate(self, array: str, coords_iter: Iterable[tuple[int, ...]],
-                 init=None) -> int:
+                 init=None, view=None) -> int:
         """Allocate elements locally; returns the number of words allocated.
 
         ``init`` supplies the initial contents (the host-distributed
-        initial data): a callable ``(coords) -> value``, or a
-        ``{coords: float}`` table of the source array
-        (:meth:`~repro.runtime.arrays.DataSpace.value_table`) from which
-        the region is copied in bulk -- coordinates (integer tuples) and
-        values are stored as they come; an element the table lacks lies
-        outside the source array and raises ``IndexError``.
+        initial data) as a callable ``(coords) -> value``.
+        ``view=(grids, slots)`` instead makes the region a view of a
+        flat store: ``coords_iter`` is a tuple of integer tuples whose
+        ``j``-th element lives at ``grids[array][slots[j]]``, and
+        nothing is done per element.  (Only an array's first region,
+        in a memory of nothing but views -- what a run allocates;
+        anything else is copied out of the store like an ``init``.)
         """
+        if view is not None:
+            grids, slots = view
+            if self._grids is None and not self._values:
+                self._grids = grids
+            if self._grids is grids and array not in self._rows:
+                self._rows[array] = (coords_iter, slots)
+                return len(slots)
+            init = dict(zip(coords_iter,
+                            map(grids[array].__getitem__, slots))).__getitem__
         store = self.values.setdefault(array, {})
         alloc = self.allocated.setdefault(array, set())
-        if isinstance(init, dict):
-            try:
-                region = {c: init[c] for c in coords_iter}
-            except KeyError as exc:
-                raise IndexError(f"{array}{list(exc.args[0])} outside the "
-                                 "initial array") from None
-            before = len(alloc)
-            alloc.update(region)
-            store.update(region)
-            return len(alloc) - before
         n = 0
         for c in coords_iter:
             c = tuple(int(x) for x in c)
@@ -80,10 +126,14 @@ class LocalMemory:
         return n
 
     def holds(self, array: str, coords: tuple[int, ...]) -> bool:
-        return coords in self.allocated.get(array, ())
+        if self._grids is not None:
+            self._render()
+        return coords in self._allocated.get(array, ())
 
     def words(self) -> int:
-        return sum(len(s) for s in self.allocated.values())
+        if self._grids is not None:
+            return sum(len(slots) for _, slots in self._rows.values())
+        return sum(len(s) for s in self._allocated.values())
 
     # -- access -------------------------------------------------------------
     def note_remote(self, is_write: Optional[bool] = None) -> None:
@@ -108,7 +158,7 @@ class LocalMemory:
                                         is_write=False)
             return 0.0
         self.reads += 1
-        return self.values[array][coords]
+        return self._values[array][coords]
 
     def store(self, array: str, coords: tuple[int, ...], value: float) -> None:
         coords = tuple(int(x) for x in coords)
@@ -119,4 +169,4 @@ class LocalMemory:
                                         is_write=True)
             return
         self.writes += 1
-        self.values[array][coords] = float(value)
+        self._values[array][coords] = float(value)

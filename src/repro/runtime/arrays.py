@@ -12,11 +12,13 @@ box occur at box corners.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.analysis.references import ReferenceModel
 from repro.ratlinalg.matrix import RatVec
 from repro.runtime import numpy_compat as npc
+from repro.runtime.layout import Sidecar
 
 Coords = tuple[int, ...]
 
@@ -70,10 +72,28 @@ class DataSpace:
         npc.assign_flat(self.data, [fn(c) for c in self.coords_iter()])
         return self
 
-    def value_table(self) -> dict[Coords, float]:
-        """``{coords: value}`` over the whole array, values as Python
-        floats (``coords_iter`` walks the grid in row-major order)."""
-        return dict(zip(self.coords_iter(), npc.flat_values(self.data)))
+    def _box_rows(self, lo: Coords, shape: tuple[int, ...]) -> Iterator[slice]:
+        """The box ``[lo, lo + shape)``, which must lie inside the array,
+        as slices of the row-major flat values: its innermost rows."""
+        self._pos(tuple(l + n - 1 for l, n in zip(lo, shape)))
+        pos, strides = self._pos(lo), npc.c_strides(self.data.shape)
+        for idx in itertools.product(
+                *(range(p, p + n) for p, n in zip(pos[:-1], shape[:-1]))):
+            start = sum(map(mul, idx, strides)) + pos[-1]
+            yield slice(start, start + shape[-1])
+
+    def box_values(self, lo: Coords, shape: tuple[int, ...]) -> list[float]:
+        """Row-major Python floats of the box ``[lo, lo + shape)``."""
+        flat = npc.flat_values(self.data)
+        return [v for row in self._box_rows(lo, shape) for v in flat[row]]
+
+    def assign_box(self, lo: Coords, shape: tuple[int, ...],
+                   values: list[float]) -> None:
+        """Overwrite the box ``[lo, lo + shape)``, in row-major order."""
+        flat, new = npc.flat_values(self.data), iter(values)
+        for row in self._box_rows(lo, shape):
+            flat[row] = itertools.islice(new, shape[-1])
+        npc.assign_flat(self.data, flat)
 
     def differences(self, other: "DataSpace") -> list[tuple]:
         """``(coords, mine, theirs)`` wherever the two arrays differ, in
@@ -150,9 +170,23 @@ def default_init(array: str) -> Callable[[Coords], float]:
 def make_arrays(model: ReferenceModel,
                 init: Optional[Callable[[str], Callable[[Coords], float]]] = None,
                 ) -> dict[str, DataSpace]:
-    """Allocate and initialize all arrays of a model."""
-    init = init or default_init
-    out: dict[str, DataSpace] = {}
-    for name, (lo, hi) in array_footprints(model).items():
-        out[name] = DataSpace(name, lo, hi).fill_with(init(name))
-    return out
+    """Allocate and initialize all arrays of a model.
+
+    The default initialisation is a pure function of the model (one
+    Python call per element, before every run and every verify), so it
+    is made once per model and handed out as fresh copies -- callers
+    run nests over the arrays in place.  A caller's ``init`` is called
+    every time.
+    """
+    if init is None:
+        return {name: ds.copy()
+                for name, ds in _DEFAULT_ARRAYS.get(model)[1].items()}
+    return {name: DataSpace(name, lo, hi).fill_with(init(name))
+            for name, (lo, hi) in array_footprints(model).items()}
+
+
+#: model -> (grid backing, default arrays); ``numpy_compat.np`` is
+#: mutable, so the backing they were built on is part of the hit
+_DEFAULT_ARRAYS = Sidecar(
+    lambda model: (npc.np, make_arrays(model, default_init)),
+    valid=lambda model, made: made[0] is npc.np)

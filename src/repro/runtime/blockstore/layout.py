@@ -20,8 +20,9 @@ race-free without locks.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
+
+from repro.runtime.layout import Sidecar
 
 Coords = tuple[int, ...]
 RegionKey = tuple[str, int]  # (array name, block index)
@@ -67,22 +68,9 @@ def build_layout(plan) -> StoreLayout:
                        total_words=off)
 
 
-#: id(plan) -> (weakref to the plan, its layout); the weakref guards
-#: against id() reuse after a plan is garbage collected.
-_LAYOUT_CACHE: dict[int, tuple] = {}
+_LAYOUTS = Sidecar(build_layout)
 
 
 def layout_for(plan) -> StoreLayout:
     """The (cached) layout of ``plan``."""
-    key = id(plan)
-    hit = _LAYOUT_CACHE.get(key)
-    if hit is not None and hit[0]() is plan:
-        return hit[1]
-    layout = build_layout(plan)
-    try:
-        ref = weakref.ref(plan)
-        weakref.finalize(plan, _LAYOUT_CACHE.pop, key, None)
-    except TypeError:  # pragma: no cover - plans are always weakref-able
-        return layout
-    _LAYOUT_CACHE[key] = (ref, layout)
-    return layout
+    return _LAYOUTS.get(plan)

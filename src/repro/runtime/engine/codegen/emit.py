@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 from repro.lang.ast import ArrayRef, Assign, LoopNest
 from repro.lang.fingerprint import nest_canonical_form
-from repro.runtime.engine.codegen.geometry import GridSpec, flat_affine
+from repro.runtime.engine.codegen.geometry import flat_affine
 from repro.runtime.engine.lowering import (
     KernelTarget,
     sum_src,
@@ -30,12 +30,17 @@ from repro.runtime.engine.lowering import (
     value_indices,
     value_src,
 )
+from repro.runtime.layout import GridSpec
 
 KERNEL_NAME = "_cg_kernel"
 
 #: Bump when the emitted source's shape or argument protocol changes;
 #: part of every key so stale disk entries can never be attached.
-_VERSION = "cg1"
+#: ``cg2``: rect kernels bind loop-invariant slot and stamp terms at the
+#: loop level where they are constant.  The list kernel's source is what
+#: ``cg1`` wrote, so its entries on disk stay addressable.
+_VERSION = "cg2"
+_LIST_VERSION = "cg1"
 
 
 def content_key(*parts: str) -> str:
@@ -53,7 +58,7 @@ def kernel_key(mode: str, nest: LoopNest, scalars: Mapping[str, float],
                rank_rect, has_live: bool) -> str:
     """Rename-invariant fingerprint + geometry digest of one kernel."""
     return content_key(
-        _VERSION,
+        _VERSION if mode == "rect" else _LIST_VERSION,
         mode,
         nest_canonical_form(nest),
         repr(tuple(sorted(scalars.items()))),
@@ -69,20 +74,41 @@ def _written(nest: LoopNest) -> list[str]:
     return list(dict.fromkeys(stmt.lhs.array for stmt in nest.statements))
 
 
-class _SlotNamer:
-    """Dedupes block-invariant slot bases into ``_cJ`` preamble lines."""
+class _Hoister:
+    """Names the partial sums of slot and stamp affines, each bound at
+    the outermost loop level where it is constant: ``_cJ`` once per
+    block, ``_hJ`` right under the ``for`` of the last offset it adds.
+    Integer arithmetic only, so which slot is read, written or stamped
+    -- and with what -- cannot change."""
 
-    def __init__(self) -> None:
+    def __init__(self, loop_dims: list[int]) -> None:
         self.names: dict[tuple, str] = {}
-        self.lines: list[str] = []
+        self.block_lines: list[str] = []
+        self.level_lines: dict[int, list[str]] = {k: [] for k in loop_dims}
+        self.inner = loop_dims[-1] if loop_dims else None
 
-    def base(self, key: tuple, src: str) -> str:
+    def bind(self, prefix: str, key: tuple, src: str,
+             lines: list[str]) -> str:
+        """The name ``src`` is bound to in ``lines`` (one per ``key``)."""
         name = self.names.get(key)
         if name is None:
-            name = f"_c{len(self.names)}"
-            self.names[key] = name
-            self.lines.append(f"{name} = {src}")
+            name = self.names[key] = f"{prefix}{len(lines)}"
+            lines.append(f"{name} = {src}")
         return name
+
+    def chain(self, base: str, terms: list[tuple[int, int]],
+              const: int = 0) -> str:
+        """Source, in the innermost body, of ``base + sum(coeff * _o<k>)
+        + const`` over ``terms = [(k, coeff), ...]`` in nesting order;
+        just a name when the innermost offset is not among them."""
+        acc = base
+        for k, coeff in terms:
+            src = sum_src([acc, term_src(coeff, f"_o{k}")])
+            if k == self.inner:
+                return sum_src([src], const)
+            acc = self.bind(f"_h{k}_", (acc, k, coeff), src,
+                            self.level_lines[k])
+        return sum_src([acc], const)
 
 
 # ---------------------------------------------------------------------------
@@ -108,37 +134,33 @@ def emit_rect_kernel(nest: LoopNest, scalars: Mapping[str, float],
     svar = {n: f"_s_{n}" for n in written}
     loop_dims = [k for k in range(depth) if shape[k] > 1]
     used_vals = value_indices(nest)
-    namer = _SlotNamer()
+    hoist = _Hoister(loop_dims)
     rank_los, rank_strides = rank_rect
 
-    def slot_parts(ref: ArrayRef) -> tuple[str, list[str]]:
+    def slot_src(ref: ArrayRef) -> str:
         coeffs, const = flat_affine(ref, indices, specs[ref.array])
-        base = namer.base(
-            (ref.array, coeffs, const),
+        base = hoist.bind(
+            "_c", (ref.array, coeffs, const),
             sum_src([term_src(coeffs[k], f"_b{k}")
-                      for k in range(depth) if coeffs[k]], const))
-        return base, [term_src(coeffs[k], f"_o{k}")
-                      for k in loop_dims if coeffs[k]]
+                      for k in range(depth) if coeffs[k]], const),
+            hoist.block_lines)
+        return hoist.chain(base, [(k, coeffs[k])
+                                  for k in loop_dims if coeffs[k]])
 
     def stamp_src(k: int) -> str:
-        terms = [term_src(rank_strides[d] * nstmts, f"_o{d}")
-                 for d in loop_dims if rank_strides[d]]
-        return sum_src(["_rb"] + terms, k)
+        return hoist.chain("_rb", [(d, rank_strides[d] * nstmts)
+                                   for d in loop_dims if rank_strides[d]], k)
 
     body: list[str] = []
     for k, stmt in enumerate(nest.statements):
-        base, o_terms = slot_parts(stmt.lhs)
-        lhs_src = sum_src([base] + o_terms)
-        if o_terms:
-            body.append(f"_w{k} = {lhs_src}")
+        lhs_src = lhs_local = slot_src(stmt.lhs)
+        if not lhs_src.isidentifier():  # it moves with the innermost loop
             lhs_local = f"_w{k}"
-        else:
-            lhs_local = base
+            body.append(f"{lhs_local} = {lhs_src}")
 
         def read_src(ref: ArrayRef, _arr=stmt.lhs.array, _src=lhs_src,
                      _local=lhs_local) -> str:
-            rbase, ro = slot_parts(ref)
-            src = sum_src([rbase] + ro)
+            src = slot_src(ref)
             if ref.array == _arr and src == _src:
                 src = _local  # the accumulation read reuses the lhs slot
             return f"{gvar[ref.array]}[{src}]"
@@ -158,7 +180,7 @@ def emit_rect_kernel(nest: LoopNest, scalars: Mapping[str, float],
     for k in sorted(used_vals):
         if k not in loop_dims:
             lines.append(f"        _f{k} = float(_b{k})")
-    for pre in namer.lines:
+    for pre in hoist.block_lines:
         lines.append(f"        {pre}")
     ind = "        "
     for k in loop_dims:
@@ -166,6 +188,8 @@ def emit_rect_kernel(nest: LoopNest, scalars: Mapping[str, float],
         ind += "    "
         if k in used_vals:
             lines.append(f"{ind}_f{k} = float(_b{k} + _o{k})")
+        for pre in hoist.level_lines[k]:
+            lines.append(ind + pre)
     for b in body:
         lines.append(ind + b)
     return "\n".join(lines) + "\n"

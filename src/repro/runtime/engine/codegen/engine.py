@@ -2,8 +2,10 @@
 
 The top engine tier.  ``run_blocks`` builds (and caches, per plan) a
 *program*: the plan's geometry, its communication-audit certificate,
-the per-block argument tuples, the seed/scatter coordinate tables and
-the compiled kernel itself.  :func:`load_kernel` walks three levels
+the per-block argument tuples and the compiled kernel itself -- and
+runs that kernel on the run's flat store in place
+(:mod:`repro.runtime.layout`; its lists are the flat grids the kernel
+is specialised to).  :func:`load_kernel` walks three levels
 by content key: the engines' bounded in-process LRU
 (``engine.codegen.cache.memory.hit``), the on-disk
 :mod:`~repro.runtime.engine.codegen.diskcache` (a warm process
@@ -11,9 +13,10 @@ unmarshals the code object: zero ``engine.codegen.emit``/``compile``
 spans), then fresh emission + compilation, persisted.
 
 Anything the specializer cannot take (non-affine subscripts, written
-replicas, oversized grids, a failed certificate) delegates to the
-compiled tier -- a plan with *actual* cross-block accesses is never
-run unchecked, so a sabotaged plan raises the interpreter's first
+replicas, oversized grids, a failed certificate, memories that are not
+untouched views of the run's store) delegates to the compiled tier --
+a plan with *actual* cross-block accesses is never run unchecked, so a
+sabotaged plan raises the interpreter's first
 :class:`~repro.machine.memory.RemoteAccessError` through the compiled
 tier's per-access slow path.  For a run with every access checked ask
 for ``--backend compiled`` (or ``interp``).
@@ -40,10 +43,7 @@ from repro.runtime.engine.lowering import (
     emit_iteration_kernel,
     reads_per_statement,
 )
-
-#: id(plan) -> (weakref, geometry dict); plan-lifetime side-car, which
-#: also holds the plan's programs (one per scalar binding)
-_GEOMETRY: dict[int, tuple] = {}
+from repro.runtime.layout import Sidecar, in_place_store, layout_for
 
 
 def load_kernel(key: str, emit_fn: Callable[[], str],
@@ -87,41 +87,11 @@ def load_kernel(key: str, emit_fn: Callable[[], str],
 # per-plan geometry and program side-cars
 # ---------------------------------------------------------------------------
 
-def _geometry_for(plan) -> dict:
-    """Geometry, block-argument and seed/scatter tables (plan-cached).
-
-    Raises :class:`CodegenUnsupported` when the plan cannot be
-    specialized; the *negative* outcome is cached too (re-raising is
-    cheap, re-deriving it is not).
-    """
-    import weakref
-
-    key = id(plan)
-    hit = _GEOMETRY.get(key)
-    if hit is not None and hit[0]() is plan:
-        geo = hit[1]
-        if "unsupported" in geo:
-            raise CodegenUnsupported(geo["unsupported"])
-        return geo
-    geo: dict = {}
-    try:
-        ref = weakref.ref(plan)
-        weakref.finalize(plan, _GEOMETRY.pop, key, None)
-        _GEOMETRY[key] = (ref, geo)
-    except TypeError:  # pragma: no cover - plans are always weakref-able
-        pass
-    try:
-        geo.update(_build_geometry(plan))
-    except CodegenUnsupported as exc:
-        geo["unsupported"] = exc.reason
-        raise
-    return geo
-
-
 def _build_geometry(plan) -> dict:
+    """Geometry and block-argument tables of one plan."""
     nest = plan.nest
     space = plan.model.space
-    written = check_written_partitioned(plan)
+    check_written_partitioned(plan)
     specs = grid_specs(plan)
     check_nest(nest, specs)
     rank_rect = space.rank_strides()
@@ -129,34 +99,6 @@ def _build_geometry(plan) -> dict:
     if plan.live is None and rank_rect is not None:
         rect = rect_block_shape(plan)
     nstmts = len(nest.statements)
-
-    def flat_pairs(name, coords):
-        """(coords, flat slot) pairs, shared by seed and scatter tables"""
-        lo, strides = specs[name].lo, specs[name].strides
-        pairs = []
-        for c in coords:
-            s = 0
-            for d, v in enumerate(c):
-                s += (v - lo[d]) * strides[d]
-            pairs.append((c, s))
-        return pairs
-
-    seed: list[tuple[str, int, list]] = []
-    for name in specs:
-        seen: set = set()
-        for db in plan.data_blocks[name]:
-            pairs = flat_pairs(name, [c for c in db.elements
-                                      if c not in seen])
-            if pairs:
-                seen.update(c for c, _ in pairs)
-                seed.append((name, db.block_index, pairs))
-    scatter: list[tuple[int, str, list]] = []
-    for b in plan.blocks:
-        for name in written:
-            db = plan.data_blocks[name][b.index]
-            if db.elements:
-                scatter.append((b.index, name,
-                                flat_pairs(name, db.elements)))
 
     if rect is not None:
         args = [tuple(b.iterations[0])
@@ -170,14 +112,25 @@ def _build_geometry(plan) -> dict:
         "rect": rect,
         "rank_rect": rank_rect,
         "args": args,
-        "seed": seed,
-        "scatter": scatter,
-        "written": tuple(n for n in specs if n in written),
         "nreads": reads_per_statement(nest),
         "nstmts": nstmts,
         "certified": None,  # resolved on first run
         "programs": {},
     }
+
+
+#: the plan's flat layout -> geometry dict, which also holds the plan's
+#: programs (one per scalar binding); "cannot be specialized" is cached
+#: too (re-raising is cheap, re-deriving it is not).  Beside the layout,
+#: not the plan: a plan whose blocks were rewritten gets new ones.
+_GEOMETRY = Sidecar(lambda layout, plan: _build_geometry(plan),
+                    negative=(CodegenUnsupported,))
+
+
+def _geometry_for(plan) -> dict:
+    """The (cached) geometry; raises :class:`CodegenUnsupported` when
+    the plan cannot be specialized."""
+    return _GEOMETRY.get(layout_for(plan), plan)
 
 
 def _certified(plan, geo: dict) -> bool:
@@ -270,26 +223,27 @@ class CodegenEngine(Engine):
                                   result, initial, scalars)
             return
 
-        tracer = current_tracer()
-        reg = current_registry()
-        specs = geo["specs"]
-        grids = {n: [0.0] * s.size for n, s in specs.items()}
-        stamps = {n: [-1] * specs[n].size for n in geo["written"]}
-        for name, bindex, pairs in geo["seed"]:
-            vals = memories[bindex].values[name]
-            g = grids[name]
-            for c, f in pairs:
-                g[f] = vals[c]
+        store = in_place_store(result, plan, memories)
+        if store is None:
+            # the dicts are the memory: the compiled tier runs on dicts
+            self._delegate_blocks("memories-not-flat", plan, memories,
+                                  result, initial, scalars)
+            return
+
+        # in place: written arrays are partitioned and no access crosses
+        # blocks, so a replica is never written and one list per array
+        # holds every block's copy of every word for the whole run
+        grids = store.grids
+        stamps = {n: [-1] * len(grids[n]) for n in store.layout.written}
 
         live = plan.live
-        space = plan.model.space
         nreads = geo["nreads"]
         nstmts = geo["nstmts"]
         total_iters = sum(len(b.iterations) for b in plan.blocks)
-        with tracer.span("engine.codegen.exec", category="engine",
-                         backend=self.name, mode=prog["mode"],
-                         blocks=len(plan.blocks),
-                         iterations=total_iters) as sp:
+        with current_tracer().span("engine.codegen.exec", category="engine",
+                                   backend=self.name, mode=prog["mode"],
+                                   in_place=True, blocks=len(plan.blocks),
+                                   iterations=total_iters) as sp:
             if prog["mode"] == "rect":
                 prog["fn"](geo["args"], grids, stamps)
                 result.executed_iterations += total_iters
@@ -301,21 +255,13 @@ class CodegenEngine(Engine):
                 stmts = total_iters * nstmts
             else:
                 out = prog["fn"](geo["args"], grids, stamps, live,
-                                 space.rank_of)
+                                 plan.model.space.rank_of)
                 stmts = self._apply_counts(out, plan, memories, result,
                                            live, nreads)
             sp.set(statements=stmts)
 
-        write_stamps = result.write_stamps
-        for bindex, name, pairs in geo["scatter"]:
-            st = stamps[name]
-            g = grids[name]
-            vals = memories[bindex].values[name]
-            for c, f in pairs:
-                s = st[f]
-                if s >= 0:
-                    vals[c] = g[f]
-                    write_stamps[(bindex, name, c)] = s
+        store.stamps = stamps
+        reg = current_registry()
         reg.inc("engine.codegen.runs")
         reg.inc("engine.codegen.blocks", len(plan.blocks))
         reg.inc("engine.codegen.iterations", total_iters)

@@ -13,7 +13,8 @@ from the steady-state ``warm_s``.
 Three geometric facts drive the emitted source:
 
 - **grid specs**: each array's allocated elements are embedded in the
-  dense row-major bounding box of their union, so a reference's
+  dense row-major bounding box of their union -- the geometry of the
+  run's flat store (:mod:`repro.runtime.layout`) -- so a reference's
   per-dimension affine subscripts fold into *one* flat-slot affine
   (``base + sum(coeff_k * i_k)``) with compile-time integer
   coefficients;
@@ -31,12 +32,12 @@ Three geometric facts drive the emitted source:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, LoopNest
+from repro.runtime.layout import GridSpec, layout_for
 
 #: Hard cap on the summed flat-grid words; beyond it the dense
 #: bounding-box embedding may dwarf the actual allocation.
@@ -51,54 +52,13 @@ class CodegenUnsupported(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Dense row-major bounding box of one array's allocated elements."""
-
-    lo: tuple[int, ...]
-    shape: tuple[int, ...]
-    strides: tuple[int, ...]
-    size: int
-
-
-def c_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
-    strides = [1] * len(shape)
-    for d in range(len(shape) - 2, -1, -1):
-        strides[d] = strides[d + 1] * shape[d + 1]
-    return tuple(strides)
-
-
 def grid_specs(plan) -> dict[str, GridSpec]:
-    """Per-array flat-grid specs over the union of allocated elements."""
-    specs: dict[str, GridSpec] = {}
-    total = 0
-    for name, dblocks in plan.data_blocks.items():
-        lo: Optional[list[int]] = None
-        hi: Optional[list[int]] = None
-        for db in dblocks:
-            for c in db.elements:
-                if lo is None:
-                    lo = list(c)
-                    hi = list(c)
-                    continue
-                for d, v in enumerate(c):
-                    if v < lo[d]:
-                        lo[d] = v
-                    elif v > hi[d]:
-                        hi[d] = v
-        if lo is None:
-            specs[name] = GridSpec(lo=(), shape=(), strides=(), size=0)
-            continue
-        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        size = 1
-        for d in shape:
-            size *= d
-        total += size
-        if total > MAX_WORDS:
-            raise CodegenUnsupported(
-                f"flat grids need {total} words (cap {MAX_WORDS})")
-        specs[name] = GridSpec(lo=tuple(lo), shape=shape,
-                               strides=c_strides(shape), size=size)
+    """The plan's per-array flat-grid specs, if they fit the cap."""
+    specs = layout_for(plan).specs
+    total = sum(spec.size for spec in specs.values())
+    if total > MAX_WORDS:
+        raise CodegenUnsupported(
+            f"flat grids need {total} words (cap {MAX_WORDS})")
     return specs
 
 
@@ -109,16 +69,11 @@ def check_written_partitioned(plan) -> frozenset:
     flat grid between two blocks, losing the per-block copy semantics
     of ``LocalMemory``; the same restriction gates the vectorized tier.
     """
-    written = frozenset(s.lhs.array for s in plan.nest.statements)
-    for name in written:
-        dblocks = plan.data_blocks.get(name, [])
-        count = sum(len(db.elements) for db in dblocks)
-        distinct = len(frozenset().union(*(db.elements for db in dblocks))) \
-            if dblocks else 0
-        if count != distinct:
-            raise CodegenUnsupported(
-                f"written array {name!r} has replicated elements")
-    return written
+    layout = layout_for(plan)
+    if layout.replicated:
+        raise CodegenUnsupported(f"written array {layout.replicated[0]!r} "
+                                 "has replicated elements")
+    return frozenset(layout.written)
 
 
 def rect_block_shape(plan) -> Optional[tuple[int, ...]]:

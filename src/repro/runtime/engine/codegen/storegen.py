@@ -26,7 +26,6 @@ from repro.lang.fingerprint import nest_canonical_form
 from repro.runtime.engine.codegen.emit import content_key
 from repro.runtime.engine.codegen.geometry import (
     CodegenUnsupported,
-    c_strides,
     ref_affine,
 )
 from repro.runtime.engine.lowering import (
@@ -34,6 +33,7 @@ from repro.runtime.engine.lowering import (
     KernelTarget,
     emit_iteration_kernel,
 )
+from repro.runtime.numpy_compat import c_strides
 
 STORE_KERNEL_NAME = "_cg_store_kernel"
 

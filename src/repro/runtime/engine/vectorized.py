@@ -21,10 +21,13 @@ Bit-identity with the interpreter holds because
 - across lanes, written elements are disjoint, so the interleaving
   cannot matter.
 
-The backend refuses (and falls back to ``compiled``) when a written
-array has replicated elements across data blocks, when a subscript is
-not integral-affine, or when the dense bounding-box grids would be
-unreasonably large.  Remote accesses -- the thing ``verify`` exists to
+It runs on the run's flat store in place (:mod:`repro.runtime.layout`:
+one dense list per array, as numpy arrays for the sweep).  The backend
+refuses (and falls back to ``compiled``) when a written array has
+replicated elements across data blocks, when a subscript is not
+integral-affine, when the dense grids would be unreasonably large, or
+when the memories are no longer untouched views of the store.  Remote
+accesses -- the thing ``verify`` exists to
 rule out -- are detected *up front*: access coordinates depend only on
 the iteration sets, so every gather/scatter is checked against the
 per-lane allocation masks before anything executes, and the first
@@ -34,7 +37,6 @@ violation in interpreter order raises the same
 
 from __future__ import annotations
 
-import weakref
 from itertools import chain
 from typing import Mapping
 
@@ -43,6 +45,7 @@ from repro.lang.ast import ArrayRef, BinOp, Const, Expr, Name, UnaryOp
 from repro.machine.memory import RemoteAccessError
 from repro.runtime import numpy_compat as npc
 from repro.runtime.engine.base import Engine
+from repro.runtime.layout import Sidecar, in_place_store, layout_for
 
 #: dense-grid size caps (elements); beyond these, fall back to compiled
 _MAX_GRID = 1 << 22
@@ -69,15 +72,8 @@ def supports_plan(plan) -> bool:
 
 
 def _check_plan(plan) -> None:
-    for name, info in plan.model.arrays.items():
-        if info.is_read_only():
-            continue
-        dblocks = plan.data_blocks.get(name, [])
-        total = sum(len(db.elements) for db in dblocks)
-        distinct = len({e for db in dblocks for e in db.elements})
-        if total != distinct:
-            raise _Unsupported(
-                f"written array {name} has replicated elements")
+    if layout_for(plan).replicated:
+        raise _Unsupported("a written array has replicated elements")
     indices = plan.nest.indices
     for stmt in plan.nest.statements:
         for ref in stmt.rhs.array_refs():
@@ -95,36 +91,29 @@ def _check_plan(plan) -> None:
 
 
 class _Grid:
-    """Dense bounding-box storage for one array across all lanes."""
+    """One array of the run's flat store as arrays, and who holds what."""
 
     __slots__ = ("lo", "shape", "strides", "vals", "stamps", "hold")
 
-    def __init__(self, np, nlanes: int, ndim: int, carr):
-        """``carr`` is an (N, ndim) int64 array of every allocated
-        coordinate (any lane), or None when nothing is allocated."""
-        if carr is not None and len(carr):
-            self.lo = tuple(int(x) for x in carr.min(axis=0))
-            hi = tuple(int(x) for x in carr.max(axis=0))
-        else:
-            self.lo = (0,) * ndim
-            hi = (0,) * ndim
-        self.shape = tuple(h - l + 1 for l, h in zip(self.lo, hi))
-        size = 1
-        for s in self.shape:
-            size *= s
-        if size > _MAX_GRID or nlanes * size > _MAX_HOLD:
-            raise _Unsupported(f"grid of {size} elements is too large")
-        strides = [1] * ndim
-        for d in range(ndim - 2, -1, -1):
-            strides[d] = strides[d + 1] * self.shape[d + 1]
-        self.strides = tuple(strides)
-        self.vals = np.zeros(size, dtype=np.float64)
-        self.stamps = np.full(size, -1, dtype=np.int64)
-        self.hold = np.zeros((nlanes, size), dtype=bool)
+    def __init__(self, np, spec, values: list, hold):
+        self.lo, self.shape, self.strides = spec.lo, spec.shape, spec.strides
+        self.vals = np.array(values, dtype=np.float64)
+        self.stamps = np.full(spec.size, -1, dtype=np.int64)
+        self.hold = hold
 
-    def flat_of(self, coords: tuple[int, ...]) -> int:
-        return sum((c - l) * s
-                   for c, l, s in zip(coords, self.lo, self.strides))
+
+def _lane_holds(np, layout, nlanes: int) -> dict:
+    """array -> (nlanes, size) mask of the slots each lane's block holds."""
+    holds = {}
+    for name, spec in layout.specs.items():
+        if not spec.size or spec.size > _MAX_GRID \
+                or nlanes * spec.size > _MAX_HOLD:
+            raise _Unsupported(f"no dense grid of {spec.size} elements")
+        holds[name] = np.zeros((nlanes, spec.size), dtype=bool)
+    for lane, (_, regions) in enumerate(layout.rows):
+        for name, _, slots in regions:
+            holds[name][lane, slots] = True
+    return holds
 
 
 def _flatten_coords(np, grid: _Grid, coord_arrays):
@@ -198,29 +187,18 @@ def _has_division(expr: Expr) -> bool:
     return False
 
 
-#: id(plan) -> (weakref to the plan, geometry dict).  A side-car cache
-#: (rather than an attribute on the plan) keeps plans pickleable; the
-#: weakref both guards against id reuse and evicts dead entries.
-_GEOM_CACHE: dict[int, tuple] = {}
-
-
-def _geometry(np, plan):
-    """Data-independent execution geometry for a plan, cached per plan.
+def _build_geometry(plan):
+    """Data-independent execution geometry for a plan (None when there
+    is nothing to run).
 
     Everything here depends only on the plan's iteration blocks, live
     set and iteration space -- never on array values or on what the
     memories hold -- so repeat runs of the same plan (the common
-    verify/benchmark pattern) skip straight to grid seeding.  The
-    allocation-dependent parts (hold masks, grid values, the
-    remote-access check) are rebuilt on every run.
+    verify/benchmark pattern) skip straight to the sweep.  The lane
+    hold masks join it per plan layout; grid values and the
+    remote-access check are rebuilt on every run.
     """
-    key = id(plan)
-    hit = _GEOM_CACHE.get(key)
-    if hit is not None:
-        ref, geom = hit
-        if ref() is plan and geom["np"] is np:
-            return geom
-
+    np = npc.np
     nest = plan.nest
     space = plan.model.space
     indices = nest.indices
@@ -280,11 +258,6 @@ def _geometry(np, plan):
             for s, it in enumerate(b.iterations):
                 rank[lane, s] = space.rank_of(it)
 
-    ndims = {}
-    for stmt in stmts:
-        for ref in [stmt.lhs] + list(stmt.rhs.array_refs()):
-            ndims[ref.array] = len(ref.subscripts)
-
     # per-statement access coordinates, reads in the same pre-order
     # left-to-right traversal _build_eval uses
     stmt_plans = []
@@ -305,17 +278,20 @@ def _geometry(np, plan):
         "iters_f": iters_f,
         "exec_mask": exec_mask,
         "rank": rank,
-        "ndims": ndims,
         "stmts": stmt_plans,
         "nreads": [len(r) for r, _, _ in stmt_plans],
-        "written": sorted({stmt.lhs.array for stmt in stmts}),
         "exec_counts": [m.sum(axis=1) for m in exec_mask],
         "active_counts": active.sum(axis=1),
         "executed_total": int(any_exec.sum()),
     }
-    _GEOM_CACHE[key] = (weakref.ref(plan), geom)
-    weakref.finalize(plan, _GEOM_CACHE.pop, key, None)
     return geom
+
+
+#: plan -> geometry, cached beside the plan; it holds arrays of the
+#: numpy module it was built with (``numpy_compat.np`` is mutable)
+_GEOMETRY = Sidecar(
+    _build_geometry,
+    valid=lambda plan, geom: geom is None or geom["np"] is npc.np)
 
 
 class VectorizedEngine(Engine):
@@ -360,7 +336,7 @@ class VectorizedEngine(Engine):
     def _run_lockstep(self, np, plan, memories, result,
                       scalars: Mapping[str, float]) -> None:
         _check_plan(plan)
-        geom = _geometry(np, plan)
+        geom = _GEOMETRY.get(plan)
         if geom is None:
             return
         nest = plan.nest
@@ -374,55 +350,20 @@ class VectorizedEngine(Engine):
         rank = geom["rank"]
         live = plan.live
 
-        # dense grids seeded from the (already allocated) local memories.
-        # Grid *geometry* (bounding box, flat indices, hold masks) depends
-        # only on which elements each block allocates -- i.e. on the
-        # plan's data blocks -- so it is cached per array, keyed on the
-        # identity of the DataBlock objects (their element sets are
-        # frozen, and allocation order is deterministic per object).
-        # Values and stamps are always rebuilt from the memories.
-        gridtpl = geom.setdefault("gridtpl", {})
-        grids: dict[str, _Grid] = {}
-        for name in nest.array_names():
-            dblocks = plan.data_blocks.get(name, [])
-            stores = [memories[b.index].values.get(name, {}) for b in lanes]
-            tpl = gridtpl.get(name)
-            if tpl is not None:
-                snap, proto, flats, total = tpl
-                if len(snap) != len(dblocks) or \
-                        any(a is not b for a, b in zip(snap, dblocks)):
-                    tpl = None
-            if tpl is None:
-                ndim = geom["ndims"][name]
-                total = sum(len(d) for d in stores)
-                carr = None
-                if total:
-                    carr = np.fromiter(
-                        chain.from_iterable(chain.from_iterable(d)
-                                            for d in stores),
-                        np.int64, count=total * ndim).reshape(-1, ndim)
-                proto = _Grid(np, nlanes, ndim, carr)
-                flats = None
-                if carr is not None:
-                    flats = (carr - np.array(proto.lo, dtype=np.int64)) @ \
-                        np.array(proto.strides, dtype=np.int64)
-                    lrep = np.repeat(
-                        np.arange(nlanes),
-                        np.fromiter((len(d) for d in stores), np.int64,
-                                    count=nlanes))
-                    proto.hold[lrep, flats] = True
-                gridtpl[name] = (list(dblocks), proto, flats, total)
-            size = proto.vals.shape[0]
-            g = object.__new__(_Grid)
-            g.lo, g.shape, g.strides = proto.lo, proto.shape, proto.strides
-            g.hold = proto.hold  # read-only after construction
-            g.vals = np.zeros(size, dtype=np.float64)
-            g.stamps = np.full(size, -1, dtype=np.int64)
-            if flats is not None:
-                g.vals[flats] = np.fromiter(
-                    chain.from_iterable(d.values() for d in stores),
-                    np.float64, count=total)
-            grids[name] = g
+        # the dense grids are the run's flat store, in place: one list
+        # per array shared by all lanes (written arrays are partitioned,
+        # so a replica is never written).  Which slots a lane holds
+        # depends only on the layout, and is cached with it.
+        store = in_place_store(result, plan, memories)
+        if store is None:
+            raise _Unsupported("memories are not views of the run's store")
+        layout = store.layout
+        if geom.get("layout") is not layout:
+            geom["holds"] = _lane_holds(np, layout, nlanes)
+            geom["layout"] = layout
+        grids = {name: _Grid(np, layout.specs[name], store.grids[name],
+                             geom["holds"][name])
+                 for name in nest.array_names()}
 
         # per-statement access plans (+ up-front remote-access check:
         # access coordinates are data-independent, so every gather and
@@ -483,22 +424,15 @@ class VectorizedEngine(Engine):
                 grid.vals[wf] = value
                 grid.stamps[wf] = rank[sel, s] * nstmts + k
 
-        # scatter back: values, stamps, counters
+        # values and stamps back into the store, counters to the memories
+        for name in layout.written:
+            store.grids[name][:] = grids[name].vals.tolist()
+        store.stamps = {name: grids[name].stamps.tolist()
+                        for name in layout.written}
         exec_counts = geom["exec_counts"]
         active_counts = geom["active_counts"]
         for lane, b in enumerate(lanes):
             mem = memories[b.index]
-            for name in geom["written"]:
-                store = mem.values.get(name)
-                if not store:
-                    continue
-                g = grids[name]
-                for c in store:
-                    f = g.flat_of(c)
-                    stamp = int(g.stamps[f])
-                    if stamp >= 0:
-                        store[c] = float(g.vals[f])
-                        result.write_stamps[(b.index, name, c)] = stamp
             for k in range(nstmts):
                 n = int(exec_counts[k][lane])
                 mem.writes += n

@@ -13,7 +13,10 @@ element by element, whatever engine filled them (the shared-memory
 store rebuilds both in :meth:`SharedBlockStore.collect`).  Write stamps
 are globally unique in any real run (stamp = ``rank * nstmts + k`` over
 a partition of the iteration space); on synthetic equal stamps the
-first entry seen wins (strict ``>`` comparison).
+first entry seen wins (strict ``>`` comparison).  A run that stayed on
+its flat store (an engine ran on it in place, nothing has been read as
+a dict since) is merged box by box straight from the store: its written
+arrays are partitioned, so every written slot has exactly one writer.
 """
 
 from __future__ import annotations
@@ -30,6 +33,17 @@ def merge_copies(result: ParallelResult,
     seeded from (unwritten elements keep their initial values).
     """
     merged = {name: ds.copy() for name, ds in initial.items()}
+    store = result.store
+    if store is not None and store.stamps is not None \
+            and store.all_views(result.memories):
+        for name, stamps in store.stamps.items():
+            spec = store.layout.specs[name]
+            if spec.size:
+                kept = merged[name].box_values(spec.lo, spec.shape)
+                merged[name].assign_box(spec.lo, spec.shape, [
+                    new if stamp >= 0 else old for new, stamp, old
+                    in zip(store.grids[name], stamps, kept)])
+        return merged
     # element -> (stamp, value) of the best writer seen so far
     best: dict[tuple[str, Coords], tuple[int, float]] = {}
     for (block, array, coords), stamp in result.write_stamps.items():

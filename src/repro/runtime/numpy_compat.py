@@ -41,6 +41,14 @@ def have_numpy() -> bool:
     return np is not None
 
 
+def c_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-major strides, in elements, of a dense grid of ``shape``."""
+    strides = [1] * len(shape)
+    for d in range(len(shape) - 2, -1, -1):
+        strides[d] = strides[d + 1] * shape[d + 1]
+    return tuple(strides)
+
+
 class PyGrid:
     """Dense float grid over ``shape`` backed by a flat Python list.
 
@@ -58,10 +66,7 @@ class PyGrid:
     def __init__(self, shape: tuple[int, ...], fill: float = 0.0,
                  _data: Optional[list] = None):
         self.shape = tuple(int(s) for s in shape)
-        strides = [1] * len(self.shape)
-        for k in range(len(self.shape) - 2, -1, -1):
-            strides[k] = strides[k + 1] * self.shape[k + 1]
-        self._strides = tuple(strides)
+        self._strides = c_strides(self.shape)
         size = 1
         for s in self.shape:
             size *= s

@@ -8,7 +8,9 @@ Steps (mirroring the paper's execution model):
 2. **Allocation** -- each block's data blocks are allocated as that
    block's private region, initialized from the global initial arrays
    (the host distribution; communication costs are charged separately
-   by the perf harness -- here we care about functional correctness).
+   by the perf harness -- here we care about functional correctness):
+   the run keeps one flat store, and every region is a view of it
+   until something reads it as a dict (:mod:`repro.runtime.layout`).
    Regions stay per-block even when several blocks share a processor:
    under the duplicate strategy two co-resident blocks hold *separate
    copies* of a replicated element, exactly as the paper's per-block
@@ -35,6 +37,7 @@ from repro.machine.memory import LocalMemory
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import current_tracer
 from repro.runtime.arrays import Coords, DataSpace, make_arrays
+from repro.runtime.layout import FlatStore, layout_for
 
 Element = tuple[str, Coords]
 
@@ -50,8 +53,10 @@ class ParallelResult:
     plan: PartitionPlan
     memories: dict[int, LocalMemory]
     block_to_pid: dict[int, int]
-    # (block, array, coords) -> sequential order of the last write there
-    write_stamps: dict[tuple[int, str, Coords], int] = field(default_factory=dict)
+    # the flat store the memories are views of (None: hand-built dicts)
+    store: Optional[FlatStore] = field(default=None, repr=False)
+    _write_stamps: dict[tuple[int, str, Coords], int] = field(
+        default_factory=dict, repr=False)
     executed_iterations: int = 0
     skipped_computations: int = 0
     # canonical name of the engine that executed the blocks
@@ -59,6 +64,21 @@ class ParallelResult:
     # filled by the multiprocess engine's BlockScheduler (lease history,
     # retry/respawn counters); None on in-process backends
     scheduler: Optional[Any] = None
+
+    @property
+    def write_stamps(self) -> dict[tuple[int, str, Coords], int]:
+        """(block, array, coords) -> sequential order of the last write
+        there.  The flat stamp lists of an engine that ran on the store
+        in place are rendered into it on first read."""
+        if self.store is not None and self.store.stamps is not None:
+            self._write_stamps.update(self.store.render_stamps())
+        return self._write_stamps
+
+    @write_stamps.setter
+    def write_stamps(self, stamps: dict) -> None:
+        if self.store is not None:
+            self.store.stamps = None
+        self._write_stamps = stamps
 
     @property
     def remote_accesses(self) -> int:
@@ -74,7 +94,10 @@ class ParallelResult:
 
     @cached_property
     def memory_words(self) -> int:
-        """Total allocated words; regions are sized once, at allocation."""
+        """Total allocated words; regions are sized once, by the layout
+        (replicated words count once per copy)."""
+        if self.store is not None:
+            return self.store.layout.words
         return sum(m.words() for m in self.memories.values())
 
     def loads(self) -> dict[int, int]:
@@ -135,10 +158,13 @@ class ParallelResult:
         ``runtime.memory_words``) reflect *this* run exactly -- the
         exported ``runtime.remote_accesses`` equals
         :attr:`remote_accesses` -- while the ``runtime.*`` counters
-        accumulate across runs within the registry's lifetime.
+        accumulate across runs within the registry's lifetime
+        (``runtime.memory.rendered_regions`` is counted by the memories
+        as they render; here it is made to exist, so zero shows).
         """
         reg = registry if registry is not None else current_registry()
         reg.inc("runtime.runs")
+        reg.inc("runtime.memory.rendered_regions", 0)
         reg.inc(f"runtime.engine.runs.{self.backend}")
         reg.inc("runtime.executed_iterations.total",
                 self.executed_iterations)
@@ -154,16 +180,9 @@ class ParallelResult:
 def allocate_blocks(plan: PartitionPlan, initial: dict[str, DataSpace],
                     block_to_pid: Mapping[int, int],
                     strict: bool = True) -> dict[int, LocalMemory]:
-    """Step 2: one private region per block, each array's share of it
-    one bulk copy out of that array's ``{coords: value}`` table."""
-    tables = {name: initial[name].value_table() for name in plan.data_blocks}
-    memories: dict[int, LocalMemory] = {}
-    for b in plan.blocks:
-        mem = LocalMemory(pid=block_to_pid[b.index], strict=strict)
-        for name, dblocks in plan.data_blocks.items():
-            mem.allocate(name, dblocks[b.index].elements, init=tables[name])
-        memories[b.index] = mem
-    return memories
+    """Step 2: one private region per block, each a view of one flat
+    store filled by a box copy out of every initial array."""
+    return FlatStore(layout_for(plan), initial).views(block_to_pid, strict)
 
 
 def run_parallel(
@@ -206,10 +225,12 @@ def run_parallel(
     tracer = current_tracer()
     with tracer.span("runtime.allocate", category="engine",
                      blocks=len(plan.blocks)) as sp:
-        memories = allocate_blocks(plan, initial, mapping, strict=strict)
+        store = FlatStore(layout_for(plan), initial)
+        memories = store.views(mapping, strict)
         result = ParallelResult(plan=plan, memories=memories,
-                                block_to_pid=mapping)
-        sp.set(words=result.memory_words)
+                                block_to_pid=mapping, store=store)
+        sp.set(regions=len(memories) * len(store.grids),
+               words=result.memory_words)
 
     engine = resolve_engine("interp" if not strict else backend)
     result.backend = engine.name

@@ -445,15 +445,8 @@ class BlockScheduler:
             self.store.collect(result, self.memories)
             return sres
         for out in ordered:
-            for pid, worker_mem in out.mems.items():
-                mem = self.memories[pid]
-                mem.values = worker_mem.values
-                mem.allocated = worker_mem.allocated
-                mem.reads = worker_mem.reads
-                mem.writes = worker_mem.writes
-                mem.remote_attempts = worker_mem.remote_attempts
-                mem.remote_read_attempts = worker_mem.remote_read_attempts
-                mem.remote_write_attempts = worker_mem.remote_write_attempts
+            # the worker's copy of each memory is the memory now
+            self.memories.update(out.mems)
             result.write_stamps.update(out.write_stamps)
             result.executed_iterations += out.executed_iterations
             result.skipped_computations += out.skipped_computations

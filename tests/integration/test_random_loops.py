@@ -1,9 +1,9 @@
 """Property-based pipeline tests on randomly generated loop nests.
 
-The generator produces arbitrary *uniformly generated* nests (random
-reference matrices ``H`` per array, random offsets per reference,
-random statement structure).  For every generated nest and every
-strategy, the pipeline's guarantees must hold:
+The generator (``tests/strategies.py``) produces arbitrary *uniformly
+generated* nests (random reference matrices ``H`` per array, random
+offsets per reference, random statement structure).  For every
+generated nest and every strategy, the pipeline's guarantees must hold:
 
 - blocks partition the iteration space;
 - non-duplicate data blocks are disjoint;
@@ -13,68 +13,16 @@ strategy, the pipeline's guarantees must hold:
   matching the partition.
 """
 
-import itertools
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Strategy, build_plan
 from repro.core.plan import check_all
-from repro.lang import builder as b
-from repro.lang.ast import Assign, BinOp, Const, LoopNest
 from repro.runtime import verify_plan
 from repro.transform import transform_nest
 
-INDICES = ("i", "j", "k")
-
-
-@st.composite
-def loop_nests(draw):
-    depth = draw(st.integers(2, 3))
-    indices = INDICES[:depth]
-    bounds = [draw(st.integers(2, 3)) for _ in range(depth)]
-
-    num_arrays = draw(st.integers(2, 3))
-    names = ["A", "B", "C"][:num_arrays]
-    # per-array reference shape: rank + H (shared by all refs of the array)
-    shapes = {}
-    for name in names:
-        rank = draw(st.integers(1, 2))
-        h = [[draw(st.integers(-2, 2)) for _ in range(depth)]
-             for _ in range(rank)]
-        shapes[name] = (rank, h)
-
-    def random_ref(name):
-        rank, h = shapes[name]
-        subs = []
-        for r in range(rank):
-            terms = [(h[r][c], indices[c]) for c in range(depth) if h[r][c]]
-            const = draw(st.integers(-2, 2))
-            subs.append(b.lin(*terms, const=const))
-        return b.ref(name, *subs)
-
-    nstmts = draw(st.integers(1, 3))
-    stmts = []
-    for s in range(nstmts):
-        lhs = random_ref(draw(st.sampled_from(names)))
-        nreads = draw(st.integers(1, 2))
-        rhs = None
-        for _ in range(nreads):
-            term = random_ref(draw(st.sampled_from(names)))
-            rhs = term if rhs is None else BinOp("+", rhs, term)
-        rhs = BinOp("*", rhs, Const(draw(st.integers(1, 3))))
-        stmts.append(Assign(lhs=lhs, rhs=rhs))
-
-    loops = [b.loop(indices[d], 1, bounds[d]) for d in range(depth)]
-    return b.nest(*loops, body=stmts, name="RAND")
-
-
-STRATEGIES = [
-    dict(strategy=Strategy.NONDUPLICATE),
-    dict(strategy=Strategy.DUPLICATE),
-    dict(strategy=Strategy.NONDUPLICATE, eliminate_redundant=True),
-    dict(strategy=Strategy.DUPLICATE, eliminate_redundant=True),
-]
+from tests.strategies import PLAN_KWARGS as STRATEGIES
+from tests.strategies import loop_nests
 
 
 @given(loop_nests(), st.sampled_from(range(len(STRATEGIES))))

@@ -1,12 +1,12 @@
 """Bulk allocation builds the very memories the per-element form does.
 
-``run_parallel`` fills each block's private region out of one
-``{coords: value}`` table per array (``LocalMemory.allocate`` with a
-table as ``init``).  The per-element callable form of ``allocate`` --
-``init=lambda c: initial[name][c]``, through ``DataSpace.__getitem__``
-and ``int()`` per coordinate -- stays in the tests as the reference:
-the two must agree object for object, on every catalog nest, strategy
-and elimination setting, with and without numpy.
+``run_parallel`` makes each block's private region a view of one flat
+store (``LocalMemory.allocate`` with ``view=(grids, slots)``), rendered
+as dicts when first read.  The per-element callable form of
+``allocate`` -- ``init=lambda c: initial[name][c]``, through
+``DataSpace.__getitem__`` and ``int()`` per coordinate -- stays in the
+tests as the reference: the two must agree object for object, on every
+catalog nest, strategy and elimination setting, with and without numpy.
 """
 
 import itertools
@@ -140,13 +140,27 @@ def test_element_outside_the_initial_array_raises(backing):
 
 
 def test_table_form_of_allocate_directly():
+    """The table is the plan layout's: a region is a row of it --
+    ``(elements, slots)`` into the store's flat list of the array."""
+    grids = {"A": [1.5, 2.5, 3.5], "B": [9.0]}
     mem = LocalMemory(pid=3)
-    table = {(0,): 1.5, (1,): 2.5, (2,): 3.5}
-    assert mem.allocate("A", [(0,), (1,)], init=table) == 2
-    assert mem.allocate("A", [(1,), (2,)], init=table) == 1
-    assert mem.values["A"] == table and mem.words() == 3
-    with pytest.raises(IndexError):
-        mem.allocate("A", [(7,)], init=table)
+    assert mem.allocate("A", ((1,), (0,)), view=(grids, [1, 0])) == 2
+    assert mem.allocate("B", ((4,),), view=(grids, [0])) == 1
+    # nothing was copied: the memory still reads the lists
+    assert mem.is_view_of(grids) and mem.words() == 3
+    grids["A"][0] = -1.5
+    assert mem.values == {"A": {(1,): 2.5, (0,): -1.5}, "B": {(4,): 9.0}}
+    assert list(mem.values["A"]) == [(1,), (0,)]
+    assert mem.allocated == {"A": {(0,), (1,)}, "B": {(4,)}}
+    # once read as dicts, the dicts are the memory
+    assert not mem.is_view_of(grids)
+    grids["A"][0] = 1.5
+    assert mem.values["A"][(0,)] == -1.5 and mem.load("A", (0,)) == -1.5
+    # a second region of an array, or any region of a memory that holds
+    # dicts, is copied in like an ``init``: new words counted once
+    assert mem.allocate("A", ((1,), (2,)), view=(grids, [1, 2])) == 1
+    assert mem.values["A"] == {(1,): 2.5, (0,): -1.5, (2,): 3.5}
+    assert mem.words() == 4
 
 
 @pytest.mark.parametrize("name,fn,kwargs", PARITY_CASES,

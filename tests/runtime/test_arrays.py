@@ -1,5 +1,7 @@
 """DataSpace storage and footprint computation."""
 
+import itertools
+
 import pytest
 
 from repro.analysis import extract_references
@@ -97,9 +99,9 @@ class TestMakeArrays:
 
 
 class TestBulkFillAndCompare:
-    """``fill_with`` / ``value_table`` / ``differences`` go through the
-    flat backing in one step; the per-element ``__setitem__`` /
-    ``__getitem__`` walk is the reference."""
+    """``fill_with`` / ``box_values`` / ``assign_box`` / ``differences``
+    go through the flat backing in one step; the per-element
+    ``__setitem__`` / ``__getitem__`` walk is the reference."""
 
     BOUNDS = [((0, 0), (8, 4)),      # L1's A[0:8, 0:4]
               ((1, 2), (4, 5)),      # ranges that do not start at 0
@@ -122,15 +124,31 @@ class TestBulkFillAndCompare:
     def test_fill_with_integer_valued_initialiser(self, backing):
         ds = DataSpace("A", (1,), (3,)).fill_with(lambda c: c[0])
         assert [ds[(i,)] for i in (1, 2, 3)] == [1.0, 2.0, 3.0]
-        assert all(type(v) is float for v in ds.value_table().values())
+        assert all(type(v) is float for v in ds.box_values((1,), (3,)))
 
     @pytest.mark.parametrize("lo,hi", BOUNDS)
     def test_value_table_equals_getitem(self, lo, hi, backing):
+        """The table is a box of the array now (``box_values``): the
+        whole array, and every box with a corner at ``lo`` or ``hi``."""
         ds = DataSpace("A", lo, hi).fill_with(default_init("A"))
-        table = ds.value_table()
-        assert list(table) == list(ds.coords_iter())
-        assert all(table[c] == ds[c] and type(table[c]) is float
-                   for c in ds.coords_iter())
+        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+        boxes = [(lo, shape)]
+        boxes += [(lo, tuple(max(1, n - 1) for n in shape)),
+                  (tuple(h - n // 2 for h, n in zip(hi, shape)),
+                   tuple(n // 2 + 1 for n in shape))]
+        for blo, bshape in boxes:
+            inside = list(itertools.product(
+                *(range(l, l + n) for l, n in zip(blo, bshape))))
+            table = ds.box_values(blo, bshape)
+            assert table == [ds[c] for c in inside]
+            assert all(type(v) is float for v in table)
+            # and back: ``assign_box`` writes that box and nothing else
+            out = ds.copy()
+            out.assign_box(blo, bshape, [-v for v in table])
+            assert all(out[c] == (-ds[c] if c in inside else ds[c])
+                       for c in ds.coords_iter())
+        with pytest.raises(IndexError, match="A"):
+            ds.box_values(lo, tuple(n + 1 for n in shape))
 
     def test_differences_in_coordinate_order_with_both_values(self, backing):
         a = DataSpace("A", (1, -1), (2, 1)).fill_with(default_init("A"))

@@ -10,6 +10,8 @@ with the codegen tier:
 - the warm-process promise: a second process running the same plan
   serves its kernel from disk with *zero* emit/compile spans;
 - the ``auto`` engine's size/geometry-aware choice (and its counter);
+- the per-plan side-car: a geometry build that dies leaves nothing
+  behind, "unsupported" is remembered, a rewritten plan starts over;
 - chaos determinism when the blockstore workers run codegen store
   kernels attached by cache key through the descriptor lease.
 """
@@ -334,6 +336,88 @@ class TestAutoChoice:
 
     def test_choosing_imports_no_other_tier(self, tmp_path):
         _run_child(_CHOICE_CHILD, _child_env(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# the per-plan side-car
+# ---------------------------------------------------------------------------
+
+class TestSidecar:
+    def test_failed_geometry_build_leaves_no_hollow_entry(self, monkeypatch):
+        """At e77338e the empty geometry dict was published before the
+        build returned: a ``MemoryError`` once meant ``KeyError:
+        'programs'`` on every later run of the plan."""
+        from repro.runtime.engine.codegen import engine
+
+        build, calls = engine._build_geometry, []
+
+        def dies_once(plan):
+            calls.append(plan)
+            if len(calls) == 1:
+                raise MemoryError("no room for the tables")
+            return build(plan)
+
+        monkeypatch.setattr(engine, "_build_geometry", dies_once)
+        plan = build_plan(catalog.l5())
+        with pytest.raises(MemoryError):
+            run_parallel(plan, backend="codegen")
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            assert run_parallel(plan, backend="codegen").ok
+            assert run_parallel(plan, backend="codegen").ok
+        assert reg.value("engine.codegen.runs") == 2
+        assert len(calls) == 2                  # built once, then a hit
+
+    def test_unsupported_is_remembered_not_rederived(self, monkeypatch):
+        from repro.runtime.engine.codegen import engine
+
+        build, calls = engine._build_geometry, []
+        monkeypatch.setattr(engine, "_build_geometry",
+                            lambda plan: calls.append(plan) or build(plan))
+        plan = build_plan(catalog.l2(), strategy=Strategy.DUPLICATE)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            for _ in range(3):
+                assert run_parallel(plan, backend="codegen").ok
+        assert reg.value("engine.codegen.delegated") == 3
+        assert len(calls) == 1
+
+    def test_remembered_refusal_holds_no_run(self):
+        """What is remembered is the refusal's type and text.  The
+        raised exception itself would hold every frame it passed
+        through -- ``run_blocks``'s, so the run's memories and store --
+        until the plan's next run."""
+        import gc
+        import weakref
+
+        plan = build_plan(catalog.l2(), strategy=Strategy.DUPLICATE)
+        result = run_parallel(plan, backend="codegen")
+        memory = weakref.ref(result.memories[0])
+        del result
+        gc.collect()
+        assert memory() is None
+
+    def test_rewritten_plan_gets_a_new_layout_and_geometry(self):
+        """Plans are mutable at the container level; tables derived
+        from the blocks a plan had must not outlive them."""
+        import dataclasses
+
+        from repro.machine.memory import RemoteAccessError
+
+        plan = build_plan(catalog.l1())
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            assert run_parallel(plan, backend="codegen").ok
+            db0 = plan.data_blocks["A"][0]
+            victim = sorted(db0.elements)[0]
+            plan.data_blocks["A"][0] = dataclasses.replace(
+                db0, elements=db0.elements - {victim})
+            with pytest.raises(RemoteAccessError):
+                run_parallel(plan, backend="codegen")
+            plan.data_blocks["A"][0] = db0
+            assert run_parallel(plan, backend="codegen").ok
+        assert reg.value("engine.codegen.runs") == 2
+        assert reg.value("engine.codegen.uncertified") == 1
 
 
 # ---------------------------------------------------------------------------
