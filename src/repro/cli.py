@@ -793,11 +793,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(args, exc: Exception) -> Optional[str]:
+    """The one-line reason if ``exc`` is an error in what the user handed
+    us -- a nest file that is missing or does not parse, a subscript
+    outside the model, a scalar left unbound -- else ``None``: a crash."""
+    from repro.analysis.references import NonUniformReferenceError
+    from repro.lang.lexer import LexError
+    from repro.lang.parser import ParseError
+    from repro.runtime.seq import UnboundScalarError
+
+    if isinstance(exc, UnboundScalarError):
+        return f"{exc}; bind it with --scalars {exc.args[0]}=<value>"
+    if isinstance(exc, OSError) and exc.filename is not None \
+            and exc.filename == getattr(args, "file", None):
+        return f"cannot read {exc.filename}: {exc.strerror}"
+    if isinstance(exc, (LexError, ParseError, NonUniformReferenceError)):
+        return str(exc)
+    return None
+
+
 def _invoke(args, out) -> int:
     """Run one subcommand under the flight recorder's crash net.
 
-    Any exception that would escape the driver dumps the flight ring
-    first (``repro blackbox`` then has the post-mortem), and still
+    An input error ends in the uniform ``_finish`` protocol with exit 2.
+    Any other exception that would escape the driver dumps the flight
+    ring first (``repro blackbox`` then has the post-mortem), and still
     propagates -- the dump documents the failure, it never masks it.
     """
     from repro.obs.flight import dump_blackbox, flight
@@ -815,6 +835,9 @@ def _invoke(args, out) -> int:
         # the real fd so the interpreter's shutdown flush stays quiet)
         return 141
     except Exception as exc:
+        reason = _input_error(args, exc)
+        if reason is not None:
+            return _finish(False, reason, 2)
         fr.error(f"cli.{args.command}", exc)
         dump_blackbox(
             f"unhandled {type(exc).__name__} in repro {args.command}: {exc}")

@@ -42,25 +42,23 @@ class IterationSpace:
     def bounds_at(self, prefix: Sequence[int], k: int) -> tuple[int, int]:
         """(lower, upper) of loop ``k`` for the given values of indices[:k]."""
         env = dict(zip(self.nest.indices[:k], prefix))
-        lo = self._lowers[k].eval({**env})
-        hi = self._uppers[k].eval({**env})
-        return ceil(lo), floor(hi)
+        return ceil(self._lowers[k].eval(env)), floor(self._uppers[k].eval(env))
 
     # -- enumeration -----------------------------------------------------------
     def iterate(self) -> Iterator[tuple[int, ...]]:
         """All iterations in lexicographic (sequential-execution) order."""
-        point: list[int] = [0] * self.depth
+        last = self.depth - 1
 
-        def rec(k: int) -> Iterator[tuple[int, ...]]:
-            if k == self.depth:
-                yield tuple(point)
-                return
-            lo, hi = self.bounds_at(point[:k], k)
-            for v in range(lo, hi + 1):
-                point[k] = v
-                yield from rec(k + 1)
+        def rec(prefix: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+            lo, hi = self.bounds_at(prefix, k)
+            if k == last:  # points come straight off the innermost range
+                for v in range(lo, hi + 1):
+                    yield prefix + (v,)
+            else:
+                for v in range(lo, hi + 1):
+                    yield from rec(prefix + (v,), k + 1)
 
-        yield from rec(0)
+        return rec((), 0) if self.depth else iter([()])
 
     def points(self) -> list[tuple[int, ...]]:
         """Materialized iteration list (cached)."""

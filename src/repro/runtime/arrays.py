@@ -36,30 +36,36 @@ class DataSpace:
         self.hi = tuple(hi)
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         self.data = npc.full(shape, fill)
+        self._dims = tuple(zip(self.lo, shape, npc.c_strides(shape)))
 
     @property
     def rank(self) -> int:
         return len(self.lo)
 
-    def _pos(self, coords: Coords) -> tuple[int, ...]:
-        if len(coords) != self.rank:
+    def offset(self, coords: Coords) -> int:
+        """Position of ``coords`` in the row-major flat values -- the one
+        statement of the rank and bounds checks, for either backing and
+        for the golden run's staged lists."""
+        if len(coords) != len(self._dims):
             raise IndexError(f"{self.name}: rank mismatch {coords}")
-        pos = tuple(int(c) - l for c, l in zip(coords, self.lo))
-        for p, s in zip(pos, self.data.shape):
-            if not 0 <= p < s:
+        off = 0
+        for c, (lo, n, stride) in zip(coords, self._dims):
+            p = int(c) - lo
+            if not 0 <= p < n:
                 raise IndexError(f"{self.name}{list(coords)} outside "
                                  f"[{self.lo}..{self.hi}]")
-        return pos
+            off += p * stride
+        return off
 
     def __getitem__(self, coords: Coords) -> float:
-        return float(self.data[self._pos(tuple(coords))])
+        return float(self.data.flat[self.offset(tuple(coords))])
 
     def __setitem__(self, coords: Coords, value: float) -> None:
-        self.data[self._pos(tuple(coords))] = value
+        self.data.flat[self.offset(tuple(coords))] = float(value)
 
     def __contains__(self, coords: Coords) -> bool:
         try:
-            self._pos(tuple(coords))
+            self.offset(tuple(coords))
             return True
         except IndexError:
             return False
@@ -75,11 +81,10 @@ class DataSpace:
     def _box_rows(self, lo: Coords, shape: tuple[int, ...]) -> Iterator[slice]:
         """The box ``[lo, lo + shape)``, which must lie inside the array,
         as slices of the row-major flat values: its innermost rows."""
-        self._pos(tuple(l + n - 1 for l, n in zip(lo, shape)))
-        pos, strides = self._pos(lo), npc.c_strides(self.data.shape)
-        for idx in itertools.product(
-                *(range(p, p + n) for p, n in zip(pos[:-1], shape[:-1]))):
-            start = sum(map(mul, idx, strides)) + pos[-1]
+        self.offset(tuple(l + n - 1 for l, n in zip(lo, shape)))
+        base, strides = self.offset(lo), [d[2] for d in self._dims]
+        for idx in itertools.product(*map(range, shape[:-1])):
+            start = base + sum(map(mul, idx, strides))
             yield slice(start, start + shape[-1])
 
     def box_values(self, lo: Coords, shape: tuple[int, ...]) -> list[float]:

@@ -2,7 +2,7 @@
 
 One :class:`~repro.runtime.engine.base.Engine` interface, six names:
 
-- ``interp`` -- the tree-walking interpreter (the golden model);
+- ``interp`` -- the closure-built interpreter (the golden model);
 - ``compiled`` -- statement-specialized kernels: each ``Assign`` is
   lowered once into a generated Python closure with scalars constant-
   folded and affine subscripts precomputed as stride/offset arithmetic;

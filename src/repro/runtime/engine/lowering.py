@@ -23,7 +23,7 @@ from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import (
     ArrayRef, Assign, BinOp, Expr, LoopNest, Name, UnaryOp,
 )
-from repro.runtime.seq import eval_expr, subscript_coords
+from repro.runtime.seq import build_statement, eval_expr
 
 
 class KernelCompileError(ValueError):
@@ -182,10 +182,10 @@ def replay_statement(nest: LoopNest, scalars: Mapping[str, float], k: int,
     """What ``_remote(k, it)`` does: statement ``k`` again, in the
     interpreter's evaluation order, through ``load``/``store`` callbacks
     that raise ``RemoteAccessError`` at the first element not held."""
-    stmt = nest.statements[k]
-    env = dict(zip(nest.indices, it))
-    value = eval_expr(stmt.rhs, env, scalars, load)
-    store(stmt.lhs.array, subscript_coords(stmt.lhs, env), value)
+    array, coords, rhs = build_statement(
+        nest.statements[k], nest.indices, scalars, load)
+    value = rhs(it)
+    store(array, coords(it), value)
     raise AssertionError(
         "kernel raised KeyError but the interpreter slow path found "
         "every element local")  # pragma: no cover

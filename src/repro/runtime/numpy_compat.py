@@ -91,6 +91,9 @@ class PyGrid:
     def __setitem__(self, pos, value) -> None:
         self._data[self._flat(pos)] = float(value)
 
+    #: the row-major values themselves, as ``ndarray.flat`` indexes them
+    flat = property(lambda self: self._data)
+
     def copy(self) -> "PyGrid":
         return PyGrid(self.shape, _data=self._data)
 

@@ -1,9 +1,17 @@
 """The sequential interpreter: the golden model.
 
 Executes a loop nest exactly as written -- iterations in lexicographic
-order, statements in textual order, RHS reads before the LHS write --
-over :class:`~repro.runtime.arrays.DataSpace` storage (or anything
-read/write callables provide).
+order, statements in textual order, RHS reads before the LHS write.
+A statement is built *once per run* into closures over the iteration
+tuple (:func:`build_statement`): node dispatch, index positions and
+scalar bindings are resolved at build time, and an iteration pays one
+call per node.  The closures keep the definition's operations and
+their order -- ``float()`` leaves, left operand before right,
+``int()``-truncated subscripts, RHS before LHS coordinates -- so the
+*sequence of reads* (it decides which access raises first) and every
+bit of every value are those of walking the tree.  No source text, no
+``exec``, nothing shared with the kernel lowering it is the reference
+for.
 """
 
 from __future__ import annotations
@@ -15,56 +23,89 @@ from repro.lang.space import IterationSpace
 from repro.runtime.arrays import Coords, DataSpace
 
 Reader = Callable[[str, Coords], float]
-Writer = Callable[[str, Coords, float], None]
+#: a built expression: iteration tuple -> value
+Evaluator = Callable[[tuple], float]
+
+
+class UnboundScalarError(KeyError):
+    """A name that is neither a loop index nor a bound scalar: an error
+    in the caller's input, raised before anything is evaluated."""
+
+    def __str__(self) -> str:
+        return (f"unbound name {self.args[0]!r}: not a loop index and no "
+                f"scalar binding")
+
+
+def build_expr(expr: Expr, indices: tuple[str, ...],
+               scalars: Mapping[str, float], read: Reader) -> Evaluator:
+    """``expr`` as a closure over the iteration tuple ``indices`` names."""
+    if isinstance(expr, Const):
+        value = float(expr.value)
+        return lambda it: value
+    if isinstance(expr, Name):
+        if expr.ident in indices:
+            pos = indices.index(expr.ident)
+            return lambda it: float(it[pos])
+        if expr.ident in scalars:
+            value = float(scalars[expr.ident])
+            return lambda it: value
+        raise UnboundScalarError(expr.ident)
+    if isinstance(expr, UnaryOp):
+        operand = build_expr(expr.operand, indices, scalars, read)
+        return lambda it: -operand(it)
+    if isinstance(expr, BinOp):
+        left = build_expr(expr.left, indices, scalars, read)
+        right = build_expr(expr.right, indices, scalars, read)
+        if expr.op == "+":
+            return lambda it: left(it) + right(it)
+        if expr.op == "-":
+            return lambda it: left(it) - right(it)
+        if expr.op == "*":
+            return lambda it: left(it) * right(it)
+        return lambda it: left(it) / right(it)
+    if isinstance(expr, ArrayRef):
+        array, coords = expr.array, build_coords(expr, indices, scalars, read)
+        return lambda it: read(array, coords(it))
+    raise TypeError(f"cannot evaluate {expr!r}")
+
+
+def build_coords(ref: ArrayRef, indices: tuple[str, ...],
+                 scalars: Mapping[str, float],
+                 read: Reader) -> Callable[[tuple], Coords]:
+    """The reference's subscripts, in order, each truncated by ``int()``."""
+    subs = [build_expr(s, indices, scalars, read) for s in ref.subscripts]
+    if len(subs) == 1:
+        (s0,) = subs
+        return lambda it: (int(s0(it)),)
+    if len(subs) == 2:
+        s0, s1 = subs
+        return lambda it: (int(s0(it)), int(s1(it)))
+    return lambda it: tuple([int(s(it)) for s in subs])
+
+
+def _no_read(array: str, coords: Coords) -> float:  # pragma: no cover
+    raise AssertionError("array read inside a subscript")
+
+
+def build_statement(stmt: Assign, indices: tuple[str, ...],
+                    scalars: Mapping[str, float], read: Reader,
+                    ) -> tuple[str, Callable[[tuple], Coords], Evaluator]:
+    """``(lhs array, lhs coords, rhs)``; the caller evaluates ``rhs``
+    first, then the coordinates, then writes.  The LHS subscripts are
+    affine in the indices: no reads, no scalars."""
+    rhs = build_expr(stmt.rhs, indices, scalars, read)
+    return stmt.lhs.array, build_coords(stmt.lhs, indices, {}, _no_read), rhs
 
 
 def eval_expr(expr: Expr, env: Mapping[str, int], scalars: Mapping[str, float],
               read: Reader) -> float:
     """Evaluate an expression given loop-index bindings and a read callback."""
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Name):
-        if expr.ident in env:
-            return float(env[expr.ident])
-        if expr.ident in scalars:
-            return float(scalars[expr.ident])
-        raise KeyError(
-            f"unbound name {expr.ident!r}: not a loop index and no scalar binding"
-        )
-    if isinstance(expr, UnaryOp):
-        return -eval_expr(expr.operand, env, scalars, read)
-    if isinstance(expr, BinOp):
-        lv = eval_expr(expr.left, env, scalars, read)
-        rv = eval_expr(expr.right, env, scalars, read)
-        if expr.op == "+":
-            return lv + rv
-        if expr.op == "-":
-            return lv - rv
-        if expr.op == "*":
-            return lv * rv
-        return lv / rv
-    if isinstance(expr, ArrayRef):
-        coords = tuple(
-            int(eval_expr(s, env, scalars, read)) for s in expr.subscripts
-        )
-        return read(expr.array, coords)
-    raise TypeError(f"cannot evaluate {expr!r}")
+    return build_expr(expr, tuple(env), scalars, read)(tuple(env.values()))
 
 
 def subscript_coords(ref: ArrayRef, env: Mapping[str, int]) -> Coords:
     """Resolve a reference's subscripts (affine, so no reads needed)."""
-    def no_read(a: str, c: Coords) -> float:  # pragma: no cover - affine guard
-        raise AssertionError("array read inside a subscript")
-
-    return tuple(int(eval_expr(s, env, {}, no_read)) for s in ref.subscripts)
-
-
-def execute_statement(stmt: Assign, env: Mapping[str, int],
-                      scalars: Mapping[str, float],
-                      read: Reader, write: Writer) -> None:
-    value = eval_expr(stmt.rhs, env, scalars, read)
-    coords = subscript_coords(stmt.lhs, env)
-    write(stmt.lhs.array, coords, value)
+    return build_coords(ref, tuple(env), {}, _no_read)(tuple(env.values()))
 
 
 def run_sequential(
@@ -83,7 +124,7 @@ def run_sequential(
     :class:`repro.api.RunOptions` supplying a default backend.
     """
     # local import: the engine layer's interp backend calls back into
-    # execute_statement here
+    # build_statement here
     from repro.obs.trace import current_tracer
     from repro.runtime.engine import resolve_engine
 
@@ -95,6 +136,11 @@ def run_sequential(
     with current_tracer().span("engine.run_nest", category="engine",
                                backend=engine.name,
                                nest=nest.name or "<anon>",
-                               statements=len(nest.statements)):
+                               statements=len(nest.statements)) as sp:
         engine.run_nest(nest, arrays, scalars, space)
+        # a completed sequential run executed every statement of every
+        # point: the work is stated once here, not counted per iteration
+        points = space.size()
+        sp.set(iterations=points,
+               statements_executed=points * len(nest.statements))
     return arrays

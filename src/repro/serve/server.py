@@ -198,9 +198,15 @@ class AsyncServer:
             self.registry.inc(f"serve.errors.{exc.kind}")
             resp = Response.failure(req.op, exc, id=req.id)
         except Exception as exc:  # noqa: BLE001 - the wire reports it
-            self.registry.inc("serve.errors")
-            self.registry.inc("serve.errors.internal")
+            from repro.analysis.references import NonUniformReferenceError
+            from repro.runtime.seq import UnboundScalarError
+
+            # the request's own nest is at fault, not the daemon
+            if isinstance(exc, (NonUniformReferenceError, UnboundScalarError)):
+                exc = ProtocolError(str(exc))
             resp = Response.failure(req.op, exc, id=req.id)
+            self.registry.inc("serve.errors")
+            self.registry.inc(f"serve.errors.{resp.error['kind']}")
         if resp.ok:
             self.registry.inc("serve.ok")
         self._publish_top()

@@ -126,6 +126,32 @@ class TestErrors:
         assert resp["error"]["kind"] == "bad-request"
         assert srv.registry.value("serve.errors.bad-request") == 1
 
+    @pytest.mark.parametrize("nest, reason", [
+        ("for i = 1 to 4 { A[i] = B[i] * alpha; }",
+         "unbound name 'alpha': not a loop index and no scalar binding"),
+        ("for i = 1 to 4 { A[i/2] = B[i]; }",
+         "subscript of A has non-integer coefficients: (1/2)*i"),
+    ], ids=["unbound-scalar", "non-integer-subscript"])
+    def test_a_nest_outside_the_model_is_bad_request(self, nest, reason):
+        with AsyncServer() as srv:
+            resp = run(srv.handle(frame(nest=nest, strategy="nonduplicate")))
+            again = run(srv.handle(frame(op="run")))
+        assert not resp["ok"]
+        assert resp["error"] == {"kind": "bad-request", "reason": reason}
+        assert srv.registry.value("serve.errors.bad-request") == 1
+        assert srv.registry.value("serve.errors.internal") == 0
+        assert again["ok"]   # the daemon is none the worse
+
+    def test_a_crash_is_still_internal(self, monkeypatch):
+        def boom(self, backend=None):
+            raise KeyError("not the request's doing")
+
+        monkeypatch.setattr(Session, "verify", boom)
+        with AsyncServer() as srv:
+            resp = run(srv.handle(frame()))
+        assert resp["error"]["kind"] == "internal"
+        assert srv.registry.value("serve.errors.internal") == 1
+
     def test_schema_mismatch_is_typed(self):
         with AsyncServer() as srv:
             bad = frame()

@@ -5,13 +5,19 @@ random reference matrix ``H`` per array (coefficients in ``-2..2``, so
 subscripts run backwards as often as forwards), a random offset per
 reference (so array ranges rarely start at zero), random statement
 structure.  Loops run from 1, depth 2-3, at most 3 iterations each.
+
+:func:`expressions` / :func:`statements` draw what the golden model
+evaluates, beyond what the planner accepts: all five node kinds,
+subscripts with negative and rational coefficients (and, now and then,
+a read inside a subscript), an index that shadows a scalar binding, and
+divisors that are zero on some iterations.
 """
 
 from hypothesis import strategies as st
 
 from repro.core import Strategy
 from repro.lang import builder as b
-from repro.lang.ast import Assign, BinOp, Const
+from repro.lang.ast import ArrayRef, Assign, BinOp, Const, Name, UnaryOp
 
 INDICES = ("i", "j", "k")
 
@@ -63,3 +69,47 @@ def loop_nests(draw):
 
     loops = [b.loop(indices[d], 1, bounds[d]) for d in range(depth)]
     return b.nest(*loops, body=stmts, name="RAND")
+
+
+#: bindings for drawn expressions; the index ``i`` shadows the first
+EXPR_SCALARS = {"i": 99.0, "D": 2.5, "K": -0.5}
+EXPR_ARRAYS = ("A", "B")
+
+
+@st.composite
+def affine_subscripts(draw, indices):
+    """``(a*i + b*j + c) / d``: negative and rational coefficients."""
+    terms = [(a, x) for x in indices if (a := draw(st.integers(-2, 2)))]
+    sub = b.lin(*terms, const=draw(st.integers(-2, 2)))
+    d = draw(st.sampled_from([1, 1, 2, 3, -2]))
+    return sub if d == 1 else BinOp("/", sub, Const(d))
+
+
+def _refs(subscript):
+    return st.builds(
+        ArrayRef, st.sampled_from(EXPR_ARRAYS),
+        st.lists(subscript, min_size=1, max_size=3).map(tuple))
+
+
+def expressions(indices=INDICES[:2]):
+    """Expression trees over ``indices``, ``EXPR_SCALARS`` and reads."""
+    leaves = st.one_of(
+        st.integers(-3, 3).map(Const),
+        st.sampled_from(indices + ("D", "K")).map(Name),
+        _refs(affine_subscripts(indices)),
+        # zero somewhere on any grid that contains the diagonal and 2
+        st.sampled_from([b.sub(indices[0], indices[-1]),
+                         b.sub(indices[0], 2)]))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(UnaryOp, st.just("-"), sub),
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            _refs(st.one_of(affine_subscripts(indices), sub))),
+        max_leaves=8)
+
+
+def statements(indices=INDICES[:2]):
+    """``lhs = rhs`` with an affine left-hand side (no reads, no scalars)."""
+    return st.builds(Assign, _refs(affine_subscripts(indices)),
+                     expressions(indices))

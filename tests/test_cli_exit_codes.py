@@ -139,3 +139,60 @@ class TestBrokenPipe:
         code = main(["verify", "--loop", "L1"], out=_ClosedPipe())
         assert code == 141   # conventional 128+SIGPIPE
         assert not list(tmp_path.glob("repro-blackbox-*.json"))
+
+
+class TestInputErrors:
+    """An error in what the user handed us is not a crash: one
+    ``repro: <reason>`` line, exit 2, no traceback, no blackbox."""
+
+    CASES = {
+        "unbound-scalar": (
+            "for i = 1 to 4 { A[i] = B[i] * alpha; }",
+            "repro: unbound name 'alpha': not a loop index and no scalar "
+            "binding; bind it with --scalars alpha=<value>"),
+        "non-integer-subscript": (
+            "for i = 1 to 4 { A[i/2] = B[i]; }",
+            "repro: subscript of A has non-integer coefficients: (1/2)*i"),
+        "parse-error": (
+            "for i = 1 to { A[i] = 1; }",
+            "repro: unexpected token '{' at line 1, col 14"),
+        "missing-file": (
+            None, "repro: cannot read PATH: No such file or directory"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_one_line_no_blackbox(self, case, tmp_path, monkeypatch,
+                                         capsys):
+        source, want = self.CASES[case]
+        box = tmp_path / "blackbox"
+        box.mkdir()
+        monkeypatch.setenv("REPRO_BLACKBOX_DIR", str(box))
+        path = tmp_path / "nest.loop"
+        if source is not None:
+            path.write_text(source)
+        code, text = run("verify", str(path))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == \
+            want.replace("PATH", str(path)) + "\n"
+        assert list(box.iterdir()) == []
+
+    def test_bound_scalar_verifies(self, tmp_path, capsys):
+        path = tmp_path / "nest.loop"
+        path.write_text(self.CASES["unbound-scalar"][0])
+        code, text = run("verify", str(path), "--scalars", "alpha=2")
+        assert code == 0 and "OK" in text
+        assert _stderr_reason(capsys) == []
+
+    def test_an_internal_error_still_dumps_and_propagates(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.cli as cli
+
+        monkeypatch.setenv("REPRO_BLACKBOX_DIR", str(tmp_path))
+
+        def boom(args):
+            raise KeyError("not the user's doing")
+
+        monkeypatch.setattr(cli, "_load_nest", boom)
+        with pytest.raises(KeyError):
+            run("verify", "--loop", "L1")
+        assert list(tmp_path.glob("repro-blackbox-*.json"))
