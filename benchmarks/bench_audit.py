@@ -48,7 +48,7 @@ def measure():
     for _ in range(2):
         arrays = make_arrays(plan.model)
         t0 = perf_counter()
-        run_sequential(plan.model.nest, arrays, backend="interp")
+        run_sequential(plan.model.nest, arrays)
         seq_s = min(seq_s, perf_counter() - t0)
 
     return plan, report, audit_s, seq_s

@@ -32,6 +32,7 @@ See ``docs/API.md``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Union, runtime_checkable
 
@@ -189,10 +190,11 @@ class Session:
         self._closed = True
         if self._owns_pool:
             self._pool.shutdown()
-        if self._plan is not None:
-            from repro.runtime.blockstore import release_plan_segment
-
-            release_plan_segment(self._plan)
+        # a plan segment exists only if the shared-memory store made
+        # one, i.e. only if its module (and with it numpy) is loaded
+        store = sys.modules.get("repro.runtime.blockstore.store")
+        if self._plan is not None and store is not None:
+            store.release_plan_segment(self._plan)
 
     def __enter__(self) -> "Session":
         return self
@@ -273,9 +275,9 @@ class Session:
             "remote_accesses": remote,
         })
 
-    def run_sequential(self, backend: Optional[str] = None):
-        """Run the nest sequentially (the golden model); returns the
-        final arrays."""
+    def run_sequential(self):
+        """Run the nest sequentially (the golden model, whatever the
+        session's backend); returns the final arrays."""
         from repro.runtime.arrays import make_arrays
         from repro.runtime.seq import run_sequential
 
@@ -283,8 +285,7 @@ class Session:
         with self._scope():
             arrays = make_arrays(plan.model)
             return run_sequential(plan.nest, arrays, scalars=self.scalars,
-                                  space=plan.model.space, backend=backend,
-                                  options=self.options)
+                                  space=plan.model.space)
 
     def verify(self, backend: Optional[str] = None, **kwargs):
         """Parallel == sequential, zero communication; returns a

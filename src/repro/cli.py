@@ -59,18 +59,23 @@ def _finish(ok: bool, reason: str, code: int = 1) -> int:
     return code
 
 
+class UsageError(Exception):
+    """The command line asks for something that cannot be run; the
+    message is the one-line reason (``_invoke`` ends it with exit 2)."""
+
+
 def _load_nest(args) -> LoopNest:
     from repro.lang import catalog, parse
 
     if args.loop:
         fn = catalog.ALL_LOOPS.get(args.loop)
         if fn is None:
-            raise SystemExit(
+            raise UsageError(
                 f"unknown catalog loop {args.loop!r}; available: "
                 f"{', '.join(sorted(catalog.ALL_LOOPS))}")
         return fn()
     if not args.file:
-        raise SystemExit("give a source file or --loop NAME")
+        raise UsageError("give a source file or --loop NAME")
     with open(args.file) as fh:
         return parse(fh.read(), name=args.file)
 
@@ -78,7 +83,10 @@ def _load_nest(args) -> LoopNest:
 def _config(args) -> PipelineConfig:
     from repro.pipeline import PipelineConfig
 
-    return PipelineConfig.from_cli_args(args)
+    try:
+        return PipelineConfig.from_cli_args(args)
+    except ValueError as exc:   # a malformed --scalars
+        raise UsageError(str(exc)) from None
 
 
 def _render_diagnostics(ctx: PipelineContext) -> None:
@@ -363,7 +371,7 @@ def cmd_serve(args, out) -> int:
             with open(args.file) as fh:
                 nest = fh.read()
         else:
-            raise SystemExit("give a source file or --loop NAME")
+            raise UsageError("give a source file or --loop NAME")
         config = _config(args)
         fields = dict(
             nest=nest,
@@ -795,8 +803,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _input_error(args, exc: Exception) -> Optional[str]:
     """The one-line reason if ``exc`` is an error in what the user handed
-    us -- a nest file that is missing or does not parse, a subscript
-    outside the model, a scalar left unbound -- else ``None``: a crash."""
+    us -- a command line that cannot be run, a nest file that is missing
+    or does not parse, a subscript outside the model, a scalar left
+    unbound -- else ``None``: a crash."""
+    if isinstance(exc, UsageError):
+        return str(exc)
     from repro.analysis.references import NonUniformReferenceError
     from repro.lang.lexer import LexError
     from repro.lang.parser import ParseError
@@ -825,6 +836,14 @@ def _invoke(args, out) -> int:
     fr = flight()
     fr.record("event", "cli.start", command=args.command)
     try:
+        if getattr(args, "backend", None) is not None:
+            # refused here, before the subcommand plans anything
+            from repro.runtime.engine.base import unknown_backend
+
+            refusal = unknown_backend(args.backend,
+                                      cross_check=args.command != "run")
+            if refusal:
+                raise UsageError(refusal)
         return args.fn(args, out)
     except (SystemExit, KeyboardInterrupt):
         raise

@@ -44,7 +44,8 @@ KNOBS: dict[str, Knob] = {
         "file that runs publish live snapshots to and `repro top` reads "
         "(unset: no snapshots)"),
     "REPRO_NO_NUMPY": Knob(False, bool,
-        "any value: run on the pure-Python grid even when numpy is installed"),
+        "any value: behave as if numpy were not installed (no `vectorized` "
+        "tier, no shared-memory store)"),
     "REPRO_NO_SHM": Knob(False, bool,
         "any value: multiprocess leases ship by value, no shared-memory store"),
     "REPRO_CODEGEN_DISK": Knob(True, _not_zero,

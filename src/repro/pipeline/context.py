@@ -80,8 +80,15 @@ class PipelineConfig:
         scalars: dict[str, float] = {}
         if getattr(args, "scalars", None):
             for part in args.scalars.split(","):
-                k, v = part.split("=")
-                scalars[k.strip()] = float(v)
+                name, _, value = part.partition("=")
+                try:   # no "=" leaves value empty, which is no float
+                    if not name.strip():
+                        raise ValueError(part)
+                    scalars[name.strip()] = float(value)
+                except ValueError:
+                    raise ValueError(
+                        f"--scalars: {part!r} is not NAME=VALUE (give "
+                        f"NAME=VALUE[,...], e.g. D=2,F=3)") from None
         return cls.from_flags(
             duplicate=getattr(args, "duplicate", False),
             duplicate_arrays=names,

@@ -1,8 +1,8 @@
 """Execution runtimes.
 
-- :mod:`~repro.runtime.arrays`: :class:`DataSpace`, a numpy-backed
-  array with arbitrary (possibly negative) index origins, sized
-  automatically from the loop's access footprint;
+- :mod:`~repro.runtime.arrays`: :class:`DataSpace`, an array (one flat
+  list of floats) with arbitrary (possibly negative) index origins,
+  sized automatically from the loop's access footprint;
 - :mod:`~repro.runtime.seq`: the sequential interpreter -- the golden
   model every parallel execution is verified against;
 - :mod:`~repro.runtime.parallel`: the parallel executor: places data

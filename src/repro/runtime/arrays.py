@@ -1,24 +1,28 @@
-"""Array storage for the interpreters.
+"""Array storage: one flat list per array.
 
-:class:`DataSpace` wraps a ``float64`` grid (a numpy array when numpy is
-available, a pure-Python :class:`~repro.runtime.numpy_compat.PyGrid`
-otherwise) with per-dimension origin offsets so the paper's arbitrary
-subscript ranges (e.g. array A of L1 spanning ``[0:8, 0:4]``) map
-directly.  Footprints are computed exactly: a reference ``H i + c`` is
-affine, so its componentwise extrema over the iteration space's bounding
-box occur at box corners.
+In the paper a data space is an index set addressed by ``H i + c``;
+:class:`DataSpace` is that and nothing more -- ``values``, the
+row-major Python floats of ``[lo_1:hi_1, ..., lo_d:hi_d]``, with
+per-dimension origins so the paper's arbitrary subscript ranges (e.g.
+array A of L1 spanning ``[0:8, 0:4]``) map directly.  It is the same
+representation as a run's flat store (:mod:`repro.runtime.layout`),
+which is filled by slicing it, and what the golden model
+(:mod:`repro.runtime.seq`) runs on in place; nothing here imports
+numpy.  Footprints are computed exactly: a reference ``H i + c`` is
+affine, so its componentwise extrema over the iteration space's
+bounding box occur at box corners.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
+import math
+from operator import mul, ne
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.analysis.references import ReferenceModel
 from repro.ratlinalg.matrix import RatVec
-from repro.runtime import numpy_compat as npc
-from repro.runtime.layout import Sidecar
+from repro.runtime.layout import Sidecar, c_strides
 
 Coords = tuple[int, ...]
 
@@ -35,17 +39,26 @@ class DataSpace:
         self.lo = tuple(lo)
         self.hi = tuple(hi)
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        self.data = npc.full(shape, fill)
-        self._dims = tuple(zip(self.lo, shape, npc.c_strides(shape)))
+        #: the row-major values, every one a Python float
+        self.values: list[float] = [float(fill)] * math.prod(shape)
+        self._dims = tuple(zip(self.lo, shape, c_strides(shape)))
 
     @property
     def rank(self) -> int:
         return len(self.lo)
 
+    @property
+    def data(self) -> list:
+        """The values as nested row lists in the array's shape (a
+        copy): the form ``numpy.array`` and ``json.dumps`` take."""
+        rows: list = list(self.values)
+        for _, n, _ in self._dims[:0:-1]:
+            rows = [rows[k:k + n] for k in range(0, len(rows), n)]
+        return rows
+
     def offset(self, coords: Coords) -> int:
-        """Position of ``coords`` in the row-major flat values -- the one
-        statement of the rank and bounds checks, for either backing and
-        for the golden run's staged lists."""
+        """Position of ``coords`` in :attr:`values` -- the one statement
+        of the rank and bounds checks."""
         if len(coords) != len(self._dims):
             raise IndexError(f"{self.name}: rank mismatch {coords}")
         off = 0
@@ -58,10 +71,10 @@ class DataSpace:
         return off
 
     def __getitem__(self, coords: Coords) -> float:
-        return float(self.data.flat[self.offset(tuple(coords))])
+        return self.values[self.offset(tuple(coords))]
 
     def __setitem__(self, coords: Coords, value: float) -> None:
-        self.data.flat[self.offset(tuple(coords))] = float(value)
+        self.values[self.offset(tuple(coords))] = float(value)
 
     def __contains__(self, coords: Coords) -> bool:
         try:
@@ -75,12 +88,12 @@ class DataSpace:
         return itertools.product(*ranges)
 
     def fill_with(self, fn: Callable[[Coords], float]) -> "DataSpace":
-        npc.assign_flat(self.data, [fn(c) for c in self.coords_iter()])
+        self.values = [float(fn(c)) for c in self.coords_iter()]
         return self
 
     def _box_rows(self, lo: Coords, shape: tuple[int, ...]) -> Iterator[slice]:
         """The box ``[lo, lo + shape)``, which must lie inside the array,
-        as slices of the row-major flat values: its innermost rows."""
+        as slices of :attr:`values`: its innermost rows."""
         self.offset(tuple(l + n - 1 for l, n in zip(lo, shape)))
         base, strides = self.offset(lo), [d[2] for d in self._dims]
         for idx in itertools.product(*map(range, shape[:-1])):
@@ -88,41 +101,43 @@ class DataSpace:
             yield slice(start, start + shape[-1])
 
     def box_values(self, lo: Coords, shape: tuple[int, ...]) -> list[float]:
-        """Row-major Python floats of the box ``[lo, lo + shape)``."""
-        flat = npc.flat_values(self.data)
-        return [v for row in self._box_rows(lo, shape) for v in flat[row]]
+        """Row-major values of the box ``[lo, lo + shape)``, always as a
+        fresh list: a run's flat store is made of these and written in
+        place, and the array it was cut from must not change."""
+        box: list[float] = []
+        for row in self._box_rows(lo, shape):
+            box += self.values[row]
+        return box
 
     def assign_box(self, lo: Coords, shape: tuple[int, ...],
                    values: list[float]) -> None:
         """Overwrite the box ``[lo, lo + shape)``, in row-major order."""
-        flat, new = npc.flat_values(self.data), iter(values)
+        new = map(float, values)
         for row in self._box_rows(lo, shape):
-            flat[row] = itertools.islice(new, shape[-1])
-        npc.assign_flat(self.data, flat)
+            self.values[row] = itertools.islice(new, shape[-1])
 
     def differences(self, other: "DataSpace") -> list[tuple]:
         """``(coords, mine, theirs)`` wherever the two arrays differ, in
         :meth:`coords_iter` order; a NaN differs from everything."""
         if (self.lo, self.hi) != (other.lo, other.hi):
             raise IndexError(f"{self!r} and {other!r} span different bounds")
-        pairs = zip(npc.flat_values(self.data), npc.flat_values(other.data))
-        return [(c, a, b) for c, (a, b) in zip(self.coords_iter(), pairs)
+        return [(c, a, b) for c, a, b
+                in zip(self.coords_iter(), self.values, other.values)
                 if a != b]
 
     def copy(self) -> "DataSpace":
         out = DataSpace(self.name, self.lo, self.hi)
-        out.data = self.data.copy()
+        out.values = list(self.values)
         return out
 
-    def allclose(self, other: "DataSpace", **kw) -> bool:
-        return (self.lo == other.lo and self.hi == other.hi
-                and npc.allclose(self.data, other.data, **kw))
-
     def __eq__(self, other) -> bool:
+        """Same bounds and no element that differs -- the same float
+        ``!=`` as :meth:`differences` (``list.__eq__`` would call a NaN
+        equal to itself when both lists hold the same object)."""
         if not isinstance(other, DataSpace):
             return NotImplemented
-        return (self.lo == other.lo and self.hi == other.hi
-                and npc.array_equal(self.data, other.data))
+        return ((self.lo, self.hi) == (other.lo, other.hi)
+                and not any(map(ne, self.values, other.values)))
 
     def __repr__(self) -> str:
         return f"DataSpace({self.name}[{self.lo}..{self.hi}])"
@@ -185,13 +200,10 @@ def make_arrays(model: ReferenceModel,
     """
     if init is None:
         return {name: ds.copy()
-                for name, ds in _DEFAULT_ARRAYS.get(model)[1].items()}
+                for name, ds in _DEFAULT_ARRAYS.get(model).items()}
     return {name: DataSpace(name, lo, hi).fill_with(init(name))
             for name, (lo, hi) in array_footprints(model).items()}
 
 
-#: model -> (grid backing, default arrays); ``numpy_compat.np`` is
-#: mutable, so the backing they were built on is part of the hit
-_DEFAULT_ARRAYS = Sidecar(
-    lambda model: (npc.np, make_arrays(model, default_init)),
-    valid=lambda model, made: made[0] is npc.np)
+#: model -> its default arrays
+_DEFAULT_ARRAYS = Sidecar(lambda model: make_arrays(model, default_init))

@@ -20,10 +20,16 @@ parent reconstructs results from the shared write-stamp grid.
   generic store kernel's memory target (the shared per-iteration
   lowering aimed at the flat views).
 
-When shared memory is unavailable (``REPRO_NO_SHM=1``, no numpy, or a
-platform without ``shared_memory``) the scheduler falls back to the
-by-value lease path, which is the copy-through store that keeps
-``REPRO_NO_NUMPY`` and the PyGrid backend fully working.
+When shared memory is unavailable (``REPRO_NO_SHM=1``, no numpy --
+``REPRO_NO_NUMPY`` included --, or a platform without
+``shared_memory``) the scheduler falls back to the by-value lease path:
+rendered block memories pickled to the worker and back, same results.
+
+This package is one of the two importers of numpy (through
+:mod:`repro.runtime.numpy_compat`; the other is the ``vectorized``
+tier): only a multiprocess run loads it, and
+:meth:`repro.api.Session.close` releases a plan segment only if
+:mod:`.store` is already loaded.
 """
 
 from repro._lazy import lazy_surface

@@ -67,8 +67,8 @@ _SEQ = itertools.count()
 def shm_available() -> bool:
     """Can (and should) runs use the shared-memory store?
 
-    Requires numpy (the store is built on flat ndarray views; the
-    PyGrid fallback uses the by-value copy-through path) and the
+    Requires numpy (the store is built on flat ndarray views; without
+    it leases travel by value) and the
     ``multiprocessing.shared_memory`` module, and honors
     ``REPRO_NO_SHM=1``.  Re-checked per run so tests can flip either.
     """

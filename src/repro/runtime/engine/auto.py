@@ -34,11 +34,6 @@ class AutoEngine(Engine):
     name = "auto"
     fallback = "codegen"
 
-    def run_nest(self, nest, arrays, scalars, space) -> None:
-        # sequential nests have no geometry to inspect; the codegen
-        # tier's own chain (compiled -> interp) already picks well
-        self.delegate().run_nest(nest, arrays, scalars, space)
-
     def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.metrics import current_registry
         from repro.obs.trace import current_tracer

@@ -1,15 +1,13 @@
 """The :class:`Engine` interface and the backend registry.
 
-An engine implements two operations:
-
-- :meth:`Engine.run_nest` -- execute a whole loop nest sequentially,
-  in place, over :class:`~repro.runtime.arrays.DataSpace` storage
-  (the ``run_sequential`` entry point);
-- :meth:`Engine.run_blocks` -- execute every iteration block of a
-  :class:`~repro.core.plan.PartitionPlan` into pre-allocated per-block
-  :class:`~repro.machine.memory.LocalMemory` regions, filling the
-  :class:`~repro.runtime.parallel.ParallelResult` counters and write
-  stamps (the ``run_parallel`` entry point).
+An engine implements one operation, :meth:`Engine.run_blocks`: execute
+every iteration block of a :class:`~repro.core.plan.PartitionPlan` into
+pre-allocated per-block :class:`~repro.machine.memory.LocalMemory`
+regions, filling the :class:`~repro.runtime.parallel.ParallelResult`
+counters and write stamps (the ``run_parallel`` entry point).  The
+sequential run is not an engine operation: it is the golden model
+(:func:`repro.runtime.seq.run_sequential`), which every tier is checked
+against and which therefore has no tiers of its own.
 
 Backends are declared in one static table (canonical name, defining
 module, class); :func:`get_engine` imports exactly the tier it
@@ -26,8 +24,6 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.plan import PartitionPlan
-    from repro.lang.ast import LoopNest
-    from repro.lang.space import IterationSpace
     from repro.machine.memory import LocalMemory
     from repro.runtime.arrays import DataSpace
     from repro.runtime.parallel import ParallelResult
@@ -41,7 +37,7 @@ class BackendUnavailable(RuntimeError):
 
 
 class Engine:
-    """One execution backend; subclasses override the two run methods."""
+    """One execution backend; subclasses override :meth:`run_blocks`."""
 
     #: canonical registry name
     name: str = "?"
@@ -54,11 +50,6 @@ class Engine:
         return True
 
     # -- execution --------------------------------------------------------
-    def run_nest(self, nest: "LoopNest", arrays: dict[str, "DataSpace"],
-                 scalars: Mapping[str, float],
-                 space: "IterationSpace") -> None:
-        raise NotImplementedError
-
     def run_blocks(self, plan: "PartitionPlan",
                    memories: dict[int, "LocalMemory"],
                    result: "ParallelResult",
@@ -96,6 +87,18 @@ def backend_names() -> list[str]:
     return list(_BACKENDS)
 
 
+def unknown_backend(name: str, cross_check: bool = True) -> Optional[str]:
+    """Why a request may not name ``name`` as its backend, or None: it
+    must be a registry name or, where the caller can ``cross_check``
+    (verify, audit: every available backend against the others),
+    ``all``.  For refusing input at the edge -- the command line, a
+    wire frame -- before any work is done."""
+    if name.strip().lower() in _BACKENDS or (cross_check and name == "all"):
+        return None
+    known = [*_BACKENDS, "all"] if cross_check else list(_BACKENDS)
+    return f"unknown backend {name!r}; known: {', '.join(known)}"
+
+
 def available_backends() -> list[str]:
     """Backends whose availability check passes right now (this one
     imports every tier: availability is the tier's own answer)."""
@@ -105,11 +108,10 @@ def available_backends() -> list[str]:
 
 def get_engine(name: str) -> Engine:
     """A fresh engine instance for ``name`` (no fallback)."""
-    canon = name.strip().lower()
-    if canon not in _BACKENDS:
-        raise BackendUnavailable(
-            f"unknown backend {name!r}; known: {', '.join(_BACKENDS)}")
-    return _engine_class(canon)()
+    refusal = unknown_backend(name, cross_check=False)
+    if refusal:
+        raise BackendUnavailable(refusal)
+    return _engine_class(name.strip().lower())()
 
 
 def resolve_engine(name: Optional[str] = None) -> Engine:

@@ -184,11 +184,6 @@ class CodegenEngine(Engine):
     name = "codegen"
     fallback = "compiled"
 
-    def run_nest(self, nest, arrays, scalars, space) -> None:
-        # sequential whole-nest runs are already statement-specialized
-        # by the compiled tier; the codegen win is per-block execution
-        self.delegate().run_nest(nest, arrays, scalars, space)
-
     def _delegate_blocks(self, reason, plan, memories, result, initial,
                          scalars) -> None:
         from repro.obs.metrics import current_registry

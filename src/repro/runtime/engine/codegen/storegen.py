@@ -33,7 +33,7 @@ from repro.runtime.engine.lowering import (
     KernelTarget,
     emit_iteration_kernel,
 )
-from repro.runtime.numpy_compat import c_strides
+from repro.runtime.layout import c_strides
 
 STORE_KERNEL_NAME = "_cg_store_kernel"
 

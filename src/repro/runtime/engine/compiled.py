@@ -2,11 +2,10 @@
 
 Each ``Assign`` is lowered *once* per (nest, scalar bindings) into
 generated Python source (:mod:`repro.runtime.engine.lowering`; the
-parity rules are DESIGN.md, "Kernel lowering").  Sequential runs index
-the raw backing grids with the array origins folded in; block runs
-index the block's :class:`~repro.machine.memory.LocalMemory` value
-dicts directly, and a ``KeyError`` -- an access outside the block's
-data blocks -- re-executes that one statement through
+parity rules are DESIGN.md, "Kernel lowering").  The kernel indexes the
+block's :class:`~repro.machine.memory.LocalMemory` value dicts
+directly, and a ``KeyError`` -- an access outside the block's data
+blocks -- re-executes that one statement through
 ``LocalMemory.load/store`` to reproduce the interpreter's exact
 bookkeeping and :class:`~repro.machine.memory.RemoteAccessError`.
 A nest that cannot be lowered runs on the interpreter.
@@ -14,69 +13,18 @@ A nest that cannot be lowered runs on the interpreter.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
-
 from repro.lang.ast import ArrayRef, Assign, LoopNest
 from repro.runtime.engine.base import Engine
 from repro.runtime.engine.lowering import (
-    KERNEL_CACHE,
     KernelCompileError,
     KernelTarget,
-    compile_kernel,
     coord_srcs,
     iteration_kernel,
-    iteration_prelude,
     reads_per_statement,
     remote_guard,
     replay_statement,
     tuple_src,
-    value_indices,
-    value_src,
 )
-
-
-# ---------------------------------------------------------------------------
-# sequential whole-nest kernel
-# ---------------------------------------------------------------------------
-
-def compile_nest_kernel(nest: LoopNest, scalars: Mapping[str, float],
-                        origins: Mapping[str, tuple[int, ...]]) -> Callable:
-    """``fn(points, grids)`` executing the whole nest over raw grids.
-
-    ``grids`` maps array name -> backing grid (``DataSpace.data``);
-    origins are folded into the generated index arithmetic.
-    """
-    names = nest.array_names()
-    key = ("nest", nest, tuple(sorted(scalars.items())),
-           tuple((n, tuple(origins[n])) for n in names))
-    fn = KERNEL_CACHE.get(key)
-    if fn is not None:
-        return fn
-    indices = nest.indices
-    gvar = {n: f"_g{j}" for j, n in enumerate(names)}
-
-    def read_src(ref: ArrayRef) -> str:
-        coords = coord_srcs(ref, indices, origin=origins[ref.array])
-        return f"{gvar[ref.array]}[{tuple_src(coords)}]"
-
-    body: list[str] = []
-    for stmt in nest.statements:
-        val = value_src(stmt.rhs, indices, scalars, read_src)
-        lhs = coord_srcs(stmt.lhs, indices, origin=origins[stmt.lhs.array])
-        body.append(
-            f"{gvar[stmt.lhs.array]}[{tuple_src(lhs)}] = float({val})")
-
-    lines = ["def _nest_kernel(_points, _grids):"]
-    for n in names:
-        lines.append(f"    {gvar[n]} = _grids[{n!r}]")
-    lines.append("    for _it in _points:")
-    for pl in iteration_prelude(nest.depth, value_indices(nest)):
-        lines.append(f"        {pl}")
-    for b in body:
-        lines.append(f"        {b}")
-    fn = compile_kernel("\n".join(lines), "_nest_kernel")
-    KERNEL_CACHE.put(key, fn)
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +68,6 @@ class CompiledEngine(Engine):
 
     name = "compiled"
     fallback = "interp"
-
-    def run_nest(self, nest, arrays, scalars, space) -> None:
-        try:
-            kernel = compile_nest_kernel(
-                nest, scalars, {n: arrays[n].lo for n in nest.array_names()})
-        except KernelCompileError:
-            self.delegate().run_nest(nest, arrays, scalars, space)
-            return
-        grids = {n: arrays[n].data for n in nest.array_names()}
-        kernel(space.points(), grids)
 
     def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         nest = plan.nest

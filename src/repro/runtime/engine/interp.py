@@ -1,11 +1,12 @@
-"""The interpreter backend: the golden model, behind the Engine interface.
+"""The interpreter backend: the golden model's statements, run per block.
 
 Statements are built once per run into closures over the iteration
-tuple (:func:`repro.runtime.seq.build_statement`); the two entry
-points differ only in where a reference reads and writes.  It is the
-slowest tier and the semantic reference: every other backend is
-cross-checked against it bit for bit, so it shares no code with the
-kernel lowering.  It is also the only tier
+tuple (:func:`repro.runtime.seq.build_statement`) -- the same builder
+the sequential run (:func:`repro.runtime.seq.run_sequential`) uses; here
+a reference reads and writes the running block's memory instead of the
+arrays.  It is the slowest tier and the semantic reference: every other
+backend is cross-checked against it bit for bit, so it shares no code
+with the kernel lowering.  It is also the only tier
 ``run_parallel(strict=False)`` ever resolves (count-but-tolerate remote
 accesses), because its block reads and writes go through
 :class:`~repro.machine.memory.LocalMemory` one element at a time.
@@ -21,35 +22,6 @@ class InterpreterEngine(Engine):
 
     name = "interp"
     fallback = None
-
-    def run_nest(self, nest, arrays, scalars, space) -> None:
-        """Over one flat list per touched array, staged before the run
-        and written back after it -- also when it raises, so the caller
-        sees exactly the writes made before the failing access."""
-        from repro.runtime import numpy_compat as npc
-        from repro.runtime.seq import build_statement
-
-        staged = {array: (npc.flat_values(arrays[array].data),
-                          arrays[array].offset)
-                  for array in nest.array_names()}
-
-        def read(array, coords):
-            flat, offset = staged[array]
-            return flat[offset(coords)]
-
-        statements = []
-        for stmt in nest.statements:
-            array, coords, rhs = build_statement(
-                stmt, nest.indices, scalars, read)
-            statements.append((*staged[array], coords, rhs))
-        try:
-            for it in space.iterate():
-                for flat, offset, coords, rhs in statements:
-                    value = rhs(it)
-                    flat[offset(coords(it))] = value
-        finally:
-            for array in {stmt.lhs.array for stmt in nest.statements}:
-                npc.assign_flat(arrays[array].data, staged[array][0])
 
     def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.trace import current_tracer

@@ -80,17 +80,14 @@ def sum_src(terms: list[str], const: int = 0) -> str:
     return " + ".join(parts)
 
 
-def coord_srcs(ref: ArrayRef, indices: tuple[str, ...],
-               origin: Optional[tuple[int, ...]] = None) -> list[str]:
+def coord_srcs(ref: ArrayRef, indices: tuple[str, ...]) -> list[str]:
     """Per-dimension integer index sources (affine stride/offset form).
 
-    ``origin`` folds a backing-grid origin (``DataSpace.lo``) into the
-    constant term.  Non-integral affine subscripts mirror the
-    interpreter's ``int(float-eval)`` truncation.
+    Non-integral affine subscripts mirror the interpreter's
+    ``int(float-eval)`` truncation.
     """
     out: list[str] = []
-    for d, sub in enumerate(ref.subscripts):
-        shift = origin[d] if origin is not None else 0
+    for sub in ref.subscripts:
         try:
             ae = affine_of(sub, indices)
         except NotAffineError as exc:
@@ -99,11 +96,10 @@ def coord_srcs(ref: ArrayRef, indices: tuple[str, ...],
         if ae.is_integral():
             out.append(sum_src([term_src(int(a), f"i{k}")
                                 for k, a in enumerate(ae.coeffs) if a],
-                               int(ae.const) - shift))
+                               int(ae.const)))
         else:
             # rational coefficients: reproduce int(eval_expr(sub)) exactly
-            src = value_src(sub, indices, {}, _no_reads)
-            out.append(f"int({src}) - {shift}" if shift else f"int({src})")
+            out.append(f"int({value_src(sub, indices, {}, _no_reads)})")
     return out
 
 

@@ -77,10 +77,6 @@ class MultiprocessEngine(Engine):
         except (ImportError, NotImplementedError):  # pragma: no cover
             return False
 
-    def run_nest(self, nest, arrays, scalars, space) -> None:
-        # a sequential nest is one dependence chain; nothing to fan out
-        self.delegate().run_nest(nest, arrays, scalars, space)
-
     def _degrade(self, exc, plan, memories, result, initial,
                  scalars) -> None:
         """No process pool in this environment: run in-process instead,

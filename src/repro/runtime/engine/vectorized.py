@@ -304,11 +304,6 @@ class VectorizedEngine(Engine):
     def is_available(cls) -> bool:
         return npc.have_numpy()
 
-    def run_nest(self, nest, arrays, scalars, space) -> None:
-        # a sequential nest may carry loop dependences; the compiled
-        # tier preserves exact statement order
-        self.delegate().run_nest(nest, arrays, scalars, space)
-
     def run_blocks(self, plan, memories, result, initial, scalars) -> None:
         from repro.obs.trace import current_tracer
 

@@ -25,7 +25,6 @@ from operator import mul
 from typing import Callable, Mapping, Optional
 
 from repro.machine.memory import LocalMemory
-from repro.runtime.numpy_compat import c_strides
 
 
 class Sidecar:
@@ -70,6 +69,14 @@ class Sidecar:
             kind, exc_args = refusal
             raise kind(*exc_args)
         return value
+
+
+def c_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-major strides, in elements, of a dense grid of ``shape``."""
+    strides = [1] * len(shape)
+    for d in range(len(shape) - 2, -1, -1):
+        strides[d] = strides[d + 1] * shape[d + 1]
+    return tuple(strides)
 
 
 @dataclass(frozen=True)

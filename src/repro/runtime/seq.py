@@ -1,7 +1,9 @@
 """The sequential interpreter: the golden model.
 
 Executes a loop nest exactly as written -- iterations in lexicographic
-order, statements in textual order, RHS reads before the LHS write.
+order, statements in textual order, RHS reads before the LHS write --
+in place on the arrays' flat value lists (:func:`run_sequential`).  It
+has no backend: it is what every engine tier is checked against.
 A statement is built *once per run* into closures over the iteration
 tuple (:func:`build_statement`): node dispatch, index positions and
 scalar bindings are resolved at build time, and an iteration pays one
@@ -113,31 +115,38 @@ def run_sequential(
     arrays: dict[str, DataSpace],
     scalars: Optional[Mapping[str, float]] = None,
     space: Optional[IterationSpace] = None,
-    backend: Optional[str] = None,
-    options: Optional[object] = None,
 ) -> dict[str, DataSpace]:
-    """Run the nest in place over ``arrays``; returns ``arrays``.
+    """Run the nest over ``arrays`` in place; returns ``arrays``.
 
-    ``backend`` picks the execution engine (default: the interpreter);
-    every engine is bit-identical to the interpreter on the final
-    arrays.  ``options`` is a
-    :class:`repro.api.RunOptions` supplying a default backend.
+    Every read and write goes straight to ``arrays[name].values``
+    through the array's own :meth:`~DataSpace.offset`, so a run that
+    raises on iteration *k* leaves exactly the writes of the iterations
+    before it.  Arrays the nest does not name are not looked at.
     """
-    # local import: the engine layer's interp backend calls back into
-    # build_statement here
     from repro.obs.trace import current_tracer
-    from repro.runtime.engine import resolve_engine
 
-    if options is not None:
-        backend = backend or options.backend
     scalars = scalars or {}
     space = space or IterationSpace(nest)
-    engine = resolve_engine(backend)
     with current_tracer().span("engine.run_nest", category="engine",
-                               backend=engine.name,
+                               backend="interp",
                                nest=nest.name or "<anon>",
                                statements=len(nest.statements)) as sp:
-        engine.run_nest(nest, arrays, scalars, space)
+        touched = {array: (arrays[array].values, arrays[array].offset)
+                   for array in nest.array_names()}
+
+        def read(array, coords):
+            values, offset = touched[array]
+            return values[offset(coords)]
+
+        statements = []
+        for stmt in nest.statements:
+            array, coords, rhs = build_statement(
+                stmt, nest.indices, scalars, read)
+            statements.append((*touched[array], coords, rhs))
+        for it in space.iterate():
+            for values, offset, coords, rhs in statements:
+                value = rhs(it)
+                values[offset(coords(it))] = value
         # a completed sequential run executed every statement of every
         # point: the work is stated once here, not counted per iteration
         points = space.size()

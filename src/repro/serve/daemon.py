@@ -73,13 +73,16 @@ async def _handle_connection(server: AsyncServer,
     shutdown = asyncio.ensure_future(server.shutdown_event.wait())
 
     async def answer(line: bytes) -> None:
+        """Exactly one reply frame per received line, whatever it held."""
         try:
-            frame = decode_frame(line)
-        except ProtocolError as exc:
-            resp = Response.failure("", exc).to_dict()
-        else:
-            resp = await server.handle(frame)
-        writer.write(encode_frame(resp))
+            raw = encode_frame(await server.handle(decode_frame(line)))
+        except ProtocolError as exc:   # undecodable line, oversized reply
+            raw = encode_frame(Response.failure("", exc))
+        except Exception as exc:  # noqa: BLE001 - a silent client hangs
+            server.registry.inc("serve.errors")
+            server.registry.inc("serve.errors.internal")
+            raw = encode_frame(Response.failure("", exc))
+        writer.write(raw)
         await writer.drain()
 
     try:

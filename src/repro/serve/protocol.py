@@ -57,6 +57,15 @@ class Overloaded(ProtocolError):
     kind = "overloaded"
 
 
+def _check(data: Mapping[str, Any], field: str, ok, what: str) -> None:
+    """A present (non-null) ``field`` must satisfy ``ok``: a frame is
+    input from outside, and a wrong type is the sender's error."""
+    value = data.get(field)
+    if value is not None and not ok(value):
+        raise ProtocolError(f"field {field!r} must be {what}, "
+                            f"got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class Request:
     """One unit of work for the serving layer.
@@ -98,22 +107,42 @@ class Request:
                 f"unknown op {op!r} (expected one of {', '.join(OPS)})")
         if op not in ("status", "shutdown") and not data.get("nest"):
             raise ProtocolError(f"op {op!r} requires a nest")
+        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        if unknown:
+            raise ProtocolError(
+                f"unknown fields: {', '.join(sorted(unknown))}")
+        for field in ("nest", "backend", "strategy", "id"):
+            _check(data, field, lambda v: isinstance(v, str), "a string")
+        _check(data, "eliminate_redundant",
+               lambda v: isinstance(v, bool), "true or false")
+        _check(data, "duplicate_arrays",
+               lambda v: isinstance(v, list)
+               and all(isinstance(name, str) for name in v),
+               "a list of array names")
+        _check(data, "scalars",
+               lambda v: isinstance(v, dict) and all(
+                   isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in v.values()),
+               "an object of name -> number")
         strategy = data.get("strategy", "nonduplicate")
         if strategy not in ("nonduplicate", "duplicate"):
             raise ProtocolError(
                 f"unknown strategy {strategy!r} "
                 "(expected nonduplicate or duplicate)")
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ProtocolError(
-                f"unknown fields: {', '.join(sorted(unknown))}")
+        if data.get("backend") is not None:
+            from repro.runtime.engine.base import unknown_backend
+
+            refusal = unknown_backend(data["backend"],
+                                      cross_check=op != "run")
+            if refusal:
+                raise ProtocolError(refusal)
         dup = data.get("duplicate_arrays")
         return cls(
             op=op,
             nest=data.get("nest", ""),
-            strategy=data.get("strategy", "nonduplicate"),
+            strategy=strategy,
             duplicate_arrays=tuple(dup) if dup is not None else None,
-            eliminate_redundant=bool(data.get("eliminate_redundant", False)),
+            eliminate_redundant=data.get("eliminate_redundant", False),
             backend=data.get("backend"),
             scalars=dict(data["scalars"]) if data.get("scalars") else None,
             id=data.get("id"),

@@ -187,16 +187,7 @@ class AsyncServer:
         op = frame.get("op", "") if isinstance(frame, dict) else ""
         try:
             req = Request.from_dict(frame)
-        except ProtocolError as exc:
-            self.registry.inc("serve.errors")
-            self.registry.inc(f"serve.errors.{exc.kind}")
-            return Response.failure(op, exc, id=_frame_id(frame)).to_dict()
-        try:
             resp = await self._dispatch(req)
-        except ProtocolError as exc:
-            self.registry.inc("serve.errors")
-            self.registry.inc(f"serve.errors.{exc.kind}")
-            resp = Response.failure(req.op, exc, id=req.id)
         except Exception as exc:  # noqa: BLE001 - the wire reports it
             from repro.analysis.references import NonUniformReferenceError
             from repro.runtime.seq import UnboundScalarError
@@ -204,7 +195,7 @@ class AsyncServer:
             # the request's own nest is at fault, not the daemon
             if isinstance(exc, (NonUniformReferenceError, UnboundScalarError)):
                 exc = ProtocolError(str(exc))
-            resp = Response.failure(req.op, exc, id=req.id)
+            resp = Response.failure(op, exc, id=_frame_id(frame))
             self.registry.inc("serve.errors")
             self.registry.inc(f"serve.errors.{resp.error['kind']}")
         if resp.ok:

@@ -52,7 +52,7 @@ class TestSteppedParsing:
         a2 = {"A": a1["A"].copy()}
         run_sequential(stepped, a1)
         run_sequential(manual, a2)
-        assert a1["A"].data.tolist() == a2["A"].data.tolist()
+        assert a1["A"].values == a2["A"].values
 
     def test_nested_step_with_dependent_inner(self):
         nest = parse("""

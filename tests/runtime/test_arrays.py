@@ -3,10 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import extract_references
 from repro.lang import catalog, parse
 from repro.runtime import DataSpace, array_footprints, default_init, make_arrays
+
+try:
+    import numpy
+except ImportError:   # the no-numpy CI axis
+    numpy = None
 
 
 class TestDataSpace:
@@ -45,7 +52,6 @@ class TestDataSpace:
         assert ds == cp
         cp[(0,)] = 99.0
         assert ds != cp
-        assert ds.allclose(ds)
 
     def test_coords_iter_covers_all(self):
         ds = DataSpace("A", (1, 1), (2, 3))
@@ -100,7 +106,7 @@ class TestMakeArrays:
 
 class TestBulkFillAndCompare:
     """``fill_with`` / ``box_values`` / ``assign_box`` / ``differences``
-    go through the flat backing in one step; the per-element
+    go through the flat value list in one step; the per-element
     ``__setitem__`` / ``__getitem__`` walk is the reference."""
 
     BOUNDS = [((0, 0), (8, 4)),      # L1's A[0:8, 0:4]
@@ -119,7 +125,7 @@ class TestBulkFillAndCompare:
             ref[c] = fn(c)
         assert bulk == ref
         assert all(bulk[c] == fn(c) for c in bulk.coords_iter())
-        assert type(bulk.data) is type(ref.data)
+        assert type(bulk.values) is type(ref.values) is list
 
     def test_fill_with_integer_valued_initialiser(self, backing):
         ds = DataSpace("A", (1,), (3,)).fill_with(lambda c: c[0])
@@ -168,3 +174,96 @@ class TestBulkFillAndCompare:
     def test_differences_refuses_other_bounds(self, backing):
         with pytest.raises(IndexError):
             DataSpace("A", (0,), (2,)).differences(DataSpace("A", (0,), (3,)))
+
+
+class TestEquality:
+    """``==`` is the same elementwise float ``!=`` as ``differences``:
+    it cannot say "equal" where ``differences`` lists an element."""
+
+    def test_nan_is_unequal_and_agrees_with_differences(self):
+        a = DataSpace("A", (0,), (2,))
+        a[(1,)] = float("nan")
+        b = a.copy()   # shares the NaN *object*: list.__eq__ says equal
+        assert b.values[1] is a.values[1]
+        assert not a == b and a != b
+        assert (a == b) == (not a.differences(b))
+
+    def test_negative_zero_equals_zero(self):
+        a, b = DataSpace("A", (0,), (1,)), DataSpace("A", (0,), (1,))
+        b[(0,)] = -0.0
+        assert a == b and a.differences(b) == []
+
+    def test_unequal_bounds_are_unequal(self):
+        assert DataSpace("A", (0,), (2,)) != DataSpace("A", (1,), (3,))
+        assert DataSpace("A", (0,), (2,)) != DataSpace("A", (0,), (3,))
+        assert DataSpace("A", (0,), (2,)) != "A"
+
+
+# -- the list operations against the per-element walk -------------------------
+
+@st.composite
+def arrays_and_boxes(draw):
+    """A filled array over drawn bounds (negative origins, rank 1-3)
+    and a box ``(lo, shape)`` inside it."""
+    rank = draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(rank))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(rank))
+    hi = tuple(l + n - 1 for l, n in zip(lo, shape))
+    ds = DataSpace("A", lo, hi).fill_with(default_init("A"))
+    whole = draw(st.booleans())
+    blo = lo if whole else tuple(draw(st.integers(l, h))
+                                 for l, h in zip(lo, hi))
+    bshape = shape if whole else tuple(draw(st.integers(1, h - b + 1))
+                                       for b, h in zip(blo, hi))
+    return ds, blo, bshape
+
+
+def _per_element(ds):
+    return {c: ds[c] for c in ds.coords_iter()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays_and_boxes())
+def test_list_operations_equal_the_per_element_walk(drawn):
+    ds, blo, bshape = drawn
+    before = _per_element(ds)
+    inside = list(itertools.product(
+        *(range(l, l + n) for l, n in zip(blo, bshape))))
+
+    # box_values: the walk's values, and never an alias of ``values``
+    box = ds.box_values(blo, bshape)
+    assert box == [ds[c] for c in inside]
+    box[:] = [float("inf")] * len(box)
+    assert _per_element(ds) == before
+
+    # copy / ==: independent storage, equal until an element changes
+    other = ds.copy()
+    assert other == ds and other.values is not ds.values
+    assert _per_element(other) == before
+
+    # assign_box: that box and nothing else
+    other.assign_box(blo, bshape,
+                     [-v - 1.0 for v in ds.box_values(blo, bshape)])
+    walked = ds.copy()
+    for c in inside:
+        walked[c] = -ds[c] - 1.0
+    assert _per_element(other) == _per_element(walked)
+    assert _per_element(ds) == before
+
+    # differences / ==: exactly the elements the walk finds changed
+    assert other.differences(ds) == [(c, other[c], ds[c]) for c in inside]
+    assert (other == ds) is False and (other == walked) is True
+
+    # .data: the nested-rows form of the same values
+    shape = tuple(h - l + 1 for l, h in zip(ds.lo, ds.hi))
+    rows = ds.data
+    for c in ds.coords_iter():
+        cell = rows
+        for x, l in zip(c, ds.lo):
+            cell = cell[x - l]
+        assert cell == ds[c]
+    if numpy is not None:
+        grid = numpy.array(ds.data)
+        assert grid.shape == shape
+        assert all(grid[tuple(x - l for x, l in zip(c, ds.lo))] == ds[c]
+                   for c in ds.coords_iter())

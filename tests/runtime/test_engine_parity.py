@@ -14,9 +14,11 @@ import dataclasses
 import pytest
 
 from repro.analysis import extract_references
+from repro.api import Session
 from repro.core import Strategy, build_plan
 from repro.lang import catalog
 from repro.machine.memory import RemoteAccessError
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     make_arrays,
     merge_copies,
@@ -96,14 +98,20 @@ def test_backend_matches_interpreter(name, fn, kwargs, backend):
 
 @pytest.mark.parametrize("backend", ["interp", "auto"] + BACKENDS)
 def test_run_sequential_parity(backend):
+    """The sequential run is the golden model whatever backend the
+    session was opened with: it resolves no engine."""
     nest = catalog.l3_sub()
     model = extract_references(nest)
     golden = run_sequential(nest, make_arrays(model), scalars=SCALARS)
-    got = run_sequential(nest, make_arrays(model), scalars=SCALARS,
-                         backend=backend)
+    registry = MetricsRegistry()
+    with Session(nest, backend=backend, scalars=SCALARS,
+                 registry=registry) as session:
+        got = session.run_sequential()
     assert set(got) == set(golden)
     for name in golden:
         assert got[name] == golden[name]
+    assert not [k for k in registry.snapshot()
+                if k.startswith("engine.resolved.")]
 
 
 def _sabotage(plan):
@@ -183,9 +191,9 @@ class TestCompiledKernels:
         nest = catalog.l3_sub()  # needs D/F/G/K bound
         model = extract_references(nest)
         with pytest.raises(KeyError) as interp_exc:
-            run_sequential(nest, make_arrays(model), backend="interp")
+            run_sequential(nest, make_arrays(model))
         with pytest.raises(KeyError) as compiled_exc:
-            run_sequential(nest, make_arrays(model), backend="compiled")
+            run_parallel(build_plan(nest), backend="compiled")
         assert str(compiled_exc.value) == str(interp_exc.value)
 
 

@@ -65,15 +65,6 @@ class TestBackendUnavailable:
         with pytest.raises(BackendUnavailable, match="no.*fallback"):
             resolve_engine("interp")
 
-    def test_error_propagates_through_run_sequential(self, monkeypatch):
-        from repro.lang import catalog
-        from repro.runtime.seq import run_sequential
-
-        monkeypatch.setattr(InterpreterEngine, "is_available",
-                            classmethod(lambda cls: False))
-        with pytest.raises(BackendUnavailable):
-            run_sequential(catalog.l1(), {})
-
     def test_error_propagates_through_run_parallel(self, monkeypatch):
         from repro.core import build_plan
         from repro.lang import catalog
@@ -157,6 +148,7 @@ class TestStaticRegistry:
         proc = _fresh(["-m", "repro", "verify", "--loop", "L1",
                        "--backend", "bogus"],
                       REPRO_BLACKBOX_DIR=str(tmp_path))
-        assert proc.returncode == 1
-        assert "unknown backend 'bogus'; known: " + ", ".join(TIERS) \
-            in proc.stderr
+        assert proc.returncode == 2   # an input error, refused up front
+        assert proc.stderr == ("repro: unknown backend 'bogus'; known: "
+                               + ", ".join(TIERS) + ", all\n")
+        assert list(tmp_path.iterdir()) == []

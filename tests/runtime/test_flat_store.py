@@ -12,8 +12,8 @@ layout's geometry (``repro.runtime.layout``), and a block's
   and the cross-check read the change;
 - a pickled view is its rendered form, without the store;
 - stores whose geometry is not the initial arrays' (triangular spaces,
-  ranges off zero, a caller's larger or smaller arrays), under both
-  grid backings;
+  ranges off zero, a caller's larger or smaller arrays), with the
+  numpy switch on and off;
 - the same equivalence on generated nests, where negative coefficients
   and non-zero origins are what a slot formula gets wrong.
 """

@@ -26,7 +26,6 @@ from repro.machine.memory import RemoteAccessError
 from repro.obs.audit import inject_violation
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import make_arrays, run_parallel, run_sequential
-from repro.runtime import numpy_compat as npc
 from repro.runtime.arrays import DataSpace
 from repro.runtime.seq import (
     UnboundScalarError, build_expr, build_statement, eval_expr,
@@ -140,9 +139,8 @@ def observe(run):
 
 
 def bits(arrays):
-    return {name: struct.pack(f"<{len(flat)}d", *flat)
-            for name, ds in arrays.items()
-            for flat in [npc.flat_values(ds.data)]}
+    return {name: struct.pack(f"<{len(ds.values)}d", *ds.values)
+            for name, ds in arrays.items()}
 
 
 # -- (a) the builder is the definition ----------------------------------------
@@ -191,12 +189,12 @@ def test_an_index_shadows_a_scalar_of_the_same_name():
         == 7.0
 
 
-# -- (b) staged lists equal element-at-a-time ---------------------------------
+# -- (b) the in-place run equals element-at-a-time ----------------------------
 
 def _both_runs(nest, scalars):
     model = extract_references(nest)
     staged, stepped = make_arrays(model), make_arrays(model)
-    run_sequential(nest, staged, scalars=scalars, backend="interp")
+    run_sequential(nest, staged, scalars=scalars)
     reference_run(nest, stepped, scalars)
     return staged, stepped
 
@@ -257,17 +255,17 @@ def test_a_raising_run_leaves_exactly_the_earlier_writes(case, backing):
             lambda c, name=name: ord(name) + c[0] * 0.5) for name in "ABC"}
         # not referenced by the nest: must not even be looked at
         made["Z"] = DataSpace("Z", (0,), (1,))
-        made["Z"].data = None
+        made["Z"].values = None
         return made
 
     staged, stepped, fresh = arrays(), arrays(), arrays()
     with pytest.raises(error) as got:
-        run_sequential(nest, staged, backend="interp")
+        run_sequential(nest, staged)
     with pytest.raises(error) as want:
         reference_run(nest, stepped, {})
     assert str(got.value) == str(want.value) == message
     for made in (staged, stepped, fresh):
-        assert made.pop("Z").data is None
+        assert made.pop("Z").values is None
     assert bits(staged) == bits(stepped)
     for name, wrote in (("A", wrote_a), ("C", wrote_c)):
         changed = [c for c, _, _ in staged[name].differences(fresh[name])]
@@ -284,14 +282,14 @@ def test_unbound_scalar_raises_before_any_write(backing):
     arrays = make_arrays(extract_references(nest))
     before = bits(arrays)
     with pytest.raises(UnboundScalarError, match="unbound name") as exc:
-        run_sequential(nest, arrays, backend="interp")
+        run_sequential(nest, arrays)
     assert isinstance(exc.value, KeyError)
     assert str(exc.value) == ("unbound name 'alpha': not a loop index and "
                               "no scalar binding")
     assert bits(arrays) == before
     with pytest.raises(UnboundScalarError):
         run_parallel(build_plan(nest), backend="interp")
-    run_sequential(nest, arrays, scalars={"alpha": 2.0}, backend="interp")
+    run_sequential(nest, arrays, scalars={"alpha": 2.0})
     assert bits(arrays) != before
 
 

@@ -134,6 +134,46 @@ class TestDaemonLifecycle:
                 client.request("verify", nest="for broken {{{")
         assert exc.value.kind == "bad-request"
 
+    def test_every_frame_gets_exactly_one_reply(self, daemon, monkeypatch):
+        """A wrong-typed field, and even a crash inside the front door
+        itself, are answered: a frame without a reply leaves the client
+        waiting until its own timeout."""
+        import socket
+
+        from repro.serve.protocol import decode_frame, encode_frame
+        from repro.serve.server import AsyncServer
+
+        def exchange(conn, rfile, frame):
+            conn.sendall(encode_frame(frame))
+            return decode_frame(rfile.readline())
+
+        handle = AsyncServer.handle
+
+        async def crashing(self, frame):
+            if frame.get("id") == "crash":
+                raise RuntimeError("front door fell over")
+            return await handle(self, frame)
+
+        monkeypatch.setattr(AsyncServer, "handle", crashing)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.settimeout(BOUND_S)
+            conn.connect(str(daemon))
+            with conn.makefile("rb") as rfile:
+                typed = exchange(conn, rfile, {
+                    "schema_version": 1, "op": "verify", "nest": "L1",
+                    "scalars": [1, 2], "id": "t1"})
+                crash = exchange(conn, rfile, {
+                    "schema_version": 1, "op": "status", "id": "crash"})
+                status = exchange(conn, rfile, {
+                    "schema_version": 1, "op": "status", "id": "s1"})
+        assert typed["id"] == "t1" and not typed["ok"]
+        assert typed["error"]["kind"] == "bad-request"
+        assert "scalars" in typed["error"]["reason"]
+        assert crash["error"] == {"kind": "internal",
+                                  "reason": "front door fell over"}
+        assert status["ok"] and status["id"] == "s1"
+        assert status["result"]["errors"] == 2
+
     def test_clean_shutdown_removes_socket_and_pidfile(self, tmp_path):
         sock = tmp_path / "s2.sock"
         thread = start_daemon(sock)

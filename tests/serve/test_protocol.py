@@ -90,6 +90,58 @@ class TestValidation:
                                "schema_version": SCHEMA_VERSION})
 
 
+#: a wrong-typed value per request field, over a frame otherwise fine
+WRONG_TYPED = {
+    "nest": 7,
+    "backend": ["codegen"],
+    "backend-unknown": "bogus",
+    "strategy": 2,
+    "id": 41,
+    "scalars": [1, 2],
+    "scalars-value": {"D": "2"},
+    "scalars-bool": {"D": True},
+    "duplicate_arrays": 5,
+    "duplicate_arrays-item": ["A", 3],
+    "duplicate_arrays-string": "A,B",
+    "eliminate_redundant": "yes",
+}
+
+
+def wrong_typed_frame(case: str, op: str = "verify") -> dict:
+    field = case.partition("-")[0]
+    return {"schema_version": SCHEMA_VERSION, "op": op, "nest": "L1",
+            field: WRONG_TYPED[case]}
+
+
+class TestFieldTypes:
+    """A frame is input from outside: a wrong-typed field is refused as
+    the sender's error, by name, before anything runs."""
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPED))
+    def test_wrong_typed_field_is_bad_request(self, case):
+        with pytest.raises(ProtocolError) as exc:
+            Request.from_dict(wrong_typed_frame(case))
+        assert exc.value.kind == "bad-request"
+        assert case.partition("-")[0] in exc.value.reason
+
+    def test_unknown_backend_lists_the_known_ones(self):
+        with pytest.raises(ProtocolError) as exc:
+            Request.from_dict(wrong_typed_frame("backend-unknown"))
+        assert exc.value.reason == (
+            "unknown backend 'bogus'; known: auto, compiled, codegen, "
+            "interp, multiprocess, vectorized, all")
+
+    def test_every_field_well_typed_is_accepted(self):
+        req = Request.from_dict({
+            "schema_version": SCHEMA_VERSION, "op": "verify", "nest": "L1",
+            "strategy": "duplicate", "duplicate_arrays": ["B", "A"],
+            "eliminate_redundant": True, "backend": "all",
+            "scalars": {"D": 2, "F": 3.5}, "id": "r1"})
+        assert req.duplicate_arrays == ("A", "B")
+        assert req.scalars == {"D": 2, "F": 3.5}
+        assert Request.from_dict(req.to_dict()) == req
+
+
 class TestRequestKey:
     def test_identical_requests_collide(self):
         a = Request(op="verify", nest="L2", strategy="duplicate")

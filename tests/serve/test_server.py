@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Session
 from repro.serve import AsyncServer, Request
+from tests.serve.test_protocol import WRONG_TYPED, wrong_typed_frame
 
 
 def run(coro):
@@ -141,6 +142,18 @@ class TestErrors:
         assert srv.registry.value("serve.errors.bad-request") == 1
         assert srv.registry.value("serve.errors.internal") == 0
         assert again["ok"]   # the daemon is none the worse
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPED))
+    def test_a_wrong_typed_field_is_answered_and_counted(self, case):
+        with AsyncServer() as srv:
+            resp = run(srv.handle(wrong_typed_frame(case)))
+            again = run(srv.handle(frame(op="plan")))
+        assert not resp["ok"] and resp["op"] == "verify"
+        assert resp["error"]["kind"] == "bad-request"
+        assert case.partition("-")[0] in resp["error"]["reason"]
+        assert srv.registry.value("serve.errors.bad-request") == 1
+        assert srv.registry.value("serve.errors.internal") == 0
+        assert again["ok"]
 
     def test_a_crash_is_still_internal(self, monkeypatch):
         def boom(self, backend=None):

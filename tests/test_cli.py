@@ -27,12 +27,10 @@ class TestAnalyze:
         assert "4/16" in text  # N(S1)
 
     def test_unknown_loop(self):
-        with pytest.raises(SystemExit):
-            run("analyze", "--loop", "NOPE")
+        assert run("analyze", "--loop", "NOPE") == (2, "")
 
     def test_missing_input(self):
-        with pytest.raises(SystemExit):
-            run("analyze")
+        assert run("analyze") == (2, "")
 
     def test_file_input(self, tmp_path):
         f = tmp_path / "loop.cf"

@@ -176,6 +176,45 @@ class TestInputErrors:
             want.replace("PATH", str(path)) + "\n"
         assert list(box.iterdir()) == []
 
+    #: a command line that cannot be run: refused before anything is
+    #: planned, same protocol
+    USAGE = {
+        "unknown-backend": (
+            ("verify", "--loop", "L1", "--backend", "bogus"),
+            "repro: unknown backend 'bogus'; known: auto, compiled, "
+            "codegen, interp, multiprocess, vectorized, all"),
+        "run-cannot-cross-check": (
+            ("run", "--loop", "L1", "--backend", "all"),
+            "repro: unknown backend 'all'; known: auto, compiled, "
+            "codegen, interp, multiprocess, vectorized"),
+        "malformed-scalars": (
+            ("verify", "--loop", "L1", "--scalars", "D=2,F"),
+            "repro: --scalars: 'F' is not NAME=VALUE (give "
+            "NAME=VALUE[,...], e.g. D=2,F=3)"),
+        "unknown-loop": (
+            ("verify", "--loop", "NOPE"),
+            "repro: unknown catalog loop 'NOPE'; available: AXPY, CONV, "
+            "DFT, INDEP, L1, L2, L3, L3sub, L4, L5, MATVEC, OUTER, "
+            "STENCIL2D, TRI"),
+        "no-input": (
+            ("verify",), "repro: give a source file or --loop NAME"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE))
+    def test_usage_error_exit_2_one_line_no_blackbox(
+            self, case, tmp_path, monkeypatch, capsys):
+        from repro.pipeline import passes
+
+        argv, want = self.USAGE[case]
+        monkeypatch.setenv("REPRO_BLACKBOX_DIR", str(tmp_path))
+        monkeypatch.setattr(
+            passes, "run_pipeline",
+            lambda *a, **kw: pytest.fail("planned before refusing"))
+        code, text = run(*argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == want + "\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bound_scalar_verifies(self, tmp_path, capsys):
         path = tmp_path / "nest.loop"
         path.write_text(self.CASES["unbound-scalar"][0])

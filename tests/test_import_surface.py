@@ -8,8 +8,9 @@ Two contracts:
   the eager ``__init__`` files this replaced), each one the very object
   its defining submodule holds;
 - **import budget** -- a warm ``repro verify`` loads no layer it does
-  not use, ``repro -V`` loads almost nothing, and ``REPRO_NO_NUMPY=1``
-  keeps numpy out of every command.
+  not use (numpy included: only the ``vectorized`` tier and the
+  shared-memory store import it), ``repro -V`` loads almost nothing, and
+  ``REPRO_NO_NUMPY=1`` keeps numpy out of every command.
 """
 
 from __future__ import annotations
@@ -144,7 +145,9 @@ class TestImportBudget:
                  "repro.serve", "repro.viz", "repro.perf", "repro.baseline",
                  "repro.program", "repro.report", "repro.machine.machine",
                  "repro.machine.topology", "repro.runtime.engine.multiproc",
-                 "repro.runtime.scheduler.core")
+                 "repro.runtime.scheduler.core",
+                 "numpy", "repro.runtime.numpy_compat",
+                 "repro.runtime.blockstore")
 
     def test_warm_verify_loads_only_what_it_walks(self, hermetic_env):
         cli_modules(hermetic_env, *self.VERIFY)            # fill the caches
@@ -153,7 +156,23 @@ class TestImportBudget:
                   if _loaded(modules, p)}
         assert not leaked
         ours = _loaded(modules, "repro")
-        assert len(ours) <= 80, ours
+        assert len(ours) <= 75, ours
+
+    def test_a_closed_session_never_imported_numpy(self, hermetic_env):
+        """Planning, running, verifying and closing (which releases a
+        plan segment only if the shared-memory store was ever loaded)
+        compute on lists: only ``vectorized`` and that store use numpy."""
+        out = _python(
+            "import sys\n"
+            "from repro.api import Session\n"
+            "with Session('L1', strategy='duplicate') as s:\n"
+            "    s.plan()\n"
+            "    assert s.run(backend='auto').ok\n"
+            "    assert s.verify(backend='auto').ok\n"
+            "print('numpy' in sys.modules,\n"
+            "      'repro.runtime.blockstore.store' in sys.modules)\n",
+            hermetic_env)
+        assert out.split() == ["False", "False"]
 
     def test_version_loads_no_layer(self, hermetic_env):
         modules = cli_modules(hermetic_env, "-V")
