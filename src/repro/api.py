@@ -212,7 +212,6 @@ class Session:
         can render them.
         """
         if self._plan is None:
-            from repro.obs.flight import flight
             from repro.obs.top import current_writer
             from repro.pipeline.context import PipelineConfig
             from repro.pipeline.passes import run_pipeline
@@ -221,8 +220,9 @@ class Session:
             if writer is not None:
                 writer.write({"phase": "plan",
                               "case": self.nest.name or "?"})
-            with self._scope(), flight().span(
-                    "session.plan", case=self.nest.name or "?",
+            with self._scope(), self.tracer.span(
+                    "session.plan", category="session", coarse=True,
+                    case=self.nest.name or "?",
                     strategy=self.strategy.value):
                 config = PipelineConfig(
                     strategy=self.strategy,
@@ -238,11 +238,11 @@ class Session:
     def run(self, backend: Optional[str] = None, **kwargs):
         """Execute the plan in parallel; returns a
         :class:`~repro.runtime.parallel.ParallelResult`."""
-        from repro.obs.flight import flight
         from repro.runtime.parallel import run_parallel
 
-        with self._scope(), flight().span(
-                "session.run", case=self.nest.name or "?",
+        with self._scope(), self.tracer.span(
+                "session.run", category="session", coarse=True,
+                case=self.nest.name or "?",
                 backend=backend or self.options.backend or "default"):
             result = run_parallel(self.plan(), scalars=self.scalars,
                                   backend=backend, options=self.options,

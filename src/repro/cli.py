@@ -7,7 +7,7 @@
     python -m repro select    <file|--loop L5> -p 16   strategy selection
     python -m repro audit     <file|--loop L1> [...]   communication audit
     python -m repro chaos     [--crash-prob 0.2 ...]   fault-injected run
-    python -m repro blackbox  [FILE]                   post-mortem flight dump
+    python -m repro blackbox  [FILE]                   post-mortem ring dump
     python -m repro top       [--once]                 live run dashboard
     python -m repro figures                            regenerate Figs. 1-10
     python -m repro tables                             Tables I & II
@@ -16,7 +16,7 @@ Loops come from a mini-language source file or the built-in catalog
 (``--loop``).  Strategy flags: ``--duplicate`` (all arrays),
 ``--duplicate-arrays A,B`` (subset), ``--eliminate`` (Section III.C).
 
-Every subcommand runs through the instrumented pass pipeline
+Every subcommand runs through the pass pipeline
 (:mod:`repro.pipeline`); add ``--timings`` to print the per-pass timing
 table (including plan-cache hit/miss counters with miss reasons).
 Observability flags work on every subcommand too: ``--trace FILE``
@@ -29,17 +29,17 @@ flamegraph lines (its sample track also merges into ``--trace``
 output).  Structured diagnostics (degenerate Psi, partial duplication,
 ...) go to stderr so stdout stays machine-stable.
 
-Independent of all flags, a bounded flight recorder is always on
-(:mod:`repro.obs.flight`): any unhandled failure -- a scheduler that
-cannot recover, a collapsed pool, a failed chaos certification, an
-unexpected exception -- dumps a ``repro-blackbox-*.json`` post-mortem
-that ``repro blackbox`` renders.  ``REPRO_TOP_SNAPSHOT=FILE`` makes
-runs publish live snapshots that ``repro top`` tails.
+Independent of all flags, coarse records stay in a bounded ring
+(:mod:`repro.obs.trace`) that any unhandled failure -- an unrecoverable
+scheduler, a collapsed pool, a failed chaos certification, a crash --
+dumps as a ``repro-blackbox-*.json`` that ``repro blackbox`` renders.
+``REPRO_TOP_SNAPSHOT=FILE`` publishes snapshots ``repro top`` tails.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -57,6 +57,15 @@ def _finish(ok: bool, reason: str, code: int = 1) -> int:
         return 0
     print(f"repro: {reason}", file=sys.stderr)
     return code
+
+
+def _write_json(path: str, doc) -> None:
+    """A ``--json FILE`` result document."""
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class UsageError(Exception):
@@ -231,11 +240,7 @@ def cmd_run(args, out) -> int:
         _render_session_diagnostics(session)
     print(result.summary(), file=out)
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, result.to_json())
     return _finish(result.ok, f"run failed: {result.summary()}")
 
 
@@ -315,11 +320,7 @@ def cmd_audit(args, out) -> int:
         spans = tracer.spans
     print(render_audit_dashboard(report, spans=spans), file=out)
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, report.to_dict())
     return _finish(report.certified,
                    f"audit violation: {report.summary()}")
 
@@ -480,40 +481,33 @@ def cmd_chaos(args, out) -> int:
           f"{'bit-identical' if counters_ok else 'MISMATCH'}", file=out)
     print(f"audit:                {audit.summary()}", file=out)
 
+    timeline = sres.to_json() if sres is not None else None
     if args.json:
-        import json
-
-        doc = {
-            "chaos": fp.describe(),
-            "scheduler": sres.to_json() if sres is not None else None,
+        _write_json(args.json, {
+            "chaos": fp.describe(), "scheduler": timeline,
             "arrays_ok": arrays_ok, "stamps_ok": stamps_ok,
             "counters_ok": counters_ok, "audit_ok": audit.ok,
-        }
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
-    from repro.obs.flight import dump_blackbox
-
+    failed = None
     if sres is not None and not sres.recovered:
-        dump_blackbox("chaos certification failed: units missing",
-                      extra={"scheduler": sres.to_json()})
-        return _finish(False, "chaos non-recovery: "
-                              f"{sres.units - sres.completed_units} "
-                              "unit(s) never completed")
-    if not (arrays_ok and stamps_ok and counters_ok):
-        dump_blackbox("chaos certification failed: result mismatch",
-                      extra={"scheduler": sres.to_json()
-                             if sres is not None else None})
-        return _finish(False, "chaos run is not bit-identical to the "
-                              "interp golden run")
+        failed = ("units missing", "chaos non-recovery: "
+                  f"{sres.units - sres.completed_units} unit(s) never "
+                  "completed")
+    elif not (arrays_ok and stamps_ok and counters_ok):
+        failed = ("result mismatch", "chaos run is not bit-identical to "
+                  "the interp golden run")
+    if failed:
+        from repro.obs.flight import dump_blackbox
+
+        dump_blackbox(f"chaos certification failed: {failed[0]}",
+                      extra={"scheduler": timeline})
+        return _finish(False, failed[1])
     return _finish(audit.ok, f"audit violation: {audit.summary()}")
 
 
 def cmd_blackbox(args, out) -> int:
-    """Render a flight-recorder post-mortem dump (newest by default)."""
-    import json
-
+    """Render a blackbox post-mortem dump (newest by default)."""
     from repro.obs.flight import (latest_blackbox, load_blackbox,
                                   render_blackbox)
 
@@ -523,7 +517,7 @@ def cmd_blackbox(args, out) -> int:
         return _finish(False, f"no repro-blackbox-*.json dumps in {where}")
     try:
         doc = load_blackbox(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # incl. JSONDecodeError
         return _finish(False, f"cannot read blackbox {path}: {exc}")
     print(f"file: {path}", file=out)
     print(render_blackbox(doc, last=args.last), file=out)
@@ -764,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_chaos)
 
     p = add_subparser("blackbox",
-                      help="render a flight-recorder post-mortem dump")
+                      help="render a blackbox post-mortem dump")
     p.add_argument("file", nargs="?",
                    help="dump file (default: newest repro-blackbox-*.json)")
     p.add_argument("--dir", metavar="DIR",
@@ -823,49 +817,73 @@ def _input_error(args, exc: Exception) -> Optional[str]:
     return None
 
 
+def _refusal(args) -> Optional[str]:
+    """Why this command line cannot be run, found out before anything is
+    planned: an unknown backend, or a file the command is to write when
+    the work is done that cannot be written."""
+    if getattr(args, "backend", None) is not None:
+        from repro.runtime.engine.base import unknown_backend
+
+        refusal = unknown_backend(args.backend,
+                                  cross_check=args.command != "run")
+        if refusal:
+            return refusal
+    flags = ("trace", "events", "metrics_out", "profile", "json")
+    for path in filter(None, (getattr(args, f, None) for f in flags)):
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            return f"cannot write {path}: {exc.strerror}"
+        if not existed:
+            os.unlink(path)
+    return None
+
+
 def _invoke(args, out) -> int:
-    """Run one subcommand under the flight recorder's crash net.
+    """Run one subcommand under the ring's crash net.
 
     An input error ends in the uniform ``_finish`` protocol with exit 2.
-    Any other exception that would escape the driver dumps the flight
-    ring first (``repro blackbox`` then has the post-mortem), and still
+    Any other exception that would escape the driver dumps the ring
+    first (``repro blackbox`` then has the post-mortem), and still
     propagates -- the dump documents the failure, it never masks it.
     """
-    from repro.obs.flight import dump_blackbox, flight
+    from repro.obs.trace import current_tracer
 
-    fr = flight()
-    fr.record("event", "cli.start", command=args.command)
-    try:
-        if getattr(args, "backend", None) is not None:
-            # refused here, before the subcommand plans anything
-            from repro.runtime.engine.base import unknown_backend
+    tracer = current_tracer()
+    with tracer.span(f"cli.{args.command}", category="cli",
+                     coarse=True) as sp:
+        try:
+            code = args.fn(args, out)
+        except BrokenPipeError:
+            # downstream reader (e.g. `| head`) closed our stdout early:
+            # not a failure of ours, so no blackbox, no traceback --
+            # mirror the conventional 128+SIGPIPE exit (the __main__ shim
+            # redirects the real fd so the interpreter's shutdown flush
+            # stays quiet)
+            code = 141
+        except Exception as exc:
+            reason = _input_error(args, exc)
+            if reason is None:
+                from repro.obs.flight import dump_blackbox
 
-            refusal = unknown_backend(args.backend,
-                                      cross_check=args.command != "run")
-            if refusal:
-                raise UsageError(refusal)
-        return args.fn(args, out)
-    except (SystemExit, KeyboardInterrupt):
-        raise
-    except BrokenPipeError:
-        # downstream reader (e.g. `| head`) closed our stdout early:
-        # not a failure of ours, so no blackbox, no traceback -- mirror
-        # the conventional 128+SIGPIPE exit (the __main__ shim redirects
-        # the real fd so the interpreter's shutdown flush stays quiet)
-        return 141
-    except Exception as exc:
-        reason = _input_error(args, exc)
-        if reason is not None:
-            return _finish(False, reason, 2)
-        fr.error(f"cli.{args.command}", exc)
-        dump_blackbox(
-            f"unhandled {type(exc).__name__} in repro {args.command}: {exc}")
-        raise
+                tracer.event("cli.crash", category="cli", coarse="error",
+                             command=args.command,
+                             exc=f"{type(exc).__name__}: {exc}")
+                dump_blackbox(f"unhandled {type(exc).__name__} in repro "
+                              f"{args.command}: {exc}")
+                raise
+            code = _finish(False, reason, 2)
+        sp.set(exit_code=code)
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     out = out or sys.stdout
+    refusal = _refusal(args)
+    if refusal:
+        return _finish(False, refusal, 2)
     trace_path = getattr(args, "trace", None)
     events_path = getattr(args, "events", None)
     metrics_flag = getattr(args, "metrics", False)
@@ -876,35 +894,30 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             or timings or profile_path):
         return _invoke(args, out)
 
-    import json
-
     from repro.obs import (MetricsRegistry, Tracer, prometheus_text,
-                           use_registry, use_tracer, write_event_log,
+                           timing_table, use_registry, use_tracer,
+                           write_chrome_trace, write_event_log,
                            write_metrics)
-    from repro.obs.export import chrome_trace
     from repro.obs.profile import SamplingProfiler
-    from repro.pipeline.instrument import Instrumentation, use_metrics
 
-    # fresh sinks so every dump covers exactly this command; the tracer
-    # stays the null recorder unless a trace/event file was requested
-    instr = Instrumentation()
+    # fresh recorders so every sink covers exactly this command; the
+    # tracer keeps only coarse records unless a trace/event file was
+    # requested
     registry = MetricsRegistry()
     tracer = Tracer(enabled=bool(trace_path or events_path))
     profiler = SamplingProfiler() if profile_path else None
-    with use_metrics(instr), use_registry(registry), use_tracer(tracer):
+    with use_registry(registry), use_tracer(tracer):
         if profiler is not None:
             profiler.start()
         try:
-            with tracer.span(f"cli.{args.command}", category="cli") as sp:
-                code = _invoke(args, out)
-                sp.set(exit_code=code)
+            code = _invoke(args, out)
         finally:
             if profiler is not None:
                 profiler.stop()
                 profiler.publish(registry)
     if timings:
         print(file=out)
-        print(instr.timing_table(), file=out)
+        print(timing_table(registry), file=out)
     if profiler is not None:
         profiler.write_collapsed(profile_path)
         print(file=out)
@@ -918,13 +931,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if metrics_out:
         write_metrics(registry, metrics_out)
     if trace_path:
-        doc = chrome_trace(tracer)
-        if profiler is not None:
-            # the sampler's instants ride along on their own track
-            doc["traceEvents"].extend(profiler.chrome_events(tracer.pid))
-        with open(trace_path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        # the sampler's instants ride along on their own track
+        write_chrome_trace(tracer, trace_path, extra_events=(
+            profiler.chrome_events(tracer.pid) if profiler else ()))
     if events_path:
         write_event_log(tracer, events_path)
     return code

@@ -1,16 +1,16 @@
 """Thread-aware ambient-scope stacks.
 
 The ambient scoping helpers scattered through the repository --
-``use_registry`` / ``use_tracer`` (obs), ``use_metrics`` (pipeline),
-``use_pool`` (runtime) and ``use_fault_plan`` (scheduler) -- used to
-push onto plain module-level lists.  That is correct for a
+``use_registry`` / ``use_tracer`` (obs), ``use_pool`` (runtime) and
+``use_fault_plan`` (scheduler) -- used to push onto plain module-level
+lists.  That is correct for a
 single-threaded CLI run, but the serving daemon (:mod:`repro.serve`)
 executes many requests concurrently on worker threads: with one shared
 list, thread A's ``finally: stack.pop()`` can remove the entry thread B
 just pushed, silently rebinding B's metrics registry or worker pool
 mid-request.
 
-:class:`ScopeStack` fixes the shape once for all five sites: every
+:class:`ScopeStack` fixes the shape once for all four sites: every
 thread sees its own stack, seeded with the shared *base* entries (the
 process-wide defaults like ``METRICS`` or the null tracer), so
 
@@ -72,8 +72,3 @@ class ScopeStack:
                     if stack[i] is value:
                         del stack[i]
                         break
-
-
-def scope_stack(*base: Any) -> ScopeStack:
-    """Factory kept for call-site readability."""
-    return ScopeStack(*base)

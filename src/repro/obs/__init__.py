@@ -1,18 +1,20 @@
-"""Unified observability: structured tracing, metrics, exporters.
+"""Unified observability: one recorder, one registry, file sinks.
 
 One subsystem sees a whole run end-to-end -- compile (pipeline passes,
 plan-cache lookups), execute (engine resolution, per-block runs), and
 simulate (machine distribution/compute phases):
 
-- :mod:`~repro.obs.trace`: the hierarchical span tracer with a
-  null-recorder fast path (disabled by default; near-zero overhead,
-  carried by the ledger's ``obs.trace.null_span_ns`` and
-  ``obs.trace.overhead_ratio``);
+- :mod:`~repro.obs.trace`: the one recorder -- the hierarchical span
+  tracer (disabled by default: an unmarked span is a shared no-op, the
+  ledger's ``obs.trace.null_span_ns``) whose ``coarse`` records always
+  land in one bounded process-wide ring;
 - :mod:`~repro.obs.metrics`: the counters/gauges/histograms registry
-  that absorbs the ``Instrumentation`` / ``ParallelResult`` /
-  ``MachineStats`` counter systems behind one API;
-- :mod:`~repro.obs.export`: Chrome trace-event JSON (Perfetto-viewable),
-  Prometheus-style text, JSON metrics dumps and a JSON-lines event log;
+  (pass timings, cache counters, ``ParallelResult`` / ``MachineStats``
+  publications) behind one API;
+- :mod:`~repro.obs.export`: the sinks -- Chrome trace-event JSON
+  (Perfetto-viewable) and a JSON-lines event log of the tracer,
+  Prometheus-style text / JSON / the ``--timings`` table of the
+  registry;
 - :mod:`~repro.obs.schema`: the in-tree Chrome-trace schema check
   (``python -m repro.obs.schema trace.json``), used by CI;
 - :mod:`~repro.obs.aggregate`: cross-process re-homing of worker
@@ -21,9 +23,9 @@ simulate (machine distribution/compute phases):
   replay, per-block footprints, violation attribution (Definition 1's
   ``r`` vectors), engine reconciliation, and the ASCII dashboard behind
   ``repro audit``;
-- :mod:`~repro.obs.flight`: the always-on bounded flight recorder,
-  dumped to a ``repro-blackbox-*.json`` post-mortem on failure and
-  rendered by ``repro blackbox``;
+- :mod:`~repro.obs.flight`: the third file sink -- the ring dumped to
+  a ``repro-blackbox-*.json`` post-mortem on failure and rendered by
+  ``repro blackbox``;
 - :mod:`~repro.obs.profile`: the thread-based sampling profiler behind
   ``--profile`` (collapsed-stack flamegraphs, Chrome sample tracks,
   per-subsystem attribution);
@@ -36,9 +38,6 @@ Every CLI subcommand accepts ``--trace FILE``, ``--metrics``,
 """
 
 from repro._lazy import lazy_surface
-# eager: ``flight`` is also this package's submodule name, and the import
-# system binds a loaded submodule over anything ``__getattr__`` could say
-from repro.obs.flight import flight
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "aggregate": ("WorkerObs", "capture_worker_obs", "merge_worker_obs"),
@@ -49,16 +48,16 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     ),
     "export": (
         "chrome_trace", "event_log_lines", "metrics_json",
-        "prometheus_text", "write_chrome_trace", "write_event_log",
-        "write_metrics",
+        "prometheus_text", "timing_table", "write_chrome_trace",
+        "write_event_log", "write_metrics",
     ),
     "metrics": (
         "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
         "current_registry", "use_registry",
     ),
     "flight": (
-        "FlightRecorder", "dump_blackbox", "latest_blackbox",
-        "load_blackbox", "render_blackbox",
+        "dump_blackbox", "latest_blackbox", "load_blackbox",
+        "render_blackbox",
     ),
     "profile": ("SamplingProfiler",),
     "schema": ("CHROME_TRACE_SCHEMA", "validate_chrome_trace"),
@@ -71,4 +70,3 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "current_tracer", "use_tracer",
     ),
 })
-__all__.append("flight")

@@ -9,8 +9,9 @@ that re-homes everything into the live recorders:
 
 - span/event ids are remapped through freshly reserved parent ids, so
   adopted spans never collide with local ones;
-- each span keeps its worker ``pid`` (and worker-local ``tid``), so the
-  Chrome trace export renders one lane per worker process;
+- each span and event keeps its worker ``pid`` (and worker-local
+  ``tid``), so the Chrome trace export renders one lane per worker
+  process;
 - worker timestamps are worker-epoch-relative; the caller supplies the
   parent-clock offset (the fan-out span's start), which places worker
   activity inside the fan-out region of the parent timeline.  Offsets
@@ -29,7 +30,7 @@ glance while the aggregation machinery stays identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry
@@ -89,25 +90,11 @@ def merge_worker_obs(
         idmap[s.span_id] = base + i
     with tracer._lock:
         for s in obs.spans:
-            tracer.spans.append(Span(
-                name=s.name,
-                category=s.category,
-                span_id=idmap[s.span_id],
-                parent_id=(idmap[s.parent_id] if s.parent_id in idmap
-                           else parent_span_id),
-                start_ns=s.start_ns + ts_offset_ns,
-                duration_ns=s.duration_ns,
-                attributes=dict(s.attributes),
-                tid=s.tid,
-                error=s.error,
-                pid=obs.pid,
-            ))
+            tracer.spans.append(replace(
+                s, span_id=idmap[s.span_id],
+                parent_id=idmap.get(s.parent_id, parent_span_id),
+                start_ns=s.start_ns + ts_offset_ns, pid=obs.pid))
         for e in obs.events:
-            tracer.events.append(Event(
-                name=e.name,
-                category=e.category,
-                ts_ns=e.ts_ns + ts_offset_ns,
-                span_id=(idmap[e.span_id] if e.span_id in idmap else None),
-                attributes=dict(e.attributes),
-                pid=obs.pid,
-            ))
+            tracer.events.append(replace(
+                e, ts_ns=e.ts_ns + ts_offset_ns,
+                span_id=idmap.get(e.span_id), pid=obs.pid))

@@ -1,14 +1,18 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, JSON, JSON-lines.
+"""Exporters: Chrome trace-event JSON, JSON-lines, Prometheus text, JSON,
+the ``--timings`` table.
 
 - :func:`chrome_trace` renders a :class:`~repro.obs.trace.Tracer` into
   the Chrome trace-event format (open ``chrome://tracing`` or Perfetto
   and drop the file in).  Spans become complete (``"ph": "X"``) events
-  with their attributes as ``args``; instant events become ``"ph": "i"``.
+  with their attributes as ``args``; instant events become ``"ph": "i"``
+  on the lane of the thread that recorded them.
+- :func:`event_log_lines` renders the same spans and events as a
+  JSON-lines structured log (one JSON object per line, ``type``
+  discriminated).
 - :func:`prometheus_text` / :func:`metrics_json` dump a
   :class:`~repro.obs.metrics.MetricsRegistry` (names sanitized to
-  Prometheus conventions in the text form, kept dotted in JSON).
-- :func:`event_log_lines` renders spans and events as a JSON-lines
-  structured log (one JSON object per line, ``type`` discriminated).
+  Prometheus conventions in the text form, kept dotted in JSON);
+  :func:`timing_table` is the per-pass text view of the same registry.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ from typing import Any, Iterator
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
-
-#: Category shown for instant events in trace viewers.
-EVENT_CATEGORY_SUFFIX = ".event"
 
 
 def _metadata_events(tracer: Tracer,
@@ -76,24 +77,26 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
         if e.span_id is not None:
             args["span"] = e.span_id
         pid = e.pid if e.pid is not None else tracer.pid
-        lanes.append((pid, 0))
+        lanes.append((pid, e.tid))
         events.append({
             "name": e.name,
-            "cat": e.category + EVENT_CATEGORY_SUFFIX,
+            "cat": e.category + ".event",    # apart from span categories
             "ph": "i",
             "ts": e.ts_ns / 1e3,
             "s": "t",                     # thread-scoped instant
             "pid": pid,
-            "tid": 0,
+            "tid": e.tid,
             "args": args,
         })
     events = _metadata_events(tracer, lanes) + events
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer: Tracer, path: str) -> None:
+def write_chrome_trace(tracer: Tracer, path: str, extra_events=()) -> None:
+    doc = chrome_trace(tracer)
+    doc["traceEvents"].extend(extra_events)
     with open(path, "w") as fh:
-        json.dump(chrome_trace(tracer), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
@@ -145,6 +148,35 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         else:
             lines.append(f"{pname} {_fmt(m.value)}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+#: histogram family the pass manager feeds, one per pass name
+PASS_SECONDS = "pipeline.pass.seconds."
+#: counter families ``--timings`` lists under the pass rows
+TIMING_COUNTERS = ("cache.hit", "cache.miss", "cache.evict", "engine:")
+
+
+def timing_table(registry: MetricsRegistry) -> str:
+    """The ``--timings`` view: a per-pass timing table plus the plan
+    cache / engine counter lines.
+
+    Deterministic: passes are sorted by total time (descending), ties
+    broken by name; counters are sorted by name.
+    """
+    lines = [f"{'pass':<22} {'calls':>6} {'total(ms)':>10} {'mean(ms)':>10}"]
+    passes = [(name[len(PASS_SECONDS):], registry.get(name))
+              for name in registry.names() if name.startswith(PASS_SECONDS)]
+    if not passes:
+        lines.append("(no passes recorded)")
+    for name, h in sorted(passes, key=lambda kv: (-kv[1].total, kv[0])):
+        lines.append(f"{name:<22} {h.count:>6} {h.total * 1e3:>10.3f} "
+                     f"{h.mean * 1e3:>10.3f}")
+    total = sum(h.total for _, h in passes)
+    lines.append(f"{'total':<22} {'':>6} {total * 1e3:>10.3f} {'':>10}")
+    for name in registry.names():
+        if name.startswith(TIMING_COUNTERS):
+            lines.append(f"counter {name}: {registry.value(name)}")
+    return "\n".join(lines)
 
 
 def metrics_json(registry: MetricsRegistry) -> str:

@@ -1,166 +1,37 @@
-"""The always-on flight recorder: a bounded black-box ring buffer.
+"""The blackbox file: the tracer's coarse ring, dumped and rendered.
 
-The tracer (:mod:`repro.obs.trace`) records everything but only when a
-run opts in (``--trace``); a crashed, hung, or chaos-aborted run that
-never opted in tells you nothing.  The flight recorder is the inverse
-trade: it is *always on*, it records only coarse occurrences (spans at
-pass/engine/scheduler granularity, lease transitions, pool lifecycle,
-errors -- never per-iteration or per-block work), and it keeps only the
-last ``capacity`` entries in a ring (``collections.deque(maxlen=...)``),
-so steady-state cost is one tuple append per coarse event and memory is
-bounded regardless of run length.  ``tests/obs/test_flight.py`` pins the
-coarseness (entries per run bounded by the block count); the recorder
-stays on in every ledger workload, so its tax is inside each op time.
-
-When something dies, the ring is **dumped**: the scheduler dumps on
-:class:`~repro.runtime.scheduler.SchedulerError` and
-:class:`~repro.runtime.scheduler.PoolCollapse`, ``repro chaos`` dumps on
-a failed recovery certification, and the CLI driver dumps on any
-unhandled exception.  A dump is a ``repro-blackbox-<pid>-<stamp>.json``
-file holding the surviving entries, the final metrics snapshot of the
-current registry (the run's metric deltas), and any extra payload the
-dump site attaches (the scheduler attaches its lease timeline).
-``repro blackbox [FILE]`` renders the newest dump -- last N spans and
-events, the lease timeline, the final metric deltas -- so a post-mortem
-needs no re-run and no foresight.
-
-``REPRO_BLACKBOX_DIR`` redirects dumps (default: the working
-directory).
+When something dies, :data:`repro.obs.trace.RING` is **dumped**: the
+scheduler dumps on :class:`~repro.runtime.scheduler.SchedulerError` and
+:class:`~repro.runtime.scheduler.PoolCollapse`, ``repro chaos`` on a
+failed recovery certification, the CLI driver on any unhandled
+exception.  A dump is a ``repro-blackbox-<pid>-<stamp>.json`` file in
+``REPRO_BLACKBOX_DIR`` (default: the working directory) holding the
+surviving entries, the snapshot of the current registry (the run's
+metric deltas), and any extra payload the dump site attaches (the
+scheduler attaches its lease timeline).  ``repro blackbox [FILE]``
+renders the newest dump, so a post-mortem needs no re-run and no
+foresight.  Imported only when something is dumped or rendered.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import sys
 import time
-from collections import deque
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 from repro import config
+from repro.obs import trace
+from repro.obs.metrics import current_registry
 
-DEFAULT_CAPACITY = 4096
 #: Dump filename prefix; ``repro blackbox`` globs on this.
 BLACKBOX_PREFIX = "repro-blackbox-"
 
-#: Entry kinds -- the renderer groups on these.
-SPAN = "span"
-EVENT = "event"
-LEASE = "lease"
-METRIC = "metric"
-ERROR = "error"
-
-
-class _FlightSpan:
-    """Context manager recording one coarse region into the ring."""
-
-    __slots__ = ("_rec", "_name", "_payload", "_t0")
-
-    def __init__(self, rec: "FlightRecorder", name: str,
-                 payload: Optional[dict]) -> None:
-        self._rec = rec
-        self._name = name
-        self._payload = payload
-
-    def __enter__(self) -> "_FlightSpan":
-        self._t0 = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        payload = dict(self._payload) if self._payload else {}
-        payload["dur_us"] = round(
-            (time.perf_counter_ns() - self._t0) / 1e3, 1)
-        if exc_type is not None:
-            payload["error"] = f"{exc_type.__name__}: {exc}"
-        self._rec.record(SPAN, self._name, **payload)
-        return False
-
-
-class FlightRecorder:
-    """A bounded ring of coarse occurrences, dumpable on failure.
-
-    Entries are plain tuples ``(ts_ns, kind, name, payload)`` with
-    ``payload`` either ``None`` or a small dict -- cheap to append,
-    trivially JSON-able at dump time.  Timestamps are monotonic,
-    anchored to the recorder's creation (same convention as the
-    tracer), so entry times read as run-relative offsets.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.capacity = max(16, capacity)
-        self._ring: deque = deque(maxlen=self.capacity)
-        self._epoch_ns = time.perf_counter_ns()
-        self.pid = os.getpid()
-        self.dumps = 0
-
-    # -- recording --------------------------------------------------------
-    def record(self, kind: str, name: str, **payload: Any) -> None:
-        """Append one occurrence; near-free, never raises."""
-        self._ring.append((time.perf_counter_ns() - self._epoch_ns,
-                           kind, name, payload or None))
-
-    def span(self, name: str, **payload: Any):
-        """A coarse timed region (use at pass/engine/run granularity)."""
-        return _FlightSpan(self, name, payload or None)
-
-    def error(self, name: str, exc: BaseException, **payload: Any) -> None:
-        self.record(ERROR, name,
-                    exc=f"{type(exc).__name__}: {exc}", **payload)
-
-    # -- queries ----------------------------------------------------------
-    def entries(self) -> list[tuple]:
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def clear(self) -> None:
-        self._ring.clear()
-
-    # -- dumping ----------------------------------------------------------
-    def to_doc(self, reason: str, extra: Optional[dict] = None,
-               registry=None) -> dict:
-        """The JSON blackbox document (entries + final metric deltas)."""
-        from repro.obs.metrics import current_registry
-
-        reg = registry if registry is not None else current_registry()
-        return {
-            "blackbox": 1,
-            "reason": reason,
-            "pid": self.pid,
-            "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "capacity": self.capacity,
-            "entries": [
-                {"t_us": round(ts / 1e3, 1), "kind": kind, "name": name,
-                 **({"data": payload} if payload else {})}
-                for ts, kind, name, payload in self._ring
-            ],
-            "metrics": reg.snapshot(),
-            **(extra or {}),
-        }
-
-    def dump(self, reason: str, path: Optional[str] = None,
-             extra: Optional[dict] = None, registry=None) -> Optional[str]:
-        """Write the blackbox; returns the path (None if the write failed).
-
-        Never raises: a post-mortem writer that throws would mask the
-        failure it is documenting.
-        """
-        try:
-            if path is None:
-                stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-                name = f"{BLACKBOX_PREFIX}{self.pid}-{stamp}-{self.dumps}.json"
-                path = str(Path(blackbox_dir()) / name)
-            doc = self.to_doc(reason, extra=extra, registry=registry)
-            tmp = f"{path}.tmp.{self.pid}"
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-            self.dumps += 1
-            return path
-        except Exception:  # pragma: no cover - defensive post-mortem path
-            return None
+#: distinguishes consecutive dumps of one process within one second
+_SEQ = itertools.count()
 
 
 def blackbox_dir() -> str:
@@ -168,30 +39,44 @@ def blackbox_dir() -> str:
     return config.get("REPRO_BLACKBOX_DIR") or os.getcwd()
 
 
-#: The process-wide recorder every instrumented site feeds.
-FLIGHT = FlightRecorder()
-
-
-def flight() -> FlightRecorder:
-    """The process-wide flight recorder."""
-    return FLIGHT
-
-
 def dump_blackbox(reason: str, extra: Optional[dict] = None) -> Optional[str]:
-    """Dump the process recorder; announce the path on stderr.
+    """Write the process ring as a blackbox; announce the path on stderr.
 
     The one-liner failure paths call (scheduler, chaos certifier, CLI
-    driver).  Returns the path, or ``None`` when the write failed.
+    driver).  Returns the path, or ``None`` when the write failed --
+    never raises: a post-mortem writer that throws would mask the
+    failure it is documenting.
     """
-    import sys
-
-    path = FLIGHT.dump(reason, extra=extra)
-    if path:
-        # deliberately NOT the "repro: <reason>" prefix: that line is
-        # the CLI's single machine-greppable failure reason, and this
-        # notice must not masquerade as a second one
-        print(f"repro blackbox dumped to {path} ({reason})",
-              file=sys.stderr)
+    ring, pid = trace.RING, os.getpid()
+    try:
+        stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+        path = str(Path(blackbox_dir())
+                   / f"{BLACKBOX_PREFIX}{pid}-{stamp}-{next(_SEQ)}.json")
+        doc = {
+            "blackbox": 1,
+            "reason": reason,
+            "pid": pid,
+            "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "capacity": ring.maxlen,
+            "entries": [
+                {"t_us": round(ts / 1e3, 1), "kind": kind, "name": name,
+                 **({"data": payload} if payload else {})}
+                for ts, kind, name, payload in list(ring)
+            ],
+            "metrics": current_registry().snapshot(),
+            **(extra or {}),
+        }
+        tmp = f"{path}.tmp.{pid}"
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True, default=str)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except Exception:
+        return None
+    # deliberately NOT the "repro: <reason>" prefix: that line is the
+    # CLI's single machine-greppable failure reason, and this notice
+    # must not masquerade as a second one
+    print(f"repro blackbox dumped to {path} ({reason})", file=sys.stderr)
     return path
 
 
@@ -208,10 +93,18 @@ def latest_blackbox(directory: Optional[str] = None) -> Optional[str]:
 
 
 def load_blackbox(path: str) -> dict:
+    """Read a dump; ``ValueError`` unless :func:`render_blackbox` can
+    render all of it -- a truncated or hand-edited file must not crash
+    the post-mortem tool."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("blackbox") != 1:
         raise ValueError(f"{path}: not a repro blackbox dump")
+    try:
+        render_blackbox(doc, last=sys.maxsize)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed blackbox dump "
+                         f"({type(exc).__name__}: {exc})") from None
     return doc
 
 
@@ -241,7 +134,7 @@ def render_blackbox(doc: dict, last: int = 40) -> str:
                      f"{e['name']}{extra}")
 
     # -- lease timeline ----------------------------------------------------
-    leases = [e for e in entries if e["kind"] == LEASE]
+    leases = [e for e in entries if e["kind"] == "lease"]
     sched = doc.get("scheduler")
     if sched and sched.get("leases"):
         lines.append("")
@@ -276,11 +169,11 @@ def render_blackbox(doc: dict, last: int = 40) -> str:
                     f"p95={m['p95'] if m['p95'] is not None else '-'}")
             else:
                 lines.append(f"  {name}: {m.get('value')}")
-    errors = [e for e in entries if e["kind"] == ERROR]
+    errors = [e for e in entries if e["kind"] == "error"]
     lines.append("")
     lines.append(f"errors recorded: {len(errors)}")
     for e in errors[-5:]:
         data = e.get("data") or {}
         lines.append(f"  {e['t_us'] / 1e3:>10.1f}ms  {e['name']}  "
-                     f"{data.get('exc', '')}")
+                     f"{data.get('exc') or data.get('reason', '')}")
     return "\n".join(lines)

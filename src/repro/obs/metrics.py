@@ -1,13 +1,13 @@
 """The unified metrics registry: counters, gauges, histograms.
 
-One registry absorbs the three counter systems that grew independently
--- :class:`~repro.pipeline.instrument.Instrumentation` (pass timings,
-cache counters), :class:`~repro.runtime.parallel.ParallelResult`
+One registry holds every layer's numbers behind one API: the pass
+manager observes pass durations and the plan cache counts hits and
+misses directly; :class:`~repro.runtime.parallel.ParallelResult`
 (remote accesses, loads, memory words) and
 :class:`~repro.machine.machine.MachineStats` (makespan, per-processor
-costs) -- behind one API.  Those classes keep their public fields; they
-additionally *publish* into the current registry, so one run can be
-read end-to-end (compile, execute, simulate) from a single snapshot.
+costs) keep their public fields and additionally *publish* into the
+current registry, so one run can be read end-to-end (compile, execute,
+simulate) from a single snapshot.
 
 Metric names are dotted (``runtime.remote_accesses``); the Prometheus
 exporter sanitizes them.  Conventions:

@@ -1,4 +1,4 @@
-"""The instrumented pass pipeline.
+"""The pass pipeline.
 
 The compiler's stages run as named, registered passes over a
 :class:`~repro.pipeline.context.PipelineContext`:
@@ -11,8 +11,6 @@ The compiler's stages run as named, registered passes over a
 - :mod:`~repro.pipeline.context`: :class:`PipelineConfig` (the one
   source of truth for strategy/duplication/elimination flags) and the
   artifact-carrying context;
-- :mod:`~repro.pipeline.instrument`: per-pass wall-time/call counters
-  and the ``--timings`` table;
 - :mod:`~repro.pipeline.diagnostics`: structured
   ``Diagnostic(severity, code, message, loc)`` records;
 - :mod:`~repro.pipeline.cache`: the content-addressed plan cache
@@ -26,7 +24,6 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "cache": ("PLAN_CACHE", "MissReason", "PlanCache"),
     "context": ("PipelineConfig", "PipelineContext"),
     "diagnostics": ("Diagnostic", "DiagnosticBag", "Severity"),
-    "instrument": ("PIPELINE_METRICS", "Instrumentation", "PassStats"),
     "passes": (
         "DEFAULT_MANAGER", "STANDARD_PASSES", "Pass", "PassManager",
         "PassOrderError", "PipelineError", "UnknownPassError",

@@ -4,7 +4,7 @@ Plans are keyed by the canonical nest fingerprint
 (:mod:`repro.lang.fingerprint`) plus the strategy/duplication/
 elimination triple, so repeated ``build_plan``/CLI/benchmark invocations
 on structurally identical nests are near-free.  Hit/miss counts are
-surfaced through the instrumentation layer (``counter cache.hit`` /
+counters of the metrics registry (``counter cache.hit`` /
 ``cache.miss`` in the ``--timings`` table), and misses carry a
 clcache-style reason breakdown (:class:`MissReason`: new fingerprint
 vs. options change vs. eviction) as ``cache.miss.<reason>`` counters.
@@ -32,10 +32,9 @@ from typing import Any, Optional
 
 from repro import config
 from repro.lang.fingerprint import plan_cache_key
-from repro.obs.metrics import current_registry
+from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import current_tracer
 from repro.pipeline.diskstore import DiskStore
-from repro.pipeline.instrument import Instrumentation
 
 HIT_COUNTER = "cache.hit"
 MISS_COUNTER = "cache.miss"
@@ -145,55 +144,49 @@ class PlanCache:
         return MissReason.NEW_FINGERPRINT
 
     def get(self, key: tuple,
-            instrumentation: Optional[Instrumentation] = None) -> Any:
+            registry: Optional[MetricsRegistry] = None) -> Any:
+        """The cached plan or ``None``; counts into ``registry`` (default:
+        the current one)."""
+        registry = registry if registry is not None else current_registry()
         with current_tracer().span("cache.lookup", category="cache") as sp:
             plan = self._store.get(key)
             if plan is None and self.directory is not None:
                 plan = self._disk_read(key)
                 if plan is not None:
-                    self._remember(key, plan)
+                    self._remember(key, plan, registry)
             if plan is not None:
                 self._store.move_to_end(key)
                 self.hits += 1
                 sp.set(outcome="hit")
-                if instrumentation is not None:
-                    instrumentation.count(HIT_COUNTER)
-                else:
-                    current_registry().inc(HIT_COUNTER)
+                registry.inc(HIT_COUNTER)
                 return _detach(plan)
             reason = self._classify_miss(key)
             self.misses += 1
             self.miss_reasons[reason] += 1
             sp.set(outcome="miss", reason=reason)
-            if instrumentation is not None:
-                instrumentation.count(MISS_COUNTER)
-                instrumentation.count(f"{MISS_COUNTER}.{reason}")
-            else:
-                current_registry().inc(MISS_COUNTER)
-                current_registry().inc(f"{MISS_COUNTER}.{reason}")
+            registry.inc(MISS_COUNTER)
+            registry.inc(f"{MISS_COUNTER}.{reason}")
             return None
 
     def put(self, key: tuple, plan: Any,
-            instrumentation: Optional[Instrumentation] = None) -> None:
+            registry: Optional[MetricsRegistry] = None) -> None:
+        registry = registry if registry is not None else current_registry()
         plan = _detach(plan)
         self._fingerprints.add(key[0])
         self._evicted.discard(key)
-        self._remember(key, plan, instrumentation)
+        self._remember(key, plan, registry)
         if self.directory is not None:
-            self._disk_write(key, plan)
+            self._disk_write(key, plan, registry)
 
     def _remember(self, key: tuple, plan: Any,
-                  instrumentation: Optional[Instrumentation] = None) -> None:
+                  registry: MetricsRegistry) -> None:
         self._store[key] = plan
         self._store.move_to_end(key)
         while len(self._store) > self.maxsize:
             dropped, _ = self._store.popitem(last=False)
             self._evicted.add(dropped)
             self.evictions += 1
-            if instrumentation is not None:
-                instrumentation.count(EVICT_COUNTER)
-            else:
-                current_registry().inc(EVICT_COUNTER)
+            registry.inc(EVICT_COUNTER)
 
     # -- disk store -------------------------------------------------------
     def _stem_for(self, key: tuple) -> str:
@@ -244,7 +237,8 @@ class PlanCache:
         except OSError:
             return None
 
-    def _disk_write(self, key: tuple, plan: Any) -> None:
+    def _disk_write(self, key: tuple, plan: Any,
+                    reg: MetricsRegistry) -> None:
         store = self._diskstore()
         if store is None:
             return
@@ -257,7 +251,6 @@ class PlanCache:
                 store.record(m, stem, len(blob))
                 evicted = store.evict_lru(m, (".plan",), protect=(stem,))
                 store.write_manifest(m)
-            reg = current_registry()
             reg.inc("cache.plan.disk.store")
             for _ in evicted:
                 reg.inc("cache.plan.disk.evict")

@@ -6,8 +6,7 @@ strategy/duplication/elimination flags that the CLI, ``report.py``,
 to plumb independently.  :class:`PipelineContext` carries the artifacts
 one compilation produces (reference model, redundancy analysis, space
 breakdown, partition plan, transformed nest, processor assignment)
-between registered passes, together with diagnostics and
-instrumentation.
+between registered passes, together with diagnostics.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Any, Iterable, Mapping, Optional
 from repro.core.strategy import Strategy
 from repro.obs.trace import current_tracer
 from repro.pipeline.diagnostics import DiagnosticBag
-from repro.pipeline.instrument import Instrumentation, current_metrics
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,6 @@ class PipelineContext:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     artifacts: dict[str, Any] = field(default_factory=dict)
     diagnostics: DiagnosticBag = field(default_factory=DiagnosticBag)
-    instrumentation: Instrumentation = field(default_factory=current_metrics)
     completed: list[str] = field(default_factory=list)
 
     # -- artifact store ---------------------------------------------------

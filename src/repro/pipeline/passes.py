@@ -13,9 +13,9 @@ The paper's flow (Secs. II-IV) runs as six standard passes over a
 plus an optional ``verify`` pass (parallel == sequential).  Each pass
 declares its input/output artifacts; the manager validates ordering,
 supports running a prefix (``upto="partition"``), skips passes whose
-outputs were injected (e.g. a shared ``model``), times every execution
-through the instrumentation layer and opens one ``pass:<name>`` tracer
-span around it.
+outputs were injected (e.g. a shared ``model``), and records every
+execution as one coarse ``pass:<name>`` tracer span whose duration
+feeds the ``pipeline.pass.seconds.<name>`` histogram.
 
 :func:`run_pipeline` is the shared entry point behind ``build_plan``,
 the CLI, ``report.py``, ``selftest.py``, the strategy selector and the
@@ -40,11 +40,11 @@ from repro.core.strategy import partitioning_space
 from repro.lang.ast import LoopNest
 from repro.mapping.cyclic import assign_blocks
 from repro.mapping.grid import shape_grid
+from repro.obs.metrics import current_registry
 from repro.obs.trace import current_tracer
 from repro.pipeline import diagnostics as diag
 from repro.pipeline.cache import PLAN_CACHE, PlanCache
 from repro.pipeline.context import PipelineConfig, PipelineContext
-from repro.pipeline.instrument import Instrumentation, Timer
 from repro.transform.loopnest import transform_nest
 
 
@@ -169,8 +169,8 @@ class PassManager:
             ) -> PipelineContext:
         """Run the (validated) schedule, skipping already-satisfied passes."""
         self.validate()
-        instr = ctx.instrumentation
         tracer = current_tracer()
+        registry = current_registry()
         span_attrs = {"config": ctx.config.describe(),
                       "nest": ctx.nest.name or "<anon>"}
         for p in self._schedule(upto):
@@ -182,11 +182,10 @@ class PassManager:
                 raise PipelineError(
                     f"pass {p.name!r} is missing inputs {missing}")
             with tracer.span(f"pass:{p.name}", category="pipeline",
-                             **span_attrs) as sp:
-                with Timer() as t:
-                    p.run(ctx)
+                             coarse=True, **span_attrs) as sp:
+                p.run(ctx)
                 sp.set(artifacts=sorted(ctx.artifacts))
-            instr.record(p.name, t.seconds)
+            registry.observe(f"pipeline.pass.seconds.{p.name}", sp.seconds)
             produced = [a for a in p.outputs if not ctx.has(a)]
             if produced:
                 raise PipelineError(
@@ -306,10 +305,8 @@ def _pass_verify(ctx: PipelineContext) -> None:
     scalars = ctx.config.scalars_dict()
     report = verify_plan(plan, scalars=scalars or None,
                          backend=ctx.config.backend)
-    ctx.instrumentation.count(f"engine:{report.backend}")
-    for name in report.cross_checked:
-        if name != report.backend:
-            ctx.instrumentation.count(f"engine:{name}")
+    for name in {report.backend, *report.cross_checked}:
+        current_registry().inc(f"engine:{name}")
     ctx.put("verification", report)
 
 
@@ -393,7 +390,6 @@ def run_pipeline(
     config: Optional[PipelineConfig] = None,
     upto: Optional[str] = "partition",
     manager: Optional[PassManager] = None,
-    instrumentation: Optional[Instrumentation] = None,
     model: Any = None,
     cache: Optional[PlanCache] = None,
 ) -> PipelineContext:
@@ -407,8 +403,6 @@ def run_pipeline(
     config = config or PipelineConfig()
     manager = manager or DEFAULT_MANAGER
     ctx = PipelineContext(nest=nest, config=config)
-    if instrumentation is not None:
-        ctx.instrumentation = instrumentation
     if model is not None:
         ctx.put("model", model)
 
@@ -417,7 +411,7 @@ def run_pipeline(
     if use_cache:
         cache = cache if cache is not None else PLAN_CACHE
         key = PlanCache.key_for(nest, config)
-        entry = cache.get(key, ctx.instrumentation)
+        entry = cache.get(key)
         if entry is not None:
             _seed_from_cache(ctx, entry)
 
@@ -425,6 +419,5 @@ def run_pipeline(
 
     if use_cache and key is not None and ctx.has("plan") and key not in cache:
         cache.put(key, _CachedResult(plan=ctx.plan,
-                                     diagnostics=ctx.diagnostics.records),
-                  ctx.instrumentation)
+                                     diagnostics=ctx.diagnostics.records))
     return ctx

@@ -221,9 +221,9 @@ class SharedBlockStore:
         self.layout = layout_for(plan)
         self.codegen_key: Optional[str] = None
         total = self.layout.total_words
-        tracer = current_tracer()
-        with tracer.span("blockstore.create", category="engine",
-                         words=total, blocks=len(plan.blocks)):
+        with current_tracer().span("blockstore.create", category="engine",
+                                   coarse=True, words=total,
+                                   blocks=len(plan.blocks)) as sp:
             self._plan_name = plan_segment(plan)
             self._dseg = _create_segment("seed", total * 8)
             self._vseg = _create_segment("val", total * 8)
@@ -240,16 +240,12 @@ class SharedBlockStore:
             self._cseg = _write_blob(
                 "ctl", pickle.dumps(pid_by_block,
                                     protocol=pickle.HIGHEST_PROTOCOL))
+            nbytes = (self._dseg.size + self._vseg.size + self._sseg.size
+                      + self._cseg.size)
+            sp.set(bytes=nbytes)
         reg = current_registry()
         reg.inc("engine.shm.stores")
-        reg.set("engine.shm.bytes",
-                self._dseg.size + self._vseg.size + self._sseg.size
-                + self._cseg.size)
-        from repro.obs.flight import flight
-
-        flight().record("event", "blockstore.create", words=total,
-                        blocks=len(plan.blocks),
-                        bytes=int(reg.value("engine.shm.bytes")))
+        reg.set("engine.shm.bytes", nbytes)
 
     def _write_seed(self, memories: dict) -> None:
         """Copy every region's initial values in canonical order."""
@@ -279,15 +275,13 @@ class SharedBlockStore:
         back into the per-block ``LocalMemory`` dicts (bit-identical to
         the by-value path: a slot is written iff its stamp is >= 0).
         """
-        from repro.obs.flight import flight
         from repro.obs.trace import current_tracer
 
         np = npc.np
         write_stamps = result.write_stamps
-        with flight().span("blockstore.collect",
-                           words=self.layout.total_words), \
-                current_tracer().span("blockstore.collect", category="engine",
-                                      words=self.layout.total_words) as sp:
+        with current_tracer().span("blockstore.collect", category="engine",
+                                   coarse=True,
+                                   words=self.layout.total_words) as sp:
             written_slots = 0
             for (name, bindex), (off, cnt) in self.layout.regions.items():
                 if name not in self.layout.written or not cnt:

@@ -84,13 +84,11 @@ class MultiprocessEngine(Engine):
         from repro.obs.metrics import current_registry
         from repro.obs.trace import current_tracer
 
-        from repro.obs.flight import flight
-
         reason = f"{type(exc).__name__}: {exc}"
         current_registry().inc("engine.multiproc.degraded")
         current_tracer().event("engine.multiproc.degraded",
-                               category="engine", reason=reason)
-        flight().error("engine.multiproc.degraded", exc)
+                               category="engine", coarse="error",
+                               reason=reason)
         print(f"repro: multiprocess pool unavailable ({reason}); "
               "degrading to the compiled tier in-process", file=sys.stderr)
         self.delegate().run_blocks(plan, memories, result, initial,

@@ -239,14 +239,10 @@ def run_parallel(
     # each computation, rank_of(it) * nstmts + k, for the merge) ----------
     # an explicit chaos plan is scoped over the engine run; chaos=None
     # leaves any ambient plan (an outer use_fault_plan scope) in force
-    from repro.obs.flight import flight
-
     chaos_scope = nullcontext() if chaos is None else use_fault_plan(chaos)
     try:
-        with chaos_scope, flight().span(
-                "engine.run_blocks", backend=engine.name,
-                blocks=len(plan.blocks)), tracer.span(
-                "engine.run_blocks", category="engine",
+        with chaos_scope, tracer.span(
+                "engine.run_blocks", category="engine", coarse=True,
                 backend=engine.name,
                 blocks=len(plan.blocks),
                 statements=len(plan.nest.statements)) as sp:

@@ -35,6 +35,7 @@ import concurrent.futures
 from typing import Optional
 
 from repro.ctxstack import ScopeStack
+from repro.obs.trace import current_tracer
 
 
 class WorkerPool:
@@ -75,7 +76,6 @@ class WorkerPool:
 
     def respawn(self, workers: Optional[int] = None):
         """Discard any live executor and create a fresh one."""
-        from repro.obs.flight import flight
         from repro.obs.metrics import current_registry
 
         workers = workers if workers is not None else max(1, self._workers)
@@ -88,8 +88,8 @@ class WorkerPool:
         reg = current_registry()
         reg.inc("engine.pool.spawns")
         reg.set("engine.pool.workers", workers)
-        flight().record("event", "pool.spawn", workers=workers,
-                        generation=self.generation)
+        current_tracer().event("pool.spawn", category="engine", coarse=True,
+                               workers=workers, generation=self.generation)
         return self._executor
 
     def _discard(self) -> None:
@@ -103,11 +103,9 @@ class WorkerPool:
     def shutdown(self) -> None:
         """Release the worker processes (the pool itself stays usable:
         the next :meth:`acquire` simply respawns)."""
-        from repro.obs.flight import flight
-
         if self._executor is not None:
-            flight().record("event", "pool.shutdown",
-                            generation=self.generation)
+            current_tracer().event("pool.shutdown", category="engine",
+                                   coarse=True, generation=self.generation)
         self._discard()
         self._workers = 0
 

@@ -367,13 +367,11 @@ class BlockScheduler:
         :class:`~repro.machine.memory.RemoteAccessError` (the plan was
         never communication-free)."""
         from repro.obs.aggregate import merge_worker_obs
-        from repro.obs.flight import dump_blackbox, flight
         from repro.obs.metrics import current_registry
         from repro.obs.trace import current_tracer
 
         tracer = current_tracer()
         registry = current_registry()
-        fr = flight()
         units = self._units()
         sres = SchedulerResult(
             mode=DYNAMIC, units=len(units), blocks=len(self.plan.blocks),
@@ -383,45 +381,40 @@ class BlockScheduler:
         outcomes: dict[int, _UnitOutcome] = {}
         epoch = time.perf_counter()
 
-        fr.record("event", "scheduler.start", workers=self.workers,
-                  units=len(units), blocks=sres.blocks, chaos=sres.chaos)
-        with tracer.span("scheduler.run", category="scheduler",
+        with tracer.span("scheduler.run", category="scheduler", coarse=True,
                          workers=self.workers, units=len(units),
                          blocks=sres.blocks, batch=self.batch,
                          chaos=sres.chaos) as ssp:
             try:
                 self._loop(units, outcomes, sres, epoch, tracer, registry)
             except (SchedulerError, PoolCollapse) as exc:
-                # post-mortem: dump the flight ring with the lease
-                # timeline attached before the failure propagates
+                # post-mortem: dump the ring with the lease timeline
+                # attached before the failure propagates
+                from repro.obs.flight import dump_blackbox
+
                 sres.completed_units = len(outcomes)
                 sres.wall_s = time.perf_counter() - epoch
-                fr.error("scheduler.abort", exc, completed=len(outcomes),
-                         units=len(units))
-                dump_blackbox(f"{type(exc).__name__}: {exc}",
-                              extra={"scheduler": sres.to_json()})
+                reason = f"{type(exc).__name__}: {exc}"
+                tracer.event("scheduler.abort", category="scheduler",
+                             coarse="error", exc=reason,
+                             completed=len(outcomes), units=len(units))
+                dump_blackbox(reason, extra={"scheduler": sres.to_json()})
                 raise
             finally:
                 sres.completed_units = len(outcomes)
                 sres.wall_s = time.perf_counter() - epoch
                 result.scheduler = sres
                 sres.publish(registry)
-                fr.record("event", "scheduler.done",
-                          recovered=sres.recovered, retries=sres.retries,
-                          respawns=sres.respawns,
-                          wall_ms=round(sres.wall_s * 1e3, 1))
                 ssp.set(leases=len(sres.leases), retries=sres.retries,
                         respawns=sres.respawns, recovered=sres.recovered)
                 # re-home worker observability in the finally, so even
                 # an aborted run keeps its worker lanes and counters
-                offset = ssp.start_ns if ssp.recording else 0
-                parent_id = ssp.span_id if ssp.recording else None
                 for uid in sorted(outcomes):
                     obs = outcomes[uid].obs
                     if obs is not None:
                         merge_worker_obs(tracer, registry, obs,
-                                         ts_offset_ns=offset,
-                                         parent_span_id=parent_id)
+                                         ts_offset_ns=ssp.start_ns,
+                                         parent_span_id=ssp.span_id)
 
         # merge in unit (= block) order: deterministic by design -- write
         # stamps are keyed by block index and units never overlap
@@ -490,10 +483,8 @@ class BlockScheduler:
         }
 
     def _loop(self, units, outcomes, sres, epoch, tracer, registry) -> None:
-        from repro.obs.flight import flight
         from repro.obs.top import current_writer
 
-        fr = flight()
         writer = current_writer()
         policy = self.policy
         budget = policy.respawn_budget(len(units))
@@ -544,9 +535,8 @@ class BlockScheduler:
             sres.leases.append(rec)
             registry.inc("scheduler.leases")
             tracer.event("scheduler.lease", category="scheduler",
-                         unit=unit.uid, attempt=attempt, fault=fault or "")
-            fr.record("lease", "submit", unit=unit.uid, attempt=attempt,
-                      fault=fault or "")
+                         coarse="lease", unit=unit.uid, attempt=attempt,
+                         fault=fault or "")
             # each steal doubles the deadline, so a merely-slow unit
             # (queued behind sleepers, genuinely long) eventually runs out
             deadline = (math.inf if policy.lease_timeout_s is None
@@ -573,9 +563,8 @@ class BlockScheduler:
             sres.retries += 1
             registry.inc("scheduler.retries")
             tracer.event("scheduler.retry", category="scheduler",
-                         unit=unit.uid, attempt=unit.attempts, reason=reason)
-            fr.record("lease", "retry", unit=unit.uid,
-                      attempt=unit.attempts, reason=reason)
+                         coarse="lease", unit=unit.uid,
+                         attempt=unit.attempts, reason=reason)
             unit.ready_at = now() + policy.backoff(max(1, unit.attempts))
             pending.append(unit)
 
@@ -622,7 +611,9 @@ class BlockScheduler:
             rec.pid = out.obs.pid if out.obs is not None else None
             unit.done = True
             outcomes[uid] = out
-            fr.record("lease", "ok", unit=uid, attempt=attempt, pid=rec.pid)
+            tracer.event("scheduler.ok", category="scheduler",
+                         coarse="lease", unit=uid, attempt=attempt,
+                         pid=rec.pid)
             return False
 
         try:
@@ -674,9 +665,8 @@ class BlockScheduler:
                     sres.respawns += 1
                     registry.inc("scheduler.respawns")
                     tracer.event("scheduler.respawn", category="scheduler",
-                                 respawns=sres.respawns)
-                    fr.record("event", "scheduler.respawn",
-                              respawns=sres.respawns, budget=budget)
+                                 coarse=True, respawns=sres.respawns,
+                                 budget=budget)
                     if sres.respawns > budget:
                         wpool.shutdown()
                         raise PoolCollapse(
@@ -703,9 +693,8 @@ class BlockScheduler:
                     registry.inc("scheduler.leases_expired")
                     registry.inc("scheduler.blocks_stolen", len(unit.blocks))
                     tracer.event("scheduler.expire", category="scheduler",
-                                 unit=unit.uid, attempt=rec.attempt)
-                    fr.record("lease", "expire", unit=unit.uid,
-                              attempt=rec.attempt)
+                                 coarse="lease", unit=unit.uid,
+                                 attempt=rec.attempt)
                     retry(unit, rec, "lease expired", consume=False)
         finally:
             if owned:

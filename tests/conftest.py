@@ -7,7 +7,7 @@ from repro.lang import catalog
 
 @pytest.fixture(autouse=True)
 def _isolated_blackbox_dir(tmp_path_factory, monkeypatch):
-    """Keep flight-recorder dumps out of the repo: tests that exercise
+    """Keep blackbox dumps out of the repo: tests that exercise
     failure paths (chaos non-recovery, CLI errors) dump blackboxes, and
     without this they land in the cwd.  Deliberately not the test's own
     ``tmp_path`` -- tests assert on its contents."""

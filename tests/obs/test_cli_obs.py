@@ -78,7 +78,7 @@ class TestMetricsFlags:
                       "--metrics-out", str(path))
         assert code == 0
         doc = json.loads(path.read_text())
-        # pipeline (Instrumentation), runtime (ParallelResult),
+        # pipeline (pass spans), runtime (ParallelResult),
         # machine (MachineStats) all land in one registry
         assert any(k.startswith("pipeline.pass.seconds.") for k in doc)
         assert "runtime.remote_accesses" in doc

@@ -48,6 +48,29 @@ class TestChromeTrace:
         assert evt["cat"] == "cache.event"
         assert evt["args"]["outcome"] == "hit"
 
+    def test_instant_event_sits_on_its_threads_lane(self):
+        """An event is drawn where the span around it is -- a daemon
+        trace must not show every request's events on one lane."""
+        import threading
+
+        t = Tracer()
+
+        def request():
+            with t.span("serve.request"):
+                t.event("admitted")
+
+        worker = threading.Thread(target=request)
+        worker.start()
+        worker.join(timeout=10)
+        t.event("on-main")
+        doc = chrome_trace(t)
+        lane = {e["name"]: e["tid"] for e in doc["traceEvents"]
+                if e["ph"] in "Xi"}
+        assert lane["admitted"] == lane["serve.request"] == \
+            worker.ident & 0xFFFF
+        assert lane["on-main"] == threading.get_ident() & 0xFFFF
+        assert validate_chrome_trace(doc) == []
+
     def test_error_lands_in_args(self):
         t = Tracer()
         with pytest.raises(RuntimeError):

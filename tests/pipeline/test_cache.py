@@ -9,7 +9,6 @@ from repro.lang.fingerprint import fingerprint_nest, plan_cache_key
 from repro.obs.audit import audit_plan
 from repro.pipeline import PipelineConfig, PlanCache, run_pipeline
 from repro.pipeline.cache import PLAN_FORMAT
-from repro.pipeline.instrument import Instrumentation
 
 
 SRC = """
@@ -76,14 +75,15 @@ class TestCacheServedPlans:
         assert plan.nest is other and plan.model is model
 
     def test_counters_reach_instrumentation(self, l1):
+        from repro.obs import MetricsRegistry, use_registry
+
         cache = PlanCache(maxsize=8)
-        instr = Instrumentation()
-        run_pipeline(l1, PipelineConfig(), cache=cache,
-                     instrumentation=instr)
-        run_pipeline(l1, PipelineConfig(), cache=cache,
-                     instrumentation=instr)
-        assert instr.counter("cache.miss") == 1
-        assert instr.counter("cache.hit") == 1
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            run_pipeline(l1, PipelineConfig(), cache=cache)
+            run_pipeline(l1, PipelineConfig(), cache=cache)
+        assert reg.value("cache.miss") == 1
+        assert reg.value("cache.hit") == 1
         assert cache.hit_rate == 0.5
 
     def test_distinct_configs_do_not_collide(self, l2):

@@ -3,7 +3,6 @@
 from repro.lang import catalog
 from repro.pipeline import PipelineConfig, MissReason
 from repro.pipeline.cache import PlanCache
-from repro.pipeline.instrument import Instrumentation
 
 
 def key(nest, **cfg):
@@ -65,11 +64,17 @@ class TestClassification:
 
 class TestCounterSurfacing:
     def test_reason_counters_reach_instrumentation(self):
-        instr = Instrumentation()
+        """The second positional parameter is the registry to count
+        into (``benchmarks/ledger/spans.py`` passes it positionally)."""
+        from repro.obs import MetricsRegistry, current_registry
+
+        reg = MetricsRegistry()
         cache = PlanCache()
-        cache.get(key(catalog.l1()), instrumentation=instr)
-        assert instr.counter("cache.miss") == 1
-        assert instr.counter(f"cache.miss.{MissReason.NEW_FINGERPRINT}") == 1
+        ambient = current_registry().value("cache.miss")
+        cache.get(key(catalog.l1()), reg)
+        assert reg.value("cache.miss") == 1
+        assert reg.value(f"cache.miss.{MissReason.NEW_FINGERPRINT}") == 1
+        assert current_registry().value("cache.miss") == ambient
 
     def test_reason_counters_reach_registry_without_instrumentation(self):
         from repro.obs import MetricsRegistry, use_registry

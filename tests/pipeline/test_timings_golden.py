@@ -3,18 +3,27 @@
 import io
 
 from repro.cli import main
-from repro.pipeline.instrument import Instrumentation
+from repro.obs import MetricsRegistry, timing_table
 
 
-def build_instr():
-    instr = Instrumentation()
-    instr.record("beta", 0.002)
-    instr.record("alpha", 0.004)
-    instr.record("gamma", 0.002)   # ties with beta on total seconds
-    instr.count("cache.miss")
-    instr.count("cache.miss.new-fingerprint")
-    instr.count("cache.hit", 2)
-    return instr
+def record(reg, name, seconds):
+    reg.observe(f"pipeline.pass.seconds.{name}", seconds)
+
+
+def build_registry():
+    reg = MetricsRegistry()
+    record(reg, "beta", 0.002)
+    record(reg, "alpha", 0.004)
+    record(reg, "gamma", 0.002)   # ties with beta on total seconds
+    reg.inc("cache.miss")
+    reg.inc("cache.miss.new-fingerprint")
+    reg.inc("cache.hit", 2)
+    # the registry holds every layer's metrics; the table lists only
+    # the pass histograms and the plan-cache / engine counters
+    reg.inc("cache.plan.disk.store")
+    reg.inc("runtime.parallel.runs")
+    reg.set("runtime.remote_accesses", 0)
+    return reg
 
 
 GOLDEN = """\
@@ -30,29 +39,29 @@ counter cache.miss.new-fingerprint: 1"""
 
 class TestGoldenTable:
     def test_exact_format(self):
-        table = build_instr().timing_table()
+        table = timing_table(build_registry())
         got = [ln.rstrip() for ln in table.splitlines()]
         assert got == GOLDEN.splitlines()
 
     def test_sorted_by_total_then_name(self):
-        instr = Instrumentation()
-        instr.record("zz", 0.001)
-        instr.record("aa", 0.001)
-        instr.record("mm", 0.005)
-        lines = instr.timing_table().splitlines()
+        reg = MetricsRegistry()
+        record(reg, "zz", 0.001)
+        record(reg, "aa", 0.001)
+        record(reg, "mm", 0.005)
+        lines = timing_table(reg).splitlines()
         names = [ln.split()[0] for ln in lines[1:4]]
         assert names == ["mm", "aa", "zz"]   # time desc, then name asc
 
     def test_stable_across_recordings_order(self):
-        a, b = Instrumentation(), Instrumentation()
+        a, b = MetricsRegistry(), MetricsRegistry()
         for name, sec in (("p1", 0.01), ("p2", 0.02), ("p3", 0.01)):
-            a.record(name, sec)
+            record(a, name, sec)
         for name, sec in (("p3", 0.01), ("p1", 0.01), ("p2", 0.02)):
-            b.record(name, sec)
-        assert a.timing_table() == b.timing_table()
+            record(b, name, sec)
+        assert timing_table(a) == timing_table(b)
 
     def test_empty_table_placeholder(self):
-        table = Instrumentation().timing_table()
+        table = timing_table(MetricsRegistry())
         assert "(no passes recorded)" in table
 
 

@@ -215,6 +215,53 @@ class TestInputErrors:
         assert capsys.readouterr().err == want + "\n"
         assert list(tmp_path.iterdir()) == []
 
+    #: every file a command writes when it is done, on every command
+    #: that can be asked for it
+    OUTPUTS = {
+        "trace": ("verify", "--loop", "L1", "--trace"),
+        "events": ("verify", "--loop", "L1", "--events"),
+        "metrics-out": ("verify", "--loop", "L1", "--metrics-out"),
+        "profile": ("verify", "--loop", "L1", "--profile"),
+        "run-json": ("run", "--loop", "L1", "--json"),
+        "audit-json": ("audit", "--loop", "L1", "--json"),
+        "chaos-json": ("chaos", "--matmul", "4", "--json"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUTPUTS))
+    def test_unwritable_output_exit_2_one_line_no_blackbox(
+            self, case, tmp_path, monkeypatch, capsys):
+        from repro.pipeline import passes
+
+        box = tmp_path / "blackbox"
+        box.mkdir()
+        monkeypatch.setenv("REPRO_BLACKBOX_DIR", str(box))
+        monkeypatch.setattr(
+            passes, "run_pipeline",
+            lambda *a, **kw: pytest.fail("planned before refusing"))
+        path = tmp_path / "nonexistent" / "out"
+        code, text = run(*self.OUTPUTS[case], str(path))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == \
+            f"repro: cannot write {path}: No such file or directory\n"
+        assert list(box.iterdir()) == []
+
+    def test_the_writability_check_leaves_no_file(self, tmp_path):
+        """Asking is not writing: no empty file appears, and an existing
+        one is not truncated."""
+        import argparse
+
+        from repro.cli import _refusal
+
+        new, old = tmp_path / "t.json", tmp_path / "m.json"
+        old.write_text("kept")
+        args = argparse.Namespace(trace=str(new), metrics_out=str(old),
+                                  json=None)
+        assert _refusal(args) is None
+        assert not new.exists() and old.read_text() == "kept"
+        args.events = str(tmp_path)
+        assert _refusal(args) == \
+            f"cannot write {tmp_path}: Is a directory"
+
     def test_bound_scalar_verifies(self, tmp_path, capsys):
         path = tmp_path / "nest.loop"
         path.write_text(self.CASES["unbound-scalar"][0])

@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.ctxstack import ScopeStack, scope_stack
+from repro.ctxstack import ScopeStack
 
 
 class TestScopeStack:
@@ -38,7 +38,7 @@ class TestScopeStack:
         assert stack.depth() == 0
 
     def test_factory(self):
-        stack = scope_stack(1, 2)
+        stack = ScopeStack(1, 2)
         assert stack.top() == 2
         assert stack.depth() == 0
 

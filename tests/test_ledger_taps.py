@@ -65,3 +65,31 @@ def test_tapped_audit_records_every_runtime_layer(spans):
         report, times = tapped_layers(spans, s.audit)
     assert report.ok and report.certified
     assert all(times.get(layer, 0.0) > 0.0 for layer in LAYERS), times
+
+
+def test_tapped_plan_records_cache_and_pass_layers(spans, monkeypatch):
+    """Cold then warm ``Session.plan()``: the plan-cache taps name the
+    outcome (``tapped_get`` hands ``PlanCache.get`` its second parameter
+    positionally) and every pass run is one ``pipeline.<pass>`` span --
+    the same executions ``repro``'s own tracer calls ``pass:<pass>``."""
+    from repro.pipeline import passes
+
+    monkeypatch.setattr(passes.PLAN_CACHE, "directory", None)
+    passes.PLAN_CACHE.clear()
+    rec = spans.Recorder()
+    with spans.Taps(rec), rec.span(spans.OP_SPAN):
+        with Session("L1", trace=True) as cold:
+            cold.plan()
+        with Session("L1", trace=True) as warm:
+            warm.plan()
+    names = [sp.name for sp in rec.spans]        # in closing order
+    assert [n for n in names if n.startswith("pipeline.cache.")] == [
+        "pipeline.cache.miss", "pipeline.cache.put",
+        "pipeline.cache.mem_hit"]
+    ran = [s.name for s in cold.tracer.find(category="pipeline")]
+    assert ran == ["pass:extract-refs", "pass:eliminate-redundancy",
+                   "pass:choose-space", "pass:partition"]
+    assert warm.tracer.find(category="pipeline") == []
+    tapped = [n for n in names if n.startswith("pipeline.")
+              and n.split(".")[1] not in ("cache", "driver")]
+    assert tapped == [n.replace("pass:", "pipeline.") for n in ran]
