@@ -19,10 +19,11 @@ simulate (machine distribution/compute phases):
   (``python -m repro.obs.schema trace.json``), used by CI;
 - :mod:`~repro.obs.aggregate`: cross-process re-homing of worker
   tracers/registries (per-worker Chrome-trace lanes, merged counters);
-- :mod:`~repro.obs.audit`: the communication audit -- static access
-  replay, per-block footprints, violation attribution (Definition 1's
-  ``r`` vectors), engine reconciliation, and the ASCII dashboard behind
-  ``repro audit``;
+- :mod:`~repro.obs.audit`: the communication audit -- the algebraic
+  certificate (:mod:`~repro.obs.certificate`), the access replay behind
+  it (fallback, per-block footprints, the oracle), violation attribution
+  (Definition 1's ``r`` vectors), engine reconciliation, and the ASCII
+  dashboard behind ``repro audit``;
 - :mod:`~repro.obs.flight`: the third file sink -- the ring dumped to
   a ``repro-blackbox-*.json`` post-mortem on failure and rendered by
   ``repro blackbox``;

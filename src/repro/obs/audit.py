@@ -2,53 +2,50 @@
 
 The paper's guarantee (Theorems 1-4) is that a partition built on
 ``Psi = span(X_1 ∪ ... ∪ X_k)`` needs *no* interprocessor communication:
-every element a block touches lives in that block's data blocks.  The
-auditor checks the guarantee on the concrete program, two ways:
+no two iterations of different blocks touch one element (for replicated
+arrays: none writes what the other then reads).  Three checks:
 
-**Static replay.**  Access coordinates are data-independent -- every
-reference is ``A[H i + c]``, so the exact per-block read/write footprint
-follows from the iteration blocks and the reference model alone,
-identically for every execution engine.  The replay walks each block's
-iterations (restricted to live computations under redundancy
-elimination), computes each touched element, and classifies it against
-the block's allocated data blocks.  Each cross-block access is
-*attributed*: which reference touched the element, which block owns it,
-through which owner reference -- and the escaping vectors, the
-data-referenced vector ``r = c - c'`` (Definition 1) and the iteration
-offset ``delta = i - i'``, with the verdict ``delta ∉ Psi`` naming
-exactly why the partition missed it.
+**The algebraic certificate** (:mod:`repro.obs.certificate`) decides
+that from ``(H, c, bounds, Q)`` in O(reference pairs), sharing no code
+with the planner, and is the report's ``communication_free`` verdict:
+*proved free*, or *refuted* with a witness attributed per Definition 1
+-- both references, ``r = c - c'``, the iteration offset ``delta``,
+"delta in Psi: no".  Access totals are closed-form (space size or live
+mask, times references per statement).
 
-**Engine reconciliation.**  Each requested engine then runs the plan
-for real; the auditor checks the run completed without a
-:class:`~repro.machine.memory.RemoteAccessError`, touched zero remote
-elements, and that its memory counters equal the static totals (reads,
-writes, executed iterations).  A plan is *certified* when the static
-replay finds zero cross-block accesses and every engine run reconciles.
-The multiprocess engine reconciles on both lease paths: shared-memory
-store workers count reads/writes per block with the compiled tier's
-exact formulas and the scheduler merges them into the same per-block
-memory counters the by-value path fills, so the static totals match
-regardless of how the leases traveled.
+**The static replay** walks every access of every block against the
+block's data blocks.  Those were built from the same accesses, so on a
+rule-built plan it is clean by construction; it stays as the *fallback*
+where the certificate is undecided (``eliminate_redundant`` plans: the
+live mask is defined by enumeration), the *detail view* (footprints,
+element counts, every violation of a refuted plan), computed when
+something reads it, and the *oracle* the certificate is tested against.
+
+**Engine reconciliation** is the dynamic check of the materialised
+allocation: each requested engine runs the plan and must complete
+without a :class:`~repro.machine.memory.RemoteAccessError`, touch zero
+remote elements and count exactly the static totals, on both lease
+paths of the multiprocess engine.  *Certified* = communication-free and
+every engine run reconciled.
 
 :func:`inject_violation` builds a deliberately broken variant of a plan
-(a finer partition than ``Psi`` allows, with single-owner data blocks)
-so the failure path -- attribution, engine aborts, non-zero exit --
-stays exercised.
+so the failure path stays exercised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.partition import DataBlock, block_index_map, iteration_partition
 from repro.core.plan import PartitionPlan
 from repro.core.strategy import Strategy
 from repro.machine.memory import RemoteAccessError
+from repro.obs.certificate import Certificate, Coords, Witness, certify_plan
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import Span, current_tracer
-
-Coords = tuple[int, ...]
+from repro.ratlinalg.span import Subspace
 
 #: (strategy, eliminate_redundant) -> the theorem certifying the plan.
 THEOREMS: dict[tuple[Strategy, bool], int] = {
@@ -57,6 +54,12 @@ THEOREMS: dict[tuple[Strategy, bool], int] = {
     (Strategy.NONDUPLICATE, True): 3,
     (Strategy.DUPLICATE, True): 4,
 }
+
+
+def _jsonable(record) -> dict:
+    """A flat dataclass as a JSON-ready dict (coordinate tuples as lists)."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(record).items()}
 
 
 @dataclass
@@ -71,10 +74,6 @@ class AccessFootprint:
     write_elements: set[Coords] = field(default_factory=set)
     #: accesses to elements *outside* the block's data block
     cross: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
 
     @property
     def elements(self) -> set[Coords]:
@@ -98,12 +97,12 @@ class AuditViolation:
     element: Coords
     reference: str
     is_write: bool
-    owner_block: Optional[int]
-    owner_iteration: Optional[Coords]
-    owner_reference: Optional[str]
-    r: Optional[Coords]
-    delta: Optional[Coords]
-    delta_in_psi: Optional[bool]
+    owner_block: Optional[int] = None
+    owner_iteration: Optional[Coords] = None
+    owner_reference: Optional[str] = None
+    r: Optional[Coords] = None
+    delta: Optional[Coords] = None
+    delta_in_psi: Optional[bool] = None
 
     def describe(self) -> str:
         kind = "write" if self.is_write else "read"
@@ -145,20 +144,45 @@ class EngineAuditRun:
 
 
 @dataclass
+class Replay:
+    """What :func:`_static_replay` found, access by access."""
+
+    footprints: dict[tuple[int, str], AccessFootprint]
+    element_counts: dict[str, dict[Coords, int]]
+    violations: list[AuditViolation]
+    cross: int                       # total (violations above are capped)
+
+
+@dataclass
 class AuditReport:
-    """The full audit: footprints, violations, engine reconciliation."""
+    """The full audit: certificate, totals, violations, engine
+    reconciliation -- and the replay's detail, once something reads it."""
 
     plan: PartitionPlan
-    footprints: dict[tuple[int, str], AccessFootprint]
-    violations: list[AuditViolation]
-    cross_block_accesses: int        # total (violations above are capped)
+    certificate: Certificate
     total_reads: int
     total_writes: int
     executed_computations: int
     executed_iterations: int
     reference_counts: dict[str, int]
-    element_counts: dict[str, dict[Coords, int]]
+    violations: list[AuditViolation] = field(default_factory=list)
+    cross_block_accesses: int = 0    # the replay's count; 0 if proved free
     engine_runs: dict[str, EngineAuditRun] = field(default_factory=dict)
+    replay: Optional[Replay] = None
+
+    @property
+    def detail(self) -> Replay:
+        if self.replay is None:
+            self.replay = _static_replay(self.plan, max_detail=0)
+        return self.replay
+
+    @property
+    def footprints(self) -> dict[tuple[int, str], AccessFootprint]:
+        return self.detail.footprints
+
+    @property
+    def element_counts(self) -> dict[str, dict[Coords, int]]:
+        return self.detail.element_counts
 
     @property
     def theorem(self) -> int:
@@ -171,27 +195,17 @@ class AuditReport:
 
     @property
     def communication_free(self) -> bool:
-        """Static verdict: did the replay find zero cross-block accesses?"""
-        return self.cross_block_accesses == 0
+        """Static verdict: the certificate's; the replay's only where the
+        certificate is undecided."""
+        cert = self.certificate
+        return cert.free or (not cert.decided
+                             and self.cross_block_accesses == 0)
 
     @property
     def certified(self) -> bool:
         """Static verdict *and* every engine run reconciled."""
         return self.communication_free and all(
             r.ok for r in self.engine_runs.values())
-
-    @property
-    def ok(self) -> bool:
-        """Summary-protocol alias for :attr:`certified`."""
-        return self.certified
-
-    def summary(self) -> str:
-        """One-line verdict (the Summary protocol)."""
-        return self.verdict()
-
-    def to_json(self) -> dict:
-        """Summary-protocol alias for :meth:`to_dict`."""
-        return self.to_dict()
 
     def theorem_label(self) -> str:
         extra = (", redundancy-eliminated"
@@ -208,12 +222,15 @@ class AuditReport:
                     f"accesses{engines}")
         if self.communication_free:
             bad = [r for r in runs if not r.ok]
-            return (f"NOT CERTIFIED: static replay is clean but "
+            return (f"NOT CERTIFIED: the static check is clean but "
                     f"{len(bad)}/{len(runs)} engine runs failed to reconcile "
                     f"({', '.join(r.resolved for r in bad)})")
         v = self.violations[0] if self.violations else None
         head = (f"VIOLATED: {self.cross_block_accesses} cross-block "
                 f"accesses in {self.total_accesses} accesses")
+        if not self.cross_block_accesses:
+            head += (" against the plan's own data blocks, but Psi splits "
+                     "iterations that share an element")
         return f"{head}; first: {v.describe()}" if v else head
 
     def to_dict(self) -> dict:
@@ -231,36 +248,17 @@ class AuditReport:
             "cross_block_accesses": self.cross_block_accesses,
             "communication_free": self.communication_free,
             "certified": self.certified,
-            "violations": [
-                {
-                    "block": v.block, "array": v.array,
-                    "iteration": list(v.iteration),
-                    "element": list(v.element),
-                    "reference": v.reference, "is_write": v.is_write,
-                    "owner_block": v.owner_block,
-                    "owner_iteration": (list(v.owner_iteration)
-                                        if v.owner_iteration else None),
-                    "owner_reference": v.owner_reference,
-                    "r": list(v.r) if v.r is not None else None,
-                    "delta": list(v.delta) if v.delta is not None else None,
-                    "delta_in_psi": v.delta_in_psi,
-                }
-                for v in self.violations
-            ],
-            "engine_runs": {
-                name: {
-                    "backend": r.backend, "resolved": r.resolved,
-                    "completed": r.completed, "aborted": r.aborted,
-                    "reads": r.reads, "writes": r.writes,
-                    "executed_iterations": r.executed_iterations,
-                    "remote_reads": r.remote_reads,
-                    "remote_writes": r.remote_writes,
-                    "matches_static": r.matches_static, "ok": r.ok,
-                }
-                for name, r in self.engine_runs.items()
-            },
+            "certificate": self.certificate.to_dict(),
+            "violations": [_jsonable(v) for v in self.violations],
+            "engine_runs": {name: {**_jsonable(r), "ok": r.ok}
+                            for name, r in self.engine_runs.items()},
             "verdict": self.verdict(),
         }
+
+    # the Summary protocol
+    ok = certified
+    summary = verdict
+    to_json = to_dict
 
     def publish(self, registry: Optional[MetricsRegistry] = None) -> None:
         """Publish the audit outcome as ``audit.*`` metrics."""
@@ -273,148 +271,133 @@ class AuditReport:
         reg.set("audit.theorem", self.theorem)
 
 
+def _violation(plan: PartitionPlan, info, ref, it: Coords,
+               owner, owner_it: Coords) -> AuditViolation:
+    """``ref`` at ``it`` touched what ``owner`` touches at ``owner_it``,
+    in another block."""
+    indices = plan.model.nest.indices
+    delta = tuple(a - b for a, b in zip(it, owner_it))
+    return AuditViolation(
+        block=plan.block_of(it), array=info.name, iteration=tuple(it),
+        element=info.element_at(it, ref.c), reference=ref.describe(indices),
+        is_write=ref.is_write, owner_block=plan.block_of(owner_it),
+        owner_iteration=tuple(owner_it),
+        owner_reference=owner.describe(indices),
+        r=tuple(a - b for a, b in zip(ref.c, owner.c)), delta=delta,
+        delta_in_psi=delta in plan.psi)
+
+
+def _by_role(info, prefer_write: bool) -> list:
+    """References ordered so the preferred role comes first."""
+    return sorted(info.references, key=lambda r: (
+        r.is_write != prefer_write, r.stmt_index, r.slot))
+
+
 def _attribute(plan: PartitionPlan, info, block, it: Coords, ref,
-               element: Coords, indices) -> AuditViolation:
+               element: Coords) -> AuditViolation:
     """Name the owner of a remotely-touched element and the escaping vectors."""
     owners = plan.owners_of_element(info.name, element)
     live = plan.live
     # prefer the owner's *write* reference: that pairing is the flow
     # dependence the paper's data-referenced vectors model
-    refs = sorted(info.references,
-                  key=lambda r2: (not r2.is_write, r2.stmt_index, r2.slot))
+    refs = _by_role(info, prefer_write=True)
     for ob in owners:
         if ob == block.index:
             continue
         for it2 in plan.blocks[ob].iterations:
             for ref2 in refs:
-                if live is not None and (ref2.stmt_index, it2) not in live:
-                    continue
-                if info.element_at(it2, ref2.c) != element:
-                    continue
-                delta = tuple(a - b for a, b in zip(it, it2))
-                r = tuple(a - b for a, b in zip(ref.c, ref2.c))
-                return AuditViolation(
-                    block=block.index, array=info.name, iteration=tuple(it),
-                    element=element, reference=ref.describe(indices),
-                    is_write=ref.is_write, owner_block=ob,
-                    owner_iteration=tuple(it2),
-                    owner_reference=ref2.describe(indices), r=r, delta=delta,
-                    delta_in_psi=delta in plan.psi,
-                )
+                if ((live is None or (ref2.stmt_index, it2) in live)
+                        and info.element_at(it2, ref2.c) == element):
+                    return _violation(plan, info, ref, it, ref2, it2)
     return AuditViolation(
         block=block.index, array=info.name, iteration=tuple(it),
-        element=element, reference=ref.describe(indices),
-        is_write=ref.is_write,
-        owner_block=owners[0] if owners else None, owner_iteration=None,
-        owner_reference=None, r=None, delta=None, delta_in_psi=None,
-    )
+        element=element, reference=ref.describe(plan.model.nest.indices),
+        is_write=ref.is_write, owner_block=owners[0] if owners else None)
 
 
-def _refs_by_stmt(model) -> dict[int, list]:
-    """statement index -> its ``(info, ref)`` pairs."""
-    out: dict[int, list] = {}
-    for info in model.arrays.values():
-        for ref in info.references:
-            out.setdefault(ref.stmt_index, []).append((info, ref))
-    return out
+def _witness_violation(plan: PartitionPlan, w: Witness) -> AuditViolation:
+    """The checker's witness as a violation: the access at the far end
+    of the pair, owned by the near end (the writer, when only one writes)."""
+    info = plan.model.arrays[w.array]
+    writes = {r.c for r in info.references if r.is_write}
+    ends = [(w.c1, w.i), (w.c2, tuple(a + b for a, b in zip(w.i, w.t)))]
+    if w.c2 in writes and w.c1 not in writes:
+        ends.reverse()
+    (owner_c, owner_it), (c, it) = ends
+    owner = next(r for r in _by_role(info, True) if r.c == owner_c)
+    ref = next(r for r in _by_role(info, False) if r.c == c)
+    return _violation(plan, info, ref, it, owner, owner_it)
 
 
-def _static_replay(plan: PartitionPlan, max_detail: int) -> AuditReport:
+def _totals(plan: PartitionPlan) -> dict[str, Any]:
+    """Access totals in closed form: a statement runs once per iteration
+    of the space, or once per live computation."""
+    model, live = plan.model, plan.live
+    size = model.space.size()
+    runs = None if live is None else Counter(k for k, _ in live)
+    by_role = [0, 0]
+    counts: Counter = Counter()
+    for ref in model.all_references():
+        n = size if runs is None else runs[ref.stmt_index]
+        by_role[ref.is_write] += n
+        counts[ref.describe(model.nest.indices)] += n
+    return dict(
+        total_reads=by_role[0], total_writes=by_role[1],
+        executed_computations=(size * len(model.nest.statements)
+                               if live is None else len(live)),
+        executed_iterations=(size if live is None
+                             else len({it for _, it in live})),
+        reference_counts={d: n for d, n in counts.items() if n})
+
+
+def _static_replay(plan: PartitionPlan, max_detail: int,
+                   blocks: Optional[Sequence] = None) -> Replay:
+    """Walk every access of ``blocks`` (default: all of the plan's) and
+    classify it against the block's allocated data blocks; at most
+    ``max_detail`` cross-block accesses are attributed."""
     model = plan.model
     live = plan.live
-    indices = model.nest.indices
-    nstmts = len(model.nest.statements)
-    # pretty-print each reference once, not once per access
-    refs_by_stmt = {
-        k: [(info, ref, ref.describe(indices)) for info, ref in pairs]
-        for k, pairs in _refs_by_stmt(model).items()}
+    refs_by_stmt: dict[int, list] = {}
+    for info in model.arrays.values():
+        for ref in info.references:
+            refs_by_stmt.setdefault(ref.stmt_index, []).append((info, ref))
+    stmts = sorted(refs_by_stmt.items())
 
     footprints: dict[tuple[int, str], AccessFootprint] = {}
     element_counts: dict[str, dict[Coords, int]] = {
         name: {} for name in model.arrays}
-    reference_counts: dict[str, int] = {}
     violations: list[AuditViolation] = []
-    cross = total_reads = total_writes = 0
-    executed_comps = executed_iters = 0
+    cross = 0
 
-    for b in plan.blocks:
+    for b in (plan.blocks if blocks is None else blocks):
         alloc = {name: plan.data_blocks[name][b.index].elements
                  for name in model.arrays}
         for name in model.arrays:
             footprints[(b.index, name)] = AccessFootprint(block=b.index,
                                                           array=name)
         for it in b.iterations:
-            ran = False
-            for k in range(nstmts):
+            for k, pairs in stmts:
                 if live is not None and (k, it) not in live:
                     continue
-                ran = True
-                executed_comps += 1
-                for info, ref, d in refs_by_stmt.get(k, ()):
+                for info, ref in pairs:
                     e = info.element_at(it, ref.c)
                     fp = footprints[(b.index, info.name)]
                     if ref.is_write:
                         fp.writes += 1
                         fp.write_elements.add(e)
-                        total_writes += 1
                     else:
                         fp.reads += 1
                         fp.read_elements.add(e)
-                        total_reads += 1
                     counts = element_counts[info.name]
                     counts[e] = counts.get(e, 0) + 1
-                    reference_counts[d] = reference_counts.get(d, 0) + 1
                     if e not in alloc[info.name]:
                         cross += 1
+                        fp.cross += 1
                         if len(violations) < max_detail:
                             violations.append(
-                                _attribute(plan, info, b, it, ref, e, indices))
-            if ran:
-                executed_iters += 1
-
-    return AuditReport(
-        plan=plan, footprints=footprints, violations=violations,
-        cross_block_accesses=cross, total_reads=total_reads,
-        total_writes=total_writes, executed_computations=executed_comps,
-        executed_iterations=executed_iters,
-        reference_counts=reference_counts, element_counts=element_counts,
-    )
-
-
-def block_cross_accesses(
-    plan: PartitionPlan, block_index: int, max_detail: int = 1,
-) -> tuple[int, list[AuditViolation]]:
-    """Static cross-block access count for *one* block.
-
-    The per-block slice of :func:`_static_replay`, cheap enough to run
-    on demand: the fault-tolerant scheduler calls it before re-leasing
-    a lost block to assert the block is disjoint (zero cross-block
-    accesses), i.e. that re-execution is provably safe under the plan's
-    theorem.  Returns the cross count and up to ``max_detail``
-    attributed violations.
-    """
-    model = plan.model
-    live = plan.live
-    indices = model.nest.indices
-    b = plan.blocks[block_index]
-    alloc = {name: plan.data_blocks[name][b.index].elements
-             for name in model.arrays}
-    refs_by_stmt = _refs_by_stmt(model)
-
-    cross = 0
-    violations: list[AuditViolation] = []
-    for it in b.iterations:
-        for k in range(len(model.nest.statements)):
-            if live is not None and (k, it) not in live:
-                continue
-            for info, ref in refs_by_stmt.get(k, ()):
-                e = info.element_at(it, ref.c)
-                if e not in alloc[info.name]:
-                    cross += 1
-                    if len(violations) < max_detail:
-                        violations.append(
-                            _attribute(plan, info, b, it, ref, e, indices))
-    return cross, violations
+                                _attribute(plan, info, b, it, ref, e))
+    return Replay(footprints=footprints, element_counts=element_counts,
+                  violations=violations, cross=cross)
 
 
 def _run_engine_audit(plan: PartitionPlan, backend: Optional[str],
@@ -467,7 +450,14 @@ def audit_plan(
     with tracer.span("audit.static", category="audit",
                      blocks=len(plan.blocks),
                      arrays=len(plan.model.arrays)) as sp:
-        report = _static_replay(plan, max_detail=max_detail)
+        cert = certify_plan(plan, registry)
+        report = AuditReport(plan=plan, certificate=cert, **_totals(plan))
+        if not cert.free:
+            replay = report.replay = _static_replay(plan, max_detail)
+            report.cross_block_accesses = replay.cross
+            report.violations = replay.violations
+            if cert.witness and max_detail and not replay.violations:
+                report.violations = [_witness_violation(plan, cert.witness)]
         sp.set(accesses=report.total_accesses,
                cross_block_accesses=report.cross_block_accesses)
     if run_engines:
@@ -483,64 +473,61 @@ def audit_plan(
 
 
 def inject_violation(plan: PartitionPlan) -> PartitionPlan:
-    """A deliberately broken variant of ``plan`` for exercising the
-    failure path.
+    """A deliberately broken variant of ``plan`` for the failure path.
 
     Repartitions the iteration space with ``Psi = {0}`` (every iteration
-    its own block) while forcing *single-owner* data blocks: each
-    referenced element is assigned to the block of the first live
-    computation touching it, in sequential order.  Whenever the original
-    plan needed ``dim(Psi) >= 1``, some reference pair couples two
-    iterations that now sit in different blocks, so the replay (and any
-    strict engine run) reports genuine cross-block accesses whose
-    connecting ``delta`` escapes the broken ``Psi``.
+    its own block) and forces *single-owner* data blocks -- each element
+    goes to the block of the first live computation touching it, in
+    sequential order -- which the breakdown then says: nothing is
+    replicated.  Whenever the original plan needed ``dim(Psi) >= 1``,
+    some reference pair couples two iterations now in different blocks,
+    so certificate, replay and every strict engine run report genuine
+    cross-block accesses whose ``delta`` escapes the broken ``Psi``.
     """
     model = plan.model
-    from repro.ratlinalg.span import Subspace
-
     psi0 = Subspace.zero(model.nest.depth)
     blocks = iteration_partition(model.space, psi0)
     bmap = block_index_map(blocks)
     live = plan.live
 
-    owner: dict[tuple[str, Coords], int] = {}
-    for it in model.space.iterate():
-        blk = bmap[tuple(it)]
-        for name, info in model.arrays.items():
-            for ref in info.references:
-                if live is not None and (ref.stmt_index, tuple(it)) not in live:
-                    continue
-                owner.setdefault((name, info.element_at(it, ref.c)), blk)
-
     data_blocks: dict[str, list[DataBlock]] = {}
-    for name in model.arrays:
+    for name, info in model.arrays.items():
+        owner: dict[Coords, int] = {}
+        for it in model.space.iterate():
+            for ref in info.references:
+                if live is None or (ref.stmt_index, it) in live:
+                    owner.setdefault(info.element_at(it, ref.c), bmap[it])
         per: list[set[Coords]] = [set() for _ in blocks]
-        for (nm, e), blk in owner.items():
-            if nm == name:
-                per[blk].add(e)
+        for e, blk in owner.items():
+            per[blk].add(e)
         data_blocks[name] = [
             DataBlock(array=name, block_index=j, elements=frozenset(s))
-            for j, s in enumerate(per)
-        ]
+            for j, s in enumerate(per)]
 
     return PartitionPlan(
         nest=plan.nest, model=model,
-        breakdown=replace(plan.breakdown, psi=psi0),
+        breakdown=replace(plan.breakdown, psi=psi0,
+                          duplicated_arrays=frozenset()),
         blocks=blocks, data_blocks=data_blocks, _block_of=bmap,
     )
 
 
-# ---------------------------------------------------------------------------
-# the ASCII dashboard
-# ---------------------------------------------------------------------------
+# -- the ASCII dashboard ------------------------------------------------------
 
 #: Heatmaps are skipped for arrays with more distinct elements than this.
 _HEATMAP_LIMIT = 400
+#: Per-block rows shown before the table is cut.
+_MAX_ROWS = 12
 
 
 def _span_rollup(spans: Sequence[Span]) -> list[str]:
+    # audit.static is one row; its split (certificate, replay) is the
+    # trace's business
+    static = {s.span_id for s in spans if s.name == "audit.static"}
     agg: dict[str, tuple[int, int]] = {}
     for s in spans:
+        if s.parent_id in static:
+            continue
         n, total = agg.get(s.name, (0, 0))
         agg[s.name] = (n + 1, total + s.duration_ns)
     rows = sorted(agg.items(), key=lambda kv: (-kv[1][1], kv[0]))
@@ -551,14 +538,9 @@ def _span_rollup(spans: Sequence[Span]) -> list[str]:
 
 
 def render_audit_dashboard(report: AuditReport,
-                           spans: Optional[Sequence[Span]] = None,
-                           max_rows: int = 12,
-                           heatmaps: bool = True) -> str:
-    """Render the audit as an ASCII dashboard.
-
-    ``spans`` (default: the current tracer's) feed the span rollup;
-    the section is omitted when there are none.
-    """
+                           spans: Sequence[Span]) -> str:
+    """Render the audit as an ASCII dashboard; ``spans`` feed the span
+    rollup (omitted when there are none)."""
     from repro.viz.ascii import render_heatmap
 
     plan = report.plan
@@ -576,19 +558,20 @@ def render_audit_dashboard(report: AuditReport,
     out.append(f"accesses: {report.total_reads} reads + "
                f"{report.total_writes} writes = {report.total_accesses} "
                f"({len(arrays)} arrays)")
+    out.append(f"certificate: {report.certificate.line()}")
 
     out.append("")
     out.append("-- per-block accesses --")
     out.append(f"{'block':>5} {'iters':>6} {'reads':>6} {'writes':>6} "
                f"{'cross':>6}")
-    for blk in plan.blocks[:max_rows]:
+    for blk in plan.blocks[:_MAX_ROWS]:
         fps = [report.footprints[(blk.index, a)] for a in arrays]
         out.append(f"{blk.index:>5} {len(blk.iterations):>6} "
                    f"{sum(f.reads for f in fps):>6} "
                    f"{sum(f.writes for f in fps):>6} "
                    f"{sum(f.cross for f in fps):>6}")
-    if len(plan.blocks) > max_rows:
-        out.append(f"  ... ({len(plan.blocks) - max_rows} more blocks)")
+    if len(plan.blocks) > _MAX_ROWS:
+        out.append(f"  ... ({len(plan.blocks) - _MAX_ROWS} more blocks)")
     out.append(f"{'total':>5} "
                f"{sum(len(x.iterations) for x in plan.blocks):>6} "
                f"{report.total_reads:>6} {report.total_writes:>6} "
@@ -600,17 +583,15 @@ def render_audit_dashboard(report: AuditReport,
                        key=lambda kv: (-kv[1], kv[0])):
         out.append(f"{d:<32} {n:>6}")
 
-    if heatmaps:
-        for name in arrays:
-            counts = report.element_counts[name]
-            rank = plan.model.arrays[name].rank
-            if rank != 2 or not counts or len(counts) > _HEATMAP_LIMIT:
-                continue
-            out.append("")
-            out.append(render_heatmap(
-                counts,
-                title=f"-- array {name} access heatmap "
-                      f"(reads+writes per element) --"))
+    for name in arrays:
+        counts = report.element_counts[name]
+        rank = plan.model.arrays[name].rank
+        if rank != 2 or not counts or len(counts) > _HEATMAP_LIMIT:
+            continue
+        out.append("")
+        out.append(render_heatmap(
+            counts, title=f"-- array {name} access heatmap "
+                          f"(reads+writes per element) --"))
 
     if report.engine_runs:
         out.append("")
@@ -632,14 +613,13 @@ def render_audit_dashboard(report: AuditReport,
 
     if report.violations:
         out.append("")
-        shown = len(report.violations)
-        out.append(f"-- violations (showing {shown} of "
-                   f"{report.cross_block_accesses}) --")
+        out.append(f"-- violations (showing {len(report.violations)} of "
+                   f"{report.cross_block_accesses}) --"
+                   if report.cross_block_accesses else
+                   "-- violations (the certificate's witness) --")
         for v in report.violations:
             out.append(f"  {v.describe()}")
 
-    if spans is None:
-        spans = current_tracer().spans
     if spans:
         out.append("")
         out.append("-- span rollup --")

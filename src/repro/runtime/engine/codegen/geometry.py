@@ -10,7 +10,7 @@ check, the communication-audit certificate) are one-time setup costs,
 which the ledger reports as ``runtime.engine.codegen.*.cold_s`` apart
 from the steady-state ``warm_s``.
 
-Three geometric facts drive the emitted source:
+Two geometric facts drive the emitted source:
 
 - **grid specs**: each array's allocated elements are embedded in the
   dense row-major bounding box of their union -- the geometry of the
@@ -22,12 +22,10 @@ Three geometric facts drive the emitted source:
   lexicographic rectangle (the common output of the paper's
   hyperplane partitioner), loops over literal ``range(extent)`` bounds
   replace the per-iteration tuple stream, and the rank-of stamp
-  formula folds to a per-block base plus literal stride increments;
-- **the certificate**: the communication audit's static replay proves
-  zero cross-block accesses, which is the license to elide the
-  interpreter's per-access ownership checks entirely (Theorems 1-4
-  say each block touches only its own data blocks; the audit verifies
-  that claim for *this* plan before any check is dropped).
+  formula folds to a per-block base plus literal stride increments.
+
+:func:`certify_zero_cross` is the license to elide the interpreter's
+per-access ownership checks entirely.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Optional
 
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, LoopNest
-from repro.runtime.layout import GridSpec, layout_for
+from repro.runtime.layout import GridSpec, footprint_allocated, layout_for
 
 #: Hard cap on the summed flat-grid words; beyond it the dense
 #: bounding-box embedding may dwarf the actual allocation.
@@ -162,99 +160,21 @@ def check_nest(nest: LoopNest, specs: dict[str, GridSpec]) -> None:
             flat_affine(ref, indices, specs[ref.array])
 
 
-def _interval_certify(plan) -> Optional[bool]:
-    """Prove zero cross-block access by interval arithmetic, or None.
-
-    For affine references and dense-rectangular data blocks, the
-    per-dimension min/max of each subscript over a block's iteration
-    bounding box bounds every coordinate that block can touch; if the
-    bounds sit inside the block's own rectangle for every reference,
-    no access can leave the block.  The check is O(blocks x refs) --
-    microseconds where the audit replay is seconds -- but it is only a
-    *sufficient* proof: anything it cannot decide (non-affine
-    subscripts, ragged data blocks, correlated subscripts that exceed
-    their per-dim bounds without actually escaping) returns None and
-    falls back to the audit's exact replay.
-    """
-    nest = plan.nest
-    indices = nest.indices
-    refs = []
-    seen: set = set()
-    try:
-        for stmt in nest.statements:
-            for ref in [stmt.lhs] + list(stmt.rhs.array_refs()):
-                matrix, consts = ref_affine(ref, indices)
-                key = (ref.array, matrix, consts)
-                if key not in seen:
-                    seen.add(key)
-                    refs.append(key)
-    except CodegenUnsupported:
-        return None
-
-    rects: dict[tuple, Optional[tuple]] = {}
-
-    def db_rect(name: str, bindex: int):
-        """(lo, hi) of a dense-rect data block, () if empty, None if
-        ragged (= inconclusive)."""
-        key = (name, bindex)
-        if key in rects:
-            return rects[key]
-        elems = plan.data_blocks[name][bindex].elements
-        if not elems:
-            rects[key] = ()
-            return ()
-        lo = tuple(map(min, zip(*elems)))
-        hi = tuple(map(max, zip(*elems)))
-        size = 1
-        for l, h in zip(lo, hi):
-            size *= h - l + 1
-        r = (lo, hi) if size == len(elems) else None
-        rects[key] = r
-        return r
-
-    for b in plan.blocks:
-        iters = b.iterations
-        if not iters:
-            continue
-        ilo = tuple(map(min, zip(*iters)))
-        ihi = tuple(map(max, zip(*iters)))
-        for name, matrix, consts in refs:
-            rect = db_rect(name, b.index)
-            if rect is None or rect == ():
-                return None
-            lo, hi = rect
-            for d, (row, c) in enumerate(zip(matrix, consts)):
-                alo = ahi = c
-                for k, a in enumerate(row):
-                    if a > 0:
-                        alo += a * ilo[k]
-                        ahi += a * ihi[k]
-                    elif a < 0:
-                        alo += a * ihi[k]
-                        ahi += a * ilo[k]
-                if alo < lo[d] or ahi > hi[d]:
-                    return None
-    return True
-
-
 def certify_zero_cross(plan) -> bool:
-    """The communication audit's static certificate for check elision.
+    """The zero-cross-access certificate that licenses check elision.
 
-    True iff zero cross-block accesses can happen -- exactly the
-    communication-freedom Theorems 1-4 promise for a correct partition,
-    verified rather than trusted.  The interval fast path proves the
-    common all-affine dense-rect case analytically; anything it cannot
-    decide falls back to the audit's exact per-block replay.  Only a
-    certified plan may run with ownership checks elided; anything else
-    delegates to the compiled tier, whose per-access slow path
-    reproduces the interpreter's bookkeeping and error bit-for-bit.
+    What Theorems 1-4 promise, verified rather than trusted: the
+    algebraic certificate proves or refutes the partition from
+    ``(H, c, bounds, Q)``, one pass of column arithmetic checks the data
+    blocks hold what it is proved for, and only a plan the certificate
+    cannot decide pays the audit's per-access replay.  An uncertified
+    plan delegates to the compiled tier and its per-access checks.
     """
-    from repro.obs.audit import block_cross_accesses
+    from repro.obs.certificate import certify_plan
 
-    if _interval_certify(plan):
-        return True
-    for b in plan.blocks:
-        cross, _ = block_cross_accesses(plan, b.index, max_detail=1)
-        if cross:
-            return False
-    return True
+    cert = certify_plan(plan)
+    if cert.decided:
+        return cert.free and footprint_allocated(plan)
+    from repro.obs.audit import _static_replay
+
+    return _static_replay(plan, max_detail=0).cross == 0

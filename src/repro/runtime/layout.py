@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Mapping, Optional
 
 from repro.machine.memory import LocalMemory
@@ -154,6 +155,39 @@ _LAYOUTS = Sidecar(PlanLayout, valid=lambda plan, layout: layout.matches(plan))
 def layout_for(plan) -> PlanLayout:
     """The (cached) flat layout of ``plan``."""
     return _LAYOUTS.get(plan)
+
+
+def footprint_allocated(plan) -> bool:
+    """Does every data block hold every element its block touches?
+
+    The static check of the *materialised* allocation, beside the
+    algebraic certificate of the partition (:mod:`repro.obs.certificate`):
+    a kernel that elides ownership checks needs both.  For a plan whose
+    every computation runs (no live mask).  Column arithmetic: each
+    coordinate of ``H i + c`` over a block is a few C-speed ``map`` s
+    over the block's index columns, and the test is one ``issuperset``.
+    """
+    arrays = [(info.h_rows, list(dict.fromkeys(r.c for r in info.references)),
+               plan.data_blocks[name])
+              for name, info in plan.model.arrays.items()]
+    for b in plan.blocks:
+        columns = list(zip(*b.iterations))
+        for h_rows, offsets, dblocks in arrays:
+            image = []                       # H i, one column per dimension
+            for row in h_rows:
+                acc = None
+                for a, column in zip(row, columns):
+                    if a:
+                        term = column if a == 1 else map(mul, repeat(a), column)
+                        acc = term if acc is None else map(add, acc, term)
+                image.append(tuple(acc) if acc is not None
+                             else (0,) * len(b.iterations))
+            for c in offsets:
+                touched = zip(*(map(add, repeat(cd), column) if cd else column
+                                for cd, column in zip(c, image)))
+                if not dblocks[b.index].elements.issuperset(touched):
+                    return False
+    return True
 
 
 class FlatStore:

@@ -26,11 +26,10 @@ Mechanics:
 - a worker crash (real, or injected by the chaos layer) breaks the
   pool: the scheduler respawns it and re-leases everything that was in
   flight, with capped exponential backoff per unit;
-- before any retry the scheduler consults the plan's partition
-  metadata (:func:`repro.obs.audit.block_cross_accesses`) and refuses
-  to re-run a block that is not disjoint -- an unsafe retry raises the
-  same :class:`~repro.machine.memory.RemoteAccessError` a strict run
-  would;
+- before any retry the scheduler consults the plan's certificate
+  (:func:`repro.obs.certificate.certify_plan`) and refuses to re-run a
+  block that is not disjoint -- an unsafe retry raises the same
+  :class:`~repro.machine.memory.RemoteAccessError` a strict run would;
 - a unit that exhausts its attempts raises :class:`SchedulerError`
   (chaos non-recovery); a pool that cannot be (re)created raises
   :class:`PoolCollapse`, which the multiprocess engine turns into the
@@ -314,7 +313,7 @@ class BlockScheduler:
         self.policy = policy if policy is not None else RetryPolicy()
         self.batch = batch if batch is not None else default_batch_size(
             len(plan.blocks), self.workers)
-        self._safety: dict[int, int] = {}  # block -> static cross count
+        self._certificate = None  # asked on the first retry
 
     # -- setup ------------------------------------------------------------
     def _units(self) -> list[_Unit]:
@@ -336,27 +335,25 @@ class BlockScheduler:
 
         Retry idempotence rests on the plan's theorem: a block touching
         only its own data blocks can re-run anywhere without having
-        leaked or observed state.  The check replays just this unit's
-        blocks statically (:func:`repro.obs.audit.block_cross_accesses`)
-        and raises the violation a strict run would raise.
+        leaked or observed state.  The plan's certificate is asked once;
+        unless it proves the plan free, this unit's blocks are replayed
+        and the violation a strict run would raise is raised.
         """
-        from repro.obs.audit import block_cross_accesses
+        from repro.obs.certificate import certify_plan
         from repro.obs.metrics import current_registry
 
-        for b in unit.blocks:
-            cross = self._safety.get(b.index)
-            if cross is None:
-                cross, violations = block_cross_accesses(self.plan, b.index)
-                self._safety[b.index] = cross
-                if cross:
-                    current_registry().inc("scheduler.unsafe_retries")
-                    v = violations[0]
-                    raise RemoteAccessError(
-                        self.memories[b.index].pid, v.array, v.element,
-                        is_write=v.is_write)
-            elif cross:  # pragma: no cover - first hit always raises
-                raise RemoteAccessError(
-                    self.memories[b.index].pid, "?", (), is_write=None)
+        if self._certificate is None:
+            self._certificate = certify_plan(self.plan)
+        if self._certificate.free:
+            return
+        from repro.obs.audit import _static_replay
+
+        found = _static_replay(self.plan, max_detail=1, blocks=unit.blocks)
+        if found.cross:
+            current_registry().inc("scheduler.unsafe_retries")
+            v = found.violations[0]
+            raise RemoteAccessError(self.memories[v.block].pid, v.array,
+                                    v.element, is_write=v.is_write)
 
     # -- the dispatch loop ------------------------------------------------
     def run(self, result) -> SchedulerResult:

@@ -1,4 +1,4 @@
-"""The communication audit: static replay, attribution, reconciliation."""
+"""The communication audit: certificate, replay, attribution, reconciliation."""
 
 import io
 import json
@@ -9,8 +9,10 @@ import pytest
 
 from repro.core import Strategy, build_plan
 from repro.lang import catalog
+from repro.machine.memory import RemoteAccessError
 from repro.obs.audit import (
     THEOREMS,
+    _static_replay,
     audit_plan,
     inject_violation,
     render_audit_dashboard,
@@ -19,6 +21,10 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import numpy_compat as npc
 from repro.runtime.engine.base import available_backends
+from repro.runtime.engine.codegen.geometry import certify_zero_cross
+from repro.runtime.parallel import run_parallel
+
+from tests.strategies import PLAN_KWARGS, repartitioned
 
 ALL_BACKENDS = ("interp", "compiled", "vectorized", "multiprocess")
 
@@ -70,6 +76,20 @@ class TestStaticReplay:
         assert elim.total_accesses < full.total_accesses
         assert elim.communication_free
 
+    @pytest.mark.parametrize("spec", PLANS, ids=[s[0] for s in PLANS])
+    def test_closed_form_totals_equal_the_replay(self, spec):
+        plan = _plan(spec)
+        report = audit_plan(plan, run_engines=False)
+        fps = _static_replay(plan, max_detail=0).footprints.values()
+        assert report.total_reads == sum(fp.reads for fp in fps)
+        assert report.total_writes == sum(fp.writes for fp in fps)
+        assert sum(report.reference_counts.values()) == report.total_accesses
+
+    def test_a_subset_replay_walks_only_its_blocks(self):
+        plan = build_plan(catalog.l1())
+        part = _static_replay(plan, max_detail=0, blocks=plan.blocks[2:4])
+        assert {blk for blk, _ in part.footprints} == {2, 3}
+
     def test_footprints_partition_the_accesses(self):
         plan = build_plan(catalog.l1(), strategy=Strategy.DUPLICATE)
         report = audit_plan(plan, run_engines=False)
@@ -105,6 +125,79 @@ class TestStaticReplay:
         assert reg.get("audit.cross_block_accesses").value == 0
         assert reg.get("audit.certified").value == 1
         assert reg.get("audit.theorem").value == 1
+
+
+class TestCertificate:
+    """Who decided, and that the report, the trace, the registry and the
+    dashboard all say so."""
+
+    def _audit(self, **kwargs):
+        tracer, reg = Tracer(enabled=True), MetricsRegistry()
+        with use_tracer(tracer), use_registry(reg):
+            report = audit_plan(build_plan(catalog.l4(), **kwargs),
+                                run_engines=False)
+        (span,) = tracer.find("audit.certificate")
+        (static,) = tracer.find("audit.static")
+        assert span.parent_id == static.span_id
+        return report, span.attributes, reg
+
+    def test_symbolic(self):
+        report, attrs, reg = self._audit()
+        assert attrs == {"decided_by": "symbolic", "pairs": 4, "reason": ""}
+        assert report.to_dict()["certificate"] == attrs
+        assert reg.value("audit.certificate.symbolic") == 1
+        assert reg.get("audit.certificate.fallback") is None
+        assert report.replay is None        # nothing walked the accesses
+        assert ("certificate: symbolic (4 reference pairs)"
+                in render_audit_dashboard(report, spans=[]))
+
+    def test_live_mask_falls_back_to_the_replay(self):
+        report, attrs, reg = self._audit(eliminate_redundant=True)
+        assert attrs == {"decided_by": "replay", "pairs": 0,
+                         "reason": "live mask"}
+        assert reg.value("audit.certificate.fallback") == 1
+        assert report.replay is not None and report.certified
+        assert ("certificate: replay (live mask)"
+                in render_audit_dashboard(report, spans=[]))
+
+
+class TestWrongPsi:
+    """L1 cut along span{(1,0)}, across its (1,1) flow dependence, with
+    data blocks built from the accesses: the replay is clean by
+    construction, the certificate is not."""
+
+    def _bad_plan(self):
+        from repro.ratlinalg import Subspace
+
+        return repartitioned(build_plan(catalog.l1()), Subspace(2, [[1, 0]]))
+
+    def test_audit_refuses_it(self):
+        plan = self._bad_plan()
+        report = audit_plan(plan, run_engines=False)
+        assert _static_replay(plan, max_detail=1).cross == 0
+        assert not report.communication_free and not report.certified
+        (v,) = report.violations
+        assert (v.array, v.r, v.delta) == ("A", (-2, -1), (1, 1))
+        assert v.block != v.owner_block
+        verdict = report.verdict()
+        assert "VIOLATED" in verdict
+        assert "via A[2 * i - 2, j - 1] (R@S2)" in verdict
+        assert "via A[2 * i, j] (W@S1)" in verdict
+        assert "delta = [1, 1] (delta in Psi: no)" in verdict
+
+    def test_codegen_refuses_it(self):
+        assert certify_zero_cross(self._bad_plan()) is False
+
+
+#: every catalog plan that needed dim(Psi) >= 1, under all four
+#: strategy / elimination combinations -- but one: L2 non-duplicate
+#: under elimination keeps Ker(H_A) in Psi (strategy.py's exclusivity
+#: rule) although no two of its *live* computations share an element,
+#: so one iteration per block really is communication-free there
+COUPLED = [(name, kwargs) for name in sorted(catalog.ALL_LOOPS)
+           for kwargs in PLAN_KWARGS
+           if build_plan(catalog.ALL_LOOPS[name](), **kwargs).psi.dim
+           and (name, kwargs) != ("L2", PLAN_KWARGS[2])]
 
 
 class TestEngineReconciliation:
@@ -146,6 +239,30 @@ class TestEngineReconciliation:
 
 
 class TestInjectedViolation:
+    @pytest.mark.parametrize(
+        "name, kwargs", COUPLED,
+        ids=[f"{n}-{k['strategy'].value}"
+             f"{'-elim' if k.get('eliminate_redundant') else ''}"
+             for n, k in COUPLED])
+    def test_every_coupled_plan_is_refused_once_sabotaged(self, name, kwargs,
+                                                           scalars):
+        plan = inject_violation(
+            build_plan(catalog.ALL_LOOPS[name](), **kwargs))
+        assert plan.breakdown.duplicated_arrays == frozenset()
+        report = audit_plan(plan, run_engines=False)
+        assert not report.communication_free
+        assert report.cross_block_accesses > 0 and report.violations
+        assert certify_zero_cross(plan) is False
+        with pytest.raises(RemoteAccessError):
+            run_parallel(plan, scalars=scalars, backend="codegen")
+
+    def test_the_ci_negative_control_exits_nonzero(self):
+        from repro.cli import main
+
+        assert main(["audit", "--loop", "L1", "--duplicate",
+                     "--inject-violation", "--static"],
+                    out=io.StringIO()) != 0
+
     def _broken_report(self, **plan_kwargs):
         plan = build_plan(catalog.l1(), **plan_kwargs)
         return audit_plan(inject_violation(plan), backends=["interp"])

@@ -43,6 +43,8 @@ class TestSummaryImplementors:
         report = session.audit()
         assert isinstance(report, Summary)
         roundtrip(report.to_json())
+        assert report.to_json()["certificate"] == {
+            "decided_by": "symbolic", "pairs": 2, "reason": ""}
 
     def test_failed_audit_report(self):
         from repro.obs.audit import audit_plan, inject_violation
@@ -52,6 +54,7 @@ class TestSummaryImplementors:
             report = audit_plan(bad, run_engines=False)
         assert not report.ok
         roundtrip(report.to_json())
+        assert report.to_json()["certificate"]["decided_by"] == "symbolic"
 
     def test_machine_run(self, session):
         run = session.machine(p=4)

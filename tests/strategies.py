@@ -13,9 +13,14 @@ a read inside a subscript), an index that shadows a scalar binding, and
 divisors that are zero on some iterations.
 """
 
+from dataclasses import replace
+
 from hypothesis import strategies as st
 
 from repro.core import Strategy
+from repro.core.partition import (all_data_partitions, block_index_map,
+                                  iteration_partition)
+from repro.core.plan import PartitionPlan
 from repro.lang import builder as b
 from repro.lang.ast import ArrayRef, Assign, BinOp, Const, Name, UnaryOp
 
@@ -28,6 +33,17 @@ PLAN_KWARGS = [
     dict(strategy=Strategy.NONDUPLICATE, eliminate_redundant=True),
     dict(strategy=Strategy.DUPLICATE, eliminate_redundant=True),
 ]
+
+
+def repartitioned(plan, psi):
+    """``plan``'s nest cut along ``psi`` in place of its own ``Psi``, data
+    blocks built from the accesses as the planner builds them."""
+    blocks = iteration_partition(plan.model.space, psi)
+    return PartitionPlan(
+        nest=plan.nest, model=plan.model,
+        breakdown=replace(plan.breakdown, psi=psi), blocks=blocks,
+        data_blocks=all_data_partitions(plan.model, blocks),
+        _block_of=block_index_map(blocks))
 
 
 @st.composite
