@@ -26,7 +26,8 @@ from repro import (
     transform_nest,
 )
 from repro.mapping import assign_blocks, shape_grid, workload_stats
-from repro.transform.codegen import to_python_source
+from repro.runtime.engine.lowering import emit_iteration_kernel
+from repro.transform.codegen import array_target
 
 
 def main() -> None:
@@ -51,9 +52,11 @@ def main() -> None:
     print(stats.summary())
     print()
 
-    # --- generated code -----------------------------------------------------
+    # --- generated code: the one kernel emitter, over whole arrays ------------
     print("== generated Python for L4' ==")
-    print(to_python_source(tnest))
+    zero = (0,) * nest.depth  # no write stamps
+    print(emit_iteration_kernel(nest, {}, array_target(nest), (zero, zero),
+                                False, plan.psi))
 
     # --- execute and compare --------------------------------------------------
     arrays = make_arrays(plan.model)
@@ -61,21 +64,7 @@ def main() -> None:
     run_sequential(nest, expected)
 
     run = compile_nest(tnest)
-
-    class DictView(dict):
-        """Adapter: tuple-indexed view over a DataSpace for generated code."""
-
-        def __init__(self, ds):
-            super().__init__()
-            self.ds = ds
-
-        def __getitem__(self, coords):
-            return self.ds[coords]
-
-        def __setitem__(self, coords, value):
-            self.ds[coords] = value
-
-    run({n: DictView(a) for n, a in arrays.items()}, {})
+    run(arrays, {})
     same = all(arrays[n] == expected[n] for n in arrays)
     print(f"generated L4' output identical to sequential: {same}")
 

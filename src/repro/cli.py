@@ -803,6 +803,7 @@ def _input_error(args, exc: Exception) -> Optional[str]:
     if isinstance(exc, UsageError):
         return str(exc)
     from repro.analysis.references import NonUniformReferenceError
+    from repro.core.strategy import UnknownArrayError
     from repro.lang.lexer import LexError
     from repro.lang.parser import ParseError
     from repro.runtime.seq import UnboundScalarError
@@ -812,15 +813,20 @@ def _input_error(args, exc: Exception) -> Optional[str]:
     if isinstance(exc, OSError) and exc.filename is not None \
             and exc.filename == getattr(args, "file", None):
         return f"cannot read {exc.filename}: {exc.strerror}"
-    if isinstance(exc, (LexError, ParseError, NonUniformReferenceError)):
+    if isinstance(exc, (LexError, ParseError, NonUniformReferenceError,
+                        UnknownArrayError)):
         return str(exc)
     return None
 
 
 def _refusal(args) -> Optional[str]:
     """Why this command line cannot be run, found out before anything is
-    planned: an unknown backend, or a file the command is to write when
-    the work is done that cannot be written."""
+    planned: an unknown backend, a machine of no processors, or a file
+    the command is to write when the work is done that cannot be
+    written."""
+    p = getattr(args, "processors", 1)
+    if p < 1 and (p, args.command) != (0, "transform"):  # 0: no SPMD listing
+        return f"--processors must be >= 1 (got {p})"
     if getattr(args, "backend", None) is not None:
         from repro.runtime.engine.base import unknown_backend
 

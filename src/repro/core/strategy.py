@@ -73,6 +73,11 @@ def _array_is_live(info: ArrayInfo, redundancy: RedundancyAnalysis) -> bool:
     return any(redundancy.n_set(ref.stmt_index) for ref in info.references)
 
 
+class UnknownArrayError(ValueError):
+    """``duplicate_arrays`` names an array the nest does not reference:
+    an error in the request, not in the planner."""
+
+
 def partitioning_space(
     model: ReferenceModel,
     strategy: Strategy = Strategy.NONDUPLICATE,
@@ -92,7 +97,9 @@ def partitioning_space(
         dup: frozenset[str] = frozenset(duplicate_arrays)
         unknown = dup - set(model.arrays)
         if unknown:
-            raise ValueError(f"unknown arrays in duplicate_arrays: {sorted(unknown)}")
+            raise UnknownArrayError(
+                f"unknown arrays in duplicate_arrays: {sorted(unknown)} "
+                f"(the nest's arrays: {', '.join(sorted(model.arrays))})")
         if strategy is Strategy.NONDUPLICATE and dup:
             raise ValueError("duplicate_arrays requires Strategy.DUPLICATE")
     else:

@@ -13,7 +13,7 @@ re-attaches to the store by name on its first lease:
   evicted contexts detach their segments);
 - the per-block tables (coords -> block-local slot maps plus the
   block's region spans), derived from the shared canonical layout;
-- the store kernel itself: the shared per-iteration lowering aimed at
+- the store kernel itself: the shared block-kernel lowering aimed at
   the flat views by :func:`slot_target` (DESIGN.md, "Kernel lowering"),
   or the certified storegen kernel attached by key.
 
@@ -56,6 +56,8 @@ from repro.runtime.blockstore.store import (
 )
 from repro.runtime.engine.lowering import (
     KernelTarget,
+    block_points,
+    block_tally,
     coord_srcs,
     iteration_kernel,
     reads_per_statement,
@@ -87,15 +89,16 @@ def slot_target(nest: LoopNest) -> KernelTarget:
     def slot_src(ref: ArrayRef) -> str:
         return f"{ivar[ref.array]}[{tuple_src(coord_srcs(ref, indices))}]"
 
-    def read_src(ref: ArrayRef) -> str:
+    def read_src(ref: ArrayRef, affine) -> str:
         return f"float(_vals[{slot_src(ref)}])"
 
-    def write_lines(k: int, stmt: Assign, val: str) -> list[str]:
+    def write_lines(k: int, stmt: Assign, val: str, stamp: str,
+                    affine) -> list[str]:
         return remote_guard(k, [
             f"_val = float({val})",
             f"_p = {slot_src(stmt.lhs)}",
             "_vals[_p] = _val",
-            f"_stamps[_p] = _r + {k}",
+            f"_stamps[_p] = {stamp}",
         ])
 
     return KernelTarget(
@@ -162,7 +165,8 @@ def _run_ctx(desc: StoreDescriptor) -> dict:
         "stamps": np.frombuffer(sseg.buf, dtype=np.int64, count=desc.words),
         "segs": (dseg, vseg, sseg),
         "pid_by_block": pid_by_block,
-        "blocks_by_index": {b.index: b for b in plan.blocks},
+        "blocks_by_index": {b.index: (b, point) for b, point
+                            in zip(plan.blocks, block_points(plan))},
         "space": space,
         "rank_rect": space.rank_strides(),
         "nreads": reads_per_statement(plan.nest),
@@ -201,7 +205,7 @@ def _block_tables(ctx: dict, bindex: int) -> tuple:
     return hit
 
 
-def _run_block(ctx: dict, b, scalars, kernel, live, out) -> None:
+def _run_block(ctx: dict, bindex: int, scalars, kernel, live, out) -> None:
     """One block through the store kernel (stats onto ``out``)."""
     from repro.obs.trace import current_tracer
 
@@ -209,6 +213,7 @@ def _run_block(ctx: dict, b, scalars, kernel, live, out) -> None:
     plan = ctx["plan"]
     nest = plan.nest
     seed = ctx["seed"]
+    b, point = ctx["blocks_by_index"][bindex]
     pid = ctx["pid_by_block"][b.index]
     idx, regions, nwords = _block_tables(ctx, b.index)
     # a private copy of the block's regions: attempts must not read
@@ -234,8 +239,8 @@ def _run_block(ctx: dict, b, scalars, kernel, live, out) -> None:
     with current_tracer().span("engine.block", category="engine",
                                backend="shm", block=b.index,
                                iterations=len(b.iterations)) as sp:
-        executed, counts = kernel(b.index, b.iterations, idx, values,
-                                  stamps, remote, live, ctx["space"].rank_of)
+        counted = kernel((point,), idx, values, stamps, remote, live,
+                         ctx["space"].rank_of)
         # publish finals: only written slots, values before stamps, so a
         # stamp >= 0 in the shared buffer always covers a final value
         for goff, loff, cnt in regions:
@@ -245,15 +250,12 @@ def _run_block(ctx: dict, b, scalars, kernel, live, out) -> None:
                 ctx["values"][goff:goff + cnt][hit] = \
                     values[loff:loff + cnt][hit]
                 ctx["stamps"][goff:goff + cnt][hit] = ls[hit]
+        executed, reads, writes, skipped = block_tally(
+            b, counted and counted[0], ctx["nreads"])
         out.executed_iterations += executed
-        reads = writes = 0
-        for k, n in enumerate(counts):
-            writes += n
-            reads += n * ctx["nreads"][k]
-            if live is not None:
-                out.skipped_computations += len(b.iterations) - n
+        out.skipped_computations += skipped
         out.counts[b.index] = (reads, writes)
-        sp.set(statements=sum(counts))
+        sp.set(statements=writes)
 
 
 def _codegen_kernel(ctx: dict, key: str, scalars):
@@ -284,13 +286,13 @@ def _codegen_kernel(ctx: dict, key: str, scalars):
     nest = ctx["plan"].nest
     seg = ctx["plan_segment"]
 
-    def kernel(bindex, iters, idx, values, stamps, remote, live, rank_of):
-        rkey = (seg, bindex)
+    def kernel(points, idx, values, stamps, remote, live, rank_of):
+        rkey = (seg, points[0][0])
         rect = _RECTS.get(rkey)
         if rect is None:
-            rect = block_rect_args(layout, nest, bindex)
+            rect = block_rect_args(layout, nest, rkey[1])
             _RECTS[rkey] = rect
-        return raw(bindex, iters, rect, values, stamps, live, rank_of)
+        return raw(points, rect, values, stamps, live, rank_of)
 
     return kernel
 
@@ -322,13 +324,13 @@ def run_store_lease(payload):
             kernel = _codegen_kernel(ctx, desc.codegen_key, scalars)
         if kernel is None:
             kernel = iteration_kernel(ctx["plan"].nest, scalars, slot_target,
-                                      ctx["rank_rect"], live is not None)
+                                      ctx["rank_rect"], live is not None,
+                                      ctx["plan"].psi)
         try:
             for bindex in block_indices:
                 if bindex in slow_blocks and block_slow_s > 0:
                     time.sleep(block_slow_s)
-                _run_block(ctx, ctx["blocks_by_index"][bindex], scalars,
-                           kernel, live, out)
+                _run_block(ctx, bindex, scalars, kernel, live, out)
         except RemoteAccessError as exc:
             out.remote = (exc.pid, exc.array, exc.coords, exc.is_write)
         registry.inc("engine.worker.executed_iterations",

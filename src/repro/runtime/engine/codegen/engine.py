@@ -1,8 +1,8 @@
 """The codegen engine: specialized source per (plan, geometry).
 
 The top engine tier.  ``run_blocks`` builds (and caches, per plan) a
-*program*: the plan's geometry, its communication-audit certificate,
-the per-block argument tuples and the compiled kernel itself -- and
+*program*: the plan's geometry, its communication-audit certificate
+and the compiled kernel itself -- and
 runs that kernel on the run's flat store in place
 (:mod:`repro.runtime.layout`; its lists are the flat grids the kernel
 is specialised to).  :func:`load_kernel` walks three levels
@@ -25,6 +25,7 @@ for ``--backend compiled`` (or ``interp``).
 from __future__ import annotations
 
 import marshal
+from itertools import repeat
 from typing import Callable, Mapping, Optional
 
 from repro.runtime.engine.base import Engine
@@ -36,10 +37,11 @@ from repro.runtime.engine.codegen.geometry import (
     check_nest,
     check_written_partitioned,
     grid_specs,
-    rect_block_shape,
 )
 from repro.runtime.engine.lowering import (
     KERNEL_CACHE,
+    block_points,
+    block_tally,
     emit_iteration_kernel,
     reads_per_statement,
 )
@@ -88,32 +90,13 @@ def load_kernel(key: str, emit_fn: Callable[[], str],
 # ---------------------------------------------------------------------------
 
 def _build_geometry(plan) -> dict:
-    """Geometry and block-argument tables of one plan."""
-    nest = plan.nest
-    space = plan.model.space
+    """Geometry tables of one plan."""
     check_written_partitioned(plan)
     specs = grid_specs(plan)
-    check_nest(nest, specs)
-    rank_rect = space.rank_strides()
-    rect = None
-    if plan.live is None and rank_rect is not None:
-        rect = rect_block_shape(plan)
-    nstmts = len(nest.statements)
-
-    if rect is not None:
-        args = [tuple(b.iterations[0])
-                + (space.rank_of(b.iterations[0]) * nstmts,)
-                for b in plan.blocks]
-    else:
-        args = [(b.index, b.iterations) for b in plan.blocks]
-
+    check_nest(plan.nest, specs)
     return {
         "specs": specs,
-        "rect": rect,
-        "rank_rect": rank_rect,
-        "args": args,
-        "nreads": reads_per_statement(nest),
-        "nstmts": nstmts,
+        "nreads": reads_per_statement(plan.nest),
         "certified": None,  # resolved on first run
         "programs": {},
     }
@@ -155,21 +138,15 @@ def program_for(plan, scalars: Mapping[str, float]) -> dict:
     prog = geo["programs"].get(skey)
     if prog is not None:
         return prog
-    nest = plan.nest
+    nest, specs, psi = plan.nest, geo["specs"], plan.psi
     has_live = plan.live is not None
-    specs, rect, rank_rect = geo["specs"], geo["rect"], geo["rank_rect"]
-    mode = "rect" if rect is not None else "list"
-    key = emit.kernel_key(mode, nest, scalars, specs, rect, rank_rect,
+    rank_rect = plan.model.space.rank_strides()
+    key = emit.kernel_key(nest, scalars, specs, psi.kernel_rows(), rank_rect,
                           has_live)
-    if rect is not None:
-        fn = load_kernel(key, lambda: emit.emit_rect_kernel(
-            nest, scalars, specs, rect, rank_rect))
-    else:
-        fn = load_kernel(key, lambda: emit_iteration_kernel(
-            nest, scalars, emit.list_target(nest, specs), rank_rect,
-            has_live))
-    prog = geo["programs"][skey] = {"mode": mode, "key": key, "fn": fn,
-                                    "geo": geo}
+    fn = load_kernel(key, lambda: emit_iteration_kernel(
+        nest, scalars, emit.list_target(nest, specs), rank_rect, has_live,
+        psi))
+    prog = geo["programs"][skey] = {"key": key, "fn": fn, "geo": geo}
     return prog
 
 
@@ -231,48 +208,27 @@ class CodegenEngine(Engine):
         grids = store.grids
         stamps = {n: [-1] * len(grids[n]) for n in store.layout.written}
 
-        live = plan.live
         nreads = geo["nreads"]
-        nstmts = geo["nstmts"]
-        total_iters = sum(len(b.iterations) for b in plan.blocks)
+        iterations = stmts = 0
         with current_tracer().span("engine.codegen.exec", category="engine",
-                                   backend=self.name, mode=prog["mode"],
-                                   in_place=True, blocks=len(plan.blocks),
-                                   iterations=total_iters) as sp:
-            if prog["mode"] == "rect":
-                prog["fn"](geo["args"], grids, stamps)
-                result.executed_iterations += total_iters
-                for b in plan.blocks:
-                    mem = memories[b.index]
-                    n = len(b.iterations)
-                    mem.writes += n * nstmts
-                    mem.reads += n * sum(nreads)
-                stmts = total_iters * nstmts
-            else:
-                out = prog["fn"](geo["args"], grids, stamps, live,
-                                 plan.model.space.rank_of)
-                stmts = self._apply_counts(out, plan, memories, result,
-                                           live, nreads)
-            sp.set(statements=stmts)
+                                   backend=self.name, in_place=True,
+                                   blocks=len(plan.blocks)) as sp:
+            out = prog["fn"](block_points(plan), grids, stamps, plan.live,
+                             plan.model.space.rank_of)
+            for b, counted in zip(plan.blocks, out or repeat(None)):
+                executed, reads, writes, skipped = block_tally(
+                    b, counted, nreads)
+                result.executed_iterations += executed
+                result.skipped_computations += skipped
+                mem = memories[b.index]
+                mem.reads += reads
+                mem.writes += writes
+                iterations += len(b.iterations)
+                stmts += writes
+            sp.set(iterations=iterations, statements=stmts)
 
         store.stamps = stamps
         reg = current_registry()
         reg.inc("engine.codegen.runs")
         reg.inc("engine.codegen.blocks", len(plan.blocks))
-        reg.inc("engine.codegen.iterations", total_iters)
-
-    @staticmethod
-    def _apply_counts(out, plan, memories, result, live, nreads) -> int:
-        blocks = {b.index: b for b in plan.blocks}
-        stmts = 0
-        for bindex, executed, counts in out:
-            mem = memories[bindex]
-            result.executed_iterations += executed
-            for k, n in enumerate(counts):
-                mem.writes += n
-                mem.reads += n * nreads[k]
-                stmts += n
-                if live is not None:
-                    result.skipped_computations += \
-                        len(blocks[bindex].iterations) - n
-        return stmts
+        reg.inc("engine.codegen.iterations", iterations)

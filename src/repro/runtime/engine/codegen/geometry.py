@@ -5,33 +5,23 @@ enumerable*: affine integral subscripts, written arrays partitioned
 across blocks (no written replicas -- the same restriction the
 vectorized tier imposes), and grids small enough to materialize as
 flat dense buffers.  Everything here is derived once per plan and
-cached; the expensive parts (bounding boxes, the lexicographic-order
-check, the communication-audit certificate) are one-time setup costs,
+cached; the expensive parts (bounding boxes, the communication-audit
+certificate) are one-time setup costs,
 which the ledger reports as ``runtime.engine.codegen.*.cold_s`` apart
 from the steady-state ``warm_s``.
 
-Two geometric facts drive the emitted source:
-
-- **grid specs**: each array's allocated elements are embedded in the
-  dense row-major bounding box of their union -- the geometry of the
-  run's flat store (:mod:`repro.runtime.layout`) -- so a reference's
-  per-dimension affine subscripts fold into *one* flat-slot affine
-  (``base + sum(coeff_k * i_k)``) with compile-time integer
-  coefficients;
-- **rect blocks**: when every iteration block is the same dense
-  lexicographic rectangle (the common output of the paper's
-  hyperplane partitioner), loops over literal ``range(extent)`` bounds
-  replace the per-iteration tuple stream, and the rank-of stamp
-  formula folds to a per-block base plus literal stride increments.
+One geometric fact drives the emitted source -- **grid specs**: each
+array's allocated elements are embedded in the dense row-major bounding
+box of their union, the geometry of the run's flat store
+(:mod:`repro.runtime.layout`), so a reference's per-dimension affine
+subscripts fold into *one* flat-slot affine (``base + sum(coeff_k *
+i_k)``) with compile-time integer coefficients.
 
 :func:`certify_zero_cross` is the license to elide the interpreter's
 per-access ownership checks entirely.
 """
 
 from __future__ import annotations
-
-from itertools import product
-from typing import Optional
 
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, LoopNest
@@ -72,42 +62,6 @@ def check_written_partitioned(plan) -> frozenset:
         raise CodegenUnsupported(f"written array {layout.replicated[0]!r} "
                                  "has replicated elements")
     return frozenset(layout.written)
-
-
-def rect_block_shape(plan) -> Optional[tuple[int, ...]]:
-    """The uniform dense lexicographic shape of every block, or None.
-
-    The shape licenses literal ``range(extent)`` loops *only* if each
-    block's iteration list is exactly the lexicographic enumeration of
-    its rectangle -- accumulation statements make execution order
-    observable in float bits, so the order is verified, not assumed.
-    """
-    shape: Optional[tuple[int, ...]] = None
-    for b in plan.blocks:
-        iters = b.iterations
-        if not iters:
-            return None
-        lo, hi = iters[0], iters[-1]
-        s = tuple(h - l + 1 for l, h in zip(lo, hi))
-        if any(d <= 0 for d in s):
-            return None
-        if shape is None:
-            shape = s
-        elif s != shape:
-            return None
-        n = 1
-        for d in s:
-            n *= d
-        if n != len(iters):
-            return None
-    if shape is None:
-        return None
-    for b in plan.blocks:
-        lo = b.iterations[0]
-        expect = product(*(range(l, l + d) for l, d in zip(lo, shape)))
-        if any(a != e for a, e in zip(b.iterations, expect)):
-            return None
-    return shape
 
 
 def ref_affine(ref: ArrayRef, indices: tuple[str, ...]):

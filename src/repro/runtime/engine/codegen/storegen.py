@@ -5,9 +5,9 @@ coordinate order; when a region fills its bounding box that *is*
 row-major order, so a reference folds into block-local flat arithmetic
 ``const + sum(coeff_k * i_k)``.  The constants vary per block and
 travel as a per-block argument tuple (:func:`block_rect_args`), so the
-kernel *source* depends only on the nest, scalars, liveness and rank
-strides: one kernel per plan shape, every block reuses it.  The source
-is the shared per-iteration lowering
+kernel *source* depends only on the nest, scalars, liveness, rank
+strides and ``Q``: one kernel per plan shape, every block reuses it.
+The source is the shared block-kernel lowering
 (:mod:`repro.runtime.engine.lowering`; DESIGN.md, "Kernel lowering")
 aimed at the private block buffers by :func:`rect_target`.
 
@@ -37,7 +37,8 @@ from repro.runtime.layout import c_strides
 
 STORE_KERNEL_NAME = "_cg_store_kernel"
 
-_VERSION = "cgs1"
+#: ``cgs2``: the kernel is the paper's loop L' over block points
+_VERSION = "cgs2"
 
 
 def ref_table(nest: LoopNest) -> list[tuple[str, tuple, tuple]]:
@@ -68,10 +69,10 @@ def _used_dims(matrix: tuple) -> list[int]:
 
 
 def store_kernel_key(nest: LoopNest, scalars: Mapping[str, float],
-                     has_live: bool, rank_rect) -> str:
+                     has_live: bool, rank_rect, q_rows) -> str:
     return content_key(_VERSION, nest_canonical_form(nest),
                        repr(tuple(sorted(scalars.items()))),
-                       repr(bool(has_live)), repr(rank_rect))
+                       repr(bool(has_live)), repr(rank_rect), repr(q_rows))
 
 
 def rect_target(nest: LoopNest) -> KernelTarget:
@@ -89,19 +90,21 @@ def rect_target(nest: LoopNest) -> KernelTarget:
         unpack.append(f"_c{j}")
         unpack += [f"_a{j}_{k}" for k in _used_dims(matrix)]
 
-    def slot_src(ref: ArrayRef) -> str:
+    def slot_src(ref: ArrayRef, affine) -> str:
         matrix, consts = ref_affine(ref, indices)
         j = slot_of[(ref.array, matrix, consts)]
-        return " + ".join(
-            [f"_c{j}"] + [f"_a{j}_{k}*i{k}" for k in _used_dims(matrix)])
+        used = _used_dims(matrix)
+        return affine([f"_a{j}_{k}" if k in used else 0
+                       for k in range(len(indices))], f"_c{j}")
 
-    def read_src(ref: ArrayRef) -> str:
-        return f"float(_vals[{slot_src(ref)}])"
+    def read_src(ref: ArrayRef, affine) -> str:
+        return f"float(_vals[{slot_src(ref, affine)}])"
 
-    def write_lines(k: int, stmt: Assign, val: str) -> list[str]:
-        return [f"_w = {slot_src(stmt.lhs)}",
+    def write_lines(k: int, stmt: Assign, val: str, stamp: str,
+                    affine) -> list[str]:
+        return [f"_w = {slot_src(stmt.lhs, affine)}",
                 f"_vals[_w] = {val}",
-                f"_stamps[_w] = _r + {k}"]
+                f"_stamps[_w] = {stamp}"]
 
     return KernelTarget(
         STORE_KERNEL_NAME, "_rect, _vals, _stamps",
@@ -187,7 +190,8 @@ def prepare_store_kernel(plan, scalars: Mapping[str, float]) -> Optional[str]:
         current_registry().inc("engine.codegen.store.uncertified")
         return None
     key = store_kernel_key(plan.nest, scalars, plan.live is not None,
-                           plan.model.space.rank_strides())
+                           plan.model.space.rank_strides(),
+                           plan.psi.kernel_rows())
     attach_store_kernel(key, plan, scalars)
     return key
 
@@ -202,5 +206,5 @@ def attach_store_kernel(key: str, plan, scalars: Mapping[str, float]):
     return load_kernel(key,
                        lambda: emit_iteration_kernel(
                            nest, scalars, rect_target(nest), rank_rect,
-                           has_live),
+                           has_live, plan.psi),
                        label="store", fn_name=STORE_KERNEL_NAME)

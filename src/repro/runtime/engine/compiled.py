@@ -18,6 +18,8 @@ from repro.runtime.engine.base import Engine
 from repro.runtime.engine.lowering import (
     KernelCompileError,
     KernelTarget,
+    block_points,
+    block_tally,
     coord_srcs,
     iteration_kernel,
     reads_per_statement,
@@ -38,10 +40,11 @@ def dict_target(nest: LoopNest) -> KernelTarget:
     indices = nest.indices
     vvar = {n: f"_v{j}" for j, n in enumerate(nest.array_names())}
 
-    def read_src(ref: ArrayRef) -> str:
+    def read_src(ref: ArrayRef, affine) -> str:
         return f"{vvar[ref.array]}[{tuple_src(coord_srcs(ref, indices))}]"
 
-    def write_lines(k: int, stmt: Assign, val: str) -> list[str]:
+    def write_lines(k: int, stmt: Assign, val: str, stamp: str,
+                    affine) -> list[str]:
         arr = stmt.lhs.array
         return remote_guard(k, [
             f"_val = float({val})",
@@ -49,7 +52,7 @@ def dict_target(nest: LoopNest) -> KernelTarget:
             f"if _k not in {vvar[arr]}:",
             "    raise KeyError(_k)",
             f"{vvar[arr]}[_k] = _val",
-            f"_stamps[(_bindex, {arr!r}, _k)] = _r + {k}",
+            f"_stamps[(_bindex, {arr!r}, _k)] = {stamp}",
         ])
 
     return KernelTarget(
@@ -75,7 +78,8 @@ class CompiledEngine(Engine):
         live = plan.live
         try:
             kernel = iteration_kernel(nest, scalars, dict_target,
-                                      space.rank_strides(), live is not None)
+                                      space.rank_strides(), live is not None,
+                                      plan.psi)
         except KernelCompileError:
             self.delegate().run_blocks(plan, memories, result, initial,
                                        scalars)
@@ -85,7 +89,7 @@ class CompiledEngine(Engine):
         nreads = reads_per_statement(nest)
         stamps = result.write_stamps
         tracer = current_tracer()
-        for b in plan.blocks:
+        for b, point in zip(plan.blocks, block_points(plan)):
             mem = memories[b.index]
 
             def remote(k, it, mem=mem):
@@ -96,13 +100,13 @@ class CompiledEngine(Engine):
                              backend=self.name, block=b.index,
                              iterations=len(b.iterations)) as sp:
                 remote_before = mem.remote_attempts
-                executed, counts = kernel(b.index, b.iterations, mem.values,
-                                          stamps, remote, live, space.rank_of)
+                out = kernel((point,), mem.values, stamps, remote, live,
+                             space.rank_of)
+                executed, reads, writes, skipped = block_tally(
+                    b, out and out[0], nreads)
                 result.executed_iterations += executed
-                for k, n in enumerate(counts):
-                    mem.writes += n
-                    mem.reads += n * nreads[k]
-                    if live is not None:
-                        result.skipped_computations += len(b.iterations) - n
-                sp.set(statements=sum(counts),
+                result.skipped_computations += skipped
+                mem.reads += reads
+                mem.writes += writes
+                sp.set(statements=writes,
                        remote_accesses=mem.remote_attempts - remote_before)

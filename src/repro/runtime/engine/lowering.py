@@ -1,11 +1,12 @@
 """Kernel lowering: statements -> Python source, stated once.
 
 The expression lowering every generated-kernel tier shares, the one
-per-iteration block-kernel emitter (:func:`emit_iteration_kernel`,
-parameterised by a :class:`KernelTarget`), and the bounded in-process
-kernel cache.  The bit-identity argument (float leaves, exact constant
-folding, ``rank*nstmts + k`` stamps, the live guard, the counter rule)
-and the table of memory targets live in DESIGN.md, "Kernel lowering".
+block-kernel emitter (:func:`emit_iteration_kernel`: the paper's loop L'
+of Sec. IV, parameterised by a :class:`KernelTarget`), and the bounded
+in-process kernel cache.  The bit-identity argument (float leaves, exact
+constant folding, ``rank*nstmts + k`` stamps, the live guard, the
+counter rule) and the table of memory targets live in DESIGN.md, "Kernel
+lowering".
 
 Anything that cannot be lowered (non-affine subscripts, reads inside
 subscripts) raises :class:`KernelCompileError` and the caller falls
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import (
     ArrayRef, Assign, BinOp, Expr, LoopNest, Name, UnaryOp,
 )
+from repro.runtime.layout import Sidecar
 from repro.runtime.seq import build_statement, eval_expr
 
 
@@ -55,7 +58,7 @@ def value_src(expr: Expr, indices: tuple[str, ...],
     if folded is not None:
         return f"({folded!r})"
     if isinstance(expr, Name):
-        # an index used as a value; _f<k> = float(i<k>) is bound per iteration
+        # an index used as a value; _f<k> = float(i<k>) is bound with i<k>
         return f"_f{indices.index(expr.ident)}"
     if isinstance(expr, UnaryOp):
         return f"(- {value_src(expr.operand, indices, scalars, read_src)})"
@@ -113,13 +116,6 @@ def tuple_src(parts: list[str]) -> str:
     return f"({inner},)" if len(parts) == 1 else f"({inner})"
 
 
-def iteration_prelude(depth: int, used_as_value: set[int]) -> list[str]:
-    unpack = ", ".join(f"i{k}" for k in range(depth))
-    lines = [f"{unpack}{',' if depth == 1 else ''} = _it"]
-    lines += [f"_f{k} = float(i{k})" for k in sorted(used_as_value)]
-    return lines
-
-
 def value_indices(nest: LoopNest) -> set[int]:
     """Loop-index positions that appear *as values* (outside subscripts)."""
     idx = {name: k for k, name in enumerate(nest.indices)}
@@ -146,7 +142,7 @@ def reads_per_statement(nest: LoopNest) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the per-iteration block kernel
+# the block kernel: the paper's loop L'
 # ---------------------------------------------------------------------------
 
 class KernelTarget(NamedTuple):
@@ -154,17 +150,16 @@ class KernelTarget(NamedTuple):
 
     #: emitted function name
     name: str
-    #: memory arguments, between the block and ``_live, _rank_of``
+    #: memory arguments, between ``_points`` and ``_live, _rank_of``
     args: str
-    #: lines run once per call, before any iteration
+    #: lines run once per call, before any point
     preamble: list[str]
-    #: source of one array read
-    read_src: Callable[[ArrayRef], str]
-    #: ``(k, stmt, value source)`` -> the lines storing and stamping it
-    write_lines: Callable[[int, Assign, str], list[str]]
-    #: take ``_blocks = [(index, iterations), ...]`` and return per-block
-    #: ``(index, executed, counts)`` instead of running a single block
-    per_block: bool = False
+    #: ``(ref, affine)`` -> source of one array read; ``affine(coeffs,
+    #: const)`` spells an integer affine of ``i0..`` (see :class:`_Hoister`)
+    read_src: Callable[[ArrayRef, Callable], str]
+    #: ``(k, stmt, value source, stamp source, affine)`` -> the lines
+    #: storing and stamping it
+    write_lines: Callable[[int, Assign, str, str, Callable], list[str]]
 
 
 def remote_guard(k: int, body: list[str]) -> list[str]:
@@ -187,66 +182,170 @@ def replay_statement(nest: LoopNest, scalars: Mapping[str, float], k: int,
         "every element local")  # pragma: no cover
 
 
-def _rank_src(rank_rect) -> str:
-    """The iteration's sequential rank: closed form over a rectangular
-    space, else the space's ``rank_of``."""
-    if rank_rect is None:
-        return "_rank_of(_it)"
+def _points_of(plan) -> tuple[list, list[tuple[int, ...]]]:
+    q = plan.psi.kernel_rows()
+    return list(plan.blocks), [
+        (b.index, *[sum(map(mul, row, b.base_point)) for row in q])
+        for b in plan.blocks]
+
+
+_POINTS = Sidecar(_points_of, valid=lambda plan, hit: hit[0] == plan.blocks)
+
+
+def block_points(plan) -> list[tuple[int, ...]]:
+    """``[(block index, Q·base_point...)]`` in block order (cached): the
+    partition's own integer block key (:mod:`repro.core.partition`) is
+    all a kernel is told about a block, and a processor's share of the
+    forall loops is a slice of this list."""
+    return _POINTS.get(plan)[1]
+
+
+def block_tally(b, counted, nreads: list[int]) -> tuple[int, int, int, int]:
+    """``(executed iterations, reads, writes, skipped computations)`` of
+    block ``b``: from the kernel's ``(index, executed, per-statement
+    counts)`` under a live mask; without one (``counted`` is None) every
+    statement ran at every iteration."""
+    n = len(b.iterations)
+    if counted is None:
+        return n, n * sum(nreads), n * len(nreads), 0
+    _, executed, counts = counted
+    writes = sum(counts)
+    return (executed, sum(map(mul, counts, nreads)), writes,
+            n * len(nreads) - writes)
+
+
+def _rank_affine(rank_rect, nstmts: int) -> tuple[list[int], int]:
+    """``rank * nstmts`` of an iteration of a rectangular space, as
+    ``(per-index coefficients, constant)``."""
     los, strides = rank_rect
-    terms = [f"(i{k} - {lo}) * {s}" if s != 1 else f"(i{k} - {lo})"
-             for k, (lo, s) in enumerate(zip(los, strides)) if s != 0]
-    return f"({' + '.join(terms) or '0'})"
+    return ([s * nstmts for s in strides],
+            -nstmts * sum(map(mul, los, strides)))
+
+
+class _Hoister:
+    """Names the partial sums of integer affines of ``i0..``, each bound
+    at the outermost loop level where it is constant: level 0 once per
+    point, level ``j`` right under the ``j``-th inner ``for``; what moves
+    with the innermost level is spelled inline.  Integer arithmetic
+    only, so which slot is read, written or stamped -- and with what --
+    cannot change."""
+
+    def __init__(self, level_of: list[int], depth: int) -> None:
+        self.level_of = level_of
+        self.lines: list[list[str]] = [[] for _ in range(depth + 1)]
+        self.names: dict[tuple[int, str], str] = {}
+
+    def affine(self, coeffs, const=0, tail: int = 0) -> str:
+        """Source, in the innermost body, of ``sum(coeffs[m] * i<m>) +
+        const + tail``; a coefficient or the constant may be a name the
+        target's preamble binds, and affines differing only in ``tail``
+        share their partial sums."""
+        acc, const = ([const], 0) if isinstance(const, str) else ([], const)
+        for level, bound in enumerate(self.lines):
+            terms = [term_src(c, f"i{m}") for m, c in enumerate(coeffs)
+                     if c and self.level_of[m] == level]
+            if level == len(self.lines) - 1:
+                return sum_src(acc + terms, const + tail)
+            if terms:
+                src = sum_src(acc + terms, const)
+                name = self.names.get((level, src))
+                if name is None:
+                    name = self.names[level, src] = f"_h{level}_{len(bound)}"
+                    bound.append(f"{name} = {src}")
+                acc, const = [name], 0
 
 
 def emit_iteration_kernel(nest: LoopNest, scalars: Mapping[str, float],
-                          target: KernelTarget, rank_rect,
-                          has_live: bool) -> str:
-    """Source of ``fn(<block>, <target.args>, _live, _rank_of)``.
+                          target: KernelTarget, rank_rect, has_live: bool,
+                          psi) -> str:
+    """Source of ``fn(_points, <target.args>, _live, _rank_of)``: the
+    paper's loop L' (Sec. IV) for partitioning space ``psi``.
 
-    Runs every recorded iteration of a block (``_bindex, _iters``; or of
-    each of ``_blocks``) through every statement, stamping writes
-    ``rank * nstmts + k`` and counting executions.  Returns
-    ``(executed_iterations, per-statement counts)``, per block when the
-    target is ``per_block``.
+    Each of ``_points`` (:func:`block_points`) is one forall point; the
+    extended statements recover the original indices from it at the
+    outermost level where they are constant, the ``g`` inner loops run
+    the Fourier-Motzkin bounds of
+    :func:`~repro.transform.loopnest.transform_nest`, and every
+    statement runs at every iteration, stamping writes ``rank * nstmts +
+    k``.  Under a live mask the kernel counts, and returns per point
+    ``(block index, executed iterations, per-statement counts)``.
     """
-    indices = nest.indices
+    from repro.transform.codegen import (
+        _integerize, _linear_src, _lower_src, _upper_src)
+    from repro.transform.loopnest import transform_nest
+
+    tnest = transform_nest(nest, psi)
+    basis = tnest.basis
+    k, g = basis.k, basis.g
     nstmts = len(nest.statements)
-    head = "_blocks" if target.per_block else "_bindex, _iters"
-    lines = [f"def {target.name}({head}, {target.args}, _live, _rank_of):"]
+    names = [f"_u{j}" for j in range(k)] \
+        + [f"i{z}" for z in basis.inner_positions]
+    # the loop level at which each original index is known, and the
+    # lines that make it known there
+    level_of = [0] * nest.depth
+    known: list[list[str]] = [[] for _ in range(g + 1)]
+    for j, z in enumerate(basis.inner_positions):
+        level_of[z] = j + 1
+    for m, form in sorted(tnest.extended.items()):
+        coeffs, const, den = _integerize(form)
+        level = level_of[m] = max(
+            (j - k + 1 for j in range(k, k + g) if coeffs[j]), default=0)
+        src = _linear_src(coeffs, const, names)
+        # a point of the new coordinates without an integer preimage
+        # (only when |det M| > 1) is no iteration
+        known[level] += [f"i{m} = {src}"] if den == 1 else [
+            f"_num = {src}", f"if _num % {den}: continue",
+            f"i{m} = _num // {den}"]
+    for m in sorted(value_indices(nest)):
+        known[level_of[m]].append(f"_f{m} = float(i{m})")
+
+    hoist = _Hoister(level_of, g)
+    rank = None if rank_rect is None else _rank_affine(rank_rect, nstmts)
+    body: list[str] = []
+    for s, stmt in enumerate(nest.statements):
+        val = value_src(stmt.rhs, nest.indices, scalars,
+                        lambda ref: target.read_src(ref, hoist.affine))
+        stamp = sum_src(["_r"], s) if rank is None \
+            else hoist.affine(*rank, tail=s)
+        lines = target.write_lines(s, stmt, val, stamp, hoist.affine)
+        if has_live:
+            lines = [f"if ({s}, _it) in _live:"] + [
+                "    " + ln for ln in lines + [f"_n{s} += 1", "_any = True"]]
+        body += lines
+    if has_live:
+        body = ["_any = False"] + body + ["if _any:", "    _ex += 1"]
+    if rank_rect is None:
+        body.insert(0, f"_r = _rank_of(_it) * {nstmts}")
+    if any("_it" in ln for ln in body):
+        body.insert(0, "_it = " + tuple_src(
+            [f"i{m}" for m in range(nest.depth)]))
+
+    unpack = [""] * k
+    for j, row in enumerate(basis.origin):
+        unpack[row] = f"_u{j}"
+    lines = [f"def {target.name}(_points, {target.args}, _live, _rank_of):"]
     lines += ["    " + ln for ln in target.preamble]
-    base = "    "
-    if target.per_block:
-        lines += ["    _out = []", "    for _blk in _blocks:",
-                  "        _bindex, _iters = _blk"]
-        base = "        "
-    lines += [f"{base}_n{k} = 0" for k in range(nstmts)]
-    lines += [base + "_ex = 0", base + "for _it in _iters:"]
-    ind = base + "    "
-    lines += [ind + ln
-              for ln in iteration_prelude(nest.depth, value_indices(nest))]
-    lines.append(f"{ind}_r = {_rank_src(rank_rect)} * {nstmts}")
     if has_live:
-        lines.append(ind + "_any = False")
-    for k, stmt in enumerate(nest.statements):
-        sind = ind
-        if has_live:
-            lines.append(f"{ind}if ({k}, _it) in _live:")
-            sind = ind + "    "
-        val = value_src(stmt.rhs, indices, scalars, target.read_src)
-        lines += [sind + ln for ln in target.write_lines(k, stmt, val)]
-        lines.append(f"{sind}_n{k} += 1")
-        if has_live:
-            lines.append(sind + "_any = True")
+        lines.append("    _out = []")
+    pad = "        "
+    lines += ["    for _pt in _points:",
+              f"{pad}{tuple_src(['_bindex'] + unpack)} = _pt"]
+    lines += [pad + ln for ln in known[0] + hoist.lines[0]]
+    counts = [f"_n{s}" for s in range(nstmts)]
     if has_live:
-        lines += [ind + "if _any:", ind + "    _ex += 1"]
-    else:
-        lines.append(ind + "_ex += 1")
-    counts = ", ".join(f"_n{k}" for k in range(nstmts))
-    if target.per_block:
-        lines += [f"        _out.append((_bindex, _ex, ({counts},)))",
+        lines += [f"{pad}{c} = 0" for c in counts + ["_ex"]]
+    ind = pad
+    for j in range(g):
+        bound = tnest.bounds[k + j]
+        lines.append(f"{ind}for {names[k + j]} in range("
+                     f"{_lower_src(bound, names)}, "
+                     f"{_upper_src(bound, names)} + 1):")
+        ind += "    "
+        lines += [ind + ln for ln in known[j + 1] + hoist.lines[j + 1]]
+    lines += [ind + ln for ln in body]
+    if has_live:
+        lines += [f"{pad}_out.append((_bindex, _ex, {tuple_src(counts)}))",
                   "    return _out"]
-    else:
-        lines.append(f"    return _ex, ({counts},)")
     return "\n".join(lines) + "\n"
 
 
@@ -299,16 +398,16 @@ def compile_kernel(src: str, name: str) -> Callable:
 
 def iteration_kernel(nest: LoopNest, scalars: Mapping[str, float],
                      make_target: Callable[[LoopNest], KernelTarget],
-                     rank_rect, has_live: bool) -> Callable:
+                     rank_rect, has_live: bool, psi) -> Callable:
     """The compiled :func:`emit_iteration_kernel` function for
     ``make_target(nest)``, cached."""
     key = (make_target, nest, tuple(sorted(scalars.items())), has_live,
-           rank_rect)
+           rank_rect, psi)
     fn = KERNEL_CACHE.get(key)
     if fn is None:
         target = make_target(nest)
         fn = compile_kernel(
             emit_iteration_kernel(nest, scalars, target, rank_rect,
-                                  has_live), target.name)
+                                  has_live, psi), target.name)
         KERNEL_CACHE.put(key, fn)
     return fn

@@ -108,16 +108,17 @@ class MultiprocessEngine(Engine):
         from repro.runtime.blockstore.worker import slot_target
         from repro.runtime.engine.lowering import (
             KernelCompileError,
-            emit_iteration_kernel,
+            iteration_kernel,
         )
 
         if not shm_available():
             return None
         try:
-            # lowerable? (the walk alone -- the parent compiles nothing)
-            emit_iteration_kernel(plan.nest, scalars, slot_target(plan.nest),
-                                  plan.model.space.rank_strides(),
-                                  plan.live is not None)
+            # lowerable? (the workers' own cache key: a by-value lease
+            # or a later run in this process finds it compiled)
+            iteration_kernel(plan.nest, scalars, slot_target,
+                             plan.model.space.rank_strides(),
+                             plan.live is not None, plan.psi)
             store = SharedBlockStore(plan, memories)
             store.codegen_key = self._codegen_key(plan, scalars)
             return store

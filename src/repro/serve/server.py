@@ -190,10 +190,12 @@ class AsyncServer:
             resp = await self._dispatch(req)
         except Exception as exc:  # noqa: BLE001 - the wire reports it
             from repro.analysis.references import NonUniformReferenceError
+            from repro.core.strategy import UnknownArrayError
             from repro.runtime.seq import UnboundScalarError
 
             # the request's own nest is at fault, not the daemon
-            if isinstance(exc, (NonUniformReferenceError, UnboundScalarError)):
+            if isinstance(exc, (NonUniformReferenceError, UnboundScalarError,
+                                UnknownArrayError)):
                 exc = ProtocolError(str(exc))
             resp = Response.failure(op, exc, id=_frame_id(frame))
             self.registry.inc("serve.errors")

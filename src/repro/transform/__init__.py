@@ -18,10 +18,10 @@ from repro._lazy import lazy_surface
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "basis": ("TransformBasis", "build_transform_basis"),
     "loopnest": ("TransformedNest", "transform_nest"),
-    "codegen": ("to_pseudocode", "to_python_source", "compile_nest"),
+    "codegen": ("to_pseudocode", "compile_nest"),
     "spmd": (
         "compile_spmd", "iterations_of_processor",
-        "to_spmd_pseudocode", "to_spmd_python_source",
+        "to_spmd_pseudocode",
     ),
     "validate": ("TransformValidation", "validate_transform"),
 })

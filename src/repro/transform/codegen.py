@@ -1,30 +1,34 @@
 """Code generation for transformed nests.
 
-Two targets:
-
 - :func:`to_pseudocode` -- the paper's ``forall`` presentation (loop
   L4' style), with extended statements ``E_j`` recovering the original
   indices;
-- :func:`to_python_source` / :func:`compile_nest` -- executable Python.
-  All bound arithmetic is integer-exact: a rational bound ``p/q`` is
-  emitted as floor/ceil divisions, and blocks with ``|det M| > 1``
-  guard the reconstruction of original indices with a divisibility
-  check.
-
-The compiled function has signature ``run(arrays, scalars)`` where
-``arrays`` maps names to objects indexable by coordinate tuples (e.g.
-:class:`repro.runtime.arrays.DataSpace`) and ``scalars`` maps free
-parameter names to numbers.
+- the exact integer lowering of a
+  :class:`~repro.ratlinalg.fm.LoopBound` and of an extended statement
+  to Python source (a rational bound ``p/q`` becomes a floor/ceil
+  division), which the one kernel emitter
+  (:func:`repro.runtime.engine.lowering.emit_iteration_kernel`) builds
+  its loops from;
+- :func:`compile_nest` -- L' executable: ``run(arrays, scalars=None)``
+  is that emitter over whole arrays (name ->
+  :class:`repro.runtime.arrays.DataSpace`), so it is bit-identical to
+  the interpreter by the lowering's parity rules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.lang.ast import ArrayRef, Assign, BinOp, Const, Expr, Name, UnaryOp
+from repro.lang.ast import ArrayRef, Assign, LoopNest
 from repro.ratlinalg.fm import AffineForm, LoopBound
+from repro.runtime.engine.lowering import (
+    KernelTarget,
+    coord_srcs,
+    iteration_kernel,
+    tuple_src,
+)
 from repro.transform.loopnest import TransformedNest
 
 
@@ -87,34 +91,6 @@ def _upper_src(bound: LoopBound, names: list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# statement rendering
-# ---------------------------------------------------------------------------
-
-def _expr_src(expr: Expr, index_names: set[str]) -> str:
-    if isinstance(expr, Const):
-        return str(expr.value)
-    if isinstance(expr, Name):
-        if expr.ident in index_names:
-            return expr.ident
-        return f"scalars[{expr.ident!r}]"
-    if isinstance(expr, ArrayRef):
-        subs = ", ".join(_expr_src(s, index_names) for s in expr.subscripts)
-        return f"arrays[{expr.array!r}][({subs},)]"
-    if isinstance(expr, UnaryOp):
-        return f"(-{_expr_src(expr.operand, index_names)})"
-    if isinstance(expr, BinOp):
-        return (f"({_expr_src(expr.left, index_names)} {expr.op} "
-                f"{_expr_src(expr.right, index_names)})")
-    raise TypeError(f"cannot render {expr!r}")
-
-
-def _stmt_src(stmt: Assign, index_names: set[str]) -> str:
-    subs = ", ".join(_expr_src(s, index_names) for s in stmt.lhs.subscripts)
-    return (f"arrays[{stmt.lhs.array!r}][({subs},)] = "
-            f"{_expr_src(stmt.rhs, index_names)}")
-
-
-# ---------------------------------------------------------------------------
 # pseudocode (paper style)
 # ---------------------------------------------------------------------------
 
@@ -159,41 +135,39 @@ def _render_bound_forms(forms, names, agg: str) -> str:
 # executable Python
 # ---------------------------------------------------------------------------
 
-def to_python_source(tnest: TransformedNest, func_name: str = "run") -> str:
-    """Executable Python for the whole transformed nest (all blocks)."""
-    names = tnest.var_names
-    nest = tnest.nest
-    n = len(names)
-    out: list[str] = [f"def {func_name}(arrays, scalars=None):",
-                      "    scalars = scalars or {}"]
-    pad = "    "
-    for depth, bound in enumerate(tnest.bounds):
-        var = names[depth]
-        out.append(f"{pad}for {var} in range({_lower_src(bound, names)}, "
-                   f"{_upper_src(bound, names)} + 1):")
-        pad += "    "
-    # extended statements: recover every original index not serving as an
-    # inner loop variable; guard divisibility when |det M| > 1.
-    for m_pos in sorted(tnest.extended):
-        form = tnest.extended[m_pos]
-        coeffs, const, den = _integerize(form)
-        body = _linear_src(coeffs, const, names)
-        orig = nest.indices[m_pos]
-        if den == 1:
-            out.append(f"{pad}{orig} = {body}")
-        else:
-            out.append(f"{pad}_num = {body}")
-            out.append(f"{pad}if _num % {den}: continue")
-            out.append(f"{pad}{orig} = _num // {den}")
-    index_names = set(nest.indices) | set(names)
-    for stmt in nest.statements:
-        out.append(f"{pad}{_stmt_src(stmt, index_names)}")
-    return "\n".join(out) + "\n"
+def array_target(nest: LoopNest) -> KernelTarget:
+    """Whole arrays indexed by coordinate tuple (``_arrays[name]``); no
+    stamps, no blocks' memories to miss."""
+    indices = nest.indices
+
+    def elem_src(ref: ArrayRef) -> str:
+        return f"_a_{ref.array}[{tuple_src(coord_srcs(ref, indices))}]"
+
+    def write_lines(k: int, stmt: Assign, val: str, stamp: str,
+                    affine) -> list[str]:
+        return [f"{elem_src(stmt.lhs)} = {val}"]
+
+    return KernelTarget(
+        "_nest_kernel", "_arrays",
+        [f"_a_{n} = _arrays[{n!r}]" for n in nest.array_names()],
+        lambda ref, affine: elem_src(ref), write_lines)
 
 
-def compile_nest(tnest: TransformedNest, func_name: str = "run") -> Callable:
-    """Compile :func:`to_python_source` output into a callable."""
-    src = to_python_source(tnest, func_name)
-    namespace: dict = {}
-    exec(compile(src, f"<generated {func_name}>", "exec"), namespace)
-    return namespace[func_name]
+def run_points(tnest: TransformedNest, blocks: Sequence[Sequence[int]],
+               arrays, scalars=None) -> None:
+    """Run the forall points ``blocks`` of ``tnest`` on ``arrays``."""
+    nest, basis = tnest.nest, tnest.basis
+    zero = (0,) * nest.depth  # rank 0 everywhere: nothing is stamped
+    kernel = iteration_kernel(nest, scalars or {}, array_target,
+                              (zero, zero), False, basis.psi)
+    # the kernel takes the partition's key: Q's rows in their own order
+    order = [basis.origin.index(r) for r in range(basis.k)]
+    kernel([(0, *[blk[j] for j in order]) for blk in blocks],
+           arrays, None, None)
+
+
+def compile_nest(tnest: TransformedNest) -> Callable:
+    """``run(arrays, scalars=None)`` executing every forall point."""
+    blocks = list(tnest.iterate_blocks())
+    return lambda arrays, scalars=None: run_points(tnest, blocks, arrays,
+                                                   scalars)

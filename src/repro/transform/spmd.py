@@ -9,7 +9,9 @@ so processor ``PE_{a_1..a_k}`` executes exactly the points whose ``j``-th
 coordinate is congruent to ``a_j`` modulo ``p_j`` -- the same cyclic
 assignment as :mod:`repro.mapping.cyclic`, expressed as code.  This
 module generates that per-processor program, both as paper-style
-pseudocode (the L4'/L5'/L5'' listings) and as executable Python.
+pseudocode (the L4'/L5'/L5'' listings) and as executable Python: the
+congruent forall points through the one kernel emitter
+(:func:`repro.transform.codegen.run_points`).
 
 Correctness note: with stepped outer loops the processors' iteration
 sets partition the forall domain; for plans whose dependences are all
@@ -22,15 +24,19 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from repro.mapping.grid import ProcessorGrid
-from repro.transform.codegen import (
-    _integerize,
-    _linear_src,
-    _lower_src,
-    _stmt_src,
-    _upper_src,
-    _render_bound_forms,
-)
+from repro.transform.codegen import _render_bound_forms, run_points
 from repro.transform.loopnest import TransformedNest
+
+
+def points_of_processor(tnest: TransformedNest, grid: ProcessorGrid,
+                        proc: Sequence[int]) -> list[tuple[int, ...]]:
+    """The forall points of grid processor ``proc``:
+    ``u'_j = a_j (mod p_j)``."""
+    proc = tuple(proc)
+    if len(proc) != grid.k or grid.k != tnest.k:
+        raise ValueError("processor coordinate arity mismatch")
+    return [blk for blk in tnest.iterate_blocks()
+            if tuple(v % d for v, d in zip(blk, grid.dims)) == proc]
 
 
 def iterations_of_processor(
@@ -39,12 +45,8 @@ def iterations_of_processor(
     proc: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
     """Original iterations executed by grid processor ``proc``."""
-    proc = tuple(proc)
-    if len(proc) != grid.k or grid.k != tnest.k:
-        raise ValueError("processor coordinate arity mismatch")
-    for blk in tnest.iterate_blocks():
-        if tuple(v % d for v, d in zip(blk, grid.dims)) == proc:
-            yield from tnest.iterations_of_block(blk)
+    for blk in points_of_processor(tnest, grid, proc):
+        yield from tnest.iterations_of_block(blk)
 
 
 def to_spmd_pseudocode(tnest: TransformedNest, grid: ProcessorGrid) -> str:
@@ -83,57 +85,8 @@ def to_spmd_pseudocode(tnest: TransformedNest, grid: ProcessorGrid) -> str:
     return "\n".join(lines)
 
 
-def to_spmd_python_source(tnest: TransformedNest, grid: ProcessorGrid,
-                          func_name: str = "run_pe") -> str:
-    """Executable Python: ``run_pe(proc, arrays, scalars=None)``.
-
-    ``proc`` is the grid coordinate tuple of the executing processor;
-    outer forall loops start at the paper's congruent offset and step by
-    the grid dimension.
-    """
-    names = tnest.var_names
-    nest = tnest.nest
-    out: list[str] = [
-        f"def {func_name}(proc, arrays, scalars=None):",
-        "    scalars = scalars or {}",
-    ]
-    pad = "    "
-    for depth, bound in enumerate(tnest.bounds):
-        var = names[depth]
-        lo_src = _lower_src(bound, names)
-        hi_src = _upper_src(bound, names)
-        if depth < tnest.k:
-            p = grid.dims[depth]
-            out.append(f"{pad}_l{depth} = {lo_src}")
-            out.append(
-                f"{pad}for {var} in range(_l{depth} + "
-                f"((proc[{depth}] - (_l{depth} % {p})) % {p}), "
-                f"{hi_src} + 1, {p}):"
-            )
-        else:
-            out.append(f"{pad}for {var} in range({lo_src}, {hi_src} + 1):")
-        pad += "    "
-    for m_pos in sorted(tnest.extended):
-        form = tnest.extended[m_pos]
-        coeffs, const, den = _integerize(form)
-        body = _linear_src(coeffs, const, names)
-        orig = nest.indices[m_pos]
-        if den == 1:
-            out.append(f"{pad}{orig} = {body}")
-        else:
-            out.append(f"{pad}_num = {body}")
-            out.append(f"{pad}if _num % {den}: continue")
-            out.append(f"{pad}{orig} = _num // {den}")
-    index_names = set(nest.indices) | set(names)
-    for stmt in nest.statements:
-        out.append(f"{pad}{_stmt_src(stmt, index_names)}")
-    return "\n".join(out) + "\n"
-
-
-def compile_spmd(tnest: TransformedNest, grid: ProcessorGrid,
-                 func_name: str = "run_pe") -> Callable:
-    """Compile the SPMD source into a callable."""
-    src = to_spmd_python_source(tnest, grid, func_name)
-    namespace: dict = {}
-    exec(compile(src, f"<generated {func_name}>", "exec"), namespace)
-    return namespace[func_name]
+def compile_spmd(tnest: TransformedNest, grid: ProcessorGrid) -> Callable:
+    """``run_pe(proc, arrays, scalars=None)``: processor ``proc``'s share
+    of the forall loops, executable."""
+    return lambda proc, arrays, scalars=None: run_points(
+        tnest, points_of_processor(tnest, grid, proc), arrays, scalars)

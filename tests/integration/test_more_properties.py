@@ -15,6 +15,7 @@ from repro.mapping import shape_grid
 from repro.program import Program, plan_program, verify_program
 from repro.runtime import make_arrays, run_sequential, verify_plan
 from repro.transform import compile_spmd, transform_nest
+from tests.transform.test_loopnest import assert_closed_form_is_the_partition
 
 CHEAP = CostModel(t_comp=1e-3, t_start=1e-6, t_comm=1e-7)
 
@@ -60,9 +61,7 @@ def test_affine_bounded_pipeline(nest, strategy):
 @given(affine_bounded_nests())
 @settings(max_examples=25, deadline=None)
 def test_affine_bounded_transform_bijection(nest):
-    plan = build_plan(nest)
-    t = transform_nest(nest, plan.psi)
-    assert sorted(t.all_iterations()) == sorted(plan.model.space.points())
+    assert_closed_form_is_the_partition(build_plan(nest))   # per block
 
 
 # ---------------------------------------------------------------------------
@@ -93,25 +92,12 @@ def test_spmd_equivalence_random(nest, p):
     grid = shape_grid(p, t.k)
     run_pe = compile_spmd(t, grid)
     arrays = make_arrays(plan.model)
-
-    class View:
-        def __init__(self, ds):
-            self.ds = ds
-
-        def __getitem__(self, c):
-            return self.ds[c]
-
-        def __setitem__(self, c, v):
-            self.ds[c] = v
-
     got = {n_: a.copy() for n_, a in arrays.items()}
-    views = {n_: View(a) for n_, a in got.items()}
     for proc in grid.coords():
-        run_pe(proc, views, {})
+        run_pe(proc, got, {})
     expected = {n_: a.copy() for n_, a in arrays.items()}
     run_sequential(nest, expected)
-    for name in expected:
-        assert got[name] == expected[name]
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------

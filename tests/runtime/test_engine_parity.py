@@ -183,8 +183,9 @@ class TestWithoutNumpy:
 class TestCompiledKernels:
     def test_kernel_cache_reuses_compiled_closures(self):
         nest = catalog.l1()
-        k1 = iteration_kernel(nest, {}, dict_target, None, False)
-        k2 = iteration_kernel(nest, {}, dict_target, None, False)
+        psi = build_plan(nest).psi
+        k1 = iteration_kernel(nest, {}, dict_target, None, False, psi)
+        k2 = iteration_kernel(nest, {}, dict_target, None, False, psi)
         assert k1 is k2
 
     def test_unbound_scalar_matches_interpreter_error(self):

@@ -1,17 +1,14 @@
-"""One per-iteration kernel emitter, four memory targets.
+"""One block-kernel emitter -- the paper's loop L' -- four memory targets.
 
 ``repro.runtime.engine.lowering.emit_iteration_kernel`` is the only
 place a block kernel is spelled; the tiers differ in the
 ``KernelTarget`` they hand it.  This file pins:
 
-- the emitted *source* of every kind over L1-L5 + MATMUL (and TRI, a
-  non-rectangular space) as sha256 digests in
-  ``tests/golden/kernel_sources.json`` -- the persisted kinds (codegen
-  ``list``/``rect``, storegen store) and their cache keys were taken
-  from commit 553efc6, before the four emitters became one, so on-disk
-  caches written by earlier versions stay valid (``rect`` alone was
-  regenerated since, with ``cg2``: hoisted slot and stamp terms);
-- each target, run directly on every block, against the interpreter;
+- the emitted *source* of every kind over L1-L5 + MATMUL, STENCIL2D, TRI
+  (a non-rectangular space) and a ``|det M| = 2`` nest as sha256 digests
+  in ``tests/golden/kernel_sources.json``, with the persisted kinds'
+  cache keys (``cg3`` / ``cgs2``);
+- each target, run from points on every block, against the interpreter;
 - a sabotaged plan's first ``RemoteAccessError`` through every checked
   path;
 - the bounded kernel LRU and the disk tier behind it;
@@ -30,7 +27,7 @@ import pytest
 
 from repro.api import Session
 from repro.core import Strategy, build_plan
-from repro.lang import catalog
+from repro.lang import catalog, parse
 from repro.machine.memory import RemoteAccessError
 from repro.obs.audit import inject_violation
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -45,24 +42,31 @@ from repro.runtime.engine.codegen.geometry import (
     check_nest,
     check_written_partitioned,
     grid_specs,
-    rect_block_shape,
 )
 from repro.runtime.engine.compiled import dict_target
 from repro.runtime.engine.lowering import (
     KERNEL_CACHE,
     KernelCache,
+    block_points,
+    block_tally,
     compile_kernel,
     emit_iteration_kernel,
     reads_per_statement,
 )
+from repro.runtime.layout import FlatStore, layout_for as flat_layout_for
 from repro.runtime.parallel import allocate_blocks, run_parallel
 
 SCALARS = {"D": 2.0, "F": 3.0, "G": 1.5, "K": 0.5}
+
+#: Psi = span{(2, -1)}: half of L''s inner points have no integer preimage
+DET2 = "for i = 1 to 6 { for j = 1 to 6 { A[i, j] = A[i - 2, j + 1] + 1; } }"
 
 NESTS = {
     "L1": catalog.l1, "L2": catalog.l2, "L3": catalog.l3,
     "L4": catalog.l4, "L5": catalog.l5,
     "MATMUL": lambda: catalog.matmul(4),
+    "STENCIL2D": catalog.stencil2d, "TRI": catalog.triangular,
+    "DET2": lambda: parse(DET2),
 }
 STRATEGIES = {"nondup": Strategy.NONDUPLICATE, "dup": Strategy.DUPLICATE}
 
@@ -77,55 +81,57 @@ def _sha(text: str) -> str:
 # (a) golden sources
 # ---------------------------------------------------------------------------
 
-def source_digests() -> dict:
-    """Digest of every kernel kind's source (and the persisted kinds'
-    cache keys) per nest x strategy x live flag."""
+def emitted_sources() -> dict:
+    """Every kernel kind's source (and the persisted kinds' cache keys)
+    per nest x strategy x live flag."""
     out = {}
-    for name, fn in {**NESTS, "TRI": catalog.triangular}.items():
+    for name, fn in NESTS.items():
         for sname, strategy in STRATEGIES.items():
             plan = build_plan(fn(), strategy=strategy)
-            nest = plan.nest
+            nest, psi = plan.nest, plan.psi
             rank_rect = plan.model.space.rank_strides()
             specs = grid_specs(plan)
             for live in (False, True):
                 def emitted(target):
-                    return _sha(emit_iteration_kernel(
-                        nest, SCALARS, target, rank_rect, live))
+                    return emit_iteration_kernel(
+                        nest, SCALARS, target, rank_rect, live, psi)
 
-                d = {
+                out[f"{name}-{sname}-{'live' if live else 'all'}"] = {
                     "block": emitted(dict_target(nest)),
                     "store": emitted(slot_target(nest)),
-                    "list": emitted(emit.list_target(nest, specs)),
-                    "list_key": emit.kernel_key(
-                        "list", nest, SCALARS, specs, None, rank_rect, live),
+                    "codegen": emitted(emit.list_target(nest, specs)),
+                    "codegen_key": emit.kernel_key(
+                        nest, SCALARS, specs, psi.kernel_rows(), rank_rect,
+                        live),
                     "storegen": emitted(storegen.rect_target(nest)),
                     "store_key": storegen.store_kernel_key(
-                        nest, SCALARS, live, rank_rect),
+                        nest, SCALARS, live, rank_rect, psi.kernel_rows()),
                 }
-                rect = rect_block_shape(plan) \
-                    if not live and rank_rect is not None else None
-                if rect is not None:
-                    d["rect"] = _sha(emit.emit_rect_kernel(
-                        nest, SCALARS, specs, rect, rank_rect))
-                    d["rect_key"] = emit.kernel_key(
-                        "rect", nest, SCALARS, specs, rect, rank_rect, live)
-                out[f"{name}-{sname}-{'live' if live else 'all'}"] = d
     return out
 
 
+def source_digests(sources=None) -> dict:
+    return {case: {kind: v if kind.endswith("_key") else _sha(v)
+                   for kind, v in kinds.items()}
+            for case, kinds in (sources or emitted_sources()).items()}
+
+
 def test_emitted_sources_match_the_golden_digests():
-    want = json.loads(GOLDEN.read_text())["cases"]
-    got = source_digests()
-    assert set(got) == set(want)
-    for case in want:
-        assert got[case] == want[case], case
-    assert sum("rect" in d for d in want.values()) >= 4
+    sources = emitted_sources()
+    assert source_digests(sources) == json.loads(GOLDEN.read_text())["cases"]
+    # loops on bounds, never on recorded tuples; a rectangle is the case
+    # where the bounds are constants, with every partial sum bound at
+    # the outermost level where it is constant
+    assert not [(case, kind) for case, kinds in sources.items()
+                for kind, src in kinds.items() if "_iters" in src]
+    src = sources["MATMUL-dup-all"]["codegen"]
+    assert "for i2 in range(0, 3 + 1):" in src
+    assert src.count("for ") == 2 and src.index("_h0_") < src.index("for i2")
 
 
 def test_versions_are_the_ones_on_disk_caches_were_written_with():
-    assert emit._VERSION == "cg2"        # rect kernels: hoisted terms
-    assert emit._LIST_VERSION == "cg1"   # list kernels: source unchanged
-    assert storegen._VERSION == "cgs1"
+    assert emit._VERSION == "cg3"        # L' loops from block points
+    assert storegen._VERSION == "cgs2"
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +154,15 @@ class Outcome:
     skipped: int = 0
     traffic: dict = dataclasses.field(default_factory=dict)  # block -> (r, w)
 
-    def tally(self, plan, block, executed, counts):
-        nreads = reads_per_statement(plan.nest)
+    def tally(self, plan, block, out):
+        """``out``: what the kernel returned for this one block's point."""
+        assert (out is None) == (plan.live is None)
+        assert out is None or [row[0] for row in out] == [block.index]
+        executed, reads, writes, skipped = block_tally(
+            block, out and out[0], reads_per_statement(plan.nest))
         self.executed += executed
-        self.traffic[block.index] = (
-            sum(n * r for n, r in zip(counts, nreads)), sum(counts))
-        if plan.live is not None:
-            self.skipped += sum(len(block.iterations) - n for n in counts)
+        self.skipped += skipped
+        self.traffic[block.index] = (reads, writes)
 
 
 def _memories(plan):
@@ -176,7 +184,7 @@ def _kernel(plan, target):
     return compile_kernel(
         emit_iteration_kernel(plan.nest, SCALARS, target,
                               plan.model.space.rank_strides(),
-                              plan.live is not None), target.name)
+                              plan.live is not None, plan.psi), target.name)
 
 
 def _no_remote(k, it):
@@ -199,26 +207,26 @@ def _run_dicts(plan) -> Outcome:
     kernel = _kernel(plan, dict_target(plan.nest))
     mems = _memories(plan)
     out = Outcome(values={b: m.values for b, m in mems.items()}, stamps={})
-    for b in plan.blocks:
-        out.tally(plan, b, *kernel(
-            b.index, b.iterations, mems[b.index].values, out.stamps,
-            _no_remote, plan.live, plan.model.space.rank_of))
+    for b, point in zip(plan.blocks, block_points(plan)):
+        out.tally(plan, b, kernel(
+            [point], mems[b.index].values, out.stamps, _no_remote, plan.live,
+            plan.model.space.rank_of))
     return out
 
 
 def _run_flat_blocks(plan, call) -> Outcome:
     """One private flat buffer per block (both store kernels);
-    ``call(block, idx, vals, stamps)`` runs the kernel on it."""
+    ``call(points, block, idx, vals, stamps)`` runs the kernel on it."""
     mems = _memories(plan)
     out = Outcome(values={}, stamps={})
-    for b in plan.blocks:
+    for b, point in zip(plan.blocks, block_points(plan)):
         idx, nwords = _block_slots(plan, b.index)
         vals = [0.0] * nwords
         stamps = [-1] * nwords
         for name, slots in idx.items():
             for c, p in slots.items():
                 vals[p] = mems[b.index].values[name][c]
-        out.tally(plan, b, *call(b, idx, vals, stamps))
+        out.tally(plan, b, call([point], b, idx, vals, stamps))
         out.values[b.index] = {name: {c: vals[p] for c, p in slots.items()}
                                for name, slots in idx.items()}
         out.stamps.update({(b.index, name, c): stamps[p]
@@ -230,8 +238,8 @@ def _run_flat_blocks(plan, call) -> Outcome:
 def _run_slots(plan) -> Outcome:
     """generic store kernel: coords -> slot dicts over flat views."""
     kernel = _kernel(plan, slot_target(plan.nest))
-    return _run_flat_blocks(plan, lambda b, idx, vals, stamps: kernel(
-        b.index, b.iterations, idx, vals, stamps, _no_remote, plan.live,
+    return _run_flat_blocks(plan, lambda pts, b, idx, vals, stamps: kernel(
+        pts, idx, vals, stamps, _no_remote, plan.live,
         plan.model.space.rank_of))
 
 
@@ -241,14 +249,13 @@ def _run_rects(plan) -> Outcome:
     if not storegen.regions_rectangular(layout):
         pytest.skip("store regions are not rectangular")
     kernel = _kernel(plan, storegen.rect_target(plan.nest))
-    return _run_flat_blocks(plan, lambda b, idx, vals, stamps: kernel(
-        b.index, b.iterations,
-        storegen.block_rect_args(layout, plan.nest, b.index), vals, stamps,
-        plan.live, plan.model.space.rank_of))
+    return _run_flat_blocks(plan, lambda pts, b, idx, vals, stamps: kernel(
+        pts, storegen.block_rect_args(layout, plan.nest, b.index), vals,
+        stamps, plan.live, plan.model.space.rank_of))
 
 
 def _run_lists(plan) -> Outcome:
-    """codegen list: flat grids shared by all blocks."""
+    """codegen: flat grids shared by all blocks, all points at once."""
     try:
         written = check_written_partitioned(plan)
         specs = grid_specs(plan)
@@ -256,49 +263,33 @@ def _run_lists(plan) -> Outcome:
     except CodegenUnsupported as exc:
         pytest.skip(exc.reason)
     kernel = _kernel(plan, emit.list_target(plan.nest, specs))
-    mems = _memories(plan)
-
-    def flat(name, c):
-        spec = specs[name]
-        return sum((v - lo) * s for v, lo, s in zip(c, spec.lo, spec.strides))
-
-    grids = {n: [0.0] * s.size for n, s in specs.items()}
-    stamps = {n: [-1] * specs[n].size for n in written}
-    for m in mems.values():
-        for name, held in m.values.items():
-            for c, v in held.items():
-                grids[name][flat(name, c)] = v
+    store = FlatStore(flat_layout_for(plan), make_arrays(plan.model))
+    mems = store.views({b.index: b.index for b in plan.blocks})
+    stamps = {n: [-1] * len(store.grids[n]) for n in written}
     out = Outcome(values={}, stamps={})
-    blocks = {b.index: b for b in plan.blocks}
-    for bindex, executed, counts in kernel(
-            [(b.index, b.iterations) for b in plan.blocks], grids, stamps,
-            plan.live, plan.model.space.rank_of):
-        out.tally(plan, blocks[bindex], executed, counts)
-    for bindex, m in mems.items():
-        out.values[bindex] = {
-            name: {c: grids[name][flat(name, c)] for c in held}
-            for name, held in m.values.items()}
-        out.stamps.update({
-            (bindex, name, c): stamps[name][flat(name, c)]
-            for name in written for c in m.values[name]
-            if stamps[name][flat(name, c)] >= 0})
+    counted = kernel(block_points(plan), store.grids, stamps, plan.live,
+                     plan.model.space.rank_of)
+    for j, b in enumerate(plan.blocks):
+        out.tally(plan, b, counted and counted[j:j + 1])
+    store.stamps = stamps
+    out.values = {b: m.values for b, m in mems.items()}
+    out.stamps = store.render_stamps()
     return out
 
 
-@pytest.mark.parametrize("run", [_run_dicts, _run_slots, _run_lists,
-                                 _run_rects],
-                         ids=["dicts", "slots", "lists", "rects"])
-@pytest.mark.parametrize("name,fn,strategy,elim", PLANS,
-                         ids=[p[0] for p in PLANS])
+RUNS = {"dicts": _run_dicts, "slots": _run_slots, "lists": _run_lists,
+        "rects": _run_rects}
+#: every plan x target, less the store regions known not to be boxes
+CASES = {f"{p[0]}-{rid}": (*p, run) for p in PLANS
+         for rid, run in RUNS.items()
+         if not (rid == "rects" and p[0].startswith(("STENCIL2D", "DET2")))}
+
+
+@pytest.mark.parametrize("name,fn,strategy,elim,run", CASES.values(),
+                         ids=list(CASES))
 def test_target_matches_interpreter(name, fn, strategy, elim, run):
     plan = build_plan(fn(), strategy=strategy, eliminate_redundant=elim)
-    want = _interp(plan)
-    got = run(plan)
-    assert got.values == want.values
-    assert got.stamps == want.stamps
-    assert got.executed == want.executed
-    assert got.skipped == want.skipped
-    assert got.traffic == want.traffic
+    assert run(plan) == _interp(plan)   # field by field (a dataclass)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +387,7 @@ def _codegen_footprint(plan):
     src = get_disk_cache().load(prog["key"])[1]
     counters = {n: reg.value(n) for n in reg.names()
                 if n.startswith("engine.codegen.")}
-    return prog["mode"], prog["key"], src, counters
+    return prog["key"], src, counters
 
 
 def test_codegen_checks_variable_is_inert(tmp_path, monkeypatch):
@@ -409,4 +400,4 @@ def test_codegen_checks_variable_is_inert(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODEGEN_CHECKS", "1")
     on = _codegen_footprint(plan)
     assert on == off
-    assert off[0] == "list" and "_viol" not in off[2]
+    assert "_viol" not in off[1]

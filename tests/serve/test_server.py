@@ -143,6 +143,18 @@ class TestErrors:
         assert srv.registry.value("serve.errors.internal") == 0
         assert again["ok"]   # the daemon is none the worse
 
+    def test_an_unknown_duplicate_array_is_bad_request(self):
+        with AsyncServer() as srv:
+            resp = run(srv.handle(frame(op="plan", nest="L1",
+                                        duplicate_arrays=("Z",))))
+            again = run(srv.handle(frame(op="status")))
+        assert resp["error"] == {
+            "kind": "bad-request",
+            "reason": "unknown arrays in duplicate_arrays: ['Z'] "
+                      "(the nest's arrays: A, B, C)"}
+        assert srv.registry.value("serve.errors.internal") == 0
+        assert again["ok"]   # the daemon stays up
+
     @pytest.mark.parametrize("case", sorted(WRONG_TYPED))
     def test_a_wrong_typed_field_is_answered_and_counted(self, case):
         with AsyncServer() as srv:

@@ -198,6 +198,12 @@ class TestInputErrors:
             "STENCIL2D, TRI"),
         "no-input": (
             ("verify",), "repro: give a source file or --loop NAME"),
+        **{f"no-processors-{argv[0]}": (
+            argv, f"repro: --processors must be >= 1 (got {argv[-1]})")
+           for argv in [("select", "--loop", "L1", "-p", "0"),
+                        ("report", "--loop", "L1", "-p", "0"),
+                        ("program", "no-such-file", "-p", "0"),
+                        ("transform", "--loop", "L1", "-p", "-2")]},
     }
 
     @pytest.mark.parametrize("case", sorted(USAGE))
@@ -213,6 +219,17 @@ class TestInputErrors:
         code, text = run(*argv)
         assert code == 2 and text == ""
         assert capsys.readouterr().err == want + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_duplicate_array_names_the_nests_arrays(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_BLACKBOX_DIR", str(tmp_path))
+        code, text = run("transform", "--loop", "L1",
+                         "--duplicate-arrays", "Z")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "repro: unknown arrays in duplicate_arrays: ['Z'] "
+            "(the nest's arrays: A, B, C)\n")
         assert list(tmp_path.iterdir()) == []
 
     #: every file a command writes when it is done, on every command

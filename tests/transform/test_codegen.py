@@ -1,43 +1,27 @@
 """Code generation: pseudocode and executable Python."""
 
-import itertools
-
 import pytest
 
 from repro.core import Strategy, build_plan
 from repro.lang import catalog, parse
 from repro.ratlinalg import Subspace
 from repro.runtime import make_arrays, run_sequential
+from repro.runtime.engine.lowering import emit_iteration_kernel
 from repro.transform import compile_nest, to_pseudocode, transform_nest
-from repro.transform.codegen import to_python_source
+from repro.transform.codegen import array_target
 
 
-class DictArrays(dict):
-    """Tuple-indexed auto-zero arrays for generated code."""
-
-    def __missing__(self, key):
-        return 0.0
+def kernel_source(nest, psi):
+    """What ``compile_nest`` compiles: the one emitter's L'."""
+    zero = (0,) * nest.depth
+    return emit_iteration_kernel(nest, {}, array_target(nest),
+                                 (zero, zero), False, psi)
 
 
 def run_generated(nest, psi, scalars=None):
-    t = transform_nest(nest, psi)
-    fn = compile_nest(t)
-    plan_model = build_plan(nest).model
-
-    initial = make_arrays(plan_model)
-
-    class View:
-        def __init__(self, ds):
-            self.ds = ds
-
-        def __getitem__(self, c):
-            return self.ds[c]
-
-        def __setitem__(self, c, v):
-            self.ds[c] = v
-
+    initial = make_arrays(build_plan(nest).model)
     got = {n: a.copy() for n, a in initial.items()}
-    fn({n: View(a) for n, a in got.items()}, scalars or {})
+    compile_nest(transform_nest(nest, psi))(got, scalars)
     expected = {n: a.copy() for n, a in initial.items()}
     run_sequential(nest, expected, scalars=scalars)
     return got, expected
@@ -68,22 +52,20 @@ class TestPseudocode:
 
 class TestPythonSource:
     def test_source_compiles(self, l4):
-        plan = build_plan(l4)
-        t = transform_nest(l4, plan.psi)
-        src = to_python_source(t, "f")
+        src = kernel_source(l4, build_plan(l4).psi)
         compile(src, "<test>", "exec")
-        assert "def f(arrays, scalars=None):" in src
+        assert "def _nest_kernel(_points, _arrays, _live, _rank_of):" in src
+        # two forall coordinates in, one Fourier-Motzkin inner loop
+        assert "(_bindex, _u0, _u1) = _pt" in src
+        assert src.count("for ") == 2 and "for i0 in range(max(" in src
 
     def test_divisibility_guard_when_non_unimodular(self):
         nest = parse("for i = 1 to 4 { for j = 1 to 4 { A[i, j] = 1; } }")
-        t = transform_nest(nest, Subspace(2, [[2, -1]]))
-        src = to_python_source(t)
-        assert "% 2: continue" in src or "% 2:" in src
+        assert "% 2: continue" in kernel_source(
+            nest, Subspace(2, [[2, -1]]))
 
     def test_no_guard_when_unimodular(self, l4):
-        plan = build_plan(l4)
-        t = transform_nest(l4, plan.psi)
-        assert "continue" not in to_python_source(t)
+        assert "continue" not in kernel_source(l4, build_plan(l4).psi)
 
 
 class TestExecutionEquivalence:
@@ -96,8 +78,7 @@ class TestExecutionEquivalence:
         nest = fn()
         plan = build_plan(nest, **kwargs)
         got, expected = run_generated(nest, plan.psi)
-        for name in expected:
-            assert got[name] == expected[name], name
+        assert got == expected
 
     def test_generated_equals_sequential_l5(self):
         nest = catalog.l5(3)

@@ -3,16 +3,48 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Strategy, build_plan
 from repro.lang import catalog, parse
 from repro.ratlinalg import Subspace
 from repro.transform import transform_nest
+from tests.strategies import PLAN_KWARGS, loop_nests
 
 
 def tnest_for(nest, **plan_kwargs):
     plan = build_plan(nest, **plan_kwargs)
     return plan, transform_nest(nest, plan.psi)
+
+
+def assert_closed_form_is_the_partition(plan):
+    """Per block of the enumerating partition, L''s inner loops at its
+    forall point yield its iterations, in order; points are distinct."""
+    t = transform_nest(plan.nest, plan.psi)
+    points = [t.block_of_iteration(b.base_point) for b in plan.blocks]
+    assert len(set(points)) == len(points)
+    for b, point in zip(plan.blocks, points):
+        assert tuple(t.iterations_of_block(point)) == b.iterations
+
+
+#: the catalog (TRI: a non-rectangular space) and Psi = span{(2, -1)},
+#: where |det M| = 2 and half of L''s inner points are no iteration
+NESTS = {**catalog.ALL_LOOPS, "DET2": lambda: parse(
+    "for i = 1 to 6 { for j = 1 to 6 { A[i, j] = A[i-2, j+1] + 1; } }")}
+
+
+class TestClosedFormIsTheEnumeration:
+    @pytest.mark.parametrize("name", sorted(NESTS))
+    def test_catalog_and_non_unimodular(self, name):
+        for kwargs in PLAN_KWARGS:
+            assert_closed_form_is_the_partition(
+                build_plan(NESTS[name](), **kwargs))
+
+    @given(loop_nests(), st.sampled_from(PLAN_KWARGS))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_nests(self, nest, kwargs):
+        assert_closed_form_is_the_partition(build_plan(nest, **kwargs))
 
 
 class TestL4:
@@ -31,15 +63,7 @@ class TestL4:
         assert got == sorted(itertools.product(range(1, 5), repeat=3))
 
     def test_blocks_agree_with_partition(self, l4):
-        plan, t = tnest_for(l4)
-        for blk in t.iterate_blocks():
-            its = list(t.iterations_of_block(blk))
-            if not its:
-                continue
-            plan_ids = {plan.block_of(it) for it in its}
-            assert len(plan_ids) == 1
-            # the plan block with this id has exactly these iterations
-            assert set(plan.blocks[plan_ids.pop()].iterations) == set(its)
+        assert_closed_form_is_the_partition(build_plan(l4))
 
     def test_intra_block_lexicographic(self, l4):
         _, t = tnest_for(l4)

@@ -10,9 +10,9 @@ from repro.transform import (
     compile_spmd,
     iterations_of_processor,
     to_spmd_pseudocode,
-    to_spmd_python_source,
     transform_nest,
 )
+from repro.transform.spmd import points_of_processor
 
 
 def setup(fn=catalog.l4, p=4, **plan_kwargs):
@@ -65,41 +65,27 @@ class TestGeneratedCode:
         nest, plan, t, grid = setup(fn, p, **plan_kwargs)
         run_pe = compile_spmd(t, grid)
         arrays = make_arrays(plan.model)
-
-        class View:
-            def __init__(self, ds):
-                self.ds = ds
-
-            def __getitem__(self, c):
-                return self.ds[c]
-
-            def __setitem__(self, c, v):
-                self.ds[c] = v
-
         got = {n: a.copy() for n, a in arrays.items()}
-        views = {n: View(a) for n, a in got.items()}
         for proc in grid.coords():
-            run_pe(proc, views, {})
+            run_pe(proc, got, {})
         expected = {n: a.copy() for n, a in arrays.items()}
         run_sequential(nest, expected)
         return got, expected
 
     def test_l4_all_processors_equal_sequential(self):
         got, expected = self._run_all_processors()
-        for n in expected:
-            assert got[n] == expected[n]
+        assert got == expected
 
     def test_l1_on_two_processors(self):
         got, expected = self._run_all_processors(catalog.l1, p=2)
-        for n in expected:
-            assert got[n] == expected[n]
+        assert got == expected
 
-    def test_source_compiles_and_has_start_formula(self):
+    def test_processor_shares_partition_the_forall_points(self):
         nest, plan, t, grid = setup()
-        src = to_spmd_python_source(t, grid)
-        compile(src, "<spmd>", "exec")
-        assert "% 2" in src and "range(" in src
-        assert "def run_pe(proc, arrays, scalars=None):" in src
+        shares = {p: points_of_processor(t, grid, p) for p in grid.coords()}
+        assert sorted(sum(shares.values(), [])) == sorted(t.iterate_blocks())
+        for proc, share in shares.items():
+            assert all((u0 % 2, u1 % 2) == proc for u0, u1 in share)
 
     def test_single_processor_runs_everything(self):
         nest, plan, t, _ = setup()
