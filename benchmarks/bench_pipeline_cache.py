@@ -16,11 +16,7 @@ from time import perf_counter
 
 from repro.analysis import analyze_redundancy, extract_references
 from repro.core import Strategy, partitioning_space
-from repro.core.partition import (
-    all_data_partitions,
-    block_index_map,
-    iteration_partition,
-)
+from repro.core.partition import all_data_partitions, iteration_partition
 from repro.core.plan import PartitionPlan
 from repro.lang import catalog
 from repro.pipeline import PipelineConfig, PlanCache, run_pipeline
@@ -46,8 +42,7 @@ def _hand_sequenced(nest, strategy=Strategy.NONDUPLICATE, eliminate=False):
     live = redundancy.live if redundancy is not None else None
     data_blocks = all_data_partitions(model, blocks, live=live)
     return PartitionPlan(nest=nest, model=model, breakdown=breakdown,
-                         blocks=blocks, data_blocks=data_blocks,
-                         _block_of=block_index_map(blocks))
+                         blocks=blocks, data_blocks=data_blocks)
 
 
 def test_cold_vs_warm_compile(benchmark):

@@ -11,55 +11,39 @@ the convolution and DFT kernels through the pipeline:
   parallelizes fully across outputs;
 - the blocks are mapped cyclically onto a fixed-size machine and the
   workload balance is reported;
-- the host-to-node distribution is simulated on a mesh to show the
-  communication cost structure of the duplicate strategy.
+- the plan is run on the simulated mesh (``Session.machine``): the host
+  scatters what one processor holds, multicasts what several share and
+  broadcasts what all do, so the message log shows the communication
+  cost structure of the duplicate strategy.
 
 Run:  python examples/signal_workloads.py
 """
 
-from repro import (
-    Strategy,
-    build_plan,
-    catalog,
-    transform_nest,
-    verify_plan,
-)
-from repro.machine import Mesh2D, Multicomputer, TRANSPUTER
-from repro.machine.distribution import broadcast_array, scatter_slices
+from repro import Session, Strategy, catalog, transform_nest
 from repro.mapping import assign_blocks, shape_grid, workload_stats
-from repro.runtime import make_arrays
 
 
 def study(name: str, nest, p: int) -> None:
     print(f"== {name} ==")
-    plan = build_plan(nest, Strategy.DUPLICATE)
-    rep = verify_plan(plan).raise_on_failure()
-    print(f"Psi = {plan.psi!r}; {plan.num_blocks} independent blocks; "
-          f"remote accesses {rep.remote_accesses}")
+    with Session(nest, Strategy.DUPLICATE) as session:
+        plan = session.plan()
+        rep = session.verify().raise_on_failure()
+        print(f"Psi = {plan.psi!r}; {plan.num_blocks} independent blocks; "
+              f"remote accesses {rep.remote_accesses}")
 
-    tnest = transform_nest(nest, plan.psi)
-    grid = shape_grid(p, tnest.k)
-    assignment = assign_blocks(tnest, grid)
-    print(f"on {p} processors (grid {grid.dims}): "
-          f"{workload_stats(assignment).summary()}")
+        tnest = transform_nest(nest, plan.psi)
+        grid = shape_grid(p, tnest.k)
+        assignment = assign_blocks(tnest, grid)
+        print(f"on {p} processors (grid {grid.dims}): "
+              f"{workload_stats(assignment).summary()}")
 
-    # simulated initial distribution: accumulators scattered (private),
-    # read-only inputs broadcast (replicated everywhere)
-    machine = Multicomputer(Mesh2D(1, p), cost=TRANSPUTER)
-    arrays = make_arrays(plan.model)
-    model = plan.model
-    written = {ref.array for info in model.arrays.values()
-               for ref in info.references if ref.is_write}
-    for arr_name, ds in arrays.items():
-        coords = list(ds.coords_iter())
-        if arr_name in written:
-            pieces = {pid: coords[pid::p] for pid in range(p)}
-            scatter_slices(machine, arr_name, pieces, init=lambda c, d=ds: d[c])
-        else:
-            broadcast_array(machine, arr_name, coords, init=lambda c, d=ds: d[c])
-    st = machine.stats()
+        # simulated run: accumulators arrive by scatter (private), the
+        # read-only inputs by multicast / broadcast (replicated)
+        run = session.machine(p)
+    st = run.stats
     print(f"distribution: {st.messages} messages, {st.words_sent} words, "
-          f"{st.distribution_time * 1e3:.2f} ms simulated\n")
+          f"{st.distribution_time * 1e3:.2f} ms simulated; "
+          f"{run.summary()}\n")
 
 
 def main() -> None:

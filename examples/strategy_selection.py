@@ -1,30 +1,22 @@
 #!/usr/bin/env python3
-"""Automatic strategy selection and multi-loop programs.
+"""Automatic strategy selection.
 
 The paper closes Section IV observing that "determining which kind of
 duplication of array is suitable for replicating their referenced data
-can be appropriately estimated".  This example does exactly that:
-
-1. the cost-based selector ranks every duplication choice for matmul
-   (reproducing the L5 < L5' < L5'' verdict of Tables I-II) and for
-   L3 with redundancy elimination;
-2. a two-phase program (stencil, then a transposed consumer) is planned
-   phase by phase, with the inter-phase *reallocation* traffic -- the
-   only communication a per-loop communication-free program pays --
-   quantified exactly;
-3. both are verified against sequential execution.
+can be appropriately estimated".  This example does exactly that: the
+cost-based selector ranks every duplication choice for matmul
+(reproducing the L5 < L5' < L5'' verdict of Tables I-II) and for L3
+with redundancy elimination.
 
 Run:  python examples/strategy_selection.py
 """
 
-from repro import catalog, parse
+from repro import catalog
 from repro.machine.cost import TRANSPUTER
 from repro.perf import choose_strategy
-from repro.program import Program, plan_program, verify_program
 
 
 def main() -> None:
-    # --- 1. strategy selection for matmul ------------------------------
     print("== strategy ranking: matmul (M=16, p=16, Transputer costs) ==")
     result = choose_strategy(catalog.l5(16), p=16, cost=TRANSPUTER)
     print(result.table())
@@ -34,30 +26,7 @@ def main() -> None:
     result = choose_strategy(catalog.l3(8), p=4, cost=TRANSPUTER,
                              consider_elimination=True)
     print(result.table())
-    print(f"selected: {result.best.label}\n")
-
-    # --- 2. multi-loop program with reallocation ----------------------
-    stencil = parse("""
-      for i = 1 to 8 { for j = 1 to 8 {
-        U[i, j] = U[i - 1, j - 1] + F[i, j];
-      } }
-    """, name="STENCIL")
-    consumer = parse("""
-      for i = 1 to 8 { for j = 1 to 8 {
-        V[j, i] = U[i, j] * 2;
-      } }
-    """, name="TRANSPOSE-CONSUME")
-    program = Program(nests=[stencil, consumer], name="stencil-then-consume")
-    pplan = plan_program(program, p=4, cost=TRANSPUTER)
-    print("== two-phase program plan ==")
-    print(pplan.summary())
-    r = pplan.reallocations[0]
-    print(f"\nreallocation detail: {r.moved_words} words over "
-          f"{r.messages} processor pairs, locality {r.locality:.0%}")
-
-    # --- 3. verification -------------------------------------------------
-    v = verify_program(pplan)
-    print(f"\nphase-parallel result identical to sequential: {v.ok}")
+    print(f"selected: {result.best.label}")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "perf": ("run_study", "table1_rows", "table2_rows"),
     "pipeline": (
         "PipelineConfig", "PipelineContext", "PassManager",
-        "default_manager", "run_pipeline",
+        "run_pipeline",
     ),
     "runtime": (
         "make_arrays", "run_parallel", "run_sequential", "verify_plan",

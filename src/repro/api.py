@@ -3,8 +3,8 @@
 Two layers.  The plan-level functions (``build_plan``,
 ``run_sequential``, ``run_parallel``, ``verify_plan``, ``audit_plan``,
 ``run_on_machine``) take a :class:`~repro.core.plan.PartitionPlan` --
-a custom ``block_to_pid``, a sabotaged plan, a program phase.  This
-module is the layer above them, for callers that hold a *nest*:
+a custom ``block_to_pid``, a sabotaged plan.  This module is the layer
+above them, for callers that hold a *nest*:
 
 - :class:`RunOptions` -- one dataclass holding the execution kwargs
   (backend, chaos, tracing) the plan-level functions share;
@@ -212,14 +212,9 @@ class Session:
         can render them.
         """
         if self._plan is None:
-            from repro.obs.top import current_writer
             from repro.pipeline.context import PipelineConfig
             from repro.pipeline.passes import run_pipeline
 
-            writer = current_writer()
-            if writer is not None:
-                writer.write({"phase": "plan",
-                              "case": self.nest.name or "?"})
             with self._scope(), self.tracer.span(
                     "session.plan", category="session", coarse=True,
                     case=self.nest.name or "?",
@@ -244,36 +239,9 @@ class Session:
                 "session.run", category="session", coarse=True,
                 case=self.nest.name or "?",
                 backend=backend or self.options.backend or "default"):
-            result = run_parallel(self.plan(), scalars=self.scalars,
-                                  backend=backend, options=self.options,
-                                  **kwargs)
-        self._snapshot_done(result)
-        return result
-
-    def _snapshot_done(self, result) -> None:
-        """Final ``repro top`` frame for a finished run: progress full,
-        the communication-optimality gauge computed from the run's
-        actual access counts."""
-        from repro.obs.top import (comm_optimality, current_writer,
-                                   registry_stats)
-
-        writer = current_writer()
-        if writer is None:
-            return
-        memories = getattr(result, "memories", None) or {}
-        total = sum(m.reads + m.writes for m in memories.values())
-        remote = getattr(result, "remote_accesses", 0)
-        nblocks = len(getattr(result, "plan", self._plan).blocks)
-        writer.write({
-            "registry": registry_stats(self.registry),
-            "phase": "done",
-            "case": self.nest.name or "?",
-            "backend": getattr(result, "backend", "?"),
-            "units": 1, "units_done": 1,
-            "blocks": nblocks, "blocks_done": nblocks,
-            "comm_optimality": comm_optimality(total, remote),
-            "remote_accesses": remote,
-        })
+            return run_parallel(self.plan(), scalars=self.scalars,
+                                backend=backend, options=self.options,
+                                **kwargs)
 
     def run_sequential(self):
         """Run the nest sequentially (the golden model, whatever the

@@ -12,8 +12,4 @@ from repro._lazy import lazy_surface
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "hyperplane": ("HyperplaneResult", "hyperplane_partition"),
-    "naive": (
-        "MotivationComparison", "NaiveResult", "compare_with_commfree",
-        "naive_partition",
-    ),
 })

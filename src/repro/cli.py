@@ -8,7 +8,6 @@
     python -m repro audit     <file|--loop L1> [...]   communication audit
     python -m repro chaos     [--crash-prob 0.2 ...]   fault-injected run
     python -m repro blackbox  [FILE]                   post-mortem ring dump
-    python -m repro top       [--once]                 live run dashboard
     python -m repro figures                            regenerate Figs. 1-10
     python -m repro tables                             Tables I & II
 
@@ -33,7 +32,6 @@ Independent of all flags, coarse records stay in a bounded ring
 (:mod:`repro.obs.trace`) that any unhandled failure -- an unrecoverable
 scheduler, a collapsed pool, a failed chaos certification, a crash --
 dumps as a ``repro-blackbox-*.json`` that ``repro blackbox`` renders.
-``REPRO_TOP_SNAPSHOT=FILE`` publishes snapshots ``repro top`` tails.
 """
 
 from __future__ import annotations
@@ -255,26 +253,6 @@ def cmd_select(args, out) -> int:
     print(f"\nbest: {result.best.label} "
           f"({result.best.blocks} blocks)", file=out)
     return 0
-
-
-def cmd_program(args, out) -> int:
-    from repro.lang import parse_multi
-    from repro.machine.cost import TRANSPUTER
-    from repro.program import Program, plan_program, verify_program
-
-    with open(args.file) as fh:
-        nests = parse_multi(fh.read())
-    program = Program(nests=nests, name=args.file)
-    config = _config(args)
-    strategy = config.strategy if args.duplicate else None
-    pplan = plan_program(program, p=args.processors, cost=TRANSPUTER,
-                         strategy=strategy,
-                         consider_elimination=config.eliminate_redundant)
-    print(pplan.summary(), file=out)
-    verification = verify_program(pplan, scalars=config.scalars_dict() or None)
-    print(f"phase-parallel == sequential: {verification.ok}", file=out)
-    return _finish(verification.ok, "program verification failed: "
-                   "phase-parallel != sequential")
 
 
 def cmd_report(args, out) -> int:
@@ -524,16 +502,6 @@ def cmd_blackbox(args, out) -> int:
     return 0
 
 
-def cmd_top(args, out) -> int:
-    """Tail a run's live snapshot file as an ASCII dashboard."""
-    from repro.obs.top import run_top
-
-    return run_top(path=args.snapshot,
-                   interval_s=args.interval,
-                   iterations=1 if args.once else args.iterations,
-                   out=out)
-
-
 def cmd_figures(args, out) -> int:
     from repro.viz import figures as figmod
 
@@ -690,17 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eliminate", action="store_true")
     p.set_defaults(fn=cmd_select)
 
-    p = add_subparser("program",
-                      help="plan + verify a multi-loop program file")
-    p.add_argument("file", help="program file (sequence of loop nests)")
-    p.add_argument("-p", "--processors", type=int, default=4)
-    p.add_argument("--duplicate", action="store_true",
-                   help="force the duplicate strategy for every phase")
-    p.add_argument("--eliminate", action="store_true",
-                   help="let the per-phase selector consider elimination")
-    p.add_argument("--scalars", help="bindings, e.g. 'D=2,F=3'")
-    p.set_defaults(fn=cmd_program)
-
     p = add_subparser("report", help="full pipeline report for one loop")
     add_loop_args(p)
     p.add_argument("-p", "--processors", type=int, default=16)
@@ -768,20 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ring entries to show (default 40)")
     p.set_defaults(fn=cmd_blackbox)
 
-    p = add_subparser("top",
-                      help="live ASCII dashboard over a run's snapshot "
-                           "file (set REPRO_TOP_SNAPSHOT on the run)")
-    p.add_argument("--snapshot", metavar="FILE",
-                   help="snapshot path (default: $REPRO_TOP_SNAPSHOT "
-                        "or .repro-top.json)")
-    p.add_argument("--interval", type=float, default=1.0, metavar="S",
-                   help="refresh interval in seconds (default 1.0)")
-    p.add_argument("--once", action="store_true",
-                   help="render a single frame and exit")
-    p.add_argument("--iterations", type=int, default=None, metavar="N",
-                   help="render N frames then exit (default: forever)")
-    p.set_defaults(fn=cmd_top)
-
     p = add_subparser("figures", help="regenerate Figures 1-10")
     p.set_defaults(fn=cmd_figures)
 
@@ -799,13 +742,14 @@ def _input_error(args, exc: Exception) -> Optional[str]:
     """The one-line reason if ``exc`` is an error in what the user handed
     us -- a command line that cannot be run, a nest file that is missing
     or does not parse, a subscript outside the model, a scalar left
-    unbound -- else ``None``: a crash."""
+    unbound, a fault plan that cannot be -- else ``None``: a crash."""
     if isinstance(exc, UsageError):
         return str(exc)
     from repro.analysis.references import NonUniformReferenceError
     from repro.core.strategy import UnknownArrayError
     from repro.lang.lexer import LexError
     from repro.lang.parser import ParseError
+    from repro.runtime.scheduler.faults import ChaosSpecError
     from repro.runtime.seq import UnboundScalarError
 
     if isinstance(exc, UnboundScalarError):
@@ -814,19 +758,21 @@ def _input_error(args, exc: Exception) -> Optional[str]:
             and exc.filename == getattr(args, "file", None):
         return f"cannot read {exc.filename}: {exc.strerror}"
     if isinstance(exc, (LexError, ParseError, NonUniformReferenceError,
-                        UnknownArrayError)):
+                        UnknownArrayError, ChaosSpecError)):
         return str(exc)
     return None
 
 
 def _refusal(args) -> Optional[str]:
     """Why this command line cannot be run, found out before anything is
-    planned: an unknown backend, a machine of no processors, or a file
-    the command is to write when the work is done that cannot be
-    written."""
+    planned: an unknown backend, a machine of no processors, a matmul of
+    no size, or a file the command is to write when the work is done
+    that cannot be written."""
     p = getattr(args, "processors", 1)
     if p < 1 and (p, args.command) != (0, "transform"):  # 0: no SPMD listing
         return f"--processors must be >= 1 (got {p})"
+    if getattr(args, "matmul", 1) < 1:
+        return f"--matmul must be >= 1 (got {args.matmul})"
     if getattr(args, "backend", None) is not None:
         from repro.runtime.engine.base import unknown_backend
 

@@ -40,9 +40,6 @@ KNOBS: dict[str, Knob] = {
         "(unset: the working directory)"),
     "REPRO_SERVE_SOCKET": Knob(None, str,
         "daemon socket path (unset: `<cache-root>/serve.sock`)"),
-    "REPRO_TOP_SNAPSHOT": Knob(None, str,
-        "file that runs publish live snapshots to and `repro top` reads "
-        "(unset: no snapshots)"),
     "REPRO_NO_NUMPY": Knob(False, bool,
         "any value: behave as if numpy were not installed (no `vectorized` "
         "tier, no shared-memory store)"),

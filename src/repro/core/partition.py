@@ -78,15 +78,6 @@ def iteration_partition(space: IterationSpace, psi: Subspace) -> list[IterationB
     ]
 
 
-def block_index_map(blocks: list[IterationBlock]) -> dict[tuple[int, ...], int]:
-    """iteration -> block index lookup."""
-    out: dict[tuple[int, ...], int] = {}
-    for b in blocks:
-        for it in b.iterations:
-            out[it] = b.index
-    return out
-
-
 def data_partition(
     model: ReferenceModel,
     blocks: list[IterationBlock],

@@ -18,7 +18,7 @@ result:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.analysis.references import ReferenceModel
@@ -38,7 +38,6 @@ class PartitionPlan:
     breakdown: SpaceBreakdown
     blocks: list[IterationBlock]
     data_blocks: dict[str, list[DataBlock]]
-    _block_of: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
 
     @property
     def psi(self) -> Subspace:
@@ -63,7 +62,23 @@ class PartitionPlan:
         return len(self.blocks)
 
     def block_of(self, iteration) -> int:
-        return self._block_of[tuple(iteration)]
+        """Index of the block holding ``iteration``.
+
+        The reverse index is derived from ``blocks`` on first use and
+        again whenever ``blocks`` stops holding the block objects it was
+        derived from (the negative tests rewrite block slots); it is no
+        field: never compared, copied or pickled.
+        """
+        held, index = getattr(self, "_index", (None, None))
+        if held != self.blocks:                      # pointer compares
+            index = {it: b.index for b in self.blocks for it in b.iterations}
+            self._index = (list(self.blocks), index)
+        return index[tuple(iteration)]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_index", None)
+        return state
 
     def owners_of_element(self, array: str, element: tuple[int, ...]) -> list[int]:
         """Block indices whose data block holds ``element`` (1 for non-dup)."""

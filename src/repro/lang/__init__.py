@@ -30,7 +30,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     ),
     "affine": ("AffineExpr", "NotAffineError", "affine_of"),
     "lexer": ("Lexer", "LexError", "Token", "TokenType", "tokenize"),
-    "parser": ("ParseError", "Parser", "parse", "parse_multi"),
+    "parser": ("ParseError", "Parser", "parse"),
     "printer": ("to_source",),
     "space": ("IterationSpace",),
     "builder": ("builder",),

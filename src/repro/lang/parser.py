@@ -204,20 +204,3 @@ class Parser:
 def parse(source: str, name: str = "") -> LoopNest:
     """Parse mini-language source into a :class:`LoopNest`."""
     return Parser(source).parse_program(name=name)
-
-
-def parse_multi(source: str, name_prefix: str = "PHASE") -> list[LoopNest]:
-    """Parse a *program file*: a sequence of top-level loop nests.
-
-    Each nest becomes one phase of a multi-loop program (see
-    :mod:`repro.program`); phases are named ``PHASE1, PHASE2, ...``
-    unless ``name_prefix`` says otherwise.
-    """
-    parser = Parser(source)
-    nests: list[LoopNest] = []
-    while not parser._at(TokenType.EOF):
-        nests.append(parser.parse_loop(name=f"{name_prefix}{len(nests) + 1}"))
-    parser._expect(TokenType.EOF)
-    if not nests:
-        raise ParseError("program file contains no loops")
-    return nests

@@ -66,6 +66,23 @@ class IterationSpace:
             self._points_cache = list(self.iterate())
         return self._points_cache
 
+    def _rank_table(self) -> tuple:
+        """``("rect", los, his, strides)`` or ``("map", {point: rank})``,
+        derived once."""
+        if self._rank_cache is None:
+            if self.is_rectangular():
+                los, his = self.bounding_box()   # the bounds themselves
+                stride = 1
+                strides = [0] * self.depth
+                for k in range(self.depth - 1, -1, -1):
+                    strides[k] = stride
+                    stride *= max(0, his[k] - los[k] + 1)
+                self._rank_cache = ("rect", los, his, tuple(strides))
+            else:
+                self._rank_cache = (
+                    "map", {p: r for r, p in enumerate(self.points())})
+        return self._rank_cache
+
     def rank_of(self, point) -> int:
         """Lexicographic rank of ``point`` within the space.
 
@@ -76,27 +93,9 @@ class IterationSpace:
         outside the space, so callers can use it as a membership check.
         """
         pt = tuple(int(x) for x in point)
-        if self._rank_cache is None:
-            if self.is_rectangular():
-                los, his, strides = [], [], []
-                for k in range(self.depth):
-                    lo, hi = self.bounds_at((), k)
-                    los.append(lo)
-                    his.append(hi)
-                extents = [max(0, h - l + 1) for l, h in zip(los, his)]
-                stride = 1
-                strides = [0] * self.depth
-                for k in range(self.depth - 1, -1, -1):
-                    strides[k] = stride
-                    stride *= extents[k]
-                self._rank_cache = ("rect", tuple(los), tuple(his),
-                                    tuple(strides))
-            else:
-                self._rank_cache = (
-                    "map", {p: r for r, p in enumerate(self.points())})
-        kind = self._rank_cache[0]
+        kind, *table = self._rank_table()
         if kind == "rect":
-            _, los, his, strides = self._rank_cache
+            los, his, strides = table
             if len(pt) != self.depth:
                 raise ValueError(f"rank_of: {pt} has wrong depth")
             rank = 0
@@ -106,22 +105,19 @@ class IterationSpace:
                 rank += (v - lo) * s
             return rank
         try:
-            return self._rank_cache[1][pt]
+            return table[0][pt]
         except KeyError:
             raise ValueError(f"rank_of: {pt} outside the space") from None
 
     def rank_strides(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """``(los, strides)`` of the closed-form rank, or ``None`` if the
         space is not rectangular.  Used by the compiled/vectorized
-        engines to inline write-stamp computation."""
-        if self._rank_cache is None or self._rank_cache[0] != "rect":
-            if not self.is_rectangular():
-                return None
-            self.rank_of(tuple(self.bounds_at((), k)[0]
-                               for k in range(self.depth)))
-        if self._rank_cache[0] != "rect":
+        engines to inline write-stamp computation.  An empty space has
+        them too: they come from the bounds, no point is ranked."""
+        kind, *table = self._rank_table()
+        if kind != "rect":
             return None
-        _, los, _his, strides = self._rank_cache
+        los, _his, strides = table
         return los, strides
 
     def size(self) -> int:

@@ -114,68 +114,3 @@ class Mesh2D(Topology):
 
     def describe(self) -> str:
         return f"Mesh2D({self.rows}x{self.cols})"
-
-
-class RingTopology(Topology):
-    def __init__(self, num_nodes: int):
-        edges = [(i, (i + 1) % num_nodes) for i in range(num_nodes)]
-        if num_nodes == 1:
-            edges = []
-        super().__init__(num_nodes, edges)
-
-
-class StarTopology(Topology):
-    """All nodes attached to node 0 (host also at node 0)."""
-
-    def __init__(self, num_nodes: int):
-        super().__init__(num_nodes, [(0, i) for i in range(1, num_nodes)])
-
-
-class CompleteTopology(Topology):
-    def __init__(self, num_nodes: int):
-        edges = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)]
-        super().__init__(num_nodes, edges)
-
-
-class Hypercube(Topology):
-    """A ``2^dim``-node binary hypercube (Transputer-era alternative).
-
-    Nodes are adjacent iff their ids differ in exactly one bit; hop
-    distance is Hamming distance, diameter ``dim``.
-    """
-
-    def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("hypercube dimension must be >= 0")
-        self.dim = dim
-        n = 1 << dim
-        edges = [(i, i ^ (1 << b)) for i in range(n) for b in range(dim)
-                 if i < (i ^ (1 << b))]
-        super().__init__(n, edges)
-
-    def describe(self) -> str:
-        return f"Hypercube(dim={self.dim}, p={self.num_nodes})"
-
-
-class Torus2D(Topology):
-    """A 2-D torus (mesh with wrap-around links): halves the diameter."""
-
-    def __init__(self, rows: int, cols: int):
-        self.rows, self.cols = rows, cols
-        edges = set()
-        for r in range(rows):
-            for c in range(cols):
-                n = r * cols + c
-                right = r * cols + (c + 1) % cols
-                down = ((r + 1) % rows) * cols + c
-                if right != n:
-                    edges.add((min(n, right), max(n, right)))
-                if down != n:
-                    edges.add((min(n, down), max(n, down)))
-        super().__init__(rows * cols, sorted(edges))
-
-    def coords(self, node: int) -> tuple[int, int]:
-        return divmod(node, self.cols)
-
-    def describe(self) -> str:
-        return f"Torus2D({self.rows}x{self.cols})"

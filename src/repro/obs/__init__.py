@@ -29,9 +29,7 @@ simulate (machine distribution/compute phases):
   ``repro blackbox``;
 - :mod:`~repro.obs.profile`: the thread-based sampling profiler behind
   ``--profile`` (collapsed-stack flamegraphs, Chrome sample tracks,
-  per-subsystem attribution);
-- :mod:`~repro.obs.top`: the periodic run-snapshot writer, the
-  communication-optimality gauge and the live ``repro top`` dashboard.
+  per-subsystem attribution).
 
 Every CLI subcommand accepts ``--trace FILE``, ``--metrics``,
 ``--metrics-out FILE``, ``--events FILE`` and ``--profile FILE``; see
@@ -62,10 +60,6 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     ),
     "profile": ("SamplingProfiler",),
     "schema": ("CHROME_TRACE_SCHEMA", "validate_chrome_trace"),
-    "top": (
-        "SnapshotWriter", "comm_optimality", "current_writer",
-        "render_top", "run_top",
-    ),
     "trace": (
         "NULL_SPAN", "NULL_TRACER", "Event", "Span", "Tracer",
         "current_tracer", "use_tracer",

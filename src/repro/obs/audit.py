@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.core.partition import DataBlock, block_index_map, iteration_partition
+from repro.core.partition import DataBlock, iteration_partition
 from repro.core.plan import PartitionPlan
 from repro.core.strategy import Strategy
 from repro.machine.memory import RemoteAccessError
@@ -487,7 +487,7 @@ def inject_violation(plan: PartitionPlan) -> PartitionPlan:
     model = plan.model
     psi0 = Subspace.zero(model.nest.depth)
     blocks = iteration_partition(model.space, psi0)
-    bmap = block_index_map(blocks)
+    bmap = {b.base_point: b.index for b in blocks}   # one iteration each
     live = plan.live
 
     data_blocks: dict[str, list[DataBlock]] = {}
@@ -508,7 +508,7 @@ def inject_violation(plan: PartitionPlan) -> PartitionPlan:
         nest=plan.nest, model=model,
         breakdown=replace(plan.breakdown, psi=psi0,
                           duplicated_arrays=frozenset()),
-        blocks=blocks, data_blocks=data_blocks, _block_of=bmap,
+        blocks=blocks, data_blocks=data_blocks,
     )
 
 

@@ -6,8 +6,7 @@ The compiler's stages run as named, registered passes over a
 - :mod:`~repro.pipeline.passes`: the :class:`PassManager`, the six
   standard passes (``extract-refs`` ... ``map``) plus ``verify``, and
   :func:`run_pipeline`, the shared entry point behind ``build_plan``,
-  the CLI, ``report.py``, ``selftest.py``, the strategy selector and
-  the program planner;
+  the CLI, ``report.py``, ``selftest.py`` and the strategy selector;
 - :mod:`~repro.pipeline.context`: :class:`PipelineConfig` (the one
   source of truth for strategy/duplication/elimination flags) and the
   artifact-carrying context;
@@ -27,6 +26,6 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "passes": (
         "DEFAULT_MANAGER", "STANDARD_PASSES", "Pass", "PassManager",
         "PassOrderError", "PipelineError", "UnknownPassError",
-        "default_manager", "run_pipeline",
+        "run_pipeline",
     ),
 })

@@ -26,8 +26,10 @@ adopted in place: it still hits and gains an entry.
 from __future__ import annotations
 
 import dataclasses
+import io
 import pickle
 from collections import OrderedDict
+from fractions import Fraction
 from typing import Any, Optional
 
 from repro import config
@@ -44,7 +46,7 @@ EVICT_COUNTER = "cache.evict"
 #: from a cached plan gains, loses or renames a field: an entry written
 #: under another layout unpickles without error and fails later on the
 #: missing attribute, so the reader treats it as corrupt instead.
-PLAN_FORMAT = 2
+PLAN_FORMAT = 3
 
 #: Byte cap for the on-disk plan store, in MiB.
 DISK_CAP_MB = 64
@@ -81,13 +83,36 @@ class MissReason:
     ALL = (NEW_FINGERPRINT, OPTIONS_CHANGE, EVICTED)
 
 
+class _PlanUnpickler(pickle.Unpickler):
+    """Loads what a plan is made of and nothing else.
+
+    The cache directory is user-writable and unpickling is execution,
+    so a ``*.plan`` file may name only classes defined under ``repro``
+    and ``fractions.Fraction`` (tuples, lists, dicts, sets, frozensets,
+    numbers and strings need no lookup).  Any other global -- ``os.system``,
+    ``builtins.eval``, a function, a module attribute reached through a
+    ``repro`` module -- is an :class:`pickle.UnpicklingError`, which the
+    reader treats like any corrupt entry: a miss, and the file removed.
+    """
+
+    def find_class(self, module: str, name: str) -> type:
+        if (module, name) == ("fractions", "Fraction"):
+            return Fraction
+        if module.startswith("repro.") and "." not in name:
+            found = super().find_class(module, name)
+            if isinstance(found, type) and found.__module__ == module:
+                return found
+        raise pickle.UnpicklingError(
+            f"plan entry names {module}.{name}, which no plan holds")
+
+
 def _detach(plan: Any) -> Any:
     """Return a plan whose mutable containers are private copies.
 
     The blocks/data blocks themselves are frozen dataclasses over tuples
-    and frozensets, so copying the top-level ``blocks`` list, the
-    ``data_blocks`` dict-of-lists and the ``_block_of`` index is enough
-    to isolate cached entries from callers that rewrite container slots
+    and frozensets, so copying the top-level ``blocks`` list and the
+    ``data_blocks`` dict-of-lists is enough to isolate cached entries
+    from callers that rewrite container slots
     (e.g. the sabotage-style negative tests).
     """
     if not hasattr(plan, "blocks") and hasattr(plan, "plan"):
@@ -99,7 +124,6 @@ def _detach(plan: Any) -> Any:
         blocks=list(plan.blocks),
         data_blocks={name: list(dbs)
                      for name, dbs in plan.data_blocks.items()},
-        _block_of=dict(plan._block_of),
     )
 
 
@@ -216,12 +240,14 @@ class PlanCache:
             with store.locked():
                 m = store.read_manifest()
                 try:
-                    fmt, plan = pickle.loads(store.read_file(f"{stem}.plan"))
+                    fmt, plan = _PlanUnpickler(io.BytesIO(
+                        store.read_file(f"{stem}.plan"))).load()
                     if fmt != PLAN_FORMAT:
                         raise ValueError(f"plan format {fmt!r}")
-                except (OSError, pickle.PickleError, EOFError,
-                        AttributeError, TypeError, ValueError):
-                    # absent, torn or written under another layout
+                except (OSError, pickle.PickleError, EOFError, ImportError,
+                        AttributeError, TypeError, ValueError, IndexError,
+                        KeyError):
+                    # absent, torn, hostile or written under another layout
                     store.remove(stem, (".plan",))
                     if m["entries"].pop(stem, None) is not None:
                         store.write_manifest(m)

@@ -2,8 +2,8 @@
 
 :class:`PipelineConfig` is the single source of truth for the
 strategy/duplication/elimination flags that the CLI, ``report.py``,
-``selftest.py``, the strategy selector and the program planner all used
-to plumb independently.  :class:`PipelineContext` carries the artifacts
+``selftest.py`` and the strategy selector all used to plumb
+independently.  :class:`PipelineContext` carries the artifacts
 one compilation produces (reference model, redundancy analysis, space
 breakdown, partition plan, transformed nest, processor assignment)
 between registered passes, together with diagnostics.

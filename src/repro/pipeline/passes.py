@@ -18,8 +18,8 @@ execution as one coarse ``pass:<name>`` tracer span whose duration
 feeds the ``pipeline.pass.seconds.<name>`` histogram.
 
 :func:`run_pipeline` is the shared entry point behind ``build_plan``,
-the CLI, ``report.py``, ``selftest.py``, the strategy selector and the
-program planner; it also consults the content-addressed plan cache.
+the CLI, ``report.py``, ``selftest.py`` and the strategy selector; it
+also consults the content-addressed plan cache.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.analysis.dependence import is_fully_duplicable
 from repro.analysis.redundancy import analyze_redundancy
 from repro.analysis.references import NonUniformReferenceError, extract_references
-from repro.core.partition import (
-    all_data_partitions,
-    block_index_map,
-    iteration_partition,
-)
+from repro.core.partition import all_data_partitions, iteration_partition
 from repro.core.strategy import partitioning_space
 from repro.lang.ast import LoopNest
 from repro.mapping.cyclic import assign_blocks
@@ -97,31 +93,17 @@ class PassManager:
                 return i
         raise UnknownPassError(name)
 
-    def register(self, p: Pass, before: Optional[str] = None,
-                 after: Optional[str] = None) -> None:
-        """Append ``p``, or insert it before/after a named pass."""
+    def register(self, p: Pass) -> None:
+        """Append ``p``."""
         if any(q.name == p.name for q in self._passes):
             raise ValueError(f"pass {p.name!r} already registered")
-        if before is not None and after is not None:
-            raise ValueError("give at most one of before/after")
-        if before is not None:
-            idx = self.pass_index(before)
-        elif after is not None:
-            idx = self.pass_index(after) + 1
-        else:
-            idx = len(self._passes)
-        self._passes.insert(idx, p)
+        self._passes.append(p)
         self.validate()
 
     def replace(self, name: str, p: Pass) -> None:
         """Swap the implementation of a registered pass."""
         self._passes[self.pass_index(name)] = p
         self.validate()
-
-    def clone(self) -> "PassManager":
-        out = PassManager()
-        out._passes = list(self._passes)
-        return out
 
     # -- validation -------------------------------------------------------
     def validate(self) -> None:
@@ -278,7 +260,6 @@ def _pass_partition(ctx: PipelineContext) -> None:
         breakdown=breakdown,
         blocks=blocks,
         data_blocks=data_blocks,
-        _block_of=block_index_map(blocks),
     ))
 
 
@@ -346,13 +327,8 @@ STANDARD_PASSES = (EXTRACT_REFS, ELIMINATE_REDUNDANCY, CHOOSE_SPACE,
                    PARTITION, TRANSFORM, MAP, VERIFY)
 
 
-def default_manager() -> PassManager:
-    """A fresh manager with the standard passes (mutate freely)."""
-    return PassManager(STANDARD_PASSES)
-
-
 #: Shared immutable-by-convention manager used when callers pass none.
-DEFAULT_MANAGER = default_manager()
+DEFAULT_MANAGER = PassManager(STANDARD_PASSES)
 
 
 # ---------------------------------------------------------------------------

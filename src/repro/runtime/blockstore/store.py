@@ -50,7 +50,7 @@ import itertools
 import os
 import pickle
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import config
@@ -147,18 +147,12 @@ _PLAN_SEGMENTS: dict[int, tuple] = {}
 
 
 def plan_segment(plan) -> str:
-    """The (cached) name of the segment holding ``plan``, pickled.
-
-    ``_block_of`` (the iteration -> block reverse index, by far the
-    heaviest part of a plan pickle) is stripped: workers never call
-    ``plan.block_of``.
-    """
+    """The (cached) name of the segment holding ``plan``, pickled."""
     key = id(plan)
     hit = _PLAN_SEGMENTS.get(key)
     if hit is not None and hit[0]() is plan:
         return hit[1].name
-    slim = replace(plan, _block_of={})
-    seg = _write_blob("plan", pickle.dumps(slim,
+    seg = _write_blob("plan", pickle.dumps(plan,
                                            protocol=pickle.HIGHEST_PROTOCOL))
     _PLAN_SEGMENTS[key] = (weakref.ref(plan), seg)
     weakref.finalize(plan, _release_plan_key, key)

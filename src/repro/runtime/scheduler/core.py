@@ -442,47 +442,7 @@ class BlockScheduler:
             result.skipped_computations += out.skipped_computations
         return sres
 
-    def _snapshot_state(self, units, outcomes, inflight, pending, sres,
-                        elapsed: float) -> dict:
-        """One ``repro top`` snapshot of the live dispatch state."""
-        from repro.obs.top import comm_optimality
-
-        done_blocks = sum(len(u.blocks) for u in units if u.done)
-        lanes: dict[str, dict] = {}
-        for uid, out in outcomes.items():
-            pid = out.obs.pid if out.obs is not None else 0
-            lane = lanes.setdefault(str(pid), {"blocks": 0, "units": 0})
-            lane["units"] += 1
-            lane["blocks"] += len(units[uid].blocks)
-        total = remote = 0
-        for mem in self.memories.values():
-            total += mem.reads + mem.writes
-            remote += getattr(mem, "remote_attempts", 0)
-        return {
-            "phase": "execute",
-            "backend": "multiprocess",
-            "case": getattr(getattr(self.plan, "nest", None), "name", None)
-            or "?",
-            "elapsed_s": elapsed,
-            "units": len(units), "units_done": len(outcomes),
-            "blocks": len(self.plan.blocks), "blocks_done": done_blocks,
-            "blocks_per_sec": done_blocks / elapsed if elapsed > 0 else 0.0,
-            "leases": {
-                "total": len(sres.leases),
-                "ok": sum(1 for r in sres.leases if r.outcome == "ok"),
-                "inflight": len(inflight), "pending": len(pending),
-                "expired": sres.leases_expired, "crashed": sres.crashes,
-                "dropped": sres.dropped,
-            },
-            "workers": lanes,
-            "comm_optimality": comm_optimality(total, remote),
-            "remote_accesses": remote,
-        }
-
     def _loop(self, units, outcomes, sres, epoch, tracer, registry) -> None:
-        from repro.obs.top import current_writer
-
-        writer = current_writer()
         policy = self.policy
         budget = policy.respawn_budget(len(units))
         wpool, owned = self._worker_pool()
@@ -616,9 +576,6 @@ class BlockScheduler:
         try:
             while len(outcomes) < len(units):
                 t = now()
-                if writer is not None:
-                    writer.maybe_write(lambda: self._snapshot_state(
-                        units, outcomes, inflight, pending, sres, now()))
                 for unit in [u for u in pending if u.ready_at <= t]:
                     pending.remove(unit)
                     submit(unit)

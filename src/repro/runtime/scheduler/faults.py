@@ -35,7 +35,7 @@ chaos reaches the engine through context, never through the
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.ctxstack import ScopeStack
@@ -44,6 +44,25 @@ from repro.ctxstack import ScopeStack
 CRASH = "crash"
 SLOW = "slow"
 DROP = "drop"
+
+
+def _half_open_range(text: str) -> tuple[int, ...]:
+    lo, _, hi = text.partition(":")
+    return tuple(range(int(lo), int(hi)))
+
+
+#: spec key -> the parser of its value, in ``FaultPlan`` field order
+_SPEC_VALUES = {
+    "crash-prob": float, "slow-prob": float, "slow-ms": float,
+    "drop-prob": float, "slow-blocks": _half_open_range, "seed": int,
+    "shield-final": lambda text: bool(int(text)),
+}
+
+
+class ChaosSpecError(ValueError):
+    """A fault plan that cannot be: an unknown key, a value that does
+    not parse, a probability outside [0, 1].  The spec's author's to
+    fix; the message names the key."""
 
 
 @dataclass(frozen=True)
@@ -78,9 +97,11 @@ class FaultPlan:
         for name in ("crash_prob", "slow_prob", "drop_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ChaosSpecError(
+                    f"{name.replace('_', '-')} must be in [0, 1], got {v}")
         if self.slow_ms < 0:
-            raise ValueError(f"slow_ms must be >= 0, got {self.slow_ms}")
+            raise ChaosSpecError(
+                f"slow-ms must be >= 0, got {self.slow_ms}")
 
     # -- injection decisions ----------------------------------------------
     @property
@@ -133,27 +154,19 @@ class FaultPlan:
                 continue
             key, sep, value = part.partition("=")
             if not sep:
-                raise ValueError(
+                raise ChaosSpecError(
                     f"chaos spec item {part!r} is not KEY=VALUE")
-            key = key.strip().lower().replace("-", "_")
+            key = key.strip().lower().replace("_", "-")
             value = value.strip()
-            if key == "slow_blocks":
-                lo, sep2, hi = value.partition(":")
-                if not sep2:
-                    raise ValueError(
-                        f"slow-blocks expects LO:HI, got {value!r}")
-                kwargs[key] = tuple(range(int(lo), int(hi)))
-            elif key == "seed":
-                kwargs[key] = int(value)
-            elif key == "shield_final":
-                kwargs[key] = bool(int(value))
-            elif key in ("crash_prob", "slow_prob", "slow_ms", "drop_prob"):
-                kwargs[key] = float(value)
-            else:
-                known = ", ".join(
-                    f.name.replace("_", "-") for f in fields(cls))
-                raise ValueError(
-                    f"unknown chaos key {key!r}; known: {known}")
+            parse_value = _SPEC_VALUES.get(key)
+            if parse_value is None:
+                raise ChaosSpecError(f"unknown chaos key {key!r}; known: "
+                                     f"{', '.join(_SPEC_VALUES)}")
+            try:
+                kwargs[key.replace("-", "_")] = parse_value(value)
+            except ValueError:
+                raise ChaosSpecError(
+                    f"chaos key {key!r} cannot take {value!r}") from None
         return cls(**kwargs)
 
     def describe(self) -> str:

@@ -27,8 +27,7 @@ each request executing through a warm :class:`repro.api.Session`:
 Every request runs under a per-request span (``serve.request``) on the
 server's tracer and lands its latency in the ``serve.latency_ms``
 histogram, so ``p50/p95/p99`` come straight out of the registry
-snapshot.  When a ``repro top`` snapshot path is configured the server
-publishes its registry stats after every request.
+snapshot.
 """
 
 from __future__ import annotations
@@ -202,7 +201,6 @@ class AsyncServer:
             self.registry.inc(f"serve.errors.{resp.error['kind']}")
         if resp.ok:
             self.registry.inc("serve.ok")
-        self._publish_top()
         return resp.to_dict()
 
     async def _dispatch(self, req: Request) -> Response:
@@ -290,20 +288,6 @@ class AsyncServer:
             "concurrency": self.max_concurrency,
             "queue_limit": self.queue_limit,
         }
-
-    def _publish_top(self) -> None:
-        """One ``repro top`` frame per request, when a writer is live."""
-        from repro.obs.top import current_writer, registry_stats
-
-        writer = current_writer()
-        if writer is None:
-            return
-        writer.maybe_write(lambda: {
-            "registry": registry_stats(self.registry),
-            "phase": "serve",
-            "case": "serve",
-            "serve": self.status(),
-        })
 
 
 def _frame_id(frame) -> Optional[str]:

@@ -90,16 +90,6 @@ def render_heatmap(counts: dict[Coords, int], title: str = "") -> str:
     return "\n".join(lines)
 
 
-def render_bar(frac: float, width: int = 24, fill: str = "#",
-               empty: str = ".") -> str:
-    """A fixed-width horizontal gauge: ``render_bar(0.5, 8)`` ->
-    ``"####...."``.  Fractions are clamped to [0, 1]; used by the
-    ``repro top`` dashboard and the audit/SLO gauges."""
-    frac = 0.0 if frac != frac else min(1.0, max(0.0, frac))  # NaN -> 0
-    n = round(frac * width)
-    return fill * n + empty * (width - n)
-
-
 def render_iteration_partition(blocks: Sequence[IterationBlock],
                                title: str = "",
                                mark: Optional[dict[Coords, str]] = None) -> str:

@@ -1,8 +1,9 @@
 """Iteration and data partitions (Definitions 2-3)."""
 
 from repro.analysis import analyze_redundancy, extract_references
-from repro.core import Strategy, data_partition, iteration_partition
-from repro.core.partition import all_data_partitions, block_index_map
+from repro.core import (Strategy, build_plan, data_partition,
+                        iteration_partition)
+from repro.core.partition import all_data_partitions
 from repro.lang import IterationSpace, catalog, parse
 from repro.ratlinalg import RatVec, Subspace
 
@@ -68,11 +69,10 @@ class TestIterationPartition:
             pass
 
     def test_block_index_map(self, l1):
-        space = IterationSpace(l1)
-        blocks = iteration_partition(space, Subspace(2, [[1, 1]]))
-        idx = block_index_map(blocks)
-        assert idx[(1, 1)] == 0 and idx[(2, 2)] == 0
-        assert idx[(2, 1)] == 4
+        plan = build_plan(l1)
+        assert plan.psi == Subspace(2, [[1, 1]])
+        assert plan.block_of((1, 1)) == 0 and plan.block_of((2, 2)) == 0
+        assert plan.block_of((2, 1)) == 4
 
     def test_triangular_space(self):
         space = IterationSpace(catalog.triangular(4))

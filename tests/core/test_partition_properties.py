@@ -11,11 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import extract_references
-from repro.core.partition import (
-    all_data_partitions,
-    block_index_map,
-    iteration_partition,
-)
+from repro.core.partition import all_data_partitions, iteration_partition
 from repro.lang import builder as b
 from repro.lang.ast import BinOp
 from repro.ratlinalg import RatVec, Subspace
@@ -117,9 +113,6 @@ def test_partition_equals_brute_force(case):
     assert [b_.iterations for b_ in blocks] == [tuple(g) for g in expected]
     assert [b_.base_point for b_ in blocks] == [g[0] for g in expected]
     assert [b_.index for b_ in blocks] == list(range(len(expected)))
-    assert block_index_map(blocks) == {
-        p: j for j, g in enumerate(expected) for p in g}
-
     assert set(data) == {arr for arr, _, _ in refs}
     for name in data:
         h = arrays[name]

@@ -105,7 +105,7 @@ class TestStaticChecks:
     def test_flow_check_detects_bad_partition(self, l1):
         # Partition L1 along (1,0): cuts the flow dependence (1,1)
         from repro.analysis import extract_references
-        from repro.core.partition import (all_data_partitions, block_index_map,
+        from repro.core.partition import (all_data_partitions,
                                           iteration_partition)
         from repro.core.plan import PartitionPlan
         from repro.core.strategy import partitioning_space
@@ -119,7 +119,6 @@ class TestStaticChecks:
         plan = PartitionPlan(
             nest=l1, model=model, breakdown=breakdown, blocks=blocks,
             data_blocks=all_data_partitions(model, blocks),
-            _block_of=block_index_map(blocks),
         )
         with pytest.raises(AssertionError, match="crosses blocks"):
             check_no_interblock_flow(plan)

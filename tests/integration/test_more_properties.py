@@ -1,5 +1,5 @@
-"""Additional property suites: affine-bounded loops, SPMD equivalence,
-program composition, and sabotage detection."""
+"""Additional property suites: affine-bounded loops, SPMD equivalence
+and sabotage detection."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +10,10 @@ from repro.core.plan import check_no_interblock_flow
 from repro.lang import builder as b
 from repro.lang import parse
 from repro.lang.ast import Assign, BinOp, Const
-from repro.machine.cost import CostModel
 from repro.mapping import shape_grid
-from repro.program import Program, plan_program, verify_program
 from repro.runtime import make_arrays, run_sequential, verify_plan
 from repro.transform import compile_spmd, transform_nest
 from tests.transform.test_loopnest import assert_closed_form_is_the_partition
-
-CHEAP = CostModel(t_comp=1e-3, t_start=1e-6, t_comm=1e-7)
-
 
 # ---------------------------------------------------------------------------
 # affine-bounded (triangular/trapezoidal) random loops
@@ -101,32 +96,6 @@ def test_spmd_equivalence_random(nest, p):
 
 
 # ---------------------------------------------------------------------------
-# random two-phase programs
-# ---------------------------------------------------------------------------
-
-@given(st.integers(0, 2), st.integers(-1, 1), st.integers(1, 3),
-       st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_random_two_phase_program(di, dj, scale, transpose):
-    p1 = parse(f"""
-        for i = 1 to 4 {{ for j = 1 to 4 {{
-          U[i, j] = U[i - {di}, j - {dj}] + F[i, j];
-        }} }}
-    """, name="PH1")
-    lhs = "V[j, i]" if transpose else "V[i, j]"
-    p2 = parse(f"""
-        for i = 1 to 4 {{ for j = 1 to 4 {{
-          {lhs} = U[i, j] * {scale};
-        }} }}
-    """, name="PH2")
-    pplan = plan_program(Program(nests=[p1, p2]), p=4, cost=CHEAP)
-    assert verify_program(pplan).ok
-    # reallocation accounting is self-consistent
-    r = pplan.reallocations[0]
-    assert r.moved_words >= 0 and 0.0 <= r.locality <= 1.0
-
-
-# ---------------------------------------------------------------------------
 # sabotage: a wrong partitioning space is detected
 # ---------------------------------------------------------------------------
 
@@ -135,7 +104,6 @@ class TestSabotageDetection:
         """L1 partitioned along (1,0): cuts the (1,1) flow dependence."""
         from repro.analysis import extract_references
         from repro.core.partition import (all_data_partitions,
-                                          block_index_map,
                                           iteration_partition)
         from repro.core.plan import PartitionPlan
         from repro.core.strategy import partitioning_space
@@ -150,8 +118,7 @@ class TestSabotageDetection:
         blocks = iteration_partition(model.space, bad)
         return PartitionPlan(
             nest=nest, model=model, breakdown=breakdown, blocks=blocks,
-            data_blocks=all_data_partitions(model, blocks),
-            _block_of=block_index_map(blocks))
+            data_blocks=all_data_partitions(model, blocks))
 
     def test_static_check_catches_it(self):
         with pytest.raises(AssertionError, match="crosses blocks"):

@@ -79,6 +79,8 @@ class TestAffineBounded:
         sp = IterationSpace(nest)
         assert sp.size() == 0
         assert list(sp.iterate()) == []
+        # the rank's closed form comes from the bounds; no point is ranked
+        assert sp.rank_strides() == ((3,), (1,))
 
     def test_bounds_at(self):
         sp = IterationSpace(catalog.triangular(5))

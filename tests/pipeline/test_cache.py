@@ -182,6 +182,56 @@ class TestEvictionAndDisk:
         assert audit_plan(served, run_engines=False).certified
 
 
+def _call_of(module, name, *args):
+    """A pickle of the call ``module.name(*args)``, ``name`` dotted or
+    not -- what ``__reduce__`` writes, for any global."""
+    def text(s):
+        return pickle.SHORT_BINUNICODE + bytes([len(s)]) + s.encode()
+
+    return (pickle.PROTO + b"\x04" + text(module) + text(name)
+            + pickle.STACK_GLOBAL + pickle.dumps(args, 2)[2:-1]
+            + pickle.REDUCE + pickle.STOP)
+
+
+class TestHostileDiskEntry:
+    """The cache directory is user-writable; a planted ``*.plan`` file is
+    a miss, is removed, and never runs."""
+
+    PAYLOADS = {
+        "os.system": lambda marker: _call_of(
+            "os", "system", f"touch {marker}"),
+        # the same callable, reached through a module under repro
+        "through-a-repro-module": lambda marker: _call_of(
+            "repro.cli", "os.system", f"touch {marker}"),
+        # defined under repro, but a function: no plan holds one
+        "a-repro-function": lambda marker: _call_of(
+            "repro.pipeline.cache", "cache_root"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PAYLOADS))
+    def test_it_is_a_miss_removed_and_never_executed(self, tmp_path, l1,
+                                                     case):
+        marker = tmp_path / "ran"
+        payload = self.PAYLOADS[case](marker)
+        pickle.loads(payload)               # the payload is live ...
+        if case != "a-repro-function":
+            assert marker.exists()
+            marker.unlink()
+
+        store = tmp_path / "plans"
+        writer = PlanCache(maxsize=8, directory=str(store))
+        run_pipeline(l1, PipelineConfig(), cache=writer)
+        (path,) = store.glob("*.plan")
+        path.write_bytes(payload)
+
+        key = PlanCache.key_for(l1, PipelineConfig())
+        probe = PlanCache(maxsize=8, directory=str(store))
+        assert probe.get(key) is None       # ... and the reader is not
+        assert probe.misses == 1 and not path.exists()
+        assert not marker.exists()
+        assert path.stem not in probe._diskstore().read_manifest()["entries"]
+
+
 class TestFacade:
     def test_build_plan_uses_global_cache(self, l3):
         from repro.core import build_plan

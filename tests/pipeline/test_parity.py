@@ -10,11 +10,7 @@ import pytest
 
 from repro.analysis import analyze_redundancy, extract_references
 from repro.core import Strategy, build_plan, partitioning_space
-from repro.core.partition import (
-    all_data_partitions,
-    block_index_map,
-    iteration_partition,
-)
+from repro.core.partition import all_data_partitions, iteration_partition
 from repro.core.plan import PartitionPlan
 from repro.lang import catalog
 from repro.pipeline import PipelineConfig, run_pipeline
@@ -45,8 +41,7 @@ def hand_sequenced(nest, strategy, duplicate_arrays, eliminate):
     live = redundancy.live if redundancy is not None else None
     data_blocks = all_data_partitions(model, blocks, live=live)
     return PartitionPlan(nest=nest, model=model, breakdown=breakdown,
-                         blocks=blocks, data_blocks=data_blocks,
-                         _block_of=block_index_map(blocks))
+                         blocks=blocks, data_blocks=data_blocks)
 
 
 def assert_same_plan(a, b):

@@ -7,7 +7,6 @@ from repro.pipeline import (
     PassManager,
     PipelineConfig,
     PipelineContext,
-    default_manager,
     run_pipeline,
 )
 from repro.pipeline.passes import (
@@ -23,6 +22,10 @@ STANDARD_NAMES = ["extract-refs", "eliminate-redundancy", "choose-space",
                   "partition", "transform", "map", "verify"]
 
 
+def default_manager() -> PassManager:
+    return PassManager(STANDARD_PASSES)
+
+
 class TestRegistry:
     def test_standard_order(self):
         assert default_manager().names() == STANDARD_NAMES
@@ -36,28 +39,13 @@ class TestRegistry:
         with pytest.raises(UnknownPassError):
             default_manager().pass_index("no-such-pass")
 
-    def test_register_before_and_after_exclusive(self):
-        m = default_manager()
-        p = Pass(name="x", inputs=(), outputs=("x",), run=lambda ctx: None)
-        with pytest.raises(ValueError, match="at most one"):
-            m.register(p, before="partition", after="extract-refs")
-
     def test_ordering_validated_on_register(self):
         """A pass may not be placed before the passes feeding it."""
-        m = default_manager()
+        m = PassManager(STANDARD_PASSES[:1])
         needs_plan = Pass(name="needs-plan", inputs=("plan",),
                           outputs=("late",), run=lambda ctx: None)
         with pytest.raises(PassOrderError, match="needs-plan"):
-            m.register(needs_plan, before="extract-refs")
-
-    def test_register_before_named_pass(self):
-        m = default_manager()
-        seen = []
-        m.register(Pass(name="peek", inputs=("model",), outputs=("peek",),
-                        run=lambda ctx: (seen.append(True),
-                                         ctx.put("peek", True))),
-                   before="choose-space")
-        assert m.names().index("peek") == m.names().index("choose-space") - 1
+            m.register(needs_plan)
 
 
 class TestPrefix:
@@ -123,13 +111,6 @@ class TestInjectionAndReplacement:
                    outputs=("breakdown",), run=lambda ctx: None)
         with pytest.raises(PassOrderError):
             m.replace("choose-space", bad)
-
-    def test_clone_is_independent(self):
-        m = default_manager()
-        c = m.clone()
-        c.register(Pass(name="extra", inputs=(), outputs=("extra",),
-                        run=lambda ctx: ctx.put("extra", 1)))
-        assert "extra" in c.names() and "extra" not in m.names()
 
 
 class TestContext:

@@ -213,3 +213,21 @@ def test_vectorized_supports_duplicate_readonly_but_not_written_replicas():
     dup = build_plan(catalog.l5(), strategy=Strategy.DUPLICATE,
                      duplicate_arrays={"A"})
     assert supports_plan(dup)
+
+
+ZERO_TRIP = "for i = 5 to 1 { S1: A[i] = A[i - 1] + 1; }"
+
+
+@pytest.mark.parametrize("backend", [*backend_names(), "all"])
+def test_a_zero_trip_nest_runs_on_every_tier(backend, monkeypatch):
+    """An empty space has nothing to rank: 0 blocks, 0 iterations, the
+    arrays as they were."""
+    monkeypatch.setenv("REPRO_MP_WORKERS", "2")
+    with Session(ZERO_TRIP) as session:
+        report = session.verify(backend=backend)
+        assert report.ok
+        assert (report.num_blocks, report.executed_iterations) == (0, 0)
+        if backend != "all":
+            initial = make_arrays(session.plan().model)
+            result = session.run(backend=backend, initial=initial)
+            assert result.ok and merge_copies(result, initial) == initial

@@ -207,6 +207,16 @@ class TestOps:
         assert resp["ok"]
         assert resp["result"]["certified"]
 
+    def test_a_zero_trip_nest_runs_over_the_wire(self):
+        zero_trip = "for i = 5 to 1 { S1: A[i] = A[i - 1] + 1; }"
+        with AsyncServer() as srv:
+            resp = run(srv.handle(frame(op="run", nest=zero_trip,
+                                        strategy="nonduplicate",
+                                        backend="auto")))
+        assert resp["ok"], resp
+        assert resp["result"]["ok"]
+        assert resp["result"]["executed_iterations"] == 0
+
     def test_status_op(self):
         async def go(srv):
             await srv.handle(frame())

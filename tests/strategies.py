@@ -18,8 +18,7 @@ from dataclasses import replace
 from hypothesis import strategies as st
 
 from repro.core import Strategy
-from repro.core.partition import (all_data_partitions, block_index_map,
-                                  iteration_partition)
+from repro.core.partition import all_data_partitions, iteration_partition
 from repro.core.plan import PartitionPlan
 from repro.lang import builder as b
 from repro.lang.ast import ArrayRef, Assign, BinOp, Const, Name, UnaryOp
@@ -42,8 +41,7 @@ def repartitioned(plan, psi):
     return PartitionPlan(
         nest=plan.nest, model=plan.model,
         breakdown=replace(plan.breakdown, psi=psi), blocks=blocks,
-        data_blocks=all_data_partitions(plan.model, blocks),
-        _block_of=block_index_map(blocks))
+        data_blocks=all_data_partitions(plan.model, blocks))
 
 
 @st.composite

@@ -202,8 +202,28 @@ class TestInputErrors:
             argv, f"repro: --processors must be >= 1 (got {argv[-1]})")
            for argv in [("select", "--loop", "L1", "-p", "0"),
                         ("report", "--loop", "L1", "-p", "0"),
-                        ("program", "no-such-file", "-p", "0"),
                         ("transform", "--loop", "L1", "-p", "-2")]},
+        "no-matmul": (
+            ("chaos", "--matmul", "0"),
+            "repro: --matmul must be >= 1 (got 0)"),
+        # a fault plan that cannot be, wherever a spec is taken
+        **{f"chaos-{command}-{spec}": (
+            (command, "--loop", "L1", *backend, "--chaos", spec),
+            f"repro: {reason}")
+           for command, backend in [
+               ("verify", ("--backend", "multiprocess")),
+               ("run", ("--backend", "multiprocess")),
+               ("chaos", ())]
+           for spec, reason in [
+               ("crash-prob=2", "crash-prob must be in [0, 1], got 2.0"),
+               ("bogus=1", "unknown chaos key 'bogus'; known: crash-prob, "
+                           "slow-prob, slow-ms, drop-prob, slow-blocks, "
+                           "seed, shield-final"),
+               ("crash-prob=abc",
+                "chaos key 'crash-prob' cannot take 'abc'")]},
+        "chaos-flag-out-of-range": (
+            ("chaos", "--crash-prob", "2"),
+            "repro: crash-prob must be in [0, 1], got 2.0"),
     }
 
     @pytest.mark.parametrize("case", sorted(USAGE))

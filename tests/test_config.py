@@ -43,7 +43,7 @@ def test_every_repro_variable_named_under_src_is_in_the_table():
     named = {name for path in SOURCES
              for name in NAME.findall(path.read_text())}
     assert named == {k for k in config.KNOBS if k.startswith("REPRO_")}
-    assert len(named) == 9
+    assert len(named) == 8
 
 
 def test_documented_table_is_the_rendered_table():

@@ -1,8 +1,11 @@
 """Package surfaces resolve lazily, and each entry path imports only the
 layers it walks (DESIGN.md, "Import graph").
 
-Two contracts:
+Three contracts:
 
+- **reachability** -- no module without a workload: every file under
+  ``src/repro`` is imported, by a real ``import`` statement, on some
+  path from an entry point;
 - **surface parity** -- every package under ``src/repro`` exports exactly
   the names recorded in ``tests/golden/import_surface.json`` (taken from
   the eager ``__init__`` files this replaced), each one the very object
@@ -15,6 +18,7 @@ Two contracts:
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -32,6 +36,114 @@ SURFACE = json.loads((Path(__file__).parent / "golden"
 PACKAGES = sorted(
     ".".join(("repro", *init.parent.relative_to(SRC).parts))
     for init in SRC.rglob("__init__.py"))
+
+
+# -- reachability -----------------------------------------------------------
+
+#: what a user, CI or the ledger starts: ``python -m repro``, the library
+#: facade, the daemon, the paper's claims, and the two ``python -m``
+#: utilities (``repro.config`` prints the knob table, ``repro.obs.schema``
+#: checks a trace)
+ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.api",
+                "repro.serve.daemon", "repro.selftest", "repro.config",
+                "repro.obs.schema")
+
+#: modules no entry point imports and why each stays all the same; the
+#: list is exact (an entry something starts importing must leave it)
+LIBRARY_ONLY = {
+    "repro.lang.builder": "the programmatic way to write a nest "
+                          "(README quickstart, examples, test strategies)",
+    "repro.perf.model": "the paper's closed forms T1-T3 (Sec. IV) the "
+                        "simulated tables are compared against",
+    "repro.ratlinalg.hermite": "reference implementation: the lattice "
+                               "oracle of tests/ratlinalg",
+    "repro.transform.validate": "reference implementation: Sec. IV's "
+                                "bijection / ordering obligations, checked "
+                                "by enumeration",
+}
+
+
+def _module_name(path: Path, src: Path) -> str:
+    parts = path.relative_to(src.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports_of(name: str, path: Path, modules: dict) -> set[str]:
+    """Every ``repro`` module the ``import`` statements of ``path`` load,
+    function-level ones included, ``if TYPE_CHECKING:`` ones not.  A name
+    read off a package (``from repro.lang import parse``) is resolved
+    through the surface snapshot to the submodule defining it."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found: set[str] = set()
+
+    def visit(node) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) \
+                    and "TYPE_CHECKING" in ast.unparse(child.test):
+                for stmt in child.orelse:
+                    visit(stmt)
+            elif isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module or ""
+                if child.level:
+                    up = package.split(".")
+                    up = up[:len(up) - child.level + 1]
+                    base = ".".join(up + [base] if base else up)
+                found.add(base)
+                for alias in child.names:
+                    if f"{base}.{alias.name}" in modules:
+                        found.add(f"{base}.{alias.name}")
+                    elif alias.name in SURFACE.get(base, {}):
+                        found.add(SURFACE[base][alias.name].partition(":")[0])
+            else:
+                visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return {m for m in found if m in modules}
+
+
+def unreachable_modules(src: Path = SRC) -> set[str]:
+    """Modules under ``src`` no chain of imports from an entry point
+    reaches (importing ``a.b.c`` runs ``a`` and ``a.b`` too)."""
+    from repro.runtime.engine.base import _BACKENDS
+
+    modules = {_module_name(p, src): p for p in src.rglob("*.py")}
+    graph = {name: _imports_of(name, path, modules)
+             for name, path in modules.items()}
+    # a registry row is an import by name (``base._engine_class``)
+    graph["repro.runtime.engine.base"] |= {
+        f"repro.runtime.engine.{module}" for module, _ in _BACKENDS.values()}
+    seen: set[str] = set()
+    todo = list(ENTRY_POINTS)
+    while todo:
+        name = todo.pop()
+        if name and name not in seen:
+            seen.add(name)
+            todo += [name.rpartition(".")[0], *graph[name]]
+    return set(modules) - seen
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    assert unreachable_modules() == set(LIBRARY_ONLY)
+
+
+def test_a_module_nobody_imports_is_reported(tmp_path):
+    import shutil
+
+    copy = tmp_path / "repro"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "machine" / "spare.py").write_text("from repro import config\n")
+    assert unreachable_modules(copy) \
+        == set(LIBRARY_ONLY) | {"repro.machine.spare"}
+
+
+@pytest.mark.parametrize("module", ["repro.obs.top", "repro.program",
+                                    "repro.machine.distribution",
+                                    "repro.baseline.naive"])
+def test_what_had_no_workload_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
 
 
 # -- surface parity ---------------------------------------------------------
@@ -141,7 +253,7 @@ class TestImportBudget:
     #: layers a one-shot verify has no business loading
     FORBIDDEN = ("networkx", "multiprocessing", "asyncio",
                  "repro.serve", "repro.viz", "repro.perf", "repro.baseline",
-                 "repro.program", "repro.report", "repro.machine.machine",
+                 "repro.report", "repro.machine.machine",
                  "repro.machine.topology", "repro.runtime.engine.multiproc",
                  "repro.runtime.scheduler.core",
                  "numpy", "repro.runtime.numpy_compat",
@@ -155,7 +267,7 @@ class TestImportBudget:
                   if _loaded(modules, p)}
         assert not leaked
         ours = _loaded(modules, "repro")
-        assert len(ours) <= 73, ours
+        assert len(ours) <= 72, ours
 
     def test_a_closed_session_never_imported_numpy(self, hermetic_env):
         """Planning, running, verifying and closing (which releases a
