@@ -3,7 +3,8 @@
 A :class:`LocalMemory` is one block's region, the paper's data blocks
 ``B_j^A``: the array elements it holds, by coordinate tuple.  It keeps
 no counters and checks no access: the interpreter tier looks every
-access up in the region, and counts one that misses on the run's
+access up in the region (or, run in place, the block's slot map into
+the store), and counts one that misses on the run's
 :class:`~repro.runtime.parallel.ParallelResult` (raising
 :class:`RemoteAccessError` in a strict run).  On a real multicomputer
 that access would be an interprocessor message, and the whole point of
@@ -14,7 +15,7 @@ per array; :mod:`repro.runtime.layout`): the memory then only records
 how to find its elements, and an array's dict is rendered from the
 store the first time anything asks for it (:meth:`LocalMemory.region`;
 ``values`` renders every one, in allocation order) -- and is that
-array's region from then on.
+array's region from then on; a run in place builds none.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from repro.runtime.engine.lowering import (
     emit_iteration_kernel,
     reads_per_statement,
 )
-from repro.runtime.layout import GridSpec, Sidecar
+from repro.runtime.layout import GridSpec, Sidecar, in_place
 
 
 def load_kernel(key: str, emit_fn: Callable[[], str],
@@ -164,15 +164,15 @@ def program_for(plan, scalars: Mapping[str, float]) -> dict:
 
 def in_place_program(plan, result, scalars: Mapping[str, float]) -> dict:
     """The program when codegen may run ``plan`` on ``result``'s flat
-    store in place: the result has a store and its block memories are
-    still unbuilt.  Raises :class:`CodegenUnsupported` saying why not.
+    store in place (:func:`~repro.runtime.layout.in_place`, which the
+    interpreter shares).  Raises :class:`CodegenUnsupported` saying why not.
     A plan with *actual* cross-block accesses is never run unchecked:
     the interpreter below runs it, with its own bookkeeping and first
     ``RemoteAccessError``."""
     prog = program_for(plan, dict(scalars))
     if not _certified(plan, prog["geo"]):
         raise CodegenUnsupported("certificate-failed")
-    if result.store is None or result.memories.built is not None:
+    if not in_place(result):
         # the dicts are the memory: the interpreter runs on dicts
         raise CodegenUnsupported("memories-not-flat")
     return prog
@@ -205,23 +205,20 @@ class CodegenEngine(Engine):
             self.delegate().run_blocks(plan, result, scalars)
             return
 
-        # in place: written arrays are partitioned and no access crosses
-        # blocks, so a replica is never written and one list per array
-        # holds every block's copy of every word for the whole run
+        # certified in place: one list per array holds every block's
+        # copy of every word for the whole run
         store = result.store
-        grids = store.grids
-        stamps = {n: [-1] * len(grids[n]) for n in store.layout.written}
+        stamps = store.stamp_lists()
 
         with current_tracer().span("engine.codegen.exec", category="engine",
                                    backend=self.name, in_place=True,
                                    blocks=len(plan.blocks)) as sp:
-            out = prog["fn"](block_points(plan), grids, stamps, plan.live,
-                             plan.model.space.rank_of)
+            out = prog["fn"](block_points(plan), store.grids, stamps,
+                             plan.live, plan.model.space.rank_of)
             iterations, stmts = charge_blocks(plan, result, out,
                                               prog["geo"]["nreads"])
             sp.set(iterations=iterations, statements=stmts)
 
-        store.stamps = stamps
         reg = current_registry()
         reg.inc("engine.codegen.runs")
         reg.inc("engine.codegen.blocks", len(plan.blocks))

@@ -7,23 +7,27 @@ a reference reads and writes the running block's memory instead of the
 arrays.  It is the slowest tier and the semantic reference: every other
 backend is cross-checked against it bit for bit, so it shares no code
 with the kernel lowering.  It is also the only tier
-``run_parallel(strict=False)`` ever resolves: an access looks up the
-block's region, and a miss is counted on the result as a remote read
-or write, then raises :class:`RemoteAccessError` (strict) or reads 0.0
-/ drops the write unstamped.  A hit is every read a statement makes
-that did not miss, and every write that did not.
-On a run's store whose block memories nobody built, an array no
-statement writes is read from the store's list through the block's
-:meth:`~repro.runtime.layout.PlanLayout.slot_map`, and only written
-arrays' regions are rendered; otherwise every region is a dict.
+``run_parallel(strict=False)`` ever resolves.  A block holds each array
+as ``(slot_of, values, stamps)``: an element absent from ``slot_of`` is
+a miss, counted on the result as a remote read or write, then raising
+:class:`RemoteAccessError` (strict) or reading 0.0 / dropping the write
+unstamped; a hit reads or writes ``values[slot]`` and stamps
+``stamps[slot]``.  Where codegen could run in place
+(:func:`~repro.runtime.layout.in_place`) these are the block's
+:meth:`~repro.runtime.layout.PlanLayout.slot_maps`, the store's lists
+and flat stamp lists: no region rendered, no block memory built; else
+a written array (every array, once memories are built) is the block's
+region dict, keyed by its own elements.
 """
 
 from __future__ import annotations
 
 from operator import mul
+from sys import maxsize
 
 from repro.machine.memory import RemoteAccessError
 from repro.runtime.engine.base import Engine
+from repro.runtime.layout import in_place
 
 
 class InterpreterEngine(Engine):
@@ -34,28 +38,38 @@ class InterpreterEngine(Engine):
 
     def run_blocks(self, plan, result, scalars) -> None:
         from repro.obs.trace import current_tracer
-        from repro.runtime.seq import build_statement
+        from repro.runtime.seq import build_statement, read_at
 
         nest = plan.nest
         space = plan.model.space
         nstmts = len(nest.statements)
         live = plan.live
         tracer = current_tracer()
-        memories, stamps = result.memories, result.write_stamps
-        store = result.store
-        direct = store is not None and memories.built is None
-        written = store.layout.written if direct else ()
-        # the running block's processor, and its regions by array (an
-        # unwritten array's, direct: its slot map into the store's list)
-        pid = held = None
+        memories, store = result.memories, result.store
+        flat = store is not None and memories.built is None
+        here = in_place(result)
+        stamp_lists = store.stamp_lists() if here else None
+        # the running block's processor, and by array its {element: slot},
+        # values and stamps; (block, stamps) of each block's region dicts
+        pid = slots = values = stamps = None
+        pending = []
 
-        def regions(bindex):
-            memory = memories[bindex]
-            if not direct:
-                return memory.values
-            return {name: memory.region(name) if name in written
-                    else store.layout.slot_map(bindex, name)
-                    for name in store.grids}
+        def arrays(bindex):
+            """``(slots, values, stamps)`` of block ``bindex``, by array."""
+            if here:
+                return store.layout.slot_maps(bindex), store.grids, stamp_lists
+            if flat:   # the written arrays' regions, the rest the store's
+                regions = {n: memories[bindex].region(n)
+                           for n in store.layout.written}
+                where = dict(store.layout.slot_maps(bindex))
+                held = dict(store.grids)
+            else:
+                regions, where, held = memories[bindex].values, {}, {}
+            for name, region in regions.items():
+                where[name], held[name] = dict(zip(region, region)), region
+            stamped = {name: {} for name in regions}
+            pending.append((bindex, stamped))
+            return where, held, stamped
 
         def miss(array, coords, is_write: bool) -> float:
             if is_write:
@@ -67,38 +81,26 @@ class InterpreterEngine(Engine):
             return 0.0
 
         def bind(array, coords, forms):
-            if direct and array not in written:
-                grid = store.grids[array]
-
-                def get(it):
-                    c = coords(it)
-                    try:
-                        return grid[held[array][c]]
-                    except KeyError:
-                        return miss(array, c, False)
-                return get
-
             def get(it):
                 c = coords(it)
                 try:
-                    return held[array][c]
+                    return values[array][slots[array][c]]
                 except KeyError:
                     return miss(array, c, False)
             return get
 
         rank_of, rect = space.rank_of, space.rank_strides()
-        if rect is not None:   # the closed form, no bounds checks
-            base, strides = sum(map(mul, *rect)), rect[1]
-
-            def rank_of(it):
-                return sum(map(mul, it, strides)) - base
+        if rect is not None:   # the closed form, unrolled; no bounds checks
+            los, strides = rect   # (a range from 0 is its own positions)
+            rank_of = read_at(range(maxsize), list(strides),
+                               -sum(map(mul, los, strides)))
 
         statements = [(*build_statement(stmt, nest.indices, scalars, bind,
                                         space.bounding_box()),
                        len(list(stmt.rhs.array_refs())))
                       for stmt in nest.statements]
         for b in plan.blocks:
-            pid, held = result.block_to_pid[b.index], None
+            pid, slots = result.block_to_pid[b.index], None
             with tracer.span("engine.block", category="engine",
                              backend=self.name, block=b.index,
                              iterations=len(b.iterations)) as sp:
@@ -113,16 +115,17 @@ class InterpreterEngine(Engine):
                         if live is not None and (k, it) not in live:
                             result.skipped_computations += 1
                             continue
-                        if held is None:   # rendered on first touch
-                            held = regions(b.index)
+                        if slots is None:   # on the first computation
+                            slots, values, stamps = arrays(b.index)
                         value = rhs(it)
                         coords = coords_of(it)
-                        region = held.get(array, ())
-                        if coords in region:
-                            region[coords] = float(value)
-                            stamps[(b.index, array, coords)] = stamp + k
-                        else:   # counted; raises, or dropped unstamped
+                        try:
+                            slot = slots[array][coords]
+                        except KeyError:   # raises, or dropped unstamped
                             miss(array, coords, True)
+                        else:
+                            values[array][slot] = float(value)
+                            stamps[array][slot] = stamp + k
                         executed += 1
                         issued += nreads
                         executed_any = True
@@ -134,3 +137,7 @@ class InterpreterEngine(Engine):
                 result.writes += executed - remote_writes
                 sp.set(statements=executed,
                        remote_accesses=remote_reads + remote_writes)
+        if pending:   # (an in-place run's stamps stay flat lists)
+            result.write_stamps.update(
+                ((bindex, name, c), s) for bindex, by_array in pending
+                for name, dicts in by_array.items() for c, s in dicts.items())

@@ -8,14 +8,13 @@ in the row-major bounding box of its allocated elements
 (:class:`GridSpec`), filled by one box copy out of the initial array --
 and a block's :class:`~repro.machine.memory.LocalMemory` is a *view* of
 it.  The :class:`PlanLayout` is sized once per plan from integer
-columns of the plan's ``H i + c``, and a region's row (its element
-coordinates and their slots in the array's list) is derived only when
-the region is first rendered: a region becomes a ``{coords: value}``
+columns of the plan's ``H i + c``, and a block's slot maps (its element
+coordinates and their slots in each array's list) are derived only when
+first needed: a region becomes a ``{coords: value}``
 dict only when something reads it as one, and from then on the dict is
 what counts.  A block's memory is not even built until something reads
-one (:class:`BlockMemories`), and certified ``codegen`` (in process or
-fanned out by ``multiprocess``) reads none: it runs on the lists in
-place (DESIGN.md, "Allocation").
+one (:class:`BlockMemories`), and no tier reads one where it can run
+on the lists in place (:func:`in_place`; DESIGN.md, "Allocation").
 :class:`Sidecar` is how the layout, and every other table derived from
 a plan, is kept beside the plan.
 """
@@ -160,9 +159,8 @@ class PlanLayout:
     """Where every element of every block lives in the flat store.
 
     Sized from whole-space integer columns (:func:`_chunks`): a
-    planner's data blocks are never enumerated for it.  A region's row
-    -- its elements and their slots -- is built the first time the
-    region is rendered.  The layout
+    planner's data blocks are never enumerated for it.  A block's slot
+    maps are built the first time anything needs them.  The layout
     keeps the plan's data blocks but not the plan: it lives beside the
     plan in a :class:`Sidecar`, and must not keep it alive.
     """
@@ -200,30 +198,25 @@ class PlanLayout:
         self.identity = MappingProxyType(
             dict(zip(self.block_indices, self.block_indices)))
         self._data = plan.data_blocks
-        self._rows: dict[tuple[int, str], tuple] = {}
-        self._slots: dict[tuple[int, str], dict] = {}
+        self._slots: dict[int, dict[str, dict]] = {}
 
-    def row(self, bindex: int, name: str) -> tuple[tuple, list[int]]:
-        """``(elements, slots)`` of block ``bindex``'s region of
-        ``name``: ``elements[j]`` at ``slots[j]`` of the array's list, in
-        the data block's own iteration order (a rendered dict's)."""
-        row = self._rows.get((bindex, name))
-        if row is None:
-            spec = self.specs[name]
-            base = sum(map(mul, spec.lo, spec.strides))
-            elements = tuple(self._data[name][bindex].elements)
-            row = self._rows[bindex, name] = (elements, [
-                sum(map(mul, e, spec.strides)) - base for e in elements])
-        return row
+    def slot_maps(self, bindex: int) -> dict[str, dict[tuple, int]]:
+        """array -> ``{element: slot}`` of block ``bindex``'s region in
+        the array's list, in the data block's own iteration order (a
+        rendered dict's); built for every array at once."""
+        maps = self._slots.get(bindex)
+        if maps is None:
+            maps = self._slots[bindex] = {}
+            for name, spec in self.specs.items():
+                base = sum(map(mul, spec.lo, spec.strides))
+                maps[name] = {e: sum(map(mul, e, spec.strides)) - base
+                              for e in self._data[name][bindex].elements}
+        return maps
 
-    def slot_map(self, bindex: int, name: str) -> dict[tuple, int]:
-        """:meth:`row` as ``{element: slot}``: how the interpreter reads
-        an array no statement writes from the store."""
-        slots = self._slots.get((bindex, name))
-        if slots is None:
-            slots = self._slots[bindex, name] = dict(
-                zip(*self.row(bindex, name)))
-        return slots
+    def row(self, bindex: int, name: str) -> tuple:
+        """``(elements, slots)`` of block ``bindex``'s region of ``name``."""
+        slots = self.slot_maps(bindex)[name]
+        return tuple(slots), list(slots.values())
 
 
 _LAYOUTS = Sidecar(PlanLayout)
@@ -280,6 +273,12 @@ class FlatStore:
             memories = memories.built or {}
         return all(m.is_view_of(self.grids) for m in memories.values())
 
+    def stamp_lists(self) -> dict[str, list[int]]:
+        """Fresh :attr:`stamps`, all -1, for an engine to stamp in place."""
+        self.stamps = {n: [-1] * len(self.grids[n])
+                       for n in self.layout.written}
+        return self.stamps
+
     def render_stamps(self) -> dict:
         """The flat stamp lists, taken away, as ``(block, array,
         coords) -> stamp`` of every written slot."""
@@ -287,8 +286,16 @@ class FlatStore:
         layout = self.layout
         return {(bindex, name, c): stamps[name][f]
                 for bindex in layout.block_indices for name in stamps
-                for c, f in zip(*layout.row(bindex, name))
+                for c, f in layout.slot_maps(bindex)[name].items()
                 if stamps[name][f] >= 0}
+
+
+def in_place(result) -> bool:
+    """May an engine run ``result`` on its store's lists in place: a store,
+    its block memories unbuilt, no written array replicated?"""
+    store = result.store
+    return (store is not None and result.memories.built is None
+            and not store.layout.replicated)
 
 
 class BlockMemories(Mapping):

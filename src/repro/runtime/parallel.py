@@ -12,13 +12,13 @@ Steps (mirroring the paper's execution model):
    the run keeps one flat store, and a block's memory is a view of it,
    built the first time anything reads one, an array's region rendered
    as a dict the first time anything reads it
-   (:mod:`repro.runtime.layout`).  A tier that runs on the store in
-   place (``codegen``, ``multiprocess``) builds none; ``interp``
-   renders only the regions of the arrays it writes.  Regions stay
-   per-block even when several blocks share a processor: under the
-   duplicate strategy two co-resident blocks hold *separate copies* of
-   a replicated element, exactly as the paper's per-block data blocks
-   ``B_j^A`` prescribe.
+   (:mod:`repro.runtime.layout`).  Every tier runs on the store in
+   place and builds none (:func:`~repro.runtime.layout.in_place`) but
+   ``interp`` on a written replica, which renders those regions:
+   regions stay per-block even when several blocks share a processor,
+   and under the duplicate strategy two co-resident blocks hold
+   *separate copies* of a replicated element, exactly as the paper's
+   per-block data blocks ``B_j^A`` prescribe.
 3. **Execution** -- each block runs its iterations in lexicographic
    order, statements in textual order, *skipping redundant
    computations* when the plan eliminated them.  Every count lands on
@@ -149,8 +149,9 @@ class ParallelResult:
         :attr:`remote_accesses` -- while the ``runtime.*`` counters
         accumulate across runs within the registry's lifetime
         (``runtime.memory.rendered_regions`` is counted by the memories
-        as they render, one per region -- an ``interp`` run renders
-        blocks x written arrays, and the merge after it no more --
+        as they render, one per region -- none in place, blocks x written
+        arrays on an ``interp`` run of a written replica, and no more in
+        the merge after it --
         ``runtime.memory.block_views`` by the store as it builds them;
         here both are made to exist, so zero shows).
         """

@@ -185,7 +185,7 @@ def build_coords(ref: ArrayRef, indices: tuple[str, ...],
     return lambda it: tuple([int(walk(it)) for walk in walks])
 
 
-def _read_at(values, a: list, k: int) -> Evaluator:
+def read_at(values, a: list, k: int) -> Evaluator:
     """``it -> values[a . it + k]``, unrolled at up to 3 used indices,
     so a read is one call; over ``range(len(values))``, whose items are
     their own positions, it is the slot itself."""
@@ -252,7 +252,7 @@ def run_sequential(
             :meth:`~DataSpace.slot_form` proves it, else checked."""
             slot = forms and named[array].slot_form(forms, box)
             if slot:
-                return _read_at(values, *slot)
+                return read_at(values, *slot)
             offset = named[array].offset
             return lambda it: values[offset(coords(it))]
 

@@ -187,14 +187,15 @@ def everything_counted(result):
 def test_counters_do_not_move_when_memories_are_read(backend, strict):
     """The counters are the run's: rendering every block's memory after
     a certified in-place run, an interpreter run, or a tolerated
-    sabotaged one changes none of them."""
+    sabotaged one changes none of them.  All three ran on the store in
+    place (no written replica), so none built a block memory."""
     plan = build_plan(matmul(6), strategy=Strategy.DUPLICATE)
     if not strict:
         plan = inject_violation(plan)
     got = run_parallel(plan, scalars=SCALARS, backend=backend,
                        strict=strict)
     assert got.backend == ("codegen" if backend == "auto" else "interp")
-    assert (got.memories.built is None) == (backend == "auto")
+    assert got.memories.built is None
     assert got.ok == strict         # the sabotaged run counted its misses
     before = everything_counted(got)
     for blk in got.memories:
@@ -253,16 +254,15 @@ def test_plan_and_verify_build_no_element_set():
 
 
 def test_allocation_span_and_counter_say_whether_the_run_stayed_flat():
-    """``interp`` renders one region per block and *written* array: it
-    reads the arrays no statement writes (L5's ``A`` and ``B``) straight
-    from the store, and the merge reads only the written regions."""
+    """``interp``, like ``auto``, renders no region on L5-duplicate: no
+    written array is replicated, so it reads and writes every array
+    straight from the store, and the merge takes the flat path."""
     plan = build_plan(catalog.l5(), strategy=Strategy.DUPLICATE)
     layout = layout_for(plan)
     initial = make_arrays(plan.model)
     regions = len(plan.blocks) * len(plan.data_blocks)
-    written = len(plan.blocks) * len(layout.written)
-    assert layout.written == ("C",) and written < regions
-    for backend, rendered in (("auto", 0), ("interp", written)):
+    assert layout.written == ("C",) and not layout.replicated
+    for backend, rendered in (("auto", 0), ("interp", 0)):
         tracer, reg = Tracer(enabled=True), MetricsRegistry()
         with use_tracer(tracer), use_registry(reg):
             res = run_parallel(plan, initial=initial, scalars=SCALARS,
@@ -312,10 +312,10 @@ def _first_miss(run):
 
 @pytest.mark.parametrize("case", sorted(SABOTAGED))
 def test_the_store_path_misses_where_the_dict_path_does(case):
-    """``interp`` on a run's store (unwritten arrays read from the lists,
-    written regions rendered) against ``interp`` on hand-built dicts
-    (``store=None``): the same first miss in a strict run, the same
-    counts and merged arrays in a tolerant one."""
+    """``interp`` on a run's store in place (every array read and
+    written through the lists, nothing rendered) against ``interp`` on
+    hand-built dicts (``store=None``): the same first miss in a strict
+    run, the same counts and merged arrays in a tolerant one."""
     plan = SABOTAGED[case]()
     initial = make_arrays(plan.model)
     layout = layout_for(plan)
@@ -329,8 +329,8 @@ def test_the_store_path_misses_where_the_dict_path_does(case):
     with use_registry(reg):
         got = run_parallel(plan, initial=initial, scalars=SCALARS,
                            backend="interp", strict=False)
-        # the store path ran: one region per block and written array
-        assert reg.value(RENDERED) == len(plan.blocks) * len(layout.written)
+        # the store path ran in place: no region rendered, none built
+        assert reg.value(RENDERED) == 0 and got.memories.built is None
         assert merge_copies(got, initial) == merge_copies(dicts, initial)
     assert (got.reads, got.writes, got.remote_reads, got.remote_writes) == \
         (dicts.reads, dicts.writes, dicts.remote_reads, dicts.remote_writes)
