@@ -49,11 +49,11 @@ class LocalMemory:
         self.pid = pid
         # the regions rendered (or allocated) as dicts so far
         self._values: dict[str, dict[tuple[int, ...], float]] = {}
-        # while a view: the store's lists, array -> where its row is
-        # found (a callable taking the array, returning (elements, slots));
-        # ``view=(grids, rows)`` makes every array of ``grids`` such a view
+        # while a view: the store's lists, array -> a callable taking the
+        # array, returning its {element: slot}; ``view=(grids, rows)``
+        # makes every array of ``grids`` such a view
         self._grids: Optional[dict[str, list]] = view and view[0]
-        self._rows: dict[str, Callable[[str], tuple]] = (
+        self._rows: dict[str, Callable[[str], dict]] = (
             dict.fromkeys(view[0], view[1]) if view else {})
 
     # -- the view ---------------------------------------------------------
@@ -66,9 +66,9 @@ class LocalMemory:
         the store on first read, and is the region from then on."""
         held = self._values.get(array)
         if held is None:   # a view's region (else ``_rows`` is empty)
-            elements, slots = self._rows[array](array)
-            held = self._values[array] = dict(
-                zip(elements, map(self._grids[array].__getitem__, slots)))
+            slots = self._rows[array](array)
+            held = self._values[array] = dict(zip(
+                slots, map(self._grids[array].__getitem__, slots.values())))
             current_registry().inc("runtime.memory.rendered_regions")
         return held
 
@@ -90,10 +90,10 @@ class LocalMemory:
         initial data) as a callable ``(coords) -> value``.
         ``view=grids`` instead makes the region a view of a flat store,
         and ``coords_iter`` the block's *rows*: a callable taking
-        ``array`` and returning ``(elements, slots)``, the ``j``-th
-        element at ``grids[array][slots[j]]``, called the first time
-        anything reads the region -- nothing is done per element here,
-        and no word copied.  (Only an array's first region, in a memory
+        ``array`` and returning ``{element: slot}`` (an element at
+        ``grids[array][slot]``), called the first time anything reads
+        the region -- nothing is done per element here, and no word
+        copied.  (Only an array's first region, in a memory
         whose ``values`` nobody has read -- what a run's store allocates;
         anything else is copied out of the store like an ``init``.)
         """
@@ -103,9 +103,8 @@ class LocalMemory:
             if self._grids is view and array not in self._rows:
                 self._rows[array] = coords_iter
                 return 0
-            coords_iter, slots = coords_iter(array)
-            init = dict(zip(coords_iter,
-                            map(view[array].__getitem__, slots))).__getitem__
+            slots = coords_iter = coords_iter(array)
+            init = lambda c: view[array][slots[c]]  # noqa: E731
         store = self.values.setdefault(array, {})
         n = 0
         for c in coords_iter:
@@ -116,6 +115,5 @@ class LocalMemory:
 
     def words(self) -> int:
         if self._grids is not None:
-            return sum(len(rows(array)[1])
-                       for array, rows in self._rows.items())
+            return sum(len(rows(array)) for array, rows in self._rows.items())
         return sum(map(len, self._values.values()))

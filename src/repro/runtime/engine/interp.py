@@ -1,23 +1,21 @@
 """The interpreter backend: the golden model's statements, run per block.
 
 Statements are built once per run into closures over the iteration
-tuple (:func:`repro.runtime.seq.build_statement`) -- the same builder
-the sequential run (:func:`repro.runtime.seq.run_sequential`) uses; here
-a reference reads and writes the running block's memory instead of the
-arrays.  It is the slowest tier and the semantic reference: every other
-backend is cross-checked against it bit for bit, so it shares no code
-with the kernel lowering.  It is also the only tier
-``run_parallel(strict=False)`` ever resolves.  A block holds each array
-as ``(slot_of, values, stamps)``: an element absent from ``slot_of`` is
-a miss, counted on the result as a remote read or write, then raising
-:class:`RemoteAccessError` (strict) or reading 0.0 / dropping the write
-unstamped; a hit reads or writes ``values[slot]`` and stamps
-``stamps[slot]``.  Where codegen could run in place
-(:func:`~repro.runtime.layout.in_place`) these are the block's
-:meth:`~repro.runtime.layout.PlanLayout.slot_maps`, the store's lists
-and flat stamp lists: no region rendered, no block memory built; else
-a written array (every array, once memories are built) is the block's
-region dict, keyed by its own elements.
+tuple (:func:`repro.runtime.seq.build_statement`), the sequential run's
+builder; here a reference reads and writes the running block's memory.
+It is the slowest tier and the semantic reference: every other backend
+is cross-checked against it bit for bit, and it shares no code with the
+kernel lowering (run in place, it shares codegen's stamp rendering and
+flat merge, which only the tests check, against hand-built dicts).  It
+is the only tier ``run_parallel(strict=False)`` resolves.  A block
+holds each array as ``(slot_of, values, stamps)``: an element absent
+from ``slot_of`` is a miss, counted as a remote read or write, then
+raising :class:`RemoteAccessError` (strict) or reading 0.0 / dropping
+the write unstamped; a hit reads or writes ``values[slot]`` and stamps
+``stamps[slot]``.  In place (:func:`~repro.runtime.layout.in_place`)
+these are the block's :meth:`~repro.runtime.layout.PlanLayout.slot_maps`,
+the store's lists and flat stamp lists; else a written array (every
+array, once memories are built) is the block's region dict.
 """
 
 from __future__ import annotations
@@ -46,8 +44,7 @@ class InterpreterEngine(Engine):
         live = plan.live
         tracer = current_tracer()
         memories, store = result.memories, result.store
-        flat = store is not None and memories.built is None
-        here = in_place(result)
+        flat, here = in_place(result, replicas=True), in_place(result)
         stamp_lists = store.stamp_lists() if here else None
         # the running block's processor, and by array its {element: slot},
         # values and stamps; (block, stamps) of each block's region dicts
@@ -58,15 +55,14 @@ class InterpreterEngine(Engine):
             """``(slots, values, stamps)`` of block ``bindex``, by array."""
             if here:
                 return store.layout.slot_maps(bindex), store.grids, stamp_lists
+            memory = memories[bindex]
             if flat:   # the written arrays' regions, the rest the store's
-                regions = {n: memories[bindex].region(n)
-                           for n in store.layout.written}
-                where = dict(store.layout.slot_maps(bindex))
-                held = dict(store.grids)
+                regions = {n: memory.region(n) for n in store.layout.written}
+                where = store.layout.slot_maps(bindex, store.layout.written)
+                held = {**store.grids, **regions}
             else:
-                regions, where, held = memories[bindex].values, {}, {}
-            for name, region in regions.items():
-                where[name], held[name] = dict(zip(region, region)), region
+                regions = held = memory.values
+                where = {name: dict(zip(r, r)) for name, r in regions.items()}
             stamped = {name: {} for name in regions}
             pending.append((bindex, stamped))
             return where, held, stamped
@@ -90,10 +86,10 @@ class InterpreterEngine(Engine):
             return get
 
         rank_of, rect = space.rank_of, space.rank_strides()
-        if rect is not None:   # the closed form, unrolled; no bounds checks
-            los, strides = rect   # (a range from 0 is its own positions)
-            rank_of = read_at(range(maxsize), list(strides),
-                               -sum(map(mul, los, strides)))
+        if rect is not None:   # the closed form, unrolled: no bounds checks,
+            # and a range from 0 is its own positions
+            rank_of = read_at(range(maxsize), list(rect[1]),
+                              -sum(map(mul, *rect)))
 
         statements = [(*build_statement(stmt, nest.indices, scalars, bind,
                                         space.bounding_box()),

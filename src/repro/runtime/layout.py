@@ -8,13 +8,13 @@ in the row-major bounding box of its allocated elements
 (:class:`GridSpec`), filled by one box copy out of the initial array --
 and a block's :class:`~repro.machine.memory.LocalMemory` is a *view* of
 it.  The :class:`PlanLayout` is sized once per plan from integer
-columns of the plan's ``H i + c``, and a block's slot maps (its element
-coordinates and their slots in each array's list) are derived only when
-first needed: a region becomes a ``{coords: value}``
-dict only when something reads it as one, and from then on the dict is
-what counts.  A block's memory is not even built until something reads
-one (:class:`BlockMemories`), and no tier reads one where it can run
-on the lists in place (:func:`in_place`; DESIGN.md, "Allocation").
+columns of the plan's ``H i + c``, a block's slot maps (its elements
+and their slots in each array's list) when first needed, and a region
+becomes a ``{coords: value}`` dict only when something reads it as one:
+from then on the dict is what counts.  A block's memory is not even
+built until something reads one (:class:`BlockMemories`), and no tier
+reads one where it can run on the lists in place (:func:`in_place`;
+DESIGN.md, "Allocation").
 :class:`Sidecar` is how the layout, and every other table derived from
 a plan, is kept beside the plan.
 """
@@ -27,7 +27,7 @@ from functools import partial
 from itertools import chain, compress, product, repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.core.partition import dot_columns, image_map
 from repro.machine.memory import LocalMemory
@@ -198,25 +198,23 @@ class PlanLayout:
         self.identity = MappingProxyType(
             dict(zip(self.block_indices, self.block_indices)))
         self._data = plan.data_blocks
-        self._slots: dict[int, dict[str, dict]] = {}
+        self._slots: dict[tuple, dict[str, dict]] = {}
 
-    def slot_maps(self, bindex: int) -> dict[str, dict[tuple, int]]:
+    def slot_maps(self, bindex: int, regions: tuple = ()) -> dict:
         """array -> ``{element: slot}`` of block ``bindex``'s region in
         the array's list, in the data block's own iteration order (a
-        rendered dict's); built for every array at once."""
-        maps = self._slots.get(bindex)
+        rendered dict's); built for every array at once.  An array of
+        ``regions`` maps each element to itself: its rendered dict's key."""
+        maps = self._slots.get((bindex, regions))
         if maps is None:
-            maps = self._slots[bindex] = {}
+            maps = self._slots[bindex, regions] = {}
             for name, spec in self.specs.items():
+                elements = self._data[name][bindex].elements
                 base = sum(map(mul, spec.lo, spec.strides))
-                maps[name] = {e: sum(map(mul, e, spec.strides)) - base
-                              for e in self._data[name][bindex].elements}
+                maps[name] = (dict(zip(elements, elements)) if name in regions
+                              else {e: sum(map(mul, e, spec.strides)) - base
+                                    for e in elements})
         return maps
-
-    def row(self, bindex: int, name: str) -> tuple:
-        """``(elements, slots)`` of block ``bindex``'s region of ``name``."""
-        slots = self.slot_maps(bindex)[name]
-        return tuple(slots), list(slots.values())
 
 
 _LAYOUTS = Sidecar(PlanLayout)
@@ -227,11 +225,12 @@ def layout_for(plan) -> PlanLayout:
     return _LAYOUTS.get(plan)
 
 
-def _box(specs: Mapping[str, GridSpec], name: str) -> tuple[Iterator, range]:
-    """``(elements, slots)`` of the whole of array ``name``'s list."""
+def _box(specs: Mapping[str, GridSpec], name: str) -> dict[tuple, int]:
+    """``{element: slot}`` of the whole of array ``name``'s list."""
     spec = specs[name]
-    return (product(*map(range, spec.lo, map(add, spec.lo, spec.shape))),
-            range(spec.size))
+    return dict(zip(product(*map(range, spec.lo,
+                                 map(add, spec.lo, spec.shape))),
+                    range(spec.size)))
 
 
 class FlatStore:
@@ -260,9 +259,9 @@ class FlatStore:
 
     def views(self, block_to_pid: Mapping[int, int]) -> dict[int, LocalMemory]:
         """One memory per block, every region a view of this store."""
-        grids, row = self.grids, self.layout.row
+        grids, maps = self.grids, self.layout.slot_maps
         memories = {bindex: LocalMemory(block_to_pid[bindex],
-                                        view=(grids, partial(row, bindex)))
+                                        view=(grids, maps(bindex).__getitem__))
                     for bindex in self.layout.block_indices}
         current_registry().inc("runtime.memory.block_views", len(memories))
         return memories
@@ -290,12 +289,12 @@ class FlatStore:
                 if stamps[name][f] >= 0}
 
 
-def in_place(result) -> bool:
+def in_place(result, replicas: bool = False) -> bool:
     """May an engine run ``result`` on its store's lists in place: a store,
-    its block memories unbuilt, no written array replicated?"""
+    block memories unbuilt, no written replica (unless ``replicas``)?"""
     store = result.store
     return (store is not None and result.memories.built is None
-            and not store.layout.replicated)
+            and (replicas or not store.layout.replicated))
 
 
 class BlockMemories(Mapping):

@@ -150,10 +150,9 @@ class ParallelResult:
         accumulate across runs within the registry's lifetime
         (``runtime.memory.rendered_regions`` is counted by the memories
         as they render, one per region -- none in place, blocks x written
-        arrays on an ``interp`` run of a written replica, and no more in
-        the merge after it --
-        ``runtime.memory.block_views`` by the store as it builds them;
-        here both are made to exist, so zero shows).
+        arrays on an ``interp`` run of a written replica, no more in the
+        merge -- ``runtime.memory.block_views`` by the store as it builds
+        them; here both are made to exist, so zero shows).
         """
         reg = registry if registry is not None else current_registry()
         reg.inc("runtime.runs")

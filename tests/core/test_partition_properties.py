@@ -149,7 +149,8 @@ def test_partition_equals_brute_force(case):
 def _tables(layout):
     """Every table a layout holds, its rows rendered per region."""
     return (layout.specs, layout.words, layout.written, layout.replicated,
-            [(j, [(name, *layout.row(j, name)) for name in layout.specs])
+            [(j, [(name, tuple(slots), list(slots.values()))
+                  for name, slots in layout.slot_maps(j).items()])
              for j in layout.block_indices])
 
 

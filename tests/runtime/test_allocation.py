@@ -142,11 +142,11 @@ def test_element_outside_the_initial_array_raises(backing):
 
 def test_table_form_of_allocate_directly():
     """The table is the plan layout's: a region is a row of it --
-    ``(elements, slots)`` into the store's flat list of the array,
+    ``{element: slot}`` into the store's flat list of the array,
     built when the region is first read."""
     grids = {"A": [1.5, 2.5, 3.5], "B": [9.0]}
     mem = LocalMemory(pid=3)
-    rows = {"A": (((1,), (0,)), [1, 0]), "B": (((4,),), [0])}.__getitem__
+    rows = {"A": {(1,): 1, (0,): 0}, "B": {(4,): 0}}.__getitem__
     assert mem.allocate("A", rows, view=grids) == 0
     assert mem.allocate("B", rows, view=grids) == 0
     # nothing was copied: the memory still reads the lists
@@ -162,7 +162,7 @@ def test_table_form_of_allocate_directly():
     assert mem.values["A"][(0,)] == -1.5 and (0,) in mem.values["A"]
     # a second region of an array, or any region of a memory that holds
     # dicts, is copied in like an ``init``: new words counted once
-    rows = {"A": (((1,), (2,)), [1, 2])}.__getitem__
+    rows = {"A": {(1,): 1, (2,): 2}}.__getitem__
     assert mem.allocate("A", rows, view=grids) == 1
     assert mem.values["A"] == {(1,): 2.5, (0,): -1.5, (2,): 3.5}
     assert mem.words() == 4

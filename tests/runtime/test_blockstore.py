@@ -64,8 +64,10 @@ class TestLayout:
         assert a.specs == b.specs
         assert a.words == b.words
         assert a.block_indices == b.block_indices
-        assert [a.row(i, n) for i in a.block_indices for n in a.specs] == \
-            [b.row(i, n) for i in b.block_indices for n in b.specs]
+        assert [list(a.slot_maps(i)[n].items())
+                for i in a.block_indices for n in a.specs] == \
+            [list(b.slot_maps(i)[n].items())
+             for i in b.block_indices for n in b.specs]
 
     def test_regions_tile_the_buffer_exactly(self):
         plan = _plan()

@@ -209,7 +209,7 @@ def test_allocate_does_no_per_element_work():
 
     def rows(array):
         built.append(array)
-        return ((0, 1), (2, 3)), [7, 9]
+        return {(0, 1): 7, (2, 3): 9}
 
     mem = LocalMemory(pid=0)
     grids = {"A": [0.0] * 10}
@@ -433,7 +433,8 @@ def _grown(arrays, by):
 def _holes(layout, initial):
     """Some box slot belongs to no block (a triangular space)."""
     spec = layout.specs["T"]
-    held = {c for j in layout.block_indices for c in layout.row(j, "T")[0]}
+    held = {c for j in layout.block_indices
+            for c in layout.slot_maps(j)["T"]}
     return len(held) < spec.size
 
 

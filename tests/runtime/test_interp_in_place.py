@@ -12,6 +12,7 @@ thing as the interpreter on hand-built dicts.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -28,32 +29,34 @@ from repro.runtime.parallel import ParallelResult, run_parallel
 from repro.runtime.verify import cross_check_backends
 
 # pytest puts this directory on sys.path (rootdir-less test modules)
-from test_engine_parity import SCALARS
+from test_engine_parity import SCALARS as PARITY_SCALARS
 from test_flat_store import BLOCK_VIEWS, RENDERED, interp_reference
 from tests.nests import matmul
 
+#: every scalar a catalog nest names (AXPY's ``ALPHA`` too)
+SCALARS = {**PARITY_SCALARS, "ALPHA": 2.5}
 LOOPS = {"L1": catalog.l1, "L2": catalog.l2, "L3": catalog.l3,
          "L4": catalog.l4, "L5": catalog.l5}
 
-#: certified plans with no written replica: interp runs them in place
-IN_PLACE = {
-    **{f"{name}-{strategy.value}": (lambda f=f, s=strategy:
-                                    build_plan(f(), strategy=s))
-       for name, f in LOOPS.items() for strategy in Strategy
-       if (name, strategy) != ("L2", Strategy.DUPLICATE)},
-    "MATMUL6-duplicate": lambda: build_plan(matmul(6),
-                                            strategy=Strategy.DUPLICATE),
-    "STENCIL2D": lambda: build_plan(catalog.stencil2d()),
-    "TRI": lambda: build_plan(catalog.triangular()),
-}
 
-#: plans with a written replica: per-block dicts of the written arrays
-REPLICATED = {
-    "L2-duplicate": lambda: build_plan(catalog.l2(),
-                                       strategy=Strategy.DUPLICATE),
-    "L3sub-duplicate": lambda: build_plan(catalog.l3_sub(),
-                                          strategy=Strategy.DUPLICATE),
-}
+def _catalog():
+    """Every catalog nest x strategy x ``eliminate``, and MATMUL6."""
+    for name, nest in catalog.ALL_LOOPS.items():
+        for strategy in Strategy:
+            for eliminate in (False, True):
+                yield (f"{name}-{strategy.value}{'-min' * eliminate}",
+                       partial(build_plan, nest(), strategy=strategy,
+                               eliminate_redundant=eliminate))
+    yield "MATMUL6-duplicate", partial(build_plan, matmul(6),
+                                       strategy=Strategy.DUPLICATE)
+
+
+#: certified plans with no written replica: interp runs them in place;
+#: and those with one, where it keeps the written arrays' region dicts
+IN_PLACE, REPLICATED = {}, {}
+for _name, _plan in _catalog():
+    (REPLICATED if layout_for(_plan()).replicated else IN_PLACE)[_name] = \
+        _plan
 
 
 def _interp(plan, strict=True):
@@ -75,7 +78,7 @@ def test_a_certified_store_run_renders_nothing(name):
     assert res.memories.built is None
     assert res.store.stamps is not None
     # and it is the interpreter's run on hand-built dicts
-    want = interp_reference(plan, initial)
+    want = interp_reference(plan, initial, SCALARS)
     with use_registry(reg):
         assert merge_copies(res, initial) == merge_copies(want, initial)
     assert reg.value(RENDERED) == 0         # the merge took the flat path
@@ -90,9 +93,13 @@ def test_a_written_replica_keeps_the_written_regions(name):
     layout = layout_for(plan)
     res, initial, reg = _interp(plan)
     assert res.ok and layout.replicated
-    assert reg.value(RENDERED) == len(plan.blocks) * len(layout.written)
+    # (a block whose every computation is eliminated renders none)
+    live = [b for b in plan.blocks if plan.live is None or any(
+        (k, it) in plan.live for it in b.iterations
+        for k in range(len(plan.nest.statements)))]
+    assert reg.value(RENDERED) == len(live) * len(layout.written)
     assert res.store.stamps is None
-    want = interp_reference(plan, initial)
+    want = interp_reference(plan, initial, SCALARS)
     assert merge_copies(res, initial) == merge_copies(want, initial)
     assert res.write_stamps == want.write_stamps
 
@@ -131,7 +138,7 @@ def test_a_tolerant_sabotaged_run_drops_its_remote_writes_unstamped(loop):
     got, initial, reg = _interp(plan, strict=False)
     assert reg.value(RENDERED) == 0 and got.store.stamps is not None
     assert got.remote_writes > 0
-    want = interp_reference(plan, initial, strict=False)
+    want = interp_reference(plan, initial, SCALARS, strict=False)
     assert (got.reads, got.writes, got.remote_reads, got.remote_writes) == \
         (want.reads, want.writes, want.remote_reads, want.remote_writes)
     assert merge_copies(got, initial) == merge_copies(want, initial)
@@ -185,7 +192,7 @@ def test_an_empty_block_writes_nothing():
     spans = {sp.attributes["block"]: sp for sp in tracer.spans
              if sp.name == "engine.block"}
     assert spans[len(plan.blocks) - 1].attributes["statements"] == 0
-    want = interp_reference(plan, initial)
+    want = interp_reference(plan, initial, SCALARS)
     assert res.write_stamps == want.write_stamps
     assert merge_copies(res, initial) == merge_copies(want, initial)
     assert {block for block, _, _ in res.write_stamps} == \
@@ -203,6 +210,6 @@ def test_a_block_with_no_live_computation_writes_nothing():
     res, initial, reg = _interp(plan)
     assert dead and reg.value(RENDERED) == 0
     assert not dead & {block for block, _, _ in res.write_stamps}
-    want = interp_reference(plan, initial)
+    want = interp_reference(plan, initial, SCALARS)
     assert res.write_stamps == want.write_stamps
     assert merge_copies(res, initial) == merge_copies(want, initial)
