@@ -131,7 +131,7 @@ class Session:
                                  if duplicate_arrays is not None else None)
         self.scalars = dict(scalars) if scalars else {}
         # registry/tracer/pool are injectable so an embedding host (the
-        # CLI under --trace/--timings, the serving layer sharing one
+        # CLI under --trace, the serving layer sharing one
         # registry and one warm pool across sessions) can see what the
         # session records; by default each session owns fresh ones
         self.tracer = tracer if tracer is not None \

@@ -9,17 +9,16 @@ Loops come from a mini-language source file or the built-in catalog
 ``--duplicate-arrays A,B`` (subset), ``--eliminate`` (Section III.C).
 
 Every subcommand runs through the pass pipeline
-(:mod:`repro.pipeline`) and takes two observability flags: ``--timings``
-prints the per-pass timing table (including plan-cache hit/miss
-counters with miss reasons), and ``--trace FILE`` writes the run's one
-observability document -- a Chrome trace-event JSON (open in
-chrome://tracing or Perfetto) whose ``otherData`` holds the command,
-its exit code, the metrics registry and the sampling profiler's stack
-counts (``python -m repro.obs.export FILE --as prom|collapsed`` renders
-them as Prometheus text or flamegraph lines).  The document is written
-however the command ends: after a crash it holds exit code 1 and a
-``cli.crash`` event, and the traceback still follows.  Structured
-diagnostics (degenerate Psi, partial duplication, ...) go to stderr so
+(:mod:`repro.pipeline`) and takes one observability flag: ``--trace
+FILE`` writes the run's one observability document -- a Chrome
+trace-event JSON (open in chrome://tracing or Perfetto) whose
+``otherData`` holds the command, its exit code and the metrics
+registry (``python -m repro.obs.export FILE --as prom|timings`` renders
+it as Prometheus text or as the per-pass timing table with the
+plan-cache hit/miss counters).  The document is written however the
+command ends: after a crash it holds exit code 1 and a ``cli.crash``
+event, and the traceback still follows.  Structured diagnostics
+(degenerate Psi, partial duplication, ...) go to stderr so
 stdout stays machine-stable.
 """
 
@@ -97,7 +96,7 @@ def _session_from_args(args):
     """An :class:`repro.api.Session` wired to the CLI's ambient scopes.
 
     The session reuses the command's current metrics registry and
-    tracer (so ``--trace`` / ``--timings`` see exactly what the session
+    tracer (so ``--trace`` sees exactly what the session
     does) instead of creating private ones.
     """
     from repro.api import Session
@@ -345,13 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_subparser(name, **kwargs):
         p = sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
-        p.add_argument("--timings", action="store_true",
-                       help="print the per-pass timing table")
         p.add_argument("--trace", metavar="FILE",
                        help="write this command's observability document: "
                             "a Chrome trace-event JSON (chrome://tracing / "
-                            "Perfetto) carrying its metrics and sampled "
-                            "stacks")
+                            "Perfetto) carrying its metrics")
         return p
 
     p = add_subparser("verify", help="parallel == sequential check")
@@ -526,38 +522,26 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     refusal = _refusal(args)
     if refusal:
         return _finish(False, refusal, 2)
-    if not (args.trace or args.timings):
+    if not args.trace:
         return _invoke(args, out)
 
-    from contextlib import nullcontext
+    from repro.obs import (MetricsRegistry, Tracer, use_registry, use_tracer,
+                           write_chrome_trace)
 
-    from repro.obs import (MetricsRegistry, Tracer, timing_table,
-                           use_registry, use_tracer, write_chrome_trace)
-    from repro.obs.profile import SamplingProfiler
-
-    # fresh recorders so the table and the document cover exactly this
-    # command; without --trace the tracer records nothing and nothing
-    # samples
+    # fresh recorders so the document covers exactly this command
     registry = MetricsRegistry()
-    tracer = Tracer(enabled=bool(args.trace))
-    profiler = SamplingProfiler(tracer) if args.trace else None
+    tracer = Tracer()
     code = 1    # what the document says if the command crashes
     try:
-        with use_registry(registry), use_tracer(tracer), \
-                profiler or nullcontext():
+        with use_registry(registry), use_tracer(tracer):
             code = _invoke(args, out)
-        if args.timings:
-            print(file=out)
-            print(timing_table(registry), file=out)
     finally:
         # written however the command ends: a crash's document is its
         # post-mortem, and the exception propagates after it
-        if args.trace:
-            profiler.publish(registry)
-            write_chrome_trace(
-                tracer, args.trace, profiler,
-                command=list(sys.argv[1:] if argv is None else argv),
-                exit_code=code, metrics=registry.snapshot())
+        write_chrome_trace(
+            tracer, args.trace,
+            command=list(sys.argv[1:] if argv is None else argv),
+            exit_code=code, metrics=registry.snapshot())
     return code
 
 

@@ -32,6 +32,7 @@ class IterationSpace:
         self._box_cache: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
         # rank_of support: ("rect", los, his, strides) or ("map", {point: rank})
         self._rank_cache: Optional[tuple] = None
+        self._size_cache: Optional[int] = None
 
     def __getstate__(self) -> dict:
         """No derived cache: the bytes must not depend on what ran before."""
@@ -40,7 +41,7 @@ class IterationSpace:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, _points_cache=None, _box_cache=None,
-                             _rank_cache=None)
+                             _rank_cache=None, _size_cache=None)
 
     # -- structural ----------------------------------------------------------
     def is_rectangular(self) -> bool:
@@ -134,10 +135,14 @@ class IterationSpace:
         return los, strides
 
     def size(self) -> int:
-        if self.is_rectangular():
-            lo, hi = self.bounding_box()
-            return prod(max(0, h - l + 1) for l, h in zip(lo, hi))
-        return len(self.points())
+        if self._size_cache is None:
+            if self.is_rectangular():
+                lo, hi = self.bounding_box()
+                self._size_cache = prod(max(0, h - l + 1)
+                                        for l, h in zip(lo, hi))
+            else:
+                self._size_cache = len(self.points())
+        return self._size_cache
 
     def __contains__(self, point) -> bool:
         pt = tuple(int(x) for x in point)

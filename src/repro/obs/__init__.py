@@ -7,15 +7,15 @@ simulate (machine distribution/compute phases):
 - :mod:`~repro.obs.trace`: the one recorder -- the hierarchical span
   tracer (disabled by default: every span is a shared no-op, the
   ledger's ``obs.trace.null_span_ns``);
-- :mod:`~repro.obs.metrics`: the counters/gauges/histograms registry
-  (pass timings, cache counters, ``ParallelResult`` / ``MachineStats``
-  publications) behind one API;
+- :mod:`~repro.obs.metrics`: the counters/gauges registry (cache
+  counters, ``ParallelResult`` / ``MachineStats`` publications) behind
+  one API;
 - :mod:`~repro.obs.export`: the run's one document -- a Chrome
   trace-event JSON (Perfetto-viewable) whose ``otherData`` carries the
-  registry snapshot and the sampler's stacks -- its Prometheus and
-  collapsed-stack renderings, and the ``--timings`` table.  The CLI
-  writes it however the command ends, so a failed command's document
-  is its post-mortem;
+  registry snapshot -- and its renderings: Prometheus text and the
+  per-pass timing table of its ``pass:*`` spans.  The CLI writes it
+  however the command ends, so a failed command's document is its
+  post-mortem;
 - :mod:`~repro.obs.schema`: the in-tree Chrome-trace schema check
   (``python -m repro.obs.schema trace.json``), used by CI;
 - :mod:`~repro.obs.aggregate`: cross-process re-homing of worker
@@ -25,12 +25,9 @@ simulate (machine distribution/compute phases):
   plus the allocation walk) that codegen's check elision shares, the
   attribution of a refused plan's misses (Definition 1's ``r``
   vectors), engine reconciliation, and the ASCII
-  dashboard behind ``repro audit``;
-- :mod:`~repro.obs.profile`: the thread-based sampling profiler that
-  runs under ``--trace`` (stack counts, a Chrome sample track, samples
-  filed under the innermost open span).
+  dashboard behind ``repro audit``.
 
-Every CLI subcommand accepts ``--timings`` and ``--trace FILE``; see
+Every CLI subcommand accepts ``--trace FILE``; see
 ``docs/OBSERVABILITY.md`` for the full knob reference.
 """
 
@@ -48,10 +45,9 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "write_chrome_trace",
     ),
     "metrics": (
-        "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "METRICS", "Counter", "Gauge", "MetricsRegistry",
         "current_registry", "use_registry",
     ),
-    "profile": ("SamplingProfiler",),
     "schema": ("CHROME_TRACE_SCHEMA", "validate_chrome_trace"),
     "trace": (
         "NULL_SPAN", "NULL_TRACER", "Event", "Span", "Tracer",

@@ -16,10 +16,8 @@ that re-homes everything into the live recorders:
   parent-clock offset (the fan-out span's start), which places worker
   activity inside the fan-out region of the parent timeline.  Offsets
   affect *placement* only -- durations and counts are exact;
-- counters accumulate, gauges take the last worker's observation, and
-  histograms merge bucket-wise
-  (:meth:`~repro.obs.metrics.Histogram.merge`), so parent-side totals
-  equal the sum over worker lanes.
+- counters accumulate and gauges take the last worker's observation,
+  so parent-side totals equal the sum over worker lanes.
 
 A multiprocess worker records one ``engine.codegen.exec`` span per
 share (``backend="multiprocess"``, the share's ``blocks``), plus
@@ -31,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.obs.metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry
+from repro.obs.metrics import Counter, Metric, MetricsRegistry
 from repro.obs.trace import Event, Span, Tracer
 
 
@@ -75,9 +73,7 @@ def merge_worker_obs(
     for m in obs.metrics:
         if isinstance(m, Counter):
             registry.counter(m.name).inc(m.value)
-        elif isinstance(m, Histogram):
-            registry.histogram(m.name).merge(m)
-        elif isinstance(m, Gauge):
+        else:
             registry.gauge(m.name).set(m.value)
 
     if not tracer.enabled:

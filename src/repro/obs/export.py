@@ -7,12 +7,11 @@
   on the lane of the thread that recorded them.
 - :func:`write_chrome_trace` writes the ``--trace FILE`` document: that
   trace, plus under the format's own ``otherData`` key a schema version,
-  the command line, its exit code, the registry snapshot and the
-  sampler's stack counts.
-- ``python -m repro.obs.export FILE --as prom|collapsed`` renders a
+  the command line, its exit code and the registry snapshot.
+- ``python -m repro.obs.export FILE --as prom|timings`` renders a
   document's metrics as Prometheus text (:func:`prometheus_text`) or
-  its stacks as collapsed flamegraph lines (:func:`collapsed_text`);
-  :func:`timing_table` is the ``--timings`` view of a live registry.
+  its ``pass:*`` spans and plan-cache / engine counters as the per-pass
+  timing table (:func:`timing_table`).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import json
 import sys
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
@@ -97,16 +95,11 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
 TRACE_VERSION = 1
 
 
-def write_chrome_trace(tracer: Tracer, path: str, profiler=None,
-                       **other: Any) -> None:
-    """Write one run's document: ``tracer``'s Chrome trace, the
-    sampler's instants on their own track, and ``otherData`` holding
-    the version, ``other`` (``command``, ``exit_code``, ``metrics``)
-    and the sampler's ``stacks``."""
+def write_chrome_trace(tracer: Tracer, path: str, **other: Any) -> None:
+    """Write one run's document: ``tracer``'s Chrome trace and
+    ``otherData`` holding the version and ``other`` (``command``,
+    ``exit_code``, ``metrics``)."""
     doc = chrome_trace(tracer)
-    if profiler is not None:
-        doc["traceEvents"] += profiler.chrome_events(tracer.pid)
-        other["stacks"] = profiler.stack_counts()
     doc["otherData"] = {"version": TRACE_VERSION, **other}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -143,68 +136,56 @@ def prometheus_text(metrics: dict[str, dict[str, Any]]) -> str:
     for name, m in sorted(metrics.items()):
         pname = _prom_name(name)
         lines.append(f"# TYPE {pname} {m['kind']}")
-        if m["kind"] == "histogram":
-            cum = 0
-            for le, n in zip([*m["buckets"], float("inf")], m["counts"]):
-                cum += n
-                lines.append(
-                    f'{pname}_bucket{{le="{_fmt(le)}"}} {cum}')
-            lines.append(f"{pname}_sum {_fmt(m['sum'])}")
-            lines.append(f"{pname}_count {m['count']}")
-            if m["count"]:
-                # summary-style quantile estimates (bucket-interpolated)
-                for q, key in (("0.5", "p50"), ("0.95", "p95"),
-                               ("0.99", "p99")):
-                    lines.append(
-                        f'{pname}{{quantile="{q}"}} {_fmt(m[key])}')
-        else:
-            lines.append(f"{pname} {_fmt(m['value'])}")
+        lines.append(f"{pname} {_fmt(m['value'])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def collapsed_text(stacks: dict[str, int]) -> str:
-    """Collapsed-stack flamegraph text (``frame;frame;frame count``), one
-    line per stack in the order given, for any flamegraph renderer."""
-    return "".join(f"{stack} {n}\n" for stack, n in stacks.items())
-
-
-#: histogram family the pass manager feeds, one per pass name
-PASS_SECONDS = "pipeline.pass.seconds."
-#: counter families ``--timings`` lists under the pass rows
+#: the span name prefix of a pipeline pass (``pipeline/passes.py``)
+PASS_SPAN = "pass:"
+#: counter families the timing table lists under the pass rows
 TIMING_COUNTERS = ("cache.hit", "cache.miss", "cache.evict",
                    "engine.resolved.")
 
 
-def timing_table(registry: MetricsRegistry) -> str:
-    """The ``--timings`` view: a per-pass timing table plus the plan
-    cache / engine counter lines.
+def timing_table(doc: dict[str, Any]) -> str:
+    """A ``--trace`` document's per-pass timing table: one row per pass
+    from its ``pass:*`` spans (calls, total, mean), then the plan cache
+    / engine counter lines of ``otherData.metrics``.
 
     Deterministic: passes are sorted by total time (descending), ties
     broken by name; counters are sorted by name.
     """
+    passes: dict[str, list[float]] = {}
+    for e in doc["traceEvents"]:
+        if e["ph"] == "X" and e["name"].startswith(PASS_SPAN):
+            passes.setdefault(e["name"][len(PASS_SPAN):], []).append(
+                e["dur"] / 1e3)             # microseconds -> ms
+    rows = sorted(((sum(ms), name, len(ms)) for name, ms in passes.items()),
+                  key=lambda row: (-row[0], row[1]))
     lines = [f"{'pass':<22} {'calls':>6} {'total(ms)':>10} {'mean(ms)':>10}"]
-    passes = [(name[len(PASS_SECONDS):], registry.get(name))
-              for name in registry.names() if name.startswith(PASS_SECONDS)]
-    if not passes:
+    if not rows:
         lines.append("(no passes recorded)")
-    for name, h in sorted(passes, key=lambda kv: (-kv[1].total, kv[0])):
-        lines.append(f"{name:<22} {h.count:>6} {h.total * 1e3:>10.3f} "
-                     f"{h.mean * 1e3:>10.3f}")
-    total = sum(h.total for _, h in passes)
-    lines.append(f"{'total':<22} {'':>6} {total * 1e3:>10.3f} {'':>10}")
-    for name in registry.names():
+    for total, name, calls in rows:
+        lines.append(f"{name:<22} {calls:>6} {total:>10.3f} "
+                     f"{total / calls:>10.3f}")
+    total = sum(row[0] for row in rows)
+    lines.append(f"{'total':<22} {'':>6} {total:>10.3f} {'':>10}")
+    metrics = doc["otherData"]["metrics"]
+    for name in sorted(metrics):
         if name.startswith(TIMING_COUNTERS):
-            lines.append(f"counter {name}: {registry.value(name)}")
-    return "\n".join(lines)
+            lines.append(f"counter {name}: {metrics[name]['value']}")
+    return "\n".join(lines) + "\n"
 
 
-#: ``--as`` -> (the ``otherData`` key it reads, its renderer)
-RENDERINGS = {"prom": ("metrics", prometheus_text),
-              "collapsed": ("stacks", collapsed_text)}
+#: ``--as`` -> its renderer of a whole document
+RENDERINGS = {
+    "prom": lambda doc: prometheus_text(doc["otherData"]["metrics"]),
+    "timings": timing_table,
+}
 
 
 def main(argv=None) -> int:
-    """``python -m repro.obs.export TRACE --as prom|collapsed``: one
+    """``python -m repro.obs.export TRACE --as prom|timings``: one
     rendering of a ``--trace`` document on stdout; 1 if the file holds
     no such record."""
     import argparse
@@ -216,17 +197,17 @@ def main(argv=None) -> int:
     parser.add_argument("--as", dest="form", required=True,
                         choices=sorted(RENDERINGS),
                         help="prom: the metrics as Prometheus text; "
-                             "collapsed: the sampler's stacks as "
-                             "flamegraph lines")
+                             "timings: the per-pass timing table and "
+                             "the plan-cache / engine counters")
     args = parser.parse_args(argv)
-    key, render = RENDERINGS[args.form]
     try:
         with open(args.file) as fh:
-            record = json.load(fh)["otherData"][key]
+            text = RENDERINGS[args.form](json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"{args.file}: no otherData.{key}: {exc!r}", file=sys.stderr)
+        print(f"{args.file}: no {args.form} record: {exc!r}",
+              file=sys.stderr)
         return 1
-    sys.stdout.write(render(record))
+    sys.stdout.write(text)
     return 0
 
 

@@ -1,9 +1,9 @@
-"""The unified metrics registry: counters, gauges, histograms.
+"""The unified metrics registry: counters and gauges.
 
-One registry holds every layer's numbers behind one API: the pass
-manager observes pass durations and the plan cache counts hits and
-misses directly; :class:`~repro.runtime.parallel.ParallelResult`
-(remote accesses, loads, memory words) and
+One registry holds every layer's counts behind one API: the plan cache
+counts hits and misses directly;
+:class:`~repro.runtime.parallel.ParallelResult` (remote accesses,
+loads, memory words) and
 :class:`~repro.machine.machine.MachineStats` (makespan, per-processor
 costs) keep their public fields and additionally *publish* into the
 current registry, so one run can be read end-to-end (compile, execute,
@@ -15,37 +15,27 @@ exporter sanitizes them.  Conventions:
 - counters accumulate over the registry's lifetime (``cache.hit``);
 - gauges hold the *most recent* observation (``runtime.remote_accesses``
   is the last parallel run's count, exactly equal to
-  ``ParallelResult.remote_accesses``);
-- histograms record count/sum/min/max plus fixed log-spaced buckets
-  (pass wall times land in ``pipeline.pass.seconds.<name>``).
+  ``ParallelResult.remote_accesses``).
+
+Durations are not metrics: each is the span that timed it (a pass is
+its ``pass:<name>`` span, :mod:`repro.obs.trace`).
 
 Notable families: ``engine.shm.*`` (the shared-memory block store:
 ``stores`` / ``attaches`` / ``unlinks`` counters, ``bytes`` gauge) and
 ``engine.pool.*`` (worker-pool lifecycle: ``spawns`` / ``reuses``
-counters, ``workers`` gauge) instrument the multiprocess path; ``engine.multiproc.single_block`` counts the expected in-process
+counters, ``workers`` gauge) instrument the multiprocess path;
+``engine.multiproc.single_block`` counts the expected in-process
 fast path for one-block plans, distinct from
 ``engine.multiproc.degraded``.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 from repro.ctxstack import ScopeStack
-
-#: Log-spaced histogram bucket upper bounds, in the metric's own unit
-#: (seconds for timings): 1us .. 100s.
-DEFAULT_BUCKETS = tuple(10.0 ** e for e in range(-6, 3))
-
-#: Raw observations retained per histogram for exact small-sample
-#: quantiles.  While ``count <= SAMPLE_CAP`` every observation is still
-#: held, so quantiles are exact nearest-rank values; past the cap the
-#: histogram falls back to bucket interpolation (which is where the
-#: interpolation error is amortized away by volume anyway).
-SAMPLE_CAP = 64
 
 
 @dataclass
@@ -76,110 +66,7 @@ class Gauge:
         self.value = v
 
 
-@dataclass
-class Histogram:
-    """Count/sum/min/max plus fixed cumulative buckets."""
-
-    name: str
-    buckets: tuple[float, ...] = DEFAULT_BUCKETS
-    counts: list[int] = field(default_factory=list)
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-    samples: list[float] = field(default_factory=list)
-
-    kind = "histogram"
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            self.counts = [0] * (len(self.buckets) + 1)  # +inf bucket
-
-    def observe(self, v: float) -> None:
-        self.count += 1
-        self.total += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        if len(self.samples) < SAMPLE_CAP:
-            self.samples.append(v)
-        for i, le in enumerate(self.buckets):
-            if v <= le:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def exact(self) -> bool:
-        """True while every observation is still retained in
-        ``samples`` -- quantiles are exact nearest-rank values."""
-        return 0 < self.count <= len(self.samples)
-
-    def quantile(self, q: float) -> float:
-        """Quantile estimate: exact nearest-rank on small samples,
-        bucket-interpolated (Prometheus-style) past ``SAMPLE_CAP``.
-
-        With few observations, interpolating inside a log-spaced bucket
-        is badly wrong (a single 5ms pass in the 1..10ms bucket used to
-        report p95 near the bucket midpoint, not 5ms); while every raw
-        value is still retained the nearest-rank value is returned
-        instead, which is exact.  For large counts the target rank is
-        located in the cumulative bucket counts and the value
-        interpolated linearly within that bucket; the open ends are
-        clamped to the observed ``min``/``max``, so ``q=0`` and ``q=1``
-        are exact and every estimate stays inside the observed range.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        if self.exact:
-            ordered = sorted(self.samples)
-            rank = max(1, math.ceil(q * self.count))  # nearest-rank
-            return ordered[rank - 1]
-        target = q * self.count
-        cum = 0
-        for i, n in enumerate(self.counts):
-            if n == 0:
-                continue
-            prev = cum
-            cum += n
-            if cum >= target:
-                lo = self.min if i == 0 else self.buckets[i - 1]
-                hi = self.max if i >= len(self.buckets) else self.buckets[i]
-                lo = max(lo, self.min)
-                hi = min(hi, self.max)
-                if hi <= lo:
-                    return lo
-                frac = (target - prev) / n
-                return lo + (hi - lo) * frac
-        return self.max
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram (same buckets) into this one.
-
-        Used when re-absorbing per-worker registries after a
-        multiprocess fan-out (:mod:`repro.obs.aggregate`).
-        """
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"histogram {self.name}: bucket mismatch on merge")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        self.samples = (self.samples + other.samples)[:SAMPLE_CAP]
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-
-
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Gauge]
 
 
 class MetricsRegistry:
@@ -209,18 +96,12 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_make(name, Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_make(name, Histogram)
-
     # -- one-line recording helpers ---------------------------------------
     def inc(self, name: str, n: Union[int, float] = 1) -> None:
         self.counter(name).inc(n)
 
     def set(self, name: str, v: float) -> None:
         self.gauge(name).set(v)
-
-    def observe(self, name: str, v: float) -> None:
-        self.histogram(name).observe(v)
 
     # -- queries ----------------------------------------------------------
     def get(self, name: str) -> Optional[Metric]:
@@ -243,28 +124,9 @@ class MetricsRegistry:
         """JSON-ready dump of every metric, sorted by name: what a
         ``--trace`` document keeps as ``otherData.metrics``, and all
         :func:`~repro.obs.export.prometheus_text` reads."""
-        out: dict[str, Any] = {}
-        for name in self.names():
-            m = self._metrics[name]
-            if isinstance(m, Histogram):
-                out[name] = {
-                    "kind": m.kind,
-                    "buckets": list(m.buckets),
-                    "counts": list(m.counts),
-                    "count": m.count,
-                    "sum": m.total,
-                    "min": None if m.count == 0 else m.min,
-                    "max": None if m.count == 0 else m.max,
-                    "mean": m.mean,
-                    "p50": None if m.count == 0 else m.quantile(0.50),
-                    "p95": None if m.count == 0 else m.quantile(0.95),
-                    "p99": None if m.count == 0 else m.quantile(0.99),
-                    "quantile_method": ("exact" if m.exact
-                                        else "bucket-interpolated"),
-                }
-            else:
-                out[name] = {"kind": m.kind, "value": m.value}
-        return out
+        return {name: {"kind": self._metrics[name].kind,
+                       "value": self._metrics[name].value}
+                for name in self.names()}
 
 
 #: Process-wide default registry.  Unlike the tracer there is no null

@@ -16,10 +16,8 @@ per iteration).  The ledger measures that path as
 ``obs.trace.overhead_ratio``.  What happened before a failure is in the
 ``--trace`` document, which the CLI writes however the command ends.
 
-Each thread's open spans are a list in :attr:`Tracer.stacks`, keyed by
-:func:`threading.get_ident`, so the sampling profiler
-(:mod:`repro.obs.profile`) can read the innermost open span of any
-thread it samples.
+Each thread's open spans are its own list (a :class:`threading.local`),
+so spans opened on one thread never nest under another's.
 
 Clocks are monotonic (:func:`time.perf_counter_ns`), anchored to the
 tracer's creation, so timestamps are stable under wall-clock
@@ -102,7 +100,7 @@ class _SpanContext:
         self.span = span
 
     def __enter__(self) -> Span:
-        self._tracer._stack().append(self.span)
+        self._tracer._open.spans.append(self.span)
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -110,12 +108,19 @@ class _SpanContext:
         span.duration_ns = tracer._now() - span.start_ns
         if exc_type is not None:
             span.error = f"{exc_type.__name__}: {exc}"
-        stack = tracer._stack()
+        stack = tracer._open.spans
         if stack and stack[-1] is span:
             stack.pop()
         with tracer._lock:
             tracer.spans.append(span)
         return False
+
+
+class _OpenSpans(threading.local):
+    """One thread's open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.spans: list[Span] = []
 
 
 class Tracer:
@@ -127,8 +132,7 @@ class Tracer:
         self.spans: list[Span] = []
         self.events: list[Event] = []
         self.pid = os.getpid()
-        #: thread ident -> that thread's open spans, innermost last
-        self.stacks: dict[int, list[Span]] = {}
+        self._open = _OpenSpans()
         self._epoch_ns = time.perf_counter_ns()
         self._next_id = 0
         self._lock = threading.Lock()
@@ -136,9 +140,6 @@ class Tracer:
     # -- clock ------------------------------------------------------------
     def _now(self) -> int:
         return time.perf_counter_ns() - self._epoch_ns
-
-    def _stack(self) -> list[Span]:
-        return self.stacks.setdefault(threading.get_ident(), [])
 
     # -- recording --------------------------------------------------------
     def span(self, name: str, category: str = "app", **attrs: Any):
@@ -148,7 +149,7 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        stack = self._stack()
+        stack = self._open.spans
         parent = stack[-1].span_id if stack else None
         span = Span(name=name, category=category,
                     span_id=self.reserve_ids(1),
@@ -161,7 +162,7 @@ class Tracer:
         """Record an instant event under the currently open span."""
         if not self.enabled:
             return
-        stack = self._stack()
+        stack = self._open.spans
         evt = Event(name=name, category=category, ts_ns=self._now(),
                     span_id=stack[-1].span_id if stack else None,
                     attributes=attrs,

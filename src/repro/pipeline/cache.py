@@ -5,7 +5,7 @@ Plans are keyed by the canonical nest fingerprint
 elimination triple, so repeated ``build_plan``/CLI/benchmark invocations
 on structurally identical nests are near-free.  Hit/miss counts are
 counters of the metrics registry (``counter cache.hit`` /
-``cache.miss`` in the ``--timings`` table), and misses carry a
+``cache.miss`` in the ``--as timings`` table), and misses carry a
 clcache-style reason breakdown (:class:`MissReason`: new fingerprint
 vs. options change vs. eviction) as ``cache.miss.<reason>`` counters.
 

@@ -13,8 +13,8 @@ The paper's flow (Secs. II-IV) runs as six standard passes over a
 Each pass declares its input/output artifacts; the manager validates
 ordering, runs a prefix (``upto="partition"``), skips passes whose
 outputs were injected (e.g. a shared ``model``), and records every
-execution as one ``pass:<name>`` tracer span and one
-``pipeline.pass.seconds.<name>`` histogram sample of its wall time.
+execution as one ``pass:<name>`` tracer span: the pass's one timing
+record.
 
 :func:`run_pipeline` is the shared entry point behind ``build_plan``,
 the CLI, ``report.py``, ``selftest.py`` and the strategy selector; it
@@ -25,13 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
-from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
 from repro.analysis.references import NonUniformReferenceError, extract_references
 from repro.core.partition import all_data_partitions, iteration_partition
 from repro.lang.ast import LoopNest
-from repro.obs.metrics import current_registry
 from repro.obs.trace import current_tracer
 from repro.pipeline import diagnostics as diag
 from repro.pipeline.cache import PLAN_CACHE, PlanCache
@@ -123,7 +121,6 @@ class PassManager:
         """Run the (validated) schedule, skipping already-satisfied passes."""
         self.validate()
         tracer = current_tracer()
-        registry = current_registry()
         span_attrs = {"config": ctx.config.describe(),
                       "nest": ctx.nest.name or "<anon>"}
         for p in self.prefix(upto):
@@ -134,13 +131,10 @@ class PassManager:
             if missing:
                 raise PipelineError(
                     f"pass {p.name!r} is missing inputs {missing}")
-            t0 = perf_counter()
             with tracer.span(f"pass:{p.name}", category="pipeline",
                              **span_attrs) as sp:
                 p.run(ctx)
                 sp.set(artifacts=sorted(ctx.artifacts))
-            registry.observe(f"pipeline.pass.seconds.{p.name}",
-                             perf_counter() - t0)
             produced = [a for a in p.outputs if not ctx.has(a)]
             if produced:
                 raise PipelineError(

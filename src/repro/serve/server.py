@@ -27,16 +27,18 @@ the same rows the CLI runs) on a warm :class:`repro.api.Session`:
   shared pool survives until :meth:`AsyncServer.close`.
 
 Every request runs under a per-request span (``serve.request``) on the
-server's tracer and lands its latency in the ``serve.latency_ms``
-histogram, so ``p50/p95/p99`` come straight out of the registry
-snapshot.
+server's tracer, and its latency joins a window of the newest
+:data:`LATENCY_WINDOW`, over which :meth:`AsyncServer.status` reports
+nearest-rank ``p50/p95/p99`` (``count`` and ``mean`` cover every
+request).
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from time import perf_counter
@@ -58,6 +60,8 @@ DEFAULT_QUEUE_LIMIT = 32
 DEFAULT_SESSIONS = 8
 #: Distinct request texts whose parsed nest and plan key are remembered.
 NEST_MEMO = 16
+#: The newest request latencies ``status()`` takes quantiles over.
+LATENCY_WINDOW = 1024
 
 
 class AsyncServer:
@@ -95,6 +99,10 @@ class AsyncServer:
         #: requests admitted (executing or queued for the executor)
         self._admitted = 0
         self._requests = 0
+        #: the newest latencies (ms); count and sum over every request
+        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._latency_count = 0
+        self._latency_sum = 0.0
         self._closed = False
         self.shutdown_event = asyncio.Event()
 
@@ -167,7 +175,6 @@ class AsyncServer:
                 result = op(session, req.backend)
                 payload = result.to_json()
         elapsed_ms = (perf_counter() - t0) * 1e3
-        self.registry.observe("serve.latency_ms", elapsed_ms)
         # a failed verdict still carries its payload: what the op found
         reason = op.reason(result)
         error = None if reason is None else {"kind": "failed",
@@ -236,6 +243,7 @@ class AsyncServer:
         try:
             resp = await loop.run_in_executor(
                 self._executor, self._execute, req, nest, session_key)
+            self._observe_latency(resp.elapsed_ms)
             if not future.cancelled():
                 future.set_result(resp)
             return resp
@@ -270,18 +278,25 @@ class AsyncServer:
         return {"ok": True, "stopping": True}
 
     # -- introspection ----------------------------------------------------
+    def _observe_latency(self, ms: float) -> None:
+        """One executed request's latency (on the event loop)."""
+        self._latencies.append(ms)
+        self._latency_count += 1
+        self._latency_sum += ms
+
     def status(self) -> dict:
         """The daemon-status payload (also the CLI's ``serve status``)."""
         reg = self.registry
-        lat = reg.get("serve.latency_ms")
-        if lat is not None and lat.count:
-            snap = {"count": lat.count,
-                    "mean": round(lat.mean, 3),
-                    "p50": round(lat.quantile(0.50), 3),
-                    "p95": round(lat.quantile(0.95), 3),
-                    "p99": round(lat.quantile(0.99), 3)}
-        else:
-            snap = {}
+        snap = {}
+        if self._latency_count:
+            window = sorted(self._latencies)
+            snap = {"count": self._latency_count,
+                    "mean": round(self._latency_sum / self._latency_count,
+                                  3)}
+            for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+                # nearest rank: the ceil(q * n)-th smallest
+                rank = max(1, math.ceil(q * len(window)))
+                snap[key] = round(window[rank - 1], 3)
         return {
             "ok": True,
             "requests": int(reg.value("serve.requests")),

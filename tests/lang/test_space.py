@@ -86,3 +86,29 @@ class TestAffineBounded:
         sp = IterationSpace(catalog.triangular(5))
         assert sp.bounds_at((), 0) == (1, 5)
         assert sp.bounds_at((3,), 1) == (1, 3)
+
+
+class TestSizeCache:
+    """``size()`` is derived once; a pickled space carries no cache."""
+
+    @pytest.mark.parametrize("nest", [catalog.l4(), catalog.triangular(4)],
+                             ids=["rectangular", "triangular"])
+    def test_a_second_size_derives_nothing(self, nest, monkeypatch):
+        sp = IterationSpace(nest)
+        first = sp.size()
+        calls = []
+        monkeypatch.setattr(sp, "is_rectangular",
+                            lambda: calls.append(1) or True)
+        assert sp.size() == first and calls == []
+
+    def test_a_pickled_space_reloads_without_a_cache(self):
+        import pickle
+
+        sp = IterationSpace(catalog.l4())
+        assert sp.size() == 64
+        state = sp.__getstate__()
+        assert not any(k.endswith("_cache") for k in state)
+        back = pickle.loads(pickle.dumps(sp))
+        assert back._size_cache is None
+        assert pickle.dumps(back) == pickle.dumps(IterationSpace(catalog.l4()))
+        assert back.size() == 64

@@ -27,7 +27,7 @@ def _worker_obs(pid=4242):
                         span_id=1)]
     reg = MetricsRegistry()
     reg.inc("engine.worker.blocks", 3)
-    reg.histogram("worker.h").observe(5.0)
+    reg.set("worker.g", 5.0)
     obs.metrics = [reg.get(n) for n in reg.names()]
     return obs
 
@@ -58,15 +58,13 @@ class TestMergeWorkerObs:
         block = next(s for s in tracer.spans if s.name == "engine.block")
         assert evt.span_id == block.span_id
 
-    def test_metrics_merge_counters_and_histograms(self):
+    def test_metrics_merge_counters_and_gauges(self):
         reg = MetricsRegistry()
         reg.inc("engine.worker.blocks", 2)
-        reg.histogram("worker.h").observe(0.5)
+        reg.set("worker.g", 0.5)
         merge_worker_obs(Tracer(enabled=False), reg, _worker_obs())
         assert reg.get("engine.worker.blocks").value == 5
-        h = reg.get("worker.h")
-        assert h.count == 2
-        assert h.total == 5.5
+        assert reg.get("worker.g").value == 5.0     # the worker's, last
 
     def test_disabled_tracer_still_merges_metrics(self):
         tracer = Tracer(enabled=False)

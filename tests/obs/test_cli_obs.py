@@ -1,5 +1,5 @@
-"""The CLI's observability flags: ``--timings`` and ``--trace FILE``, and
-the renderings of a ``--trace`` document (``python -m repro.obs.export``)."""
+"""The CLI's observability flag, ``--trace FILE``, and the renderings of
+a ``--trace`` document (``python -m repro.obs.export``)."""
 
 import io
 import json
@@ -71,8 +71,6 @@ class TestTraceFlag:
         """One file answers what ran, how it ended, what it counted and
         where the wall clock went."""
         from repro.obs.export import TRACE_VERSION
-        from repro.obs.profile import SAMPLER_TID
-
         from repro.pipeline import PLAN_CACHE
 
         PLAN_CACHE.clear()
@@ -83,21 +81,20 @@ class TestTraceFlag:
         doc = json.loads(path.read_text())
         assert validate_chrome_trace(doc) == []
         other = doc["otherData"]
-        assert set(other) == {"version", "command", "exit_code", "metrics",
-                              "stacks"}
+        assert set(other) == {"version", "command", "exit_code", "metrics"}
         assert other["version"] == TRACE_VERSION
         assert other["command"] == argv and other["exit_code"] == 0
         metrics = other["metrics"]
         # the engine chosen, and why the plan cache missed
         assert metrics["engine.resolved.codegen"]["value"] == 1
         assert metrics["cache.miss.new-fingerprint"]["value"] == 1
-        assert metrics["profile.samples"]["value"] == sum(
-            other["stacks"].values())
-        # the sampler always runs, and its instants keep their own track
-        assert {e["tid"] for e in doc["traceEvents"]
-                if e["cat"].startswith("sample.")} <= {SAMPLER_TID}
-        assert any(e["tid"] == SAMPLER_TID and e["ph"] == "M"
-                   for e in doc["traceEvents"])
+        # the spans are the one timing record: no sampler track, no
+        # timing metric
+        assert not any(e["cat"].startswith("sample.")
+                       for e in doc["traceEvents"])
+        assert not any(name.startswith(("profile.", "pipeline.pass."))
+                       for name in metrics)
+        assert {m["kind"] for m in metrics.values()} <= {"counter", "gauge"}
 
     def test_a_failed_command_records_its_exit_code(self, tmp_path):
         code, doc = traced(tmp_path, "audit", "--loop", "L1", "--static",
@@ -139,9 +136,9 @@ class TestMetricsFlags:
         code, doc = traced(tmp_path, "report", "--loop", "L1", "-p", "4")
         assert code == 0
         metrics = doc["otherData"]["metrics"]
-        # pipeline (pass spans), runtime (ParallelResult),
+        # pipeline (plan cache), runtime (ParallelResult),
         # machine (MachineStats) all land in one registry
-        assert any(k.startswith("pipeline.pass.seconds.") for k in metrics)
+        assert "cache.miss" in metrics or "cache.hit" in metrics
         assert "runtime.remote_accesses" in metrics
         assert "machine.makespan" in metrics
 
@@ -176,7 +173,7 @@ class TestOneStream:
     agree with each other, on every loop of the paper."""
 
     @pytest.mark.parametrize("loop", ["L1", "L2", "L3", "L4", "L5"])
-    def test_pass_spans_match_pass_histograms(self, loop, tmp_path):
+    def test_timings_rows_are_the_pass_spans(self, loop, tmp_path, capsys):
         from repro.pipeline import PLAN_CACHE
 
         PLAN_CACHE.clear()              # a hit would run no pass
@@ -186,10 +183,10 @@ class TestOneStream:
         passes = Counter(e["name"][len("pass:"):] for e in doc["traceEvents"]
                          if e["ph"] == "X" and e["name"].startswith("pass:"))
         assert passes, "no pass:* span"
-        assert passes == {
-            name[len("pipeline.pass.seconds."):]: m["count"]
-            for name, m in metrics.items()
-            if name.startswith("pipeline.pass.seconds.")}
+        code, text = export(tmp_path / "trace.json", "timings", capsys)
+        assert code == 0
+        rows = text.splitlines()[1:1 + len(passes)]
+        assert {ln.split()[0]: int(ln.split()[1]) for ln in rows} == passes
         # the simulated machine holds the words the run allocated
         words = metrics["machine.memory_words"]["value"]
         assert words == metrics["runtime.memory_words"]["value"] > 0
@@ -198,21 +195,12 @@ class TestOneStream:
 
 
 class TestExport:
-    def test_collapsed_is_the_documents_stacks(self, tmp_path, capsys):
-        assert traced(tmp_path, "verify", "--loop", "L5", "--duplicate")[0] \
-            == 0
-        path = tmp_path / "trace.json"
-        stacks = json.loads(path.read_text())["otherData"]["stacks"]
-        code, text = export(path, "collapsed", capsys)
-        assert code == 0
-        assert text == "".join(f"{s} {n}\n" for s, n in stacks.items())
-
     def test_a_file_without_the_record_is_refused(self, tmp_path, capsys):
         from repro.obs import Tracer, write_chrome_trace
 
         path = tmp_path / "bare.json"
-        write_chrome_trace(Tracer(), str(path))     # no metrics, no stacks
-        for form in ("prom", "collapsed"):
+        write_chrome_trace(Tracer(), str(path))     # no metrics
+        for form in ("prom", "timings"):
             code, text = export(path, form, capsys)
             assert code == 1 and text == ""
         assert export(tmp_path / "missing.json", "prom", capsys)[0] == 1
@@ -222,15 +210,23 @@ class TestExport:
             export_main([str(tmp_path / "t.json"), "--as", "lines"])
         assert exc.value.code == 2
 
+    def test_collapsed_is_gone(self, tmp_path, capsys):
+        """There is no sampler, so no flamegraph lines to render."""
+        with pytest.raises(SystemExit) as exc:
+            export_main([str(tmp_path / "t.json"), "--as", "collapsed"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'collapsed'" in capsys.readouterr().err
+
 
 class TestFlags:
-    def test_every_subcommand_has_exactly_two(self):
+    def test_every_subcommand_has_exactly_one(self):
         commands = build_parser()._subparsers._group_actions[0].choices
+        assert len(commands) == 8
         for name, parser in commands.items():
             flags = {o for a in parser._actions for o in a.option_strings}
-            assert {"--timings", "--trace"} <= flags, name
-            assert not flags & {"--metrics", "--metrics-out", "--events",
-                                "--profile"}, name
+            assert "--trace" in flags, name
+            assert not flags & {"--timings", "--metrics", "--metrics-out",
+                                "--events", "--profile"}, name
 
     @pytest.mark.parametrize("flag", [("--metrics",), ("--metrics-out", "m"),
                                       ("--events", "e"), ("--profile", "p")],
@@ -242,4 +238,20 @@ class TestFlags:
             run("verify", "--loop", "L1", *flag)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--loop", "L1"), ("run", "--loop", "L1"),
+                 ("serve", "status"), ("report", "--loop", "L1"),
+                 ("audit", "--loop", "L1"), ("figures",), ("tables",),
+                 ("selftest",)],
+        ids=lambda argv: argv[0])
+    def test_timings_is_refused_by_every_subcommand(self, argv, tmp_path,
+                                                    monkeypatch, capsys):
+        """The table is ``--as timings`` of a ``--trace`` document."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--timings")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timings" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

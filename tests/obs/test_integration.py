@@ -60,13 +60,12 @@ class TestMetricsFromRuns:
         assert (reg.value("machine.total_iterations")
                 == st.total_iterations)
 
-    def test_pipeline_timings_absorbed(self):
+    def test_pipeline_passes_are_spans(self):
         PLAN_CACHE.clear()
-        reg = MetricsRegistry()
-        with use_registry(reg):
+        reg, tracer = MetricsRegistry(), Tracer()
+        with use_registry(reg), use_tracer(tracer):
             run_pipeline(catalog.l1(), PipelineConfig(), upto="partition")
-        h = reg.get("pipeline.pass.seconds.partition")
-        assert h is not None and h.count == 1
+        assert [s.name for s in tracer.spans].count("pass:partition") == 1
         assert reg.value("cache.miss") == 1
 
 

@@ -1,13 +1,10 @@
-"""Metrics registry: counter/gauge/histogram semantics and scoping."""
-
-import math
+"""Metrics registry: counter/gauge semantics and scoping."""
 
 import pytest
 
 from repro.obs import (
     METRICS,
     Counter,
-    Histogram,
     MetricsRegistry,
     current_registry,
     use_registry,
@@ -35,184 +32,12 @@ class TestGauge:
         assert reg.value("g") == 3
 
 
-class TestHistogram:
-    def test_count_sum_min_max_mean(self):
-        reg = MetricsRegistry()
-        for v in (0.001, 0.01, 0.1):
-            reg.observe("h", v)
-        h = reg.get("h")
-        assert h.count == 3
-        assert h.total == pytest.approx(0.111)
-        assert h.min == 0.001 and h.max == 0.1
-        assert h.mean == pytest.approx(0.037)
-
-    def test_bucket_placement(self):
-        h = Histogram(name="h")
-        h.observe(5e-4)     # le=1e-3 bucket
-        h.observe(1e12)     # beyond every bound -> +inf bucket
-        idx = h.buckets.index(1e-3)
-        assert h.counts[idx] == 1
-        assert h.counts[-1] == 1
-
-    def test_empty_histogram(self):
-        h = Histogram(name="h")
-        assert h.count == 0 and h.mean == 0.0
-        assert h.min == math.inf and h.max == -math.inf
-
-
-class TestQuantiles:
-    def test_extremes_are_exact(self):
-        h = Histogram(name="h")
-        for v in (0.002, 0.040, 0.800):
-            h.observe(v)
-        assert h.quantile(0.0) == pytest.approx(0.002)
-        assert h.quantile(1.0) == pytest.approx(0.800)
-
-    def test_single_observation_every_quantile(self):
-        h = Histogram(name="h")
-        h.observe(0.5)
-        for q in (0.0, 0.5, 0.95, 1.0):
-            assert h.quantile(q) == pytest.approx(0.5)
-
-    def test_estimates_stay_inside_observed_range(self):
-        h = Histogram(name="h")
-        for v in (0.003, 0.007, 0.013, 0.9, 4.2):
-            h.observe(v)
-        for q in (0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
-            assert h.min <= h.quantile(q) <= h.max
-
-    def test_median_lands_in_the_right_bucket(self):
-        h = Histogram(name="h")
-        # 9 small values, 1 large: p50 must stay small, p99 large
-        for _ in range(9):
-            h.observe(0.002)
-        h.observe(5.0)
-        assert h.quantile(0.5) <= 0.01
-        assert h.quantile(0.99) > 1.0
-
-    def test_monotone_in_q(self):
-        h = Histogram(name="h")
-        for i in range(100):
-            h.observe(0.001 * (i + 1))
-        qs = [h.quantile(q) for q in (0.1, 0.5, 0.9, 0.95, 0.99)]
-        assert qs == sorted(qs)
-
-    def test_empty_histogram_is_zero(self):
-        assert Histogram(name="h").quantile(0.5) == 0.0
-
-    def test_out_of_range_q_rejected(self):
-        h = Histogram(name="h")
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_merge_preserves_quantile_mass(self):
-        a, b = Histogram(name="h"), Histogram(name="h")
-        for _ in range(9):
-            a.observe(0.002)
-        b.observe(5.0)
-        a.merge(b)
-        assert a.count == 10
-        assert a.quantile(0.5) <= 0.01
-        assert a.quantile(1.0) == pytest.approx(5.0)
-
-    def test_merge_rejects_bucket_mismatch(self):
-        a = Histogram(name="h")
-        b = Histogram(name="h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_snapshot_includes_quantiles(self):
-        reg = MetricsRegistry()
-        for v in (0.1, 0.2, 0.3):
-            reg.observe("h", v)
-        snap = reg.snapshot()["h"]
-        assert {"p50", "p95", "p99"} <= set(snap)
-        assert 0.1 <= snap["p50"] <= 0.3
-        reg2 = MetricsRegistry()
-        reg2.histogram("empty")
-        assert reg2.snapshot()["empty"]["p50"] is None
-
-
-class TestNearestRankQuantiles:
-    """Small samples answer quantiles exactly, not bucket-interpolated."""
-
-    def test_small_sample_is_exact_nearest_rank(self):
-        h = Histogram(name="h")
-        for v in (0.010, 0.020, 0.030, 0.040):
-            h.observe(v)
-        assert h.exact
-        # nearest-rank: rank = ceil(q * n), 1-indexed into sorted samples
-        assert h.quantile(0.5) == pytest.approx(0.020)
-        assert h.quantile(0.75) == pytest.approx(0.030)
-        assert h.quantile(0.95) == pytest.approx(0.040)
-        assert h.quantile(0.25) == pytest.approx(0.010)
-
-    def test_exact_value_needs_no_interpolation(self):
-        h = Histogram(name="h")
-        # both land in the same log bucket; interpolation would answer a
-        # made-up midpoint, nearest-rank answers an observed value
-        h.observe(0.0011)
-        h.observe(0.0019)
-        assert h.quantile(0.5) == pytest.approx(0.0011)
-        assert h.quantile(1.0) == pytest.approx(0.0019)
-
-    def test_overflowing_sample_cap_falls_back_to_buckets(self):
-        from repro.obs.metrics import SAMPLE_CAP
-
-        h = Histogram(name="h")
-        for i in range(SAMPLE_CAP + 10):
-            h.observe(0.001 * (i + 1))
-        assert not h.exact
-        assert len(h.samples) == SAMPLE_CAP
-        # the bucket estimate still brackets the true median
-        assert h.min <= h.quantile(0.5) <= h.max
-
-    def test_snapshot_reports_quantile_method(self):
-        reg = MetricsRegistry()
-        reg.observe("small", 0.2)
-        snap = reg.snapshot()
-        assert snap["small"]["quantile_method"] == "exact"
-        assert snap["small"]["count"] == 1
-        from repro.obs.metrics import SAMPLE_CAP
-
-        for i in range(SAMPLE_CAP + 1):
-            reg.observe("big", float(i + 1))
-        assert reg.snapshot()["big"]["quantile_method"] == "bucket-interpolated"
-
-    def test_merge_keeps_exactness_when_reservoirs_fit(self):
-        a, b = Histogram(name="h"), Histogram(name="h")
-        for v in (0.01, 0.02):
-            a.observe(v)
-        for v in (0.03, 0.04):
-            b.observe(v)
-        a.merge(b)
-        assert a.exact
-        assert a.quantile(0.5) == pytest.approx(0.02)
-        assert a.quantile(1.0) == pytest.approx(0.04)
-
-    def test_merge_truncation_disables_exactness_consistently(self):
-        from repro.obs.metrics import SAMPLE_CAP
-
-        a, b = Histogram(name="h"), Histogram(name="h")
-        for i in range(SAMPLE_CAP):
-            a.observe(0.001 * (i + 1))
-        for i in range(SAMPLE_CAP):
-            b.observe(0.001 * (i + 1))
-        a.merge(b)
-        # count > cap >= len(samples): must not claim exactness
-        assert a.count == 2 * SAMPLE_CAP
-        assert len(a.samples) == SAMPLE_CAP
-        assert not a.exact
-
-
 class TestRegistry:
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()
         reg.inc("m")
         with pytest.raises(TypeError):
             reg.set("m", 1)
-        with pytest.raises(TypeError):
-            reg.observe("m", 1)
 
     def test_value_default_for_missing(self):
         reg = MetricsRegistry()
@@ -231,25 +56,18 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.inc("c", 2)
         reg.set("g", 1.5)
-        reg.observe("h", 0.25)
-        snap = reg.snapshot()
-        assert snap["c"] == {"kind": "counter", "value": 2}
-        assert snap["g"] == {"kind": "gauge", "value": 1.5}
-        assert snap["h"]["kind"] == "histogram"
-        assert snap["h"]["count"] == 1
-        assert snap["h"]["sum"] == 0.25
-        # all the Prometheus text needs: the buckets and their counts
-        h = reg.histogram("h")
-        assert snap["h"]["buckets"] == list(h.buckets)
-        assert snap["h"]["counts"] == h.counts
-        assert sum(snap["h"]["counts"]) == 1
+        assert reg.snapshot() == {"c": {"kind": "counter", "value": 2},
+                                  "g": {"kind": "gauge", "value": 1.5}}
 
-    def test_snapshot_empty_histogram_bounds_are_null(self):
+
+    def test_a_run_publishes_counters_and_gauges_only(self):
+        from repro.api import Session
+
         reg = MetricsRegistry()
-        reg.histogram("h")
-        snap = reg.snapshot()
-        assert snap["h"]["min"] is None and snap["h"]["max"] is None
-
+        with Session("L1", strategy="duplicate", registry=reg) as s:
+            assert s.run().ok
+        kinds = {m["kind"] for m in reg.snapshot().values()}
+        assert kinds == {"counter", "gauge"}
 
 class TestScoping:
     def test_default_is_the_process_registry(self):

@@ -2,12 +2,12 @@
 
 - static: no function reports the same occurrence through two
   span/event calls;
-- dynamic: a disabled tracer records nothing and builds nothing, a pass
-  execution is one span, and the registry's pass histogram counts
-  exactly those spans.
+- dynamic: a disabled tracer records nothing and builds nothing, and a
+  pass execution is exactly one span (its one timing record).
 """
 
 import ast
+import dataclasses
 import io
 from collections import Counter
 from pathlib import Path
@@ -16,9 +16,9 @@ import repro
 import repro.obs.trace as trace
 from repro.api import Session
 from repro.cli import main
-from repro.obs import (NULL_TRACER, MetricsRegistry, Tracer, use_registry,
-                       use_tracer)
+from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.pipeline import PLAN_CACHE
+from repro.pipeline import passes
 
 SRC = Path(repro.__file__).resolve().parent
 OUTSIDE_OBS = sorted(p for p in SRC.rglob("*.py")
@@ -60,18 +60,24 @@ def test_a_run_under_the_null_tracer_builds_no_span(monkeypatch):
         assert s.run().ok
     assert built == []
     assert NULL_TRACER.spans == [] and NULL_TRACER.events == []
-    assert NULL_TRACER.stacks == {}
 
 
-def test_a_pass_execution_is_one_span_and_one_histogram_sample():
+def test_a_pass_execution_is_one_span(monkeypatch):
+    ran = Counter()
+
+    def counted(p):
+        def run(ctx):
+            ran[p.name] += 1
+            p.run(ctx)
+        return dataclasses.replace(p, run=run)
+
+    monkeypatch.setattr(passes.DEFAULT_MANAGER, "_passes",
+                        [counted(p) for p in passes.DEFAULT_MANAGER.passes])
     PLAN_CACHE.clear()
-    tracer, registry = Tracer(), MetricsRegistry()
-    with use_tracer(tracer), use_registry(registry):
+    tracer = Tracer()
+    with use_tracer(tracer):
         assert main(["report", "--loop", "L1", "-p", "4"],
                     out=io.StringIO()) == 0
     spans = Counter(s.name for s in tracer.spans if s.category == "pipeline")
     assert spans and all(name.startswith("pass:") for name in spans)
-    counts = {name[len("pipeline.pass.seconds."):]: registry.get(name).count
-              for name in registry.names()
-              if name.startswith("pipeline.pass.seconds.")}
-    assert counts == {name[len("pass:"):]: n for name, n in spans.items()}
+    assert ran == {name[len("pass:"):]: n for name, n in spans.items()}

@@ -110,3 +110,72 @@ class TestScoping:
         (s,) = [sp for sp in t.spans if sp.name == "engine.resolve"]
         assert s.attributes["requested"] == "interp"
         assert s.attributes["resolved"] == "interp"
+
+
+class TestThreads:
+    """Each thread nests its own spans: a span opened on one thread is
+    never the parent of a span or an event on another."""
+
+    @staticmethod
+    def on_thread(fn):
+        import threading
+
+        worker = threading.Thread(target=fn)
+        worker.start()
+        worker.join()
+
+    def test_a_span_open_on_another_thread_is_no_parent_here(self):
+        import threading
+
+        t = Tracer()
+        opened, done = threading.Event(), threading.Event()
+
+        def hold():
+            with t.span("held"):
+                opened.set()
+                done.wait(5)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert opened.wait(5)
+            with t.span("here") as here:
+                pass
+        finally:
+            done.set()
+            worker.join()
+        assert here.parent_id is None
+        assert [s.name for s in t.spans] == ["here", "held"]
+
+    def test_each_thread_nests_its_own_spans(self):
+        t = Tracer()
+        seen = {}
+
+        def nest():
+            with t.span("outer") as outer:
+                with t.span("inner") as inner:
+                    seen["worker"] = (outer, inner)
+
+        with t.span("main") as main:
+            self.on_thread(nest)
+        outer, inner = seen["worker"]
+        assert outer.parent_id is None
+        assert inner.parent_id == outer.span_id
+        assert main.parent_id is None and outer.tid != main.tid
+
+    def test_an_event_files_under_its_own_threads_span(self):
+        t = Tracer()
+        with t.span("main") as main:
+            self.on_thread(lambda: t.event("from-worker"))
+            t.event("from-main")
+        by_name = {e.name: e for e in t.events}
+        assert by_name["from-worker"].span_id is None
+        assert by_name["from-main"].span_id == main.span_id
+
+    def test_a_closed_span_leaves_nothing_open(self):
+        t = Tracer()
+        with t.span("first"):
+            pass
+        with t.span("second") as second:
+            pass
+        assert second.parent_id is None

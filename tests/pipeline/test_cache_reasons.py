@@ -119,17 +119,20 @@ class TestCounterSurfacing:
 
 
 class TestTimingsSurface:
-    def test_miss_reason_counter_in_timings_table(self):
+    def test_miss_reason_counter_in_timings_table(self, tmp_path, capsys):
         import io
 
         from repro.cli import main
+        from repro.obs.export import main as export_main
         from repro.pipeline import PLAN_CACHE
 
         PLAN_CACHE.clear()
-        out = io.StringIO()
+        path = tmp_path / "t.json"
         code = main(["report", "--loop", "L4", "--section", "plan",
-                     "--timings"], out=out)
-        text = out.getvalue()
+                     "--trace", str(path)], out=io.StringIO())
         assert code == 0
+        capsys.readouterr()
+        assert export_main([str(path), "--as", "timings"]) == 0
+        text = capsys.readouterr().out
         assert "counter cache.miss: 1" in text
         assert "counter cache.miss.new-fingerprint: 1" in text

@@ -81,7 +81,7 @@ figures
 --version
 --help
 verify --help
-report --loop L4 --section plan --timings
+report --loop L4 --section plan --trace plan-L4.json
 report --loop L1 -p 4
 report --loop L3 --duplicate --eliminate --section 'why Psi looks like this'
 report int.loop --section 'why Psi looks like this'
@@ -117,7 +117,7 @@ verify --loop L5 --backend codegen
 """), ({}, """
 report --loop L1 -p 4 --trace trace.json
 verify --loop L2 --duplicate --trace verify-trace.json
-run --loop L1 --trace run-L1.json --timings
+run --loop L1 --trace run-L1.json
 verify --loop L1 --backend multiprocess --trace mp-trace.json
 audit --loop L1 --duplicate --json audit.json
 audit --loop L4 --json audit-L4.json
@@ -135,7 +135,8 @@ PROCESSES = [({}, """
 -m repro.obs.schema verify-trace.json
 -m repro.obs.export report.json --as prom
 -m repro.obs.export run.json --as prom
--m repro.obs.export mp-trace.json --as collapsed
+-m repro.obs.export plan-L4.json --as timings
+-m repro.obs.export mp-trace.json --as timings
 -m repro verify matmul.loop --duplicate --backend all
 -m repro run matmul.loop --duplicate --backend multiprocess --json mp.json
 -m repro audit --loop L5 --duplicate --inject-violation --backend multiprocess

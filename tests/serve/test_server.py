@@ -245,6 +245,17 @@ class TestOps:
         assert st["completed"] == 1
         assert st["latency_ms"]["count"] == 1
 
+    def test_status_keeps_its_payload_keys(self):
+        with AsyncServer() as srv:
+            srv._observe_latency(2.0)
+            st = srv.status()
+        assert sorted(st) == sorted([
+            "ok", "requests", "completed", "errors", "rejected",
+            "coalesced", "inflight", "sessions", "session_hits",
+            "latency_ms", "pool_generation", "concurrency", "queue_limit"])
+        assert sorted(st["latency_ms"]) == ["count", "mean", "p50", "p95",
+                                            "p99"]
+
     def test_shutdown_op_sets_event(self):
         async def go(srv):
             resp = await srv.handle({"op": "shutdown", "schema_version": 1})
@@ -253,6 +264,79 @@ class TestOps:
         with AsyncServer() as srv:
             resp, is_set = run(go(srv))
         assert resp["ok"] and is_set
+
+
+class TestLatencyWindow:
+    """``status()``'s ``latency_ms``: nearest-rank quantiles over the
+    newest :data:`LATENCY_WINDOW` latencies; ``count`` and ``mean`` over
+    every request."""
+
+    @staticmethod
+    def latency(values):
+        with AsyncServer() as srv:
+            for ms in values:
+                srv._observe_latency(ms)
+            return srv.status()["latency_ms"]
+
+    def test_an_empty_window_reports_nothing(self):
+        assert self.latency([]) == {}
+
+    def test_small_sample_is_exact_nearest_rank(self):
+        # rank = ceil(q * n), 1-indexed into the sorted window
+        lat = self.latency([40.0, 10.0, 30.0, 20.0])
+        assert lat == {"count": 4, "mean": 25.0,
+                       "p50": 20.0, "p95": 40.0, "p99": 40.0}
+
+    def test_every_quantile_of_one_observation_is_it(self):
+        assert self.latency([0.5]) == {"count": 1, "mean": 0.5, "p50": 0.5,
+                                       "p95": 0.5, "p99": 0.5}
+
+    def test_an_observed_value_is_answered_not_a_midpoint(self):
+        lat = self.latency([1.1, 1.9])
+        assert lat["p50"] == 1.1 and lat["p99"] == 1.9
+
+    def test_past_the_window_only_the_newest_count(self):
+        from repro.serve.server import LATENCY_WINDOW
+
+        # a burst of slow requests, then a full window of fast ones
+        lat = self.latency([1000.0] * 10 + [1.0] * LATENCY_WINDOW)
+        assert lat["p50"] == lat["p99"] == 1.0
+        assert lat["count"] == LATENCY_WINDOW + 10
+        assert lat["mean"] == round(
+            (10_000.0 + LATENCY_WINDOW) / (LATENCY_WINDOW + 10), 3)
+
+    def test_a_hundred_ranks_are_the_quantiles(self):
+        lat = self.latency([float(ms) for ms in range(100, 0, -1)])
+        assert (lat["p50"], lat["p95"], lat["p99"]) == (50.0, 95.0, 99.0)
+
+    def test_quantiles_are_monotone_and_observed(self):
+        import random
+
+        rng = random.Random(7)
+        values = [round(rng.uniform(0.1, 50.0), 3) for _ in range(300)]
+        lat = self.latency(values)
+        assert lat["p50"] <= lat["p95"] <= lat["p99"] <= max(values)
+        assert {lat["p50"], lat["p95"], lat["p99"]} <= set(values)
+
+    def test_the_window_holds_only_the_newest(self):
+        from repro.serve.server import LATENCY_WINDOW
+
+        with AsyncServer() as srv:
+            for ms in range(LATENCY_WINDOW + 5):
+                srv._observe_latency(float(ms))
+            assert len(srv._latencies) == LATENCY_WINDOW
+            assert srv._latencies[0] == 5.0
+
+    def test_an_executed_request_is_observed(self):
+        async def go(srv):
+            await srv.handle(frame())
+            await srv.handle(frame())       # served warm, observed again
+            return await srv.handle({"op": "status", "schema_version": 1})
+
+        with AsyncServer() as srv:
+            lat = run(go(srv))["result"]["latency_ms"]
+        assert lat["count"] == 2
+        assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"]
 
 
 class TestVerdicts:

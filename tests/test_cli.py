@@ -206,42 +206,72 @@ class TestVersion:
 
 
 class TestTimings:
-    def test_partition_timing_table(self):
+    """The per-pass table is ``--as timings`` of a ``--trace`` document."""
+
+    @staticmethod
+    def timings(tmp_path, capsys, *argv):
+        """(exit code, the timing table) of one traced command."""
+        from repro.obs.export import main as export_main
+
+        path = tmp_path / "t.json"
+        code, _ = run(*argv, "--trace", str(path))
+        capsys.readouterr()
+        assert export_main([str(path), "--as", "timings"]) == 0
+        return code, capsys.readouterr().out
+
+    def test_partition_timing_table(self, tmp_path, capsys):
+        from repro.obs.export import main as export_main
         from repro.pipeline import PLAN_CACHE
 
         PLAN_CACHE.clear()                    # cold cache: every pass runs
-        code, text = report("--loop", "L4", "--timings", sections=["plan"])
+        path = tmp_path / "t.json"
+        code, text = report("--loop", "L4", "--trace", str(path),
+                            sections=["plan"])
         assert code == 0
         assert "blocks: 37" in text           # normal output still present
-        table = text[text.index("pass "):].splitlines()
+        assert "total(ms)" not in text        # the table is the export's
+        capsys.readouterr()
+        assert export_main([str(path), "--as", "timings"]) == 0
+        table = capsys.readouterr().out.splitlines()
         assert table[0].split() == ["pass", "calls", "total(ms)", "mean(ms)"]
         # the plan only: no transform, map, selection or execution
         assert sorted(ln.split()[0] for ln in table[1:5]) == [
             "choose-space", "eliminate-redundancy", "extract-refs",
             "partition"]
         assert table[5].split()[0] == "total"
-        assert "counter cache.miss: 1" in text
+        assert "counter cache.miss: 1" in table
 
-    def test_cache_counters_in_table(self):
-        code1, _ = report("--loop", "L5", "--timings", sections=["plan"])
-        code2, text2 = report("--loop", "L5", "--timings", sections=["plan"])
+    def test_cache_counters_in_table(self, tmp_path, capsys):
+        argv = ("report", "--loop", "L5", "--section", "plan")
+        code1, _ = self.timings(tmp_path, capsys, *argv)
+        code2, text2 = self.timings(tmp_path, capsys, *argv)
         assert code1 == code2 == 0
         # the second invocation is served from the warm in-process cache
         assert "counter cache.hit: 1" in text2
+        assert "(no passes recorded)" in text2
 
-    def test_the_engine_chosen_in_table(self):
-        code, text = run("verify", "--loop", "L1", "--backend", "auto",
-                         "--timings")
+    def test_the_engine_chosen_in_table(self, tmp_path, capsys):
+        code, text = self.timings(tmp_path, capsys, "verify", "--loop", "L1",
+                                  "--backend", "auto")
         assert code == 0
         assert "counter engine.resolved.codegen: 1" in text
 
-    def test_timings_scoped_per_invocation(self):
-        _, first = run("verify", "--loop", "L1", "--timings")
-        assert "total(ms)" in first
+
+    def test_timings_scoped_per_invocation(self, tmp_path, capsys):
+        from repro.pipeline import PLAN_CACHE
+
+        PLAN_CACHE.clear()
+        _, first = self.timings(tmp_path, capsys, "verify", "--loop", "L1")
+        _, second = self.timings(tmp_path, capsys, "verify", "--loop", "L1")
+        # each document holds its own invocation's passes and counters:
+        # the second, served warm, ran none and missed nothing
+        assert "(no passes recorded)" not in first
+        assert "counter cache.miss: 1" in first
+        assert "(no passes recorded)" in second
+        assert "counter cache.miss: 1" not in second
         # a run without the flag prints no table
         _, quiet = run("verify", "--loop", "L1")
         assert "total(ms)" not in quiet
-
 
 class TestFiguresAndTables:
     def test_figures(self):
