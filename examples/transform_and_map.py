@@ -54,7 +54,7 @@ def main() -> None:
     # --- generated code: the codegen tier's kernel, over flat lists ---------
     print("== generated Python for L4' ==")
     print(emit_iteration_kernel(
-        nest, {}, emit.list_target(nest, grid_specs(plan)),
+        plan.model, {}, emit.list_target(plan.model, grid_specs(plan)),
         plan.model.space.rank_strides(), False, plan.psi))
 
     # --- execute and compare --------------------------------------------------

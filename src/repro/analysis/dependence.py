@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from repro.analysis.references import ArrayInfo, Reference, ReferenceModel
 from repro.lang.space import IterationSpace
-from repro.ratlinalg.smith import SmithForm, smith_normal_form
+from repro.ratlinalg.smith import SmithForm
 
 Coords = tuple[int, ...]
 
@@ -118,7 +118,7 @@ def dependence_between(
         zero = (0,) * len(t)
         return t > zero or (same_iter_ok and t == zero)
 
-    witness = _lattice_witness(smith_normal_form(info.h_rows),
+    witness = _lattice_witness(info.smith,
                                _difference(src, dst), space, ordered)
     if witness is None:
         return None
@@ -163,7 +163,7 @@ def loop_carried_dependence_exists(
     Ramanujam-Sadayappan sense) iff no non-input dependence is loop
     carried.
     """
-    return _lattice_witness(smith_normal_form(info.h_rows),
+    return _lattice_witness(info.smith,
                             _difference(src, dst), space,
                             lambda t: t > (0,) * len(t)) is not None
 

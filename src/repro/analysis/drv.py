@@ -38,9 +38,8 @@ def data_referenced_vectors(info: ArrayInfo) -> list[DataReferencedVector]:
     reps: list[Reference] = []
     seen: set[tuple] = set()
     for r in info.references:
-        key = tuple(r.offset)
-        if key not in seen:
-            seen.add(key)
+        if r.c not in seen:
+            seen.add(r.c)
             reps.append(r)
     out: list[DataReferencedVector] = []
     for a in range(len(reps)):

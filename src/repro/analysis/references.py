@@ -12,12 +12,17 @@ nonuniformly generated references").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import index, mul
+from typing import TYPE_CHECKING
 
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, LoopNest
 from repro.lang.space import IterationSpace
 from repro.ratlinalg.matrix import RatMat, RatVec
+
+if TYPE_CHECKING:
+    from repro.ratlinalg.smith import SmithForm
 
 
 class NonUniformReferenceError(ValueError):
@@ -31,20 +36,21 @@ class Reference:
     ``stmt_index`` is the 0-based statement position; ``is_write`` marks
     the left-hand side.  ``slot`` disambiguates multiple reads of the
     same array within one statement (0 = LHS, then RHS reads in
-    left-to-right order).  ``c`` is ``offset`` as plain integers, for
-    the per-iteration-point arithmetic of :meth:`ArrayInfo.element_at`.
+    left-to-right order).  ``c`` is the integer offset, which codegen
+    and :meth:`ArrayInfo.element_at` read.
     """
 
     array: str
-    offset: RatVec
+    c: tuple[int, ...]
     stmt_index: int
     is_write: bool
     slot: int
     ast: ArrayRef
-    c: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", self.offset.to_ints())
+    @property
+    def offset(self) -> RatVec:
+        """``c`` as a rational vector, for the data-referenced vectors."""
+        return RatVec(self.c)
 
     @property
     def key(self) -> tuple:
@@ -63,20 +69,34 @@ class ArrayInfo:
     """All references to one array, with the shared reference matrix."""
 
     name: str
-    h: RatMat                     # d x n integer reference matrix
+    h_rows: tuple[tuple[int, ...], ...]   # d x n integer reference matrix
     references: list[Reference] = field(default_factory=list)
-    h_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.h_rows = tuple(tuple(r) for r in self.h.to_int_rows())
+    def __getstate__(self) -> dict:
+        """No Smith form: the bytes must not depend on what ran before."""
+        return {k: v for k, v in self.__dict__.items() if k != "smith"}
+
+    @cached_property
+    def smith(self) -> SmithForm:
+        """The Smith normal form of ``H``, derived once per array: the
+        dependence tests, Definition 4 / Theorem 2 and the certificate
+        all read it."""
+        from repro.ratlinalg.smith import smith_normal_form
+
+        return smith_normal_form(self.h_rows)
+
+    @property
+    def h(self) -> RatMat:
+        """``H`` as a rational matrix, for the rational linear algebra."""
+        return RatMat(self.h_rows)
 
     @property
     def rank(self) -> int:
-        return self.h.nrows
+        return len(self.h_rows)
 
     @property
     def depth(self) -> int:
-        return self.h.ncols
+        return len(self.h_rows[0])
 
     def writes(self) -> list[Reference]:
         return [r for r in self.references if r.is_write]
@@ -92,7 +112,7 @@ class ArrayInfo:
         """The element ``H i + c`` touched at ``iteration`` via a reference's
         integer offset :attr:`Reference.c`; exact integer arithmetic, so a
         non-integral iteration raises ``TypeError`` instead of truncating."""
-        if len(iteration) != self.h.ncols:
+        if len(iteration) != self.depth:
             raise ValueError(
                 f"iteration of length {len(iteration)} for depth {self.depth}")
         return tuple([index(sum(map(mul, row, iteration)) + cj)
@@ -111,8 +131,9 @@ class ReferenceModel:
         return [r for info in self.arrays.values() for r in info.references]
 
 
-def _decompose(ref: ArrayRef, indices: tuple[str, ...]) -> tuple[RatMat, RatVec]:
-    """Split ``A[sub_1..sub_d]`` into integer ``H`` (d x n) and offset ``c``."""
+def _decompose(ref: ArrayRef, indices: tuple[str, ...]) -> tuple[tuple, tuple]:
+    """Split ``A[sub_1..sub_d]`` into the integer rows of ``H`` (d x n)
+    and the integer offset ``c``."""
     rows = []
     consts = []
     for sub in ref.subscripts:
@@ -126,9 +147,9 @@ def _decompose(ref: ArrayRef, indices: tuple[str, ...]) -> tuple[RatMat, RatVec]
             raise NonUniformReferenceError(
                 f"subscript of {ref.array} has non-integer coefficients: {ae.render()}"
             )
-        rows.append(list(ae.coeffs))
+        rows.append(ae.coeffs)
         consts.append(ae.const)
-    return RatMat(rows), RatVec(consts)
+    return tuple(rows), tuple(consts)
 
 
 def extract_references(nest: LoopNest) -> ReferenceModel:
@@ -142,23 +163,18 @@ def extract_references(nest: LoopNest) -> ReferenceModel:
     arrays: dict[str, ArrayInfo] = {}
 
     def visit(ref: ArrayRef, stmt_index: int, is_write: bool, slot: int) -> None:
-        h, c = _decompose(ref, indices)
+        h_rows, c = _decompose(ref, indices)
         info = arrays.get(ref.array)
         if info is None:
-            info = ArrayInfo(name=ref.array, h=h)
-            arrays[ref.array] = info
-        else:
-            if info.h != h:
-                raise NonUniformReferenceError(
-                    f"array {ref.array} has non-uniformly generated references: "
-                    f"{info.h!r} vs {h!r}"
-                )
-            if info.rank != len(c):
-                raise NonUniformReferenceError(
-                    f"array {ref.array} used with inconsistent rank"
-                )
+            info = arrays[ref.array] = ArrayInfo(name=ref.array,
+                                                 h_rows=h_rows)
+        elif info.h_rows != h_rows:
+            raise NonUniformReferenceError(
+                f"array {ref.array} has non-uniformly generated references: "
+                f"{info.h!r} vs {RatMat(h_rows)!r}"
+            )
         info.references.append(
-            Reference(array=ref.array, offset=c, stmt_index=stmt_index,
+            Reference(array=ref.array, c=c, stmt_index=stmt_index,
                       is_write=is_write, slot=slot, ast=ref)
         )
 

@@ -15,7 +15,6 @@ from typing import Optional
 from repro.analysis.dependence import Dependence, DependenceKind, all_dependences
 from repro.analysis.redundancy import RedundancyAnalysis
 from repro.analysis.references import ReferenceModel
-from repro.ratlinalg.smith import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ def summarize_dependences(
     rows: list[DependenceRow] = []
     for dep in deps:
         info = model.arrays[dep.array]
-        kernel_dim = len(smith_normal_form(info.h_rows).kernel)
+        kernel_dim = len(info.smith.kernel)
         # a nonsingular H has one solution: the witness is the distance
         distance = dep.witness if kernel_dim == 0 else None
         if redundancy is None:

@@ -65,9 +65,8 @@ def _kernel(info: ArrayInfo, smith: SmithForm) -> list[Contribution]:
 def _definition4(info: ArrayInfo, space: IterationSpace) -> list[Contribution]:
     from repro.analysis.dependence import _lattice_witness
     from repro.analysis.drv import data_referenced_vectors
-    from repro.ratlinalg.smith import smith_normal_form
 
-    smith = smith_normal_form(info.h_rows)
+    smith = info.smith
     out = _kernel(info, smith)
     for drv in data_referenced_vectors(info):
         # condition (2): some integer solution of H t = r is a difference
@@ -85,9 +84,8 @@ def _definition4(info: ArrayInfo, space: IterationSpace) -> list[Contribution]:
 
 def _theorem2(info: ArrayInfo, space: IterationSpace) -> list[Contribution]:
     from repro.analysis.dependence import _difference, dependence_between
-    from repro.ratlinalg.smith import smith_normal_form
 
-    smith = smith_normal_form(info.h_rows)
+    smith = info.smith
     flows = []
     for w in info.writes():
         for r in info.reads():
@@ -103,9 +101,8 @@ def _theorem2(info: ArrayInfo, space: IterationSpace) -> list[Contribution]:
 def _minimal(info: ArrayInfo, redundancy: RedundancyAnalysis,
              flow_only: bool) -> list[Contribution]:
     from repro.analysis.dependence import DependenceKind, _difference
-    from repro.ratlinalg.smith import smith_normal_form
 
-    smith = smith_normal_form(info.h_rows)
+    smith = info.smith
     useful = []
     for dep in redundancy.useful_edges:
         if dep.array != info.name or (

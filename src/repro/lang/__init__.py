@@ -28,7 +28,7 @@ __getattr__, __dir__, __all__ = lazy_surface(__name__, {
         "Name", "UnaryOp",
     ),
     "affine": ("AffineExpr", "NotAffineError", "affine_of"),
-    "lexer": ("Lexer", "LexError", "Token", "TokenType", "tokenize"),
+    "lexer": ("LexError", "Token", "TokenType", "tokenize"),
     "parser": ("ParseError", "Parser", "parse"),
     "printer": ("to_source",),
     "space": ("IterationSpace",),

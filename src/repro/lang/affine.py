@@ -1,9 +1,11 @@
 """Affine-expression extraction.
 
 Subscripts and loop bounds must be affine in the loop indices:
-``a_1 I_1 + ... + a_n I_n + c`` with integer (rational, in intermediate
-forms) coefficients.  :func:`affine_of` converts an expression AST into
-an :class:`AffineExpr` or raises :class:`NotAffineError`.
+``a_1 I_1 + ... + a_n I_n + c`` with integer coefficients.  :func:`affine_of`
+converts an expression AST into an :class:`AffineExpr` or raises
+:class:`NotAffineError`.  Coefficients are Python ``int``s; only a ``/``
+whose quotient is not an integer makes one a :class:`~fractions.Fraction`
+(which the callers then refuse as a non-integral subscript or bound).
 """
 
 from __future__ import annotations
@@ -13,11 +15,17 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from repro.lang.ast import ArrayRef, BinOp, Const, Expr, Name, UnaryOp
-from repro.ratlinalg.matrix import RatVec, as_fraction
+from repro.ratlinalg.matrix import Number
 
 
 class NotAffineError(ValueError):
     """The expression is not affine in the loop indices."""
+
+
+def _exact(x: Number) -> Number:
+    """``x`` as an ``int`` when it is integral (one representation per
+    value, so equal forms pickle alike)."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 @dataclass(frozen=True)
@@ -25,23 +33,19 @@ class AffineExpr:
     """``sum_k coeffs[k] * index_k + const`` over a fixed index tuple."""
 
     indices: tuple[str, ...]
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[Number, ...]
+    const: Number
 
     @staticmethod
-    def constant(indices: Sequence[str], value) -> "AffineExpr":
-        return AffineExpr(tuple(indices),
-                          tuple(Fraction(0) for _ in indices),
-                          as_fraction(value))
+    def constant(indices: Sequence[str], value: int) -> "AffineExpr":
+        return AffineExpr(tuple(indices), (0,) * len(indices), value)
 
     @staticmethod
     def index(indices: Sequence[str], name: str) -> "AffineExpr":
         idx = tuple(indices)
         if name not in idx:
             raise NotAffineError(f"{name} is not a loop index of {idx}")
-        return AffineExpr(idx,
-                          tuple(Fraction(int(nm == name)) for nm in idx),
-                          Fraction(0))
+        return AffineExpr(idx, tuple(int(nm == name) for nm in idx), 0)
 
     # -- arithmetic (closed under affine operations) ---------------------
     def _check(self, other: "AffineExpr") -> None:
@@ -51,21 +55,24 @@ class AffineExpr:
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
         self._check(other)
         return AffineExpr(self.indices,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                          self.const + other.const)
+                          tuple([_exact(a + b) for a, b in
+                                 zip(self.coeffs, other.coeffs)]),
+                          _exact(self.const + other.const))
 
     def __sub__(self, other: "AffineExpr") -> "AffineExpr":
         self._check(other)
         return AffineExpr(self.indices,
-                          tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                          self.const - other.const)
+                          tuple([_exact(a - b) for a, b in
+                                 zip(self.coeffs, other.coeffs)]),
+                          _exact(self.const - other.const))
 
     def __neg__(self) -> "AffineExpr":
         return AffineExpr(self.indices, tuple(-a for a in self.coeffs), -self.const)
 
-    def scale(self, k) -> "AffineExpr":
-        k = as_fraction(k)
-        return AffineExpr(self.indices, tuple(a * k for a in self.coeffs), self.const * k)
+    def scale(self, k: Number) -> "AffineExpr":
+        return AffineExpr(self.indices,
+                          tuple([_exact(a * k) for a in self.coeffs]),
+                          _exact(self.const * k))
 
     def is_constant(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -74,14 +81,11 @@ class AffineExpr:
         return (self.const.denominator == 1
                 and all(a.denominator == 1 for a in self.coeffs))
 
-    def coeff_vector(self) -> RatVec:
-        return RatVec(self.coeffs)
-
-    def eval(self, env: Mapping[str, int]) -> Fraction:
+    def eval(self, env: Mapping[str, int]) -> Number:
         total = self.const
         for name, a in zip(self.indices, self.coeffs):
             if a != 0:
-                total += a * as_fraction(env[name])
+                total += a * env[name]
         return total
 
     def depends_only_on_prefix(self, k: int) -> bool:

@@ -10,7 +10,11 @@ and the four binary operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Union
+
+if TYPE_CHECKING:
+    from repro.lang.affine import AffineExpr
 
 
 class Expr:
@@ -140,6 +144,29 @@ class LoopNest:
             if s.label and s.label in seen:
                 raise ValueError(f"duplicate statement label {s.label}")
             seen.add(s.label)
+
+    def __getstate__(self) -> dict:
+        """No derived forms: the bytes must not depend on what ran before."""
+        return {k: v for k, v in self.__dict__.items() if k != "bound_forms"}
+
+    @cached_property
+    def bound_forms(self) -> tuple[tuple[AffineExpr, AffineExpr], ...]:
+        """Each loop's ``(lower, upper)`` as affine forms over ``indices``,
+        derived once per nest: the parser checks them, ``IterationSpace``
+        and ``transform_nest`` read them.  A ``NotAffineError`` names the
+        first bound that is not affine."""
+        from repro.lang.affine import NotAffineError, affine_of
+
+        def form(which: str, index: str, bound: Expr) -> AffineExpr:
+            try:
+                return affine_of(bound, self.indices)
+            except NotAffineError as exc:
+                raise NotAffineError(f"{which} bound of loop {index!r} is "
+                                     f"not affine: {exc}") from exc
+
+        return tuple((form("lower", i, lo), form("upper", i, hi))
+                     for i, lo, hi in zip(self.indices, self.lowers,
+                                          self.uppers))
 
     @property
     def depth(self) -> int:

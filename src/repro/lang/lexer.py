@@ -1,10 +1,19 @@
-"""Tokenizer for the loop mini-language."""
+"""Tokenizer for the loop mini-language: one compiled ``re`` scanner.
+
+:func:`tokenize` matches one alternation of token classes at each
+position (:data:`_SCAN`); ``#`` comments run to the end of the line.
+An integer is a run of decimal digits (``str.isdecimal``, so ``٣`` is
+the integer 3, and ``int()`` reads every one); a name starts with a
+letter or ``_`` (``é`` is a name) and goes on with letters, digits and
+``_``.  Anything else, a digit ``int()`` cannot read (``²``) included,
+is a :class:`LexError` naming the character, its line and its column.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -32,94 +41,57 @@ class TokenType(enum.Enum):
 
 KEYWORDS = {"for": TokenType.FOR, "to": TokenType.TO, "step": TokenType.STEP}
 
-SINGLE_CHARS = {
-    "=": TokenType.ASSIGN,
-    "+": TokenType.PLUS,
-    "-": TokenType.MINUS,
-    "*": TokenType.STAR,
-    "/": TokenType.SLASH,
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    "[": TokenType.LBRACKET,
-    "]": TokenType.RBRACKET,
-    "{": TokenType.LBRACE,
-    "}": TokenType.RBRACE,
-    ",": TokenType.COMMA,
-    ";": TokenType.SEMI,
-    ":": TokenType.COLON,
-}
+#: the one-character tokens, by their character
+SINGLE_CHARS = {t.value: t for t in TokenType if len(t.value) == 1}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     line: int
     col: int
-
-    def __repr__(self) -> str:
-        return f"Token({self.type.name}, {self.text!r}, {self.line}:{self.col})"
 
 
 class LexError(ValueError):
     """Raised for characters the mini-language does not understand."""
 
 
-class Lexer:
-    """Hand-rolled scanner; supports ``#``-to-end-of-line comments."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _peek(self) -> str:
-        return self.source[self.pos] if self.pos < len(self.source) else ""
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def tokens(self) -> Iterator[Token]:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "#":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.col
-            if ch.isdigit():
-                text = ""
-                while self.pos < len(self.source) and self._peek().isdigit():
-                    text += self._advance()
-                yield Token(TokenType.INT, text, line, col)
-                continue
-            if ch.isalpha() or ch == "_":
-                text = ""
-                while self.pos < len(self.source) and (
-                    self._peek().isalnum() or self._peek() == "_"
-                ):
-                    text += self._advance()
-                yield Token(KEYWORDS.get(text, TokenType.IDENT), text, line, col)
-                continue
-            if ch in SINGLE_CHARS:
-                self._advance()
-                yield Token(SINGLE_CHARS[ch], ch, line, col)
-                continue
-            raise LexError(f"unexpected character {ch!r} at line {line}, col {col}")
-        yield Token(TokenType.EOF, "", self.line, self.col)
+#: One alternative per token class: whitespace or a ``#`` comment (1),
+#: an integer (2), a name (3), a one-character token (4), anything else
+#: (5).  ``\d`` is exactly ``str.isdecimal`` (what ``int()`` reads) and
+#: ``\w`` exactly ``str.isalnum()`` or ``_``; a name must also start with
+#: a letter or ``_``, which :func:`tokenize` checks on its first character.
+_SCAN = re.compile(r"([ \t\r\n]+|#[^\n]*)|(\d+)|([^\W\d]\w*)"
+                   r"|([=+\-*/()\[\]{},;:])|(.)", re.DOTALL)
 
 
 def tokenize(source: str) -> list[Token]:
-    """All tokens of ``source`` including the trailing EOF token."""
-    return list(Lexer(source).tokens())
+    """All tokens of ``source`` including the trailing EOF token.
+
+    One pass of one compiled scanner; lines count ``\n`` and columns
+    count characters, both from 1.  A character no token starts with --
+    among them a digit ``int()`` cannot read, such as ``²`` -- raises
+    :class:`LexError`.
+    """
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for m in _SCAN.finditer(source):
+        kind, text = m.lastindex, m.group()
+        if kind == 1:               # whitespace or a comment
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == 2:
+            tokens.append(Token(TokenType.INT, text, line, col))
+        elif kind == 4:
+            tokens.append(Token(SINGLE_CHARS[text], text, line, col))
+        elif kind == 3 and (text[0].isalpha() or text[0] == "_"):
+            tokens.append(Token(KEYWORDS.get(text, TokenType.IDENT), text,
+                                line, col))
+        else:
+            raise LexError(f"unexpected character {text[0]!r} at line "
+                           f"{line}, col {col}")
+    tokens.append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.lang.affine import NotAffineError, affine_of
+from repro.lang.affine import NotAffineError
 from repro.lang.ast import ArrayRef, Assign, BinOp, Const, Expr, LoopNest, Name, UnaryOp
 from repro.lang.lexer import Token, TokenType, tokenize
 
@@ -56,7 +56,7 @@ class Parser:
         return tok
 
     def _at(self, ttype: TokenType) -> bool:
-        return self._peek().type is ttype
+        return self.tokens[self.pos].type is ttype   # never past EOF
 
     # -- grammar ------------------------------------------------------------
     def parse_program(self, name: str = "") -> LoopNest:
@@ -138,7 +138,7 @@ class Parser:
     # expressions -------------------------------------------------------------
     def parse_expr(self) -> Expr:
         left = self.parse_term()
-        while self._peek().type in (TokenType.PLUS, TokenType.MINUS):
+        while self.tokens[self.pos].type in (TokenType.PLUS, TokenType.MINUS):
             op = self._next().text
             right = self.parse_term()
             left = BinOp(op, left, right)
@@ -146,7 +146,7 @@ class Parser:
 
     def parse_term(self) -> Expr:
         left = self.parse_unary()
-        while self._peek().type in (TokenType.STAR, TokenType.SLASH):
+        while self.tokens[self.pos].type in (TokenType.STAR, TokenType.SLASH):
             op = self._next().text
             right = self.parse_unary()
             left = BinOp(op, left, right)
@@ -180,19 +180,16 @@ class Parser:
     # model checks ---------------------------------------------------------------
     @staticmethod
     def _validate_bounds(nest: LoopNest) -> None:
-        for k in range(nest.depth):
-            prefix = nest.indices[:k]
-            for which, bound in (("lower", nest.lowers[k]), ("upper", nest.uppers[k])):
-                try:
-                    ae = affine_of(bound, nest.indices)
-                except NotAffineError as exc:
-                    raise ParseError(
-                        f"{which} bound of loop {nest.indices[k]!r} is not affine: {exc}"
-                    ) from exc
+        try:
+            forms = nest.bound_forms
+        except NotAffineError as exc:
+            raise ParseError(str(exc)) from exc
+        for k, pair in enumerate(forms):
+            for which, ae in zip(("lower", "upper"), pair):
                 if not ae.depends_only_on_prefix(k):
                     raise ParseError(
                         f"{which} bound of loop {nest.indices[k]!r} references a "
-                        f"non-enclosing index (allowed: {list(prefix)})"
+                        f"non-enclosing index (allowed: {list(nest.indices[:k])})"
                     )
                 if not ae.is_integral():
                     raise ParseError(

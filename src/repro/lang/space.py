@@ -12,7 +12,6 @@ from itertools import product
 from math import ceil, floor, prod
 from typing import Iterator, Optional, Sequence
 
-from repro.lang.affine import AffineExpr, affine_of
 from repro.lang.ast import LoopNest
 
 
@@ -22,12 +21,6 @@ class IterationSpace:
     def __init__(self, nest: LoopNest):
         self.nest = nest
         self.depth = nest.depth
-        self._lowers: list[AffineExpr] = [
-            affine_of(lo, nest.indices) for lo in nest.lowers
-        ]
-        self._uppers: list[AffineExpr] = [
-            affine_of(hi, nest.indices) for hi in nest.uppers
-        ]
         self._points_cache: Optional[list[tuple[int, ...]]] = None
         self._box_cache: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
         # rank_of support: ("rect", los, his, strides) or ("map", {point: rank})
@@ -47,12 +40,13 @@ class IterationSpace:
     def is_rectangular(self) -> bool:
         """True if every bound is a constant (paper examples are all rectangular)."""
         return all(lo.is_constant() and hi.is_constant()
-                   for lo, hi in zip(self._lowers, self._uppers))
+                   for lo, hi in self.nest.bound_forms)
 
     def bounds_at(self, prefix: Sequence[int], k: int) -> tuple[int, int]:
         """(lower, upper) of loop ``k`` for the given values of indices[:k]."""
         env = dict(zip(self.nest.indices[:k], prefix))
-        return ceil(self._lowers[k].eval(env)), floor(self._uppers[k].eval(env))
+        lo, hi = self.nest.bound_forms[k]
+        return ceil(lo.eval(env)), floor(hi.eval(env))
 
     # -- enumeration -----------------------------------------------------------
     def iterate(self) -> Iterator[tuple[int, ...]]:

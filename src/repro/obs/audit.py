@@ -55,6 +55,7 @@ from repro.obs.certificate import (  # MAX_DETAIL: re-exported
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import Span, current_tracer
 from repro.ratlinalg.span import Subspace
+from repro.runtime.layout import Sidecar
 
 #: (strategy, eliminate_redundant) -> the theorem certifying the plan.
 THEOREMS: dict[tuple[Strategy, bool], int] = {
@@ -318,6 +319,10 @@ def _totals(plan: PartitionPlan) -> dict[str, Any]:
         reference_counts={d: n for d, n in counts.items() if n})
 
 
+#: a plan's totals, rendered once per plan however often it is audited
+_TOTALS = Sidecar(_totals)
+
+
 def _run_engine_audit(plan: PartitionPlan, backend: Optional[str],
                       scalars: Optional[Mapping[str, float]],
                       report: AuditReport) -> EngineAuditRun:
@@ -364,7 +369,7 @@ def audit_plan(
                      arrays=len(plan.model.arrays)) as sp:
         cert, free = static_verdict(plan, registry)
         report = AuditReport(plan=plan, certificate=cert,
-                             communication_free=free, **_totals(plan))
+                             communication_free=free, **_TOTALS.get(plan))
         cross, located = allocation_misses(plan, registry)
         report.block_cross = dict(cross)
         report.violations = [_attribute(plan, *miss) for miss in located]

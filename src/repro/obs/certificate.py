@@ -27,7 +27,8 @@ anchor the witness of a plan that is already refuted.
 
 This is the reference the planner is checked against, so it shares no
 code with the construction of ``Psi`` (``core/refspace.py``,
-``analysis/drv.py``, ``analysis/dependence.py``) -- only ``ratlinalg``.
+``analysis/drv.py``, ``analysis/dependence.py``) -- only ``ratlinalg``
+(``Q`` and each array's Smith form, ``ArrayInfo.smith``, once per plan).
 
 :func:`static_verdict`, the one verdict for the audit and codegen's check
 elision, is this certificate plus the allocation check
@@ -47,8 +48,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from repro.core.partition import affine_images
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import current_tracer
-from repro.ratlinalg.matrix import RatMat
-from repro.ratlinalg.smith import SmithForm, smith_normal_form
+from repro.ratlinalg.smith import SmithForm
 from repro.runtime.layout import Sidecar
 
 if TYPE_CHECKING:
@@ -64,11 +64,12 @@ MAX_DETAIL = 8
 
 @dataclass(frozen=True)
 class ArrayRefs:
-    """What the checker needs of one array: ``H``, the distinct offsets
-    written and read, and whether each block holds its own copy."""
+    """What the checker needs of one array: the Smith form of ``H``, the
+    distinct offsets written and read, and whether each block holds its
+    own copy."""
 
     name: str
-    h: RatMat
+    smith: SmithForm
     writes: tuple[Coords, ...]
     reads: tuple[Coords, ...]
     replicated: bool
@@ -160,7 +161,7 @@ def check(arrays: Iterable[ArrayRefs], space, q: Sequence[Coords]) -> Certificat
         return Certificate(free=True)
     pairs, undecided = 0, ""
     for a in arrays:
-        smith = smith_normal_form(a.h)
+        smith = a.smith
         kernel_inside = not any(_escapes(q, k) for k in smith.kernel)
         for c1, c2 in a.pairs():
             pairs += 1
@@ -194,7 +195,7 @@ def certify_plan(plan, registry=None) -> Certificate:
         else:
             replicated = plan.breakdown.duplicated_arrays
             cert = check(
-                [ArrayRefs(name, info.h, offsets(info, True),
+                [ArrayRefs(name, info.smith, offsets(info, True),
                            offsets(info, False), name in replicated)
                  for name, info in plan.model.arrays.items()],
                 plan.model.space, plan.psi.kernel_rows())

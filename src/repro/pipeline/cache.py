@@ -40,7 +40,7 @@ EVICT_COUNTER = "cache.evict"
 #: from a cached plan gains, loses, renames or retypes a field: an entry written
 #: under another layout unpickles without error and fails later on the
 #: missing attribute, so the reader treats it as corrupt instead.
-PLAN_FORMAT = 7
+PLAN_FORMAT = 8
 
 #: Byte cap for the on-disk plan store, in MiB.
 DISK_CAP_MB = 64

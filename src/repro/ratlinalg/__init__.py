@@ -33,7 +33,7 @@ from repro._lazy import lazy_surface
 from repro.ratlinalg.rref import rref
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
-    "matrix": ("RatMat", "RatVec", "as_fraction", "frac_gcd", "vec_gcd"),
+    "matrix": ("RatMat", "RatVec", "as_fraction"),
     "rref": ("nullspace", "row_echelon_int"),
     "solve": ("solve_particular",),
     "smith": ("smith_normal_form", "SmithForm"),

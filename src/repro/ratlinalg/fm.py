@@ -1,4 +1,4 @@
-"""Fourier-Motzkin elimination and loop-bound synthesis.
+"""Fourier-Motzkin elimination and loop-bound synthesis, in integers.
 
 Section IV of the paper transforms a partitioned nest into
 
@@ -13,8 +13,15 @@ elimination: eliminate the innermost variables one by one; the
 inequalities mentioning a variable at its elimination step provide its
 lower/upper bound expressions.
 
-Rational FM is exact over the reals; for integer loops we apply
-ceil/floor tightening, which can only *over*-approximate the projection
+Every :class:`Ineq` is a *primitive integer row* (gcd 1), and
+:func:`eliminate` combines two rows with the positive integer
+multipliers that cancel the variable.  Only a bound divides: solving
+``c x + e >= 0`` for ``x`` gives ``-e / c``, an :class:`AffineForm`
+holding an ``int`` where the quotient is one and an exact ``Fraction``
+where it is not.
+
+FM is exact over the rationals; for integer loops we apply ceil/floor
+tightening, which can only *over*-approximate the projection
 (possibly-empty inner loops execute zero iterations) and never loses an
 integer point -- i.e. every original iteration is still enumerated
 exactly once.
@@ -24,22 +31,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import Iterable, Sequence
 
-from repro.ratlinalg.matrix import as_fraction, vec_gcd
+from repro.ratlinalg.matrix import Number
+
+
+def _ratio(a: int, b: int) -> Number:
+    """``a / b`` for ``b > 0``: an ``int`` when ``b`` divides ``a``."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 @dataclass(frozen=True)
 class Ineq:
     """The affine inequality ``sum_j coeffs[j] * x_j + const >= 0``."""
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[int, ...]
+    const: int
 
     @staticmethod
-    def make(coeffs: Sequence, const) -> "Ineq":
-        return Ineq(tuple(as_fraction(c) for c in coeffs), as_fraction(const))
+    def make(coeffs: Sequence[int], const: int) -> "Ineq":
+        """The inequality as a primitive integer row."""
+        return Ineq(tuple(coeffs), const).normalized()
 
     @property
     def nvars(self) -> int:
@@ -50,24 +63,21 @@ class Ineq:
 
     def normalized(self) -> "Ineq":
         """Divide through by the (positive) gcd of all coefficients."""
-        g = vec_gcd(list(self.coeffs) + [self.const])
-        if g == 0 or g == 1:
+        g = gcd(*self.coeffs, self.const)
+        if g <= 1:
             return self
-        return Ineq(tuple(c / g for c in self.coeffs), self.const / g)
+        return Ineq(tuple(c // g for c in self.coeffs), self.const // g)
 
 
 @dataclass(frozen=True)
 class AffineForm:
     """``sum_j coeffs[j] * x_j + const`` -- one candidate bound expression."""
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[Number, ...]
+    const: Number
 
-    def eval(self, point: Sequence) -> Fraction:
-        return (
-            sum((c * as_fraction(x) for c, x in zip(self.coeffs, point)), Fraction(0))
-            + self.const
-        )
+    def eval(self, point: Sequence[int]) -> Number:
+        return sum(c * x for c, x in zip(self.coeffs, point)) + self.const
 
     def render(self, names: Sequence[str]) -> str:
         """Human/Python-readable rendering, e.g. ``-i1p + 8`` or ``3``."""
@@ -123,25 +133,22 @@ class LoopBound:
 
 
 class FMSystem:
-    """A conjunction of affine inequalities over ``nvars`` variables."""
+    """A conjunction of affine inequalities over ``nvars`` variables, each
+    kept once, in the order first added."""
 
     def __init__(self, nvars: int, ineqs: Iterable[Ineq] = ()):
         self.nvars = nvars
         self.ineqs: list[Ineq] = []
-        seen: set[tuple] = set()
+        self._seen: set[Ineq] = set()
         for q in ineqs:
             if q.nvars != nvars:
                 raise ValueError("inequality arity mismatch")
-            q = q.normalized()
-            key = (q.coeffs, q.const)
-            if key not in seen:
-                seen.add(key)
-                self.ineqs.append(q)
+            self.add(q.coeffs, q.const)
 
-    def add(self, coeffs: Sequence, const) -> None:
-        q = Ineq.make(coeffs, const).normalized()
-        key = (q.coeffs, q.const)
-        if key not in {(p.coeffs, p.const) for p in self.ineqs}:
+    def add(self, coeffs: Sequence[int], const: int) -> None:
+        q = Ineq.make(coeffs, const)
+        if q not in self._seen:
+            self._seen.add(q)
             self.ineqs.append(q)
 
     def is_trivially_infeasible(self) -> bool:
@@ -154,21 +161,23 @@ class FMSystem:
 def eliminate(system: FMSystem, var: int) -> FMSystem:
     """Project the system onto the remaining variables (drop ``var``).
 
-    The eliminated variable's coefficient becomes 0 in every resulting
+    Each pair of a row with a positive and a row with a negative
+    coefficient on ``var`` combines, with the positive integer
+    multipliers that cancel it, into one row of the projection.  The
+    eliminated variable's coefficient becomes 0 in every resulting
     inequality (arity is kept so variable indices stay stable).
     """
     pos = [q for q in system.ineqs if q.coeffs[var] > 0]
     neg = [q for q in system.ineqs if q.coeffs[var] < 0]
-    zero = [q for q in system.ineqs if q.coeffs[var] == 0]
-    out = FMSystem(system.nvars, zero)
+    out = FMSystem(system.nvars,
+                   [q for q in system.ineqs if q.coeffs[var] == 0])
     for p in pos:
         for q in neg:
-            cp, cq = p.coeffs[var], q.coeffs[var]
-            coeffs = tuple(
-                a * (-cq) + b * cp for a, b in zip(p.coeffs, q.coeffs)
-            )
-            const = p.const * (-cq) + q.const * cp
-            out.add(coeffs, const)
+            cp, cq = p.coeffs[var], -q.coeffs[var]
+            g = gcd(cp, cq)
+            mp, mq = cq // g, cp // g
+            out.add([a * mp + b * mq for a, b in zip(p.coeffs, q.coeffs)],
+                    p.const * mp + q.const * mq)
     return out
 
 
@@ -192,12 +201,9 @@ def bounds_for_order(system: FMSystem, order: Sequence[int]) -> list[LoopBound]:
         s = eliminate(s, order[depth])
     if s.is_trivially_infeasible():
         # Empty iteration domain: produce bounds that yield empty ranges.
-        empty = [
-            LoopBound(v, [AffineForm(tuple([Fraction(0)] * len(order)), Fraction(1))],
-                      [AffineForm(tuple([Fraction(0)] * len(order)), Fraction(0))])
-            for v in order
-        ]
-        return empty
+        zero = (0,) * len(order)
+        return [LoopBound(v, [AffineForm(zero, 1)], [AffineForm(zero, 0)])
+                for v in order]
 
     bounds: list[LoopBound] = []
     for depth, var in enumerate(order):
@@ -209,7 +215,7 @@ def bounds_for_order(system: FMSystem, order: Sequence[int]) -> list[LoopBound]:
             if cv == 0:
                 continue
             # Solve c_v * x_var + sum_others + const >= 0 for x_var.
-            others = [Fraction(0)] * len(order)
+            others = [0] * len(order)
             for pos_idx in range(depth):
                 others[pos_idx] = q.coeffs[order[pos_idx]]
             # Any nonzero coefficient on a *later* variable would mean the
@@ -218,11 +224,13 @@ def bounds_for_order(system: FMSystem, order: Sequence[int]) -> list[LoopBound]:
                 if q.coeffs[later] != 0:
                     raise AssertionError("inequality mentions an uneliminated variable")
             if cv > 0:
-                form = AffineForm(tuple(-o / cv for o in others), -q.const / cv)
-                lowers.append(form)
+                lowers.append(AffineForm(
+                    tuple([_ratio(-o, cv) for o in others]),
+                    _ratio(-q.const, cv)))
             else:
-                form = AffineForm(tuple(o / (-cv) for o in others), q.const / (-cv))
-                uppers.append(form)
+                uppers.append(AffineForm(
+                    tuple([_ratio(o, -cv) for o in others]),
+                    _ratio(q.const, -cv)))
         if not lowers or not uppers:
             raise ValueError(
                 f"variable x_{var} is unbounded ({'below' if not lowers else 'above'})"

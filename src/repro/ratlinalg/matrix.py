@@ -10,8 +10,8 @@ wrapper with vector arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Union
 
 Number = Union[int, Fraction]
 
@@ -27,28 +27,6 @@ def as_fraction(x: Number) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}: {x!r}")
-
-
-def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd extended to rationals: ``gcd(p1/q1, p2/q2) = gcd(p1,p2)/lcm(q1,q2)``.
-
-    Satisfies ``a / frac_gcd(a,b)`` and ``b / frac_gcd(a,b)`` integral.
-    ``frac_gcd(0, 0) == 0``.
-    """
-    a, b = as_fraction(a), as_fraction(b)
-    if a == 0 and b == 0:
-        return Fraction(0)
-    num = gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
-def vec_gcd(vec: Sequence[Number]) -> Fraction:
-    """gcd of a rational vector's entries (0 for the zero vector)."""
-    g = Fraction(0)
-    for x in vec:
-        g = frac_gcd(g, as_fraction(x))
-    return g
 
 
 class RatVec:
@@ -122,10 +100,12 @@ class RatVec:
         (``gcd(a_{i,1},...,a_{i,n}) = 1``).  The zero vector maps to
         itself.
         """
-        g = vec_gcd(self._data)
+        den = lcm(*(a.denominator for a in self._data))
+        ints = [a.numerator * (den // a.denominator) for a in self._data]
+        g = gcd(*ints)
         if g == 0:
             return self
-        return RatVec(a / g for a in self._data)
+        return RatVec(a // g for a in ints)
 
     def _check_len(self, other: "RatVec") -> None:
         if len(self._data) != len(other._data):
@@ -155,10 +135,6 @@ class RatMat:
         return RatMat([RatVec.unit(n, i) for i in range(n)])
 
     # -- container protocol ---------------------------------------------
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
     def row(self, i: int) -> RatVec:
         return self._rows[i]
 
@@ -185,11 +161,13 @@ class RatMat:
     def __matmul__(self, other):
         if isinstance(other, RatVec):
             if self.ncols != len(other):
-                raise ValueError(f"shape mismatch {self.shape} @ len {len(other)}")
+                raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} "
+                                 f"@ len {len(other)}")
             return RatVec(r.dot(other) for r in self._rows)
         if isinstance(other, RatMat):
             if self.ncols != other.nrows:
-                raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+                raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} "
+                                 f"@ {other.nrows}x{other.ncols}")
             ocols = [RatVec(c) for c in zip(*other._rows)]
             return RatMat(
                 [RatVec(r.dot(c) for c in ocols) for r in self._rows]
@@ -197,14 +175,6 @@ class RatMat:
         raise TypeError(f"cannot multiply RatMat by {type(other).__name__}")
 
     # -- structure -------------------------------------------------------
-    def is_integral(self) -> bool:
-        return all(r.is_integral() for r in self._rows)
-
-    def to_int_rows(self) -> list[list[int]]:
-        if not self.is_integral():
-            raise ValueError("matrix is not integral")
-        return [[int(x) for x in r] for r in self._rows]
-
     def det(self) -> Fraction:
         """Exact determinant via fraction-free-ish Gaussian elimination."""
         if self.nrows != self.ncols:

@@ -7,38 +7,48 @@ kernel-basis/pivot machinery of the program transformation (Section IV).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from repro.ratlinalg.matrix import RatMat, RatVec
+from repro.ratlinalg.matrix import RatMat, RatVec, as_fraction
 
 
-def rref(m: RatMat) -> tuple[RatMat, list[int]]:
-    """Reduced row echelon form of ``m``.
+def rref(m) -> tuple[RatMat, list[int]]:
+    """Reduced row echelon form of ``m`` (a :class:`RatMat` or rows).
 
     Returns ``(R, pivots)`` where ``R`` is the RREF and ``pivots`` lists
-    the pivot column of each nonzero row (in row order).
+    the pivot column of each nonzero row (in row order).  Eliminated in
+    integers: a row scaled by a positive rational spans the same line,
+    and the RREF of a row space is unique, so each row is cleared of
+    denominators, rows combine fraction-free (kept primitive), and only
+    the final division of each pivot row by its pivot makes fractions.
     """
-    rows = [list(r) for r in m.rows()]
-    nrows, ncols = m.shape
+    rows = []
+    for row in m.rows() if isinstance(m, RatMat) else m:
+        row = [x if type(x) is int else as_fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    nrows, ncols = len(rows), len(rows[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = [top[c] * x - f * y for x, y in zip(rows[i], top)]
+                g = gcd(*row) or 1      # a zero row stays zero
+                rows[i] = [x // g for x in row]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return RatMat(rows), pivots
-
+    return RatMat([[Fraction(x, row[c]) for x in row]
+                   for row, c in zip(rows, pivots)] + rows[r:]), pivots
 
 
 def nullspace(m: RatMat) -> list[RatVec]:

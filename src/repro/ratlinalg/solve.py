@@ -21,7 +21,8 @@ def solve_particular(a: RatMat, b: RatVec) -> Optional[RatVec]:
     positions (the canonical RREF particular solution).
     """
     if a.nrows != len(b):
-        raise ValueError(f"shape mismatch: {a.shape} vs rhs of length {len(b)}")
+        raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} vs rhs of "
+                         f"length {len(b)}")
     aug = RatMat([(*row, x) for row, x in zip(a.rows(), b)])
     R, pivots = rref(aug)
     ncols = a.ncols

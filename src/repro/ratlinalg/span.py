@@ -21,22 +21,26 @@ class Subspace:
     ``==`` implements true set equality of subspaces.
     """
 
-    __slots__ = ("ambient_dim", "_basis")
+    __slots__ = ("ambient_dim", "_basis", "_kernel_rows")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         self.ambient_dim = ambient_dim
-        vecs = [v if isinstance(v, RatVec) else RatVec(v) for v in vectors]
+        vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        nonzero = [v for v in vecs if not v.is_zero()]
+        nonzero = [v for v in vecs if any(v)]
         if not nonzero:
             self._basis: tuple[RatVec, ...] = ()
         else:
-            R, pivots = rref(RatMat(nonzero))
+            R, pivots = rref(nonzero)
             self._basis = tuple(R.row(i) for i in range(len(pivots)))
+
+    def __getstate__(self):
+        """No memo: the bytes must not depend on what ran before."""
+        return None, {"ambient_dim": self.ambient_dim, "_basis": self._basis}
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -119,6 +123,12 @@ class Subspace:
         the canonical key of the coset ``i + self`` -- exactly the paper's
         criterion for two iterations to share an iteration block
         (Definition 2) -- in integer arithmetic for integer points.
+        Derived once per subspace, however many consumers read it.
         """
-        return tuple(v.to_ints()
-                     for v in self.orthogonal_complement().primitive_basis())
+        try:
+            return self._kernel_rows
+        except AttributeError:
+            self._kernel_rows = tuple(
+                v.to_ints()
+                for v in self.orthogonal_complement().primitive_basis())
+            return self._kernel_rows

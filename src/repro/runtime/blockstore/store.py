@@ -112,11 +112,11 @@ class StoreDescriptor:
     #: the key ``program_for`` loaded the kernel under
     key: str
     scalars: tuple
-    #: what the kernel is emitted from and run with
-    nest: object
+    #: what the kernel is emitted from and run with: the plan's
+    #: ReferenceModel (its nest, each reference's ``(H, c)``, and the
+    #: IterationSpace that ranks the stamps) and Psi
+    model: object
     psi: object
-    #: the plan's IterationSpace (``rank_of`` / ``rank_strides``)
-    space: object
     #: the live computations (Sec. III.C), or None: every one runs
     live: Optional[frozenset]
 
@@ -160,7 +160,7 @@ class SharedBlockStore:
                 *(seg.name for seg in self._segs),
                 specs=dict(layout.specs), written=tuple(layout.written),
                 key=key, scalars=tuple(sorted(scalars.items())),
-                nest=plan.nest, psi=plan.psi, space=plan.model.space,
+                model=plan.model, psi=plan.psi,
                 live=plan.live)
             for name, off, size in self.desc.spans():
                 self.values[off:off + size] = array("d", store.grids[name])

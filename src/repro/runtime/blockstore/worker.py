@@ -45,9 +45,10 @@ def _run(desc, points):
         #: written array -> its private stamp list
         own = {name: [-1] * size for name, _, size in desc.spans()
                if name in desc.written}
-        kernel = kernel_for(desc.key, desc.nest, desc.psi, desc.space,
-                            desc.live, dict(desc.scalars), desc.specs)
-        counted = kernel(points, grids, own, desc.live, desc.space.rank_of)
+        kernel = kernel_for(desc.key, desc.model, desc.psi, desc.live,
+                            dict(desc.scalars), desc.specs)
+        counted = kernel(points, grids, own, desc.live,
+                         desc.model.space.rank_of)
         offsets = {name: off for name, off, _ in desc.spans()}
         for name, got in own.items():
             grid, off = grids[name], offsets[name]

@@ -60,23 +60,23 @@ def _written(nest: LoopNest) -> list[str]:
     return list(dict.fromkeys(stmt.lhs.array for stmt in nest.statements))
 
 
-def list_target(nest: LoopNest,
-                specs: Mapping[str, GridSpec]) -> KernelTarget:
+def list_target(model, specs: Mapping[str, GridSpec]) -> KernelTarget:
     """Flat value lists ``_g[array]`` and stamp lists ``_s[array]``
     shared by all blocks, every slot an emit-time-folded affine of the
-    loop indices; no miss handling (certificate)."""
-    indices = nest.indices
-
-    def slot_src(ref: ArrayRef, affine) -> str:
-        return affine(*flat_affine(ref, indices, specs[ref.array]))
+    loop indices from the reference's ``(H, c)`` in the plan's ``model``;
+    no miss handling (certificate)."""
+    nest = model.nest
+    slots = {ref.ast: flat_affine(info.h_rows, ref.c, specs[name])
+             for name, info in model.arrays.items()
+             for ref in info.references}
 
     def read_src(ref: ArrayRef, affine) -> str:
-        return f"_g_{ref.array}[{slot_src(ref, affine)}]"
+        return f"_g_{ref.array}[{affine(*slots[ref])}]"
 
     def write_lines(k: int, stmt: Assign, val: str, stamp: str,
                     affine) -> list[str]:
         arr = stmt.lhs.array
-        slot = slot_src(stmt.lhs, affine)
+        slot = affine(*slots[stmt.lhs])
         bind = []
         if not slot.isidentifier():  # it moves with the innermost loop
             bind, slot = [f"_w{k} = {slot}"], f"_w{k}"

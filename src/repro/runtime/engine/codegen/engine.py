@@ -35,7 +35,6 @@ from repro.runtime.engine.codegen import emit
 from repro.runtime.engine.codegen.diskcache import get_disk_cache
 from repro.runtime.engine.codegen.geometry import (
     CodegenUnsupported,
-    check_nest,
     check_written_partitioned,
     grid_specs,
 )
@@ -92,7 +91,6 @@ def _build_geometry(plan) -> dict:
     """Geometry tables of one plan."""
     check_written_partitioned(plan)
     specs = grid_specs(plan)
-    check_nest(plan.nest, specs)
     return {
         "specs": specs,
         "nreads": reads_per_statement(plan.nest),
@@ -133,15 +131,15 @@ def _certified(plan, geo: dict) -> bool:
     return geo["certified"]
 
 
-def kernel_for(key: str, nest, psi, space, live,
+def kernel_for(key: str, model, psi, live,
                scalars: Mapping[str, float],
                specs: Mapping[str, GridSpec]) -> Callable:
-    """Codegen's kernel, by its key, for ``nest`` cut along ``psi`` on
-    grids of ``specs``: ``space`` ranks the stamps, and a ``live`` set
-    (not None) masks the dead computations."""
+    """Codegen's kernel, by its key, for ``model``'s nest cut along
+    ``psi`` on grids of ``specs``: the model's space ranks the stamps,
+    and a ``live`` set (not None) masks the dead computations."""
     return load_kernel(key, lambda: emit_iteration_kernel(
-        nest, scalars, emit.list_target(nest, specs),
-        space.rank_strides(), live is not None, psi))
+        model, scalars, emit.list_target(model, specs),
+        model.space.rank_strides(), live is not None, psi))
 
 
 def program_for(plan, scalars: Mapping[str, float]) -> dict:
@@ -157,8 +155,8 @@ def program_for(plan, scalars: Mapping[str, float]) -> dict:
                           plan.live is not None)
     prog = geo["programs"][skey] = {
         "key": key, "geo": geo,
-        "fn": kernel_for(key, plan.nest, plan.psi, plan.model.space,
-                         plan.live, scalars, specs)}
+        "fn": kernel_for(key, plan.model, plan.psi, plan.live, scalars,
+                         specs)}
     return prog
 
 

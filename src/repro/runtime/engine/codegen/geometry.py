@@ -1,9 +1,11 @@
 """Plan geometry for the codegen tier: what can be specialized, and how.
 
 The codegen engine only accepts plans whose execution is *statically
-enumerable*: affine integral subscripts, written arrays partitioned
-across blocks (no written replicas), and grids small enough to
-materialize as flat dense buffers.  Everything here is derived once per
+enumerable*: written arrays partitioned across blocks (no written
+replicas), and grids small enough to materialize as flat dense buffers.
+Every subscript is integral affine already: the plan's model holds each
+reference as ``(H, c)`` (``extract_references`` refuses anything else),
+and codegen reads them there.  Everything here is derived once per
 plan and cached; the expensive parts (bounding boxes, the
 communication-audit certificate) are one-time setup costs, which the
 ledger reports as ``runtime.engine.codegen.*.cold_s`` apart
@@ -13,8 +15,8 @@ One geometric fact drives the emitted source -- **grid specs**: each
 array's allocated elements are embedded in the dense row-major bounding
 box of their union, the geometry of the run's flat store
 (:mod:`repro.runtime.layout`), so a reference's per-dimension affine
-subscripts fold into *one* flat-slot affine (``base + sum(coeff_k *
-i_k)``) with compile-time integer coefficients.
+subscripts ``H i + c`` fold into *one* flat-slot affine (``base +
+sum(coeff_k * i_k)``) with compile-time integer coefficients.
 
 The license to elide per-access ownership checks entirely is the
 certificate's :func:`~repro.obs.certificate.static_verdict`.
@@ -22,8 +24,6 @@ certificate's :func:`~repro.obs.certificate.static_verdict`.
 
 from __future__ import annotations
 
-from repro.lang.affine import NotAffineError, affine_of
-from repro.lang.ast import ArrayRef, LoopNest
 from repro.runtime.layout import GridSpec, layout_for
 
 #: Hard cap on the summed flat-grid words; beyond it the dense
@@ -63,51 +63,16 @@ def check_written_partitioned(plan) -> frozenset:
     return frozenset(layout.written)
 
 
-def ref_affine(ref: ArrayRef, indices: tuple[str, ...]):
-    """Per-dimension integral affine of one reference: (matrix, consts).
-
-    ``matrix[d][k]`` is the coefficient of loop index ``k`` in
-    subscript ``d``; anything non-affine or non-integral (rational
-    coefficients need the interpreter's ``int(float)`` truncation) is
-    unsupported here and falls down-tier.
-    """
-    matrix: list[tuple[int, ...]] = []
-    consts: list[int] = []
-    for sub in ref.subscripts:
-        try:
-            ae = affine_of(sub, indices)
-        except NotAffineError as exc:
-            raise CodegenUnsupported(
-                f"subscript of {ref.array} is not affine: {exc}") from exc
-        if not ae.is_integral():
-            raise CodegenUnsupported(
-                f"subscript of {ref.array} has non-integral coefficients")
-        matrix.append(tuple(int(a) for a in ae.coeffs))
-        consts.append(int(ae.const))
-    return tuple(matrix), tuple(consts)
-
-
-def flat_affine(ref: ArrayRef, indices: tuple[str, ...],
-                spec: GridSpec) -> tuple[tuple[int, ...], int]:
-    """The reference's flat-slot affine: (per-index coeffs, constant)."""
-    matrix, consts = ref_affine(ref, indices)
-    if len(matrix) != len(spec.lo):
-        raise CodegenUnsupported(
-            f"{ref.array} referenced with {len(matrix)} subscripts but "
-            f"allocated with {len(spec.lo)} dimensions")
-    coeffs = [0] * len(indices)
+def flat_affine(h_rows, c, spec: GridSpec) -> tuple[tuple[int, ...], int]:
+    """A reference's flat-slot affine ``(per-index coeffs, constant)``
+    from its ``H`` (:attr:`ArrayInfo.h_rows`) and ``c``
+    (:attr:`Reference.c`), as the plan's model holds them.  An array
+    only dead computations reference has an empty grid (no ``lo``): its
+    slots fold to 0, and the live guard keeps them from running."""
+    coeffs = [0] * len(h_rows[0])
     const = 0
-    for d, (row, c) in enumerate(zip(matrix, consts)):
-        stride = spec.strides[d]
+    for row, cd, lo, stride in zip(h_rows, c, spec.lo, spec.strides):
         for k, a in enumerate(row):
             coeffs[k] += a * stride
-        const += (c - spec.lo[d]) * stride
+        const += (cd - lo) * stride
     return tuple(coeffs), const
-
-
-def check_nest(nest: LoopNest, specs: dict[str, GridSpec]) -> None:
-    """Every reference must lower to a flat affine, or the plan is out."""
-    indices = nest.indices
-    for stmt in nest.statements:
-        for ref in [stmt.lhs] + list(stmt.rhs.array_refs()):
-            flat_affine(ref, indices, specs[ref.array])

@@ -36,7 +36,7 @@ class InterpreterEngine(Engine):
 
     def run_blocks(self, plan, result, scalars) -> None:
         from repro.obs.trace import current_tracer
-        from repro.runtime.seq import build_statement, read_at
+        from repro.runtime.seq import PROOFS, build_statement, read_at
 
         nest = plan.nest
         space = plan.model.space
@@ -91,8 +91,9 @@ class InterpreterEngine(Engine):
             rank_of = read_at(range(maxsize), list(rect[1]),
                               -sum(map(mul, *rect)))
 
+        box, proven = space.bounding_box(), PROOFS.get(space)
         statements = [(*build_statement(stmt, nest.indices, scalars, bind,
-                                        space.bounding_box()),
+                                        box, proven),
                        len(list(stmt.rhs.array_refs())))
                       for stmt in nest.statements]
         for b in plan.blocks:

@@ -22,7 +22,6 @@ from collections import OrderedDict
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import (
     ArrayRef, Assign, BinOp, Expr, LoopNest, Name, UnaryOp,
 )
@@ -126,15 +125,16 @@ def may_raise(expr: Expr, indices: tuple[str, ...],
     return False
 
 
-def promoted_writes(nest: LoopNest, scalars: Mapping[str, float],
+def promoted_writes(model, scalars: Mapping[str, float],
                     inner: set[int]) -> dict[str, int]:
     """Written array -> the statement ``k`` whose element an innermost
     loop binding the indices ``inner`` may keep in a local: ``k`` is the
     array's only writer, every reference to the array is ``k``'s
-    left-hand side, whose integral subscripts do not move with ``inner``,
-    and no right-hand side can raise half-way through the loop."""
-    stmts = nest.statements
-    if any(may_raise(st.rhs, nest.indices, scalars) for st in stmts):
+    left-hand side, whose ``H`` (the plan ``model``'s) does not move
+    with ``inner``, and no right-hand side can raise half-way through
+    the loop."""
+    stmts = model.nest.statements
+    if any(may_raise(st.rhs, model.nest.indices, scalars) for st in stmts):
         return {}
     refs = [ref for st in stmts for ref in (st.lhs, *st.rhs.array_refs())]
     out: dict[str, int] = {}
@@ -143,12 +143,8 @@ def promoted_writes(nest: LoopNest, scalars: Mapping[str, float],
         if any(ref.array == lhs.array and ref != lhs for ref in refs) \
                 or sum(st.lhs.array == lhs.array for st in stmts) > 1:
             continue
-        try:
-            forms = [affine_of(sub, nest.indices) for sub in lhs.subscripts]
-        except NotAffineError:
-            continue
-        if all(ae.is_integral() and not any(ae.coeffs[m] for m in inner)
-               for ae in forms):
+        if not any(row[m] for row in model.arrays[lhs.array].h_rows
+                   for m in inner):
             out[lhs.array] = k
     return out
 
@@ -258,11 +254,12 @@ class _Hoister:
                 acc, const = [name], 0
 
 
-def emit_iteration_kernel(nest: LoopNest, scalars: Mapping[str, float],
+def emit_iteration_kernel(model, scalars: Mapping[str, float],
                           target: KernelTarget, rank_rect, has_live: bool,
                           psi) -> str:
     """Source of ``fn(_points, <target.args>, _live, _rank_of)``: the
-    paper's loop L' (Sec. IV) for partitioning space ``psi``.
+    paper's loop L' (Sec. IV) for partitioning space ``psi``, over the
+    nest of the plan's reference ``model``.
 
     Each of ``_points`` (:func:`block_points`) is one forall point; the
     extended statements recover the original indices from it at the
@@ -286,6 +283,7 @@ def emit_iteration_kernel(nest: LoopNest, scalars: Mapping[str, float],
         _integerize, _linear_src, _lower_src, _upper_src)
     from repro.transform.loopnest import transform_nest
 
+    nest = model.nest
     tnest = transform_nest(nest, psi)
     basis = tnest.basis
     k, g = basis.k, basis.g
@@ -314,7 +312,7 @@ def emit_iteration_kernel(nest: LoopNest, scalars: Mapping[str, float],
         known[level_of[m]].append(f"_f{m} = float(i{m})")
 
     promoted = {} if has_live or not g or guarded \
-        else promoted_writes(nest, scalars,
+        else promoted_writes(model, scalars,
                              {m for m, lv in enumerate(level_of) if lv == g})
     hoist = _Hoister(level_of, g)
     rank = None if rank_rect is None else _rank_affine(rank_rect, nstmts)

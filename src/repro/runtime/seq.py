@@ -40,6 +40,7 @@ from typing import Callable, Mapping, Optional
 from repro.lang.ast import ArrayRef, Assign, BinOp, Const, Expr, LoopNest, Name, UnaryOp
 from repro.lang.space import IterationSpace
 from repro.runtime.arrays import Coords, DataSpace
+from repro.runtime.layout import Sidecar
 
 #: a built expression: iteration tuple -> value
 Evaluator = Callable[[tuple], float]
@@ -62,8 +63,10 @@ class UnboundScalarError(KeyError):
 
 def build_expr(expr: Expr, indices: tuple[str, ...],
                scalars: Mapping[str, float], read: Binder,
-               box: Optional[tuple] = None) -> Evaluator:
-    """``expr`` as a closure over the iteration tuple ``indices`` names."""
+               box: Optional[tuple] = None,
+               proven: Optional[dict] = None) -> Evaluator:
+    """``expr`` as a closure over the iteration tuple ``indices`` names;
+    ``proven`` memoises :func:`_forms` for this ``(indices, box)``."""
     if isinstance(expr, Const):
         value = float(expr.value)
         return lambda it: value
@@ -76,11 +79,12 @@ def build_expr(expr: Expr, indices: tuple[str, ...],
             return lambda it: value
         raise UnboundScalarError(expr.ident)
     if isinstance(expr, UnaryOp):
-        operand = build_expr(expr.operand, indices, scalars, read, box)
+        operand = build_expr(expr.operand, indices, scalars, read, box,
+                             proven)
         return lambda it: -operand(it)
     if isinstance(expr, BinOp):
-        left = build_expr(expr.left, indices, scalars, read, box)
-        right = build_expr(expr.right, indices, scalars, read, box)
+        left = build_expr(expr.left, indices, scalars, read, box, proven)
+        right = build_expr(expr.right, indices, scalars, read, box, proven)
         if expr.op == "+":
             return lambda it: left(it) + right(it)
         if expr.op == "-":
@@ -89,7 +93,7 @@ def build_expr(expr: Expr, indices: tuple[str, ...],
             return lambda it: left(it) * right(it)
         return lambda it: left(it) / right(it)
     if isinstance(expr, ArrayRef):
-        forms = _forms(expr, indices, box)
+        forms = _forms(expr, indices, box, proven)
         return read(expr.array,
                     build_coords(expr, indices, scalars, read, box, forms),
                     forms)
@@ -100,7 +104,7 @@ def _affine(expr: Expr, indices: tuple[str, ...], box: tuple):
     """``expr`` as ``[a_1, ..., a_n, k]`` (``a . it + k``) if it is integer
     affine in the indices and no value its float walk passes through on
     ``box`` reaches 2**53 (below it, that walk is exact); else ``None``.
-    Not ``lang.affine.affine_of``: the kernel lowering uses that one."""
+    Not ``lang.affine.affine_of``, whose ``(H, c)`` the kernels read."""
     n = len(indices)
     form = None
     if isinstance(expr, Const) and float(expr.value).is_integer():
@@ -152,14 +156,26 @@ def _in_integers(forms: list, n: int) -> Callable[[tuple], Coords]:
                         c2 * it[p2] + k2))[len(terms) - 1]
 
 
-def _forms(ref: ArrayRef, indices: tuple[str, ...],
-           box: Optional[tuple]) -> Optional[list]:
+def _forms(ref: ArrayRef, indices: tuple[str, ...], box: Optional[tuple],
+           proven: Optional[dict] = None) -> Optional[list]:
     """Every subscript's :func:`_affine` form, or None unless each one
-    is proven on ``box``."""
+    is proven on ``box``; looked up in, or added to, ``proven`` (the
+    proofs of one ``(indices, box)``: :data:`PROOFS`).  Nothing writes
+    to a form: a run binds its memory to it."""
     if box is None:
         return None
+    if proven is not None and ref in proven:
+        return proven[ref]
     forms = [_affine(s, indices, box) for s in ref.subscripts]
-    return None if None in forms else forms
+    forms = None if None in forms else forms
+    if proven is not None:
+        proven[ref] = forms
+    return forms
+
+
+#: by iteration space, which fixes the indices and the box: its
+#: references' :func:`_forms`, proven once however often a plan runs
+PROOFS = Sidecar(lambda space: {})
 
 
 def build_coords(ref: ArrayRef, indices: tuple[str, ...],
@@ -203,12 +219,14 @@ def read_at(values, a: list, k: int) -> Evaluator:
 def build_statement(stmt: Assign, indices: tuple[str, ...],
                     scalars: Mapping[str, float], read: Binder,
                     box: Optional[tuple] = None,
+                    proven: Optional[dict] = None,
                     ) -> tuple[str, Callable[[tuple], Coords], Evaluator]:
     """``(lhs array, lhs coords, rhs)``; the caller evaluates ``rhs``
     first, then the coordinates, then writes.  The LHS subscripts are
     affine in the indices: no reads (no binder), no scalars."""
-    rhs = build_expr(stmt.rhs, indices, scalars, read, box)
-    coords = build_coords(stmt.lhs, indices, {}, None, box)
+    rhs = build_expr(stmt.rhs, indices, scalars, read, box, proven)
+    coords = build_coords(stmt.lhs, indices, {}, None, box,
+                          _forms(stmt.lhs, indices, box, proven))
     return stmt.lhs.array, coords, rhs
 
 
@@ -245,7 +263,7 @@ def run_sequential(
                                nest=nest.name or "<anon>",
                                statements=len(nest.statements)) as sp:
         named = {array: arrays[array] for array in nest.array_names()}
-        box = space.bounding_box()
+        box, proven = space.bounding_box(), PROOFS.get(space)
 
         def bind(array, coords, forms, values):
             """``it -> values[the reference's position]``: folded when
@@ -262,10 +280,10 @@ def run_sequential(
         statements = []
         for stmt in nest.statements:
             array, coords, rhs = build_statement(
-                stmt, nest.indices, scalars, read, box)
+                stmt, nest.indices, scalars, read, box, proven)
             values = named[array].values
             statements.append((values, rhs, bind(
-                array, coords, _forms(stmt.lhs, nest.indices, box),
+                array, coords, _forms(stmt.lhs, nest.indices, box, proven),
                 range(len(values)))))
         for it in space.iterate():
             for values, rhs, slot in statements:

@@ -16,13 +16,11 @@ preserving all intra-block dependences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from repro.lang.affine import AffineExpr, affine_of
 from repro.lang.ast import LoopNest
 from repro.ratlinalg.fm import AffineForm, FMSystem, LoopBound, bounds_for_order
-from repro.ratlinalg.matrix import RatMat, RatVec
 from repro.ratlinalg.span import Subspace
 from repro.transform.basis import TransformBasis, build_transform_basis
 
@@ -98,19 +96,19 @@ class TransformedNest:
         return self.basis.block_coords(iteration)
 
 
-def _constraint_rows(nest: LoopNest) -> list[tuple[RatVec, Fraction]]:
-    """Original-bound constraints as (coeff-row over I, const), meaning
-    ``row · I + const >= 0``."""
-    rows: list[tuple[RatVec, Fraction]] = []
-    n = nest.depth
-    for m_pos in range(n):
-        lo = affine_of(nest.lowers[m_pos], nest.indices)
-        hi = affine_of(nest.uppers[m_pos], nest.indices)
-        unit = RatVec.unit(n, m_pos)
+def _constraint_rows(nest: LoopNest) -> list[tuple[list[int], int]]:
+    """Original-bound constraints as (integer coeff-row over I, const),
+    meaning ``row · I + const >= 0``, from the nest's
+    :attr:`~repro.lang.ast.LoopNest.bound_forms` (integral: the parser
+    refuses any other bound)."""
+    rows: list[tuple[list[int], int]] = []
+    for m_pos, (lo, hi) in enumerate(nest.bound_forms):
         # I_m - lo(I) >= 0
-        rows.append((unit - lo.coeff_vector(), -lo.const))
+        rows.append(([int(j == m_pos) - a for j, a in enumerate(lo.coeffs)],
+                     -lo.const))
         # hi(I) - I_m >= 0
-        rows.append((hi.coeff_vector() - unit, hi.const))
+        rows.append(([a - int(j == m_pos) for j, a in enumerate(hi.coeffs)],
+                     hi.const))
     return rows
 
 
@@ -123,14 +121,15 @@ def transform_nest(nest: LoopNest,
     n = nest.depth
 
     # Express each original-bound constraint over the new variables:
-    # row·I + c >= 0  with  I = M^{-1} x  becomes  (row·M^{-1})·x + c >= 0.
+    # row·I + c >= 0  with  I = M^{-1} x  becomes  (row·M^{-1})·x + c >= 0,
+    # scaled by the common denominator den of M^{-1} = N / den.
+    inv = basis.m_inv.rows()
+    den = lcm(*(x.denominator for row in inv for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in inv]
     system = FMSystem(n)
     for row, const in _constraint_rows(nest):
-        new_row = RatVec(
-            sum((row[i] * basis.m_inv[i, j] for i in range(n)), Fraction(0))
-            for j in range(n)
-        )
-        system.add(list(new_row), const)
+        system.add([sum(row[i] * num[i][j] for i in range(n))
+                    for j in range(n)], const * den)
 
     bounds = bounds_for_order(system, list(range(n)))
 
@@ -139,7 +138,7 @@ def transform_nest(nest: LoopNest,
     for m_pos in range(n):
         if m_pos in basis.inner_positions:
             continue
-        coeffs = tuple(basis.m_inv[m_pos, j] for j in range(n))
-        extended[m_pos] = AffineForm(coeffs, Fraction(0))
+        extended[m_pos] = AffineForm(tuple(
+            x.numerator if x.denominator == 1 else x for x in inv[m_pos]), 0)
 
     return TransformedNest(nest=nest, basis=basis, bounds=bounds, extended=extended)

@@ -91,9 +91,16 @@ class TestEvaluation:
         assert not b.depends_only_on_prefix(1)
         assert b.depends_only_on_prefix(2)
 
-    def test_coeff_vector(self):
+    def test_coeffs_are_ints(self):
+        """Plain ``int``s, also where a ``/`` divides exactly; a
+        ``Fraction`` only where it does not."""
         a = ae(BinOp("+", Name("i"), Name("j")))
-        assert a.coeff_vector() == (1, 1)
+        halved = ae(BinOp("/", BinOp("*", Const(4), Name("i")), Const(2)))
+        assert a.coeffs == (1, 1) and halved.coeffs == (2, 0)
+        for form in (a, halved):
+            assert all(type(x) is int for x in (*form.coeffs, form.const))
+        assert type(ae(BinOp("/", Name("i"), Const(2))).coeffs[0]) \
+            is Fraction
 
 
 class TestArithmetic:

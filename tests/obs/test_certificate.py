@@ -17,7 +17,7 @@ from repro.lang import catalog
 from repro.lang.space import IterationSpace
 from repro.obs.certificate import (ArrayRefs, Certificate, certify_plan,
                                    check)
-from repro.ratlinalg import RatMat, Subspace
+from repro.ratlinalg import Subspace, smith_normal_form
 
 from tests.strategies import PLAN_KWARGS, loop_nests, repartitioned
 
@@ -107,7 +107,7 @@ class TestCheck:
     """The checker on bare ``(H, c, bounds, Q)``."""
 
     SPACE = IterationSpace(catalog.l1())               # 1..4 x 1..4
-    A = ArrayRefs("A", RatMat([[2, 0], [0, 1]]),
+    A = ArrayRefs("A", smith_normal_form([[2, 0], [0, 1]]),
                   writes=((0, 0),), reads=((-2, -1),), replicated=False)
 
     def test_the_papers_psi_is_proved(self):
@@ -131,15 +131,15 @@ class TestCheck:
 
     def test_a_replicated_array_ignores_anti_pairs(self):
         # A[i] = A[i + 1]: the read runs before the write it meets
-        a = ArrayRefs("A", RatMat([[1, 0]]), writes=((0,),), reads=((1,),),
-                      replicated=True)
+        a = ArrayRefs("A", smith_normal_form([[1, 0]]), writes=((0,),),
+                      reads=((1,),), replicated=True)
         assert check([a], self.SPACE, [(1, 0), (0, 1)]).free
         assert not check([replace(a, replicated=False)], self.SPACE,
                          [(1, 0), (0, 1)]).free
 
     def test_a_singular_h_needs_its_kernel(self):
-        a = ArrayRefs("A", RatMat([[1, 1]]), writes=((0,),), reads=(),
-                      replicated=False)
+        a = ArrayRefs("A", smith_normal_form([[1, 1]]), writes=((0,),),
+                      reads=(), replicated=False)
         assert check([a], self.SPACE, [(1, 1)]).free         # span{(1,-1)}
         t = check([a], self.SPACE, [(1, 0)]).witness.t      # span{(0,1)}
         assert t[0] + t[1] == 0 and t[0] != 0
@@ -160,7 +160,7 @@ class TestCheck:
         fits a budget of one."""
         from repro.obs import certificate
 
-        a = ArrayRefs("A", RatMat([[1, 5]]), ((0,),), ((0,),), False)
+        a = ArrayRefs("A", smith_normal_form([[1, 5]]), ((0,),), ((0,),), False)
         q = Subspace(2, [(1, 0)]).kernel_rows()
         assert check([a], self.SPACE, q).free
         monkeypatch.setattr(certificate, "BUDGET", 1)

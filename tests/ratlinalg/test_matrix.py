@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ratlinalg import RatMat, RatVec, as_fraction, frac_gcd, vec_gcd
+from repro.ratlinalg import RatMat, RatVec, as_fraction
 
 
 class TestAsFraction:
@@ -19,23 +19,22 @@ class TestAsFraction:
             as_fraction(0.5)
 
 
-class TestFracGcd:
+class TestPrimitive:
+    """The integer vector with gcd 1 in the same direction (the paper's
+    ``Q`` convention), computed in integers."""
+
     def test_integers(self):
-        assert frac_gcd(Fraction(4), Fraction(6)) == 2
+        assert RatVec([2, 4, 6]).primitive() == (1, 2, 3)
 
     def test_rationals(self):
-        g = frac_gcd(Fraction(1, 2), Fraction(1, 3))
-        assert (Fraction(1, 2) / g).denominator == 1
-        assert (Fraction(1, 3) / g).denominator == 1
-        assert g == Fraction(1, 6)
+        assert RatVec([Fraction(1, 2), Fraction(1, 3)]).primitive() == (3, 2)
+        assert RatVec([Fraction(1, 2), Fraction(3, 2)]).primitive() == (1, 3)
 
-    def test_zero_zero(self):
-        assert frac_gcd(Fraction(0), Fraction(0)) == 0
+    def test_sign_is_kept(self):
+        assert RatVec([-2, 0, Fraction(4, 3)]).primitive() == (-3, 0, 2)
 
-    def test_vec_gcd(self):
-        assert vec_gcd([2, 4, 6]) == 2
-        assert vec_gcd([0, 0]) == 0
-        assert vec_gcd([Fraction(1, 2), Fraction(3, 2)]) == Fraction(1, 2)
+    def test_zero_vector(self):
+        assert RatVec([0, 0]).primitive() == (0, 0)
 
 
 class TestRatVec:
@@ -90,7 +89,7 @@ class TestRatVec:
 class TestRatMat:
     def test_shape_and_indexing(self):
         m = RatMat([[1, 2], [3, 4], [5, 6]])
-        assert m.shape == (3, 2)
+        assert (m.nrows, m.ncols) == (3, 2)
         assert m[2, 1] == 6
         assert m.row(0) == (1, 2)
         assert [r[1] for r in m.rows()] == [2, 4, 6]
@@ -138,8 +137,3 @@ class TestRatMat:
         inv = m.inverse()
         assert inv[0, 0] == 0 and inv[0, 1] == 1
         assert inv[1, 0] == Fraction(1, 2)
-
-    def test_is_integral_to_int_rows(self):
-        assert RatMat([[1, 2]]).to_int_rows() == [[1, 2]]
-        with pytest.raises(ValueError):
-            RatMat([[Fraction(1, 2)]]).to_int_rows()

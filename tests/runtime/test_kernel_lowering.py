@@ -49,7 +49,6 @@ from repro.runtime.engine.codegen import emit
 from repro.runtime.engine.codegen.engine import program_for
 from repro.runtime.engine.codegen.geometry import (
     CodegenUnsupported,
-    check_nest,
     check_written_partitioned,
     grid_specs,
 )
@@ -106,7 +105,8 @@ def emitted_sources() -> dict:
             for live in (False, True):
                 out[f"{name}-{sname}-{'live' if live else 'all'}"] = {
                     "codegen": emit_iteration_kernel(
-                        nest, SCALARS, emit.list_target(nest, specs),
+                        plan.model, SCALARS,
+                        emit.list_target(plan.model, specs),
                         rank_rect, live, psi),
                     "codegen_key": emit.kernel_key(
                         nest, SCALARS, specs, psi.kernel_rows(), rank_rect,
@@ -194,7 +194,7 @@ def _interp(plan) -> Outcome:
 
 def _kernel(plan, target):
     namespace: dict = {}
-    exec(emit_iteration_kernel(plan.nest, SCALARS, target,
+    exec(emit_iteration_kernel(plan.model, SCALARS, target,
                                plan.model.space.rank_strides(),
                                plan.live is not None, plan.psi), namespace)
     return namespace[target.name]
@@ -220,10 +220,9 @@ def _run_lists(plan) -> Outcome:
     try:
         written = check_written_partitioned(plan)
         specs = grid_specs(plan)
-        check_nest(plan.nest, specs)
     except CodegenUnsupported as exc:
         pytest.skip(exc.reason)
-    kernel = _kernel(plan, emit.list_target(plan.nest, specs))
+    kernel = _kernel(plan, emit.list_target(plan.model, specs))
     store = FlatStore(flat_layout_for(plan), make_arrays(plan.model))
     mems = store.views({b.index: b.index for b in plan.blocks})
     stamps = {n: [-1] * len(store.grids[n]) for n in written}
@@ -418,7 +417,7 @@ TRIRED = ("for i = 1 to 6 { for j = i + 1 to 6 { "
 
 def _codegen_source(plan) -> str:
     return emit_iteration_kernel(
-        plan.nest, SCALARS, emit.list_target(plan.nest, grid_specs(plan)),
+        plan.model, SCALARS, emit.list_target(plan.model, grid_specs(plan)),
         plan.model.space.rank_strides(), plan.live is not None, plan.psi)
 
 
@@ -482,7 +481,7 @@ def test_an_empty_inner_range_reads_and_writes_nothing():
     promoted element -- outside ``y``'s grid -- is neither loaded nor
     stored nor stamped."""
     plan = build_plan(parse(TRIRED), strategy=Strategy.DUPLICATE)
-    kernel = _kernel(plan, emit.list_target(plan.nest, grid_specs(plan)))
+    kernel = _kernel(plan, emit.list_target(plan.model, grid_specs(plan)))
     grids = FlatStore(flat_layout_for(plan), make_arrays(plan.model)).grids
     before = {n: list(g) for n, g in grids.items()}
     stamps = {"y": [-1] * len(grids["y"])}

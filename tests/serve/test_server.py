@@ -534,6 +534,52 @@ class TestParseOnce:
         assert first["error"]["reason"].startswith("bad nest: ")
         assert len(parses) == 2
 
+    def test_a_burst_of_one_novel_text_parses_once(self, parses):
+        async def burst(srv):
+            frames = [dict(frame(nest=_novel(9)), id=f"r{i}")
+                      for i in range(6)]
+            return await asyncio.gather(*[srv.handle(f) for f in frames])
+
+        with AsyncServer(max_concurrency=2, queue_limit=8) as srv:
+            resps = run(burst(srv))
+            assert srv.registry.value("serve.coalesced") == 5
+            assert srv.registry.value("serve.rejected") == 0
+        assert all(r["ok"] for r in resps)
+        assert len(parses) == 1
+
+    def test_an_over_capacity_novel_text_is_refused_at_once(
+            self, monkeypatch):
+        """With the one executor slot busy, a novel text is ``overloaded``
+        at once: nothing it needs waits for the slot."""
+        import threading
+
+        started, hold = threading.Event(), threading.Event()
+        verify = Session.verify
+
+        def held(self, *args, **kw):
+            started.set()
+            hold.wait(10)
+            return verify(self, *args, **kw)
+
+        monkeypatch.setattr(Session, "verify", held)
+
+        async def go(srv):
+            busy = asyncio.ensure_future(srv.handle(frame(nest=HOT[0])))
+            try:
+                while not started.is_set():
+                    await asyncio.sleep(0.001)
+                late = await asyncio.wait_for(
+                    srv.handle(frame(nest=_novel(7))), timeout=5)
+            finally:
+                hold.set()
+            return await busy, late
+
+        with AsyncServer(max_concurrency=1, queue_limit=0) as srv:
+            busy, late = run(go(srv))
+            assert srv._admitted == 0
+        assert busy["ok"]
+        assert late["error"]["kind"] == "overloaded"
+
     def test_the_memo_is_bounded_and_a_pushed_out_text_still_answers(
             self, parses):
         from repro.serve.server import NEST_MEMO

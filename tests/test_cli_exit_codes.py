@@ -197,6 +197,9 @@ class TestInputErrors:
         "parse-error": (
             "for i = 1 to { A[i] = 1; }",
             "repro: unexpected token '{' at line 1, col 14"),
+        "superscript-digit": (
+            "for i = 1 to ² { S1: A[i] = 1; }",
+            "repro: unexpected character '²' at line 1, col 14"),
         "missing-file": (
             None, "repro: cannot read PATH: No such file or directory"),
     }

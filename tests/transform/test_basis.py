@@ -1,5 +1,7 @@
 """Change-of-variables basis construction (Section IV)."""
 
+from math import gcd
+
 import pytest
 
 from repro.ratlinalg import RatMat, RatVec, Subspace
@@ -22,9 +24,7 @@ class TestL4Basis:
         for q in self.basis.q_rows:
             assert q.dot(normal) == 0
             assert q.is_integral()
-            from repro.ratlinalg.matrix import vec_gcd
-
-            assert vec_gcd(list(q)) == 1
+            assert gcd(*q.to_ints()) == 1
 
     def test_pivots_increasing(self):
         assert self.basis.pivot_cols == sorted(self.basis.pivot_cols)

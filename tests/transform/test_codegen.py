@@ -19,8 +19,9 @@ from repro.transform import to_pseudocode, transform_nest
 
 def kernel_source(nest, psi):
     """The codegen tier's L' along ``psi``, on the planner's grids."""
-    specs = grid_specs(build_plan(nest))
-    return emit_iteration_kernel(nest, {}, emit.list_target(nest, specs),
+    plan = build_plan(nest)
+    return emit_iteration_kernel(plan.model, {},
+                                 emit.list_target(plan.model, grid_specs(plan)),
                                  None, False, psi)
 
 
@@ -119,6 +120,16 @@ class TestExecutionEquivalence:
     def test_triangular_execution(self):
         got, expected = run_generated(build_plan(catalog.triangular(5)))
         assert got["T"] == expected["T"]
+
+    def test_an_array_only_dead_computations_read(self):
+        """``C`` is read by ``S1`` alone, whose every computation is dead
+        under redundancy elimination: its grid is empty, and codegen runs
+        the plan anyway (the live guard skips every read of it)."""
+        nest = parse("for i = 1 to 4 { S1: A[i] = C[i]; S2: A[i] = 2; }")
+        plan = build_plan(nest, eliminate_redundant=True)
+        assert grid_specs(plan)["C"].size == 0
+        got, expected = run_generated(plan)
+        assert got["A"] == expected["A"]
 
     def test_scalars_passed_through(self):
         nest = parse("for i = 1 to 3 { A[i] = B[i] / D; }")
