@@ -12,10 +12,10 @@ nonuniformly generated references").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import index, mul
 from typing import TYPE_CHECKING
 
+from repro._lazy import Sidecar
 from repro.lang.affine import NotAffineError, affine_of
 from repro.lang.ast import ArrayRef, LoopNest
 from repro.lang.space import IterationSpace
@@ -72,18 +72,12 @@ class ArrayInfo:
     h_rows: tuple[tuple[int, ...], ...]   # d x n integer reference matrix
     references: list[Reference] = field(default_factory=list)
 
-    def __getstate__(self) -> dict:
-        """No Smith form: the bytes must not depend on what ran before."""
-        return {k: v for k, v in self.__dict__.items() if k != "smith"}
-
-    @cached_property
+    @property
     def smith(self) -> SmithForm:
         """The Smith normal form of ``H``, derived once per array: the
         dependence tests, Definition 4 / Theorem 2 and the certificate
         all read it."""
-        from repro.ratlinalg.smith import smith_normal_form
-
-        return smith_normal_form(self.h_rows)
+        return _SMITH.get(self)
 
     @property
     def h(self) -> RatMat:
@@ -117,6 +111,15 @@ class ArrayInfo:
                 f"iteration of length {len(iteration)} for depth {self.depth}")
         return tuple([index(sum(map(mul, row, iteration)) + cj)
                       for row, cj in zip(self.h_rows, c)])
+
+
+def _smith(info: ArrayInfo) -> SmithForm:
+    from repro.ratlinalg.smith import smith_normal_form
+
+    return smith_normal_form(info.h_rows)
+
+
+_SMITH = Sidecar(_smith)
 
 
 @dataclass

@@ -16,9 +16,9 @@ accessed by the nonredundant computations must be considered").  The
 planner does not enumerate it: a planner's data block *is* that
 definition -- its iteration block and its array's :class:`AccessMap`
 (``H``, the ``(statement, offset)`` pairs, the live mask) -- and its
-``elements`` are the image, computed on first read.  What is derived
-per plan works from the definition instead: the flat layout from
-whole-space integer columns, the allocation check by Definition 3
+``elements`` are the image, derived on each read and never kept.  What
+is derived per plan works from the definition instead: the flat layout
+from whole-space integer columns, the allocation check by Definition 3
 itself, a plan-cache entry as the access maps alone.
 """
 
@@ -79,14 +79,25 @@ class AccessMap:
         return frozenset(elements)
 
 
+class _Image:
+    """A planner's data block's ``elements``: the image of its iteration
+    block under its access map, derived on each read.  It has no
+    ``__set__``, so an explicit block's own ``elements`` hides it."""
+
+    def __get__(self, db, owner=None):
+        if db is None:      # no default: the field stays required
+            raise AttributeError("elements")
+        return db.access.image(db.block.iterations)
+
+
 @dataclass(frozen=True)
 class DataBlock:
     """One block ``B_j^A`` of a data partition.
 
     Built by the planner (:meth:`image_of`), a data block is the image
-    of ``block`` under ``access``: ``elements`` is computed on first
-    read, cached, and never pickled (the block goes as its definition;
-    a plan packs its planner's blocks further).  Built with ``elements``
+    of ``block`` under ``access``, and ``elements`` is derived from them
+    on each read: the block holds its definition and nothing else, so
+    two plans may share it.  Built with ``elements``
     (``dataclasses.replace`` included), it is explicit: ``block`` and
     ``access`` are None.  Either way equality and hash are those of
     ``(array, block_index, elements)``.
@@ -94,7 +105,7 @@ class DataBlock:
 
     array: str
     block_index: int
-    elements: frozenset[tuple[int, ...]]
+    elements: frozenset[tuple[int, ...]] = _Image()
 
     # not fields: an explicit block has neither
     block = access = None
@@ -106,19 +117,6 @@ class DataBlock:
         db.__dict__.update(array=access.array, block_index=block.index,
                            block=block, access=access)
         return db
-
-    def __getattr__(self, name: str):
-        # only reached while ``elements`` is not in the instance dict
-        if name != "elements" or self.access is None:
-            raise AttributeError(name)
-        elements = self.__dict__["elements"] = self.access.image(
-            self.block.iterations)
-        return elements
-
-    def __getstate__(self) -> dict:
-        if self.access is None:
-            return self.__dict__
-        return {k: v for k, v in self.__dict__.items() if k != "elements"}
 
     def __len__(self) -> int:
         return len(self.elements)

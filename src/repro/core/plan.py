@@ -16,6 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro._lazy import Sidecar
 from repro.analysis.references import ReferenceModel
 from repro.core.partition import (
     AccessMap, DataBlock, IterationBlock, image_map)
@@ -108,20 +109,12 @@ class PartitionPlan:
         return len(self.blocks)
 
     def block_of(self, iteration) -> int:
-        """Index of the block holding ``iteration``.
-
-        The reverse index is derived from ``blocks`` on first use; it is
-        no field: never compared, copied or pickled.
-        """
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = {it: b.index for b in self.blocks for it in b.iterations}
-            object.__setattr__(self, "_index", index)
-        return index[tuple(iteration)]
+        """Index of the block holding ``iteration`` (the reverse index is
+        derived from ``blocks`` once per plan)."""
+        return _BLOCK_INDEX.get(self)[tuple(iteration)]
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_index", None)
         # an array whose data blocks are the planner's images of
         # ``blocks`` goes as its access map alone
         state["data_blocks"] = {
@@ -144,9 +137,9 @@ class PartitionPlan:
 
     def replication_factor(self, array: str) -> float:
         """Average number of copies per referenced element of ``array``."""
-        total = sum(len(db) for db in self.data_blocks[array])
-        distinct = len({e for db in self.data_blocks[array] for e in db.elements})
-        return total / distinct if distinct else 0.0
+        sets = [db.elements for db in self.data_blocks[array]]
+        distinct = len(frozenset().union(*sets))
+        return sum(map(len, sets)) / distinct if distinct else 0.0
 
     def summary(self) -> str:
         b = self.breakdown
@@ -169,6 +162,10 @@ class PartitionPlan:
         return {"ok": self.ok, "loop": self.nest.name,
                 "strategy": self.strategy.value, "blocks": self.num_blocks,
                 "psi_dim": self.psi.dim, "summary": self.summary()}
+
+
+_BLOCK_INDEX = Sidecar(lambda plan: {
+    it: b.index for b in plan.blocks for it in b.iterations})
 
 
 def build_plan(

@@ -10,8 +10,9 @@ and the four binary operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Union
+
+from repro._lazy import Sidecar
 
 if TYPE_CHECKING:
     from repro.lang.affine import AffineExpr
@@ -145,28 +146,13 @@ class LoopNest:
                 raise ValueError(f"duplicate statement label {s.label}")
             seen.add(s.label)
 
-    def __getstate__(self) -> dict:
-        """No derived forms: the bytes must not depend on what ran before."""
-        return {k: v for k, v in self.__dict__.items() if k != "bound_forms"}
-
-    @cached_property
+    @property
     def bound_forms(self) -> tuple[tuple[AffineExpr, AffineExpr], ...]:
         """Each loop's ``(lower, upper)`` as affine forms over ``indices``,
         derived once per nest: the parser checks them, ``IterationSpace``
         and ``transform_nest`` read them.  A ``NotAffineError`` names the
         first bound that is not affine."""
-        from repro.lang.affine import NotAffineError, affine_of
-
-        def form(which: str, index: str, bound: Expr) -> AffineExpr:
-            try:
-                return affine_of(bound, self.indices)
-            except NotAffineError as exc:
-                raise NotAffineError(f"{which} bound of loop {index!r} is "
-                                     f"not affine: {exc}") from exc
-
-        return tuple((form("lower", i, lo), form("upper", i, hi))
-                     for i, lo, hi in zip(self.indices, self.lowers,
-                                          self.uppers))
+        return _BOUND_FORMS.get(self)
 
     @property
     def depth(self) -> int:
@@ -185,5 +171,21 @@ class LoopNest:
         s = self.statements[k]
         return s.label or f"S{k + 1}"
 
+
+def _bound_forms(nest: LoopNest) -> tuple:
+    from repro.lang.affine import NotAffineError, affine_of
+
+    def form(which: str, index: str, bound: Expr) -> AffineExpr:
+        try:
+            return affine_of(bound, nest.indices)
+        except NotAffineError as exc:
+            raise NotAffineError(f"{which} bound of loop {index!r} is "
+                                 f"not affine: {exc}") from exc
+
+    return tuple((form("lower", i, lo), form("upper", i, hi))
+                 for i, lo, hi in zip(nest.indices, nest.lowers, nest.uppers))
+
+
+_BOUND_FORMS = Sidecar(_bound_forms)
 
 Node = Union[Expr, Assign, LoopNest]

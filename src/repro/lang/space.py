@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, prod
-from typing import Iterator, Optional, Sequence
+from operator import mul, sub
+from typing import Callable, Iterator, Optional, Sequence
 
+from repro._lazy import Sidecar
 from repro.lang.ast import LoopNest
 
 
@@ -21,20 +23,6 @@ class IterationSpace:
     def __init__(self, nest: LoopNest):
         self.nest = nest
         self.depth = nest.depth
-        self._points_cache: Optional[list[tuple[int, ...]]] = None
-        self._box_cache: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-        # rank_of support: ("rect", los, his, strides) or ("map", {point: rank})
-        self._rank_cache: Optional[tuple] = None
-        self._size_cache: Optional[int] = None
-
-    def __getstate__(self) -> dict:
-        """No derived cache: the bytes must not depend on what ran before."""
-        return {k: v for k, v in self.__dict__.items()
-                if not k.endswith("_cache")}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _points_cache=None, _box_cache=None,
-                             _rank_cache=None, _size_cache=None)
 
     # -- structural ----------------------------------------------------------
     def is_rectangular(self) -> bool:
@@ -70,73 +58,33 @@ class IterationSpace:
 
     def points(self) -> list[tuple[int, ...]]:
         """Materialized iteration list (cached)."""
-        if self._points_cache is None:
-            self._points_cache = list(self.iterate())
-        return self._points_cache
+        return _POINTS.get(self)
 
-    def _rank_table(self) -> tuple:
-        """``("rect", los, his, strides)`` or ``("map", {point: rank})``,
-        derived once."""
-        if self._rank_cache is None:
-            if self.is_rectangular():
-                los, his = self.bounding_box()   # the bounds themselves
-                stride = 1
-                strides = [0] * self.depth
-                for k in range(self.depth - 1, -1, -1):
-                    strides[k] = stride
-                    stride *= max(0, his[k] - los[k] + 1)
-                self._rank_cache = ("rect", los, his, tuple(strides))
-            else:
-                self._rank_cache = (
-                    "map", {p: r for r, p in enumerate(self.points())})
-        return self._rank_cache
-
-    def rank_of(self, point) -> int:
-        """Lexicographic rank of ``point`` within the space.
-
-        ``rank_of(p) == space.points().index(p)``, but O(1): rectangular
-        spaces use a closed-form stride formula (derived once from the
-        loop bounds), non-rectangular ones a lookup table built from the
-        cached enumeration.  Raises :class:`ValueError` for points
-        outside the space, so callers can use it as a membership check.
-        """
-        pt = tuple(int(x) for x in point)
-        kind, *table = self._rank_table()
-        if kind == "rect":
-            los, his, strides = table
-            if len(pt) != self.depth:
-                raise ValueError(f"rank_of: {pt} has wrong depth")
-            rank = 0
-            for v, lo, hi, s in zip(pt, los, his, strides):
-                if not lo <= v <= hi:
-                    raise ValueError(f"rank_of: {pt} outside the space")
-                rank += (v - lo) * s
-            return rank
-        try:
-            return table[0][pt]
-        except KeyError:
-            raise ValueError(f"rank_of: {pt} outside the space") from None
+    def ranker(self) -> Callable[[tuple], int]:
+        """The lexicographic rank of a point of the space, as one callable
+        whose table is taken once, for a caller that ranks point after
+        point: ``ranker()(p) == space.points().index(p)``, in O(1).  A
+        rectangular space's is the closed-form stride formula (derived
+        from the bounds), a non-rectangular one's a lookup in a table
+        built from the cached enumeration (a point outside the space is
+        a ``KeyError``)."""
+        table = _RANKS.get(self)
+        if isinstance(table, dict):
+            return table.__getitem__
+        los = self.bounding_box()[0]
+        return lambda point: sum(map(mul, map(sub, point, los), table))
 
     def rank_strides(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """``(los, strides)`` of the closed-form rank, or ``None`` if the
         space is not rectangular.  Used by the codegen kernels to
         inline write-stamp computation.  An empty space has
         them too: they come from the bounds, no point is ranked."""
-        kind, *table = self._rank_table()
-        if kind != "rect":
-            return None
-        los, _his, strides = table
-        return los, strides
+        table = _RANKS.get(self)
+        return None if isinstance(table, dict) else (
+            self.bounding_box()[0], table)
 
     def size(self) -> int:
-        if self._size_cache is None:
-            if self.is_rectangular():
-                lo, hi = self.bounding_box()
-                self._size_cache = prod(max(0, h - l + 1)
-                                        for l, h in zip(lo, hi))
-            else:
-                self._size_cache = len(self.points())
-        return self._size_cache
+        return _SIZES.get(self)
 
     def __contains__(self, point) -> bool:
         pt = tuple(int(x) for x in point)
@@ -159,21 +107,7 @@ class IterationSpace:
         back to an exact scan when the interval recursion cannot bound a
         level).
         """
-        if self._box_cache is not None:
-            return self._box_cache
-        if self.is_rectangular():
-            lo = tuple(self.bounds_at((), k)[0] for k in range(self.depth))
-            hi = tuple(self.bounds_at((), k)[1] for k in range(self.depth))
-        else:
-            pts = self.points()
-            if not pts:
-                lo = tuple(0 for _ in range(self.depth))
-                hi = tuple(-1 for _ in range(self.depth))
-            else:
-                lo = tuple(min(p[k] for p in pts) for k in range(self.depth))
-                hi = tuple(max(p[k] for p in pts) for k in range(self.depth))
-        self._box_cache = (lo, hi)
-        return self._box_cache
+        return _BOXES.get(self)
 
     def difference_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A box containing every possible ``i_2 - i_1`` difference.
@@ -199,3 +133,40 @@ class IterationSpace:
             if shifted in self:
                 return True
         return False
+
+
+# -- what is derived from a space, once, beside it --------------------------
+
+def _box(space: IterationSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if space.is_rectangular():
+        bounds = [space.bounds_at((), k) for k in range(space.depth)]
+        return tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)
+    pts = space.points()
+    if not pts:
+        return (0,) * space.depth, (-1,) * space.depth
+    return tuple(map(min, zip(*pts))), tuple(map(max, zip(*pts)))
+
+
+def _ranks(space: IterationSpace):
+    """A non-rectangular space's ``{point: rank}``; a rectangular one's
+    row-major strides over its box, which is the bounds themselves."""
+    if not space.is_rectangular():
+        return {p: r for r, p in enumerate(space.points())}
+    strides, stride = [], 1
+    for lo, hi in zip(*map(reversed, space.bounding_box())):
+        strides.insert(0, stride)
+        stride *= max(0, hi - lo + 1)
+    return tuple(strides)
+
+
+def _size(space: IterationSpace) -> int:
+    if not space.is_rectangular():
+        return len(space.points())
+    lo, hi = space.bounding_box()
+    return prod(max(0, h - l + 1) for l, h in zip(lo, hi))
+
+
+_POINTS = Sidecar(lambda space: list(space.iterate()))
+_BOXES = Sidecar(_box)
+_RANKS = Sidecar(_ranks)
+_SIZES = Sidecar(_size)

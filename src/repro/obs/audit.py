@@ -45,6 +45,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
+from repro._lazy import Sidecar
 from repro.core.partition import DataBlock, affine_images, iteration_partition
 from repro.core.plan import PartitionPlan
 from repro.core.strategy import Strategy
@@ -55,7 +56,6 @@ from repro.obs.certificate import (  # MAX_DETAIL: re-exported
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import Span, current_tracer
 from repro.ratlinalg.span import Subspace
-from repro.runtime.layout import Sidecar
 
 #: (strategy, eliminate_redundant) -> the theorem certifying the plan.
 THEOREMS: dict[tuple[Strategy, bool], int] = {

@@ -45,11 +45,11 @@ from itertools import (
 from operator import not_
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from repro._lazy import Sidecar
 from repro.core.partition import affine_images
 from repro.obs.metrics import MetricsRegistry, current_registry
 from repro.obs.trace import current_tracer
 from repro.ratlinalg.smith import SmithForm
-from repro.runtime.layout import Sidecar
 
 if TYPE_CHECKING:
     from repro.core.plan import PartitionPlan

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro._lazy import Sidecar
 from repro.ratlinalg.matrix import RatMat, RatVec
 from repro.ratlinalg.rref import nullspace, rref
 
@@ -21,7 +22,7 @@ class Subspace:
     ``==`` implements true set equality of subspaces.
     """
 
-    __slots__ = ("ambient_dim", "_basis", "_kernel_rows")
+    __slots__ = ("ambient_dim", "_basis", "__weakref__")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         self.ambient_dim = ambient_dim
@@ -37,10 +38,6 @@ class Subspace:
         else:
             R, pivots = rref(nonzero)
             self._basis = tuple(R.row(i) for i in range(len(pivots)))
-
-    def __getstate__(self):
-        """No memo: the bytes must not depend on what ran before."""
-        return None, {"ambient_dim": self.ambient_dim, "_basis": self._basis}
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -125,10 +122,8 @@ class Subspace:
         (Definition 2) -- in integer arithmetic for integer points.
         Derived once per subspace, however many consumers read it.
         """
-        try:
-            return self._kernel_rows
-        except AttributeError:
-            self._kernel_rows = tuple(
-                v.to_ints()
-                for v in self.orthogonal_complement().primitive_basis())
-            return self._kernel_rows
+        return _KERNEL_ROWS.get(self)
+
+
+_KERNEL_ROWS = Sidecar(lambda space: tuple(
+    v.to_ints() for v in space.orthogonal_complement().primitive_basis()))

@@ -21,8 +21,9 @@ import math
 from operator import mul, ne
 from typing import Iterable, Iterator
 
+from repro._lazy import Sidecar
 from repro.analysis.references import ReferenceModel
-from repro.runtime.layout import Sidecar, c_strides
+from repro.runtime.layout import c_strides
 
 Coords = tuple[int, ...]
 

@@ -48,7 +48,7 @@ def _run(desc, points):
         kernel = kernel_for(desc.key, desc.model, desc.psi, desc.live,
                             dict(desc.scalars), desc.specs)
         counted = kernel(points, grids, own, desc.live,
-                         desc.model.space.rank_of)
+                         desc.model.space.ranker())
         offsets = {name: off for name, off, _ in desc.spans()}
         for name, got in own.items():
             grid, off = grids[name], offsets[name]

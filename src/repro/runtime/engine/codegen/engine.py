@@ -30,6 +30,7 @@ from __future__ import annotations
 import marshal
 from typing import Callable, Mapping, Optional
 
+from repro._lazy import Sidecar
 from repro.runtime.engine.base import Engine
 from repro.runtime.engine.codegen import emit
 from repro.runtime.engine.codegen.diskcache import get_disk_cache
@@ -45,7 +46,7 @@ from repro.runtime.engine.lowering import (
     emit_iteration_kernel,
     reads_per_statement,
 )
-from repro.runtime.layout import GridSpec, Sidecar, in_place
+from repro.runtime.layout import GridSpec, in_place
 
 
 def load_kernel(key: str, emit_fn: Callable[[], str],
@@ -212,7 +213,7 @@ class CodegenEngine(Engine):
                                    backend=self.name, in_place=True,
                                    blocks=len(plan.blocks)) as sp:
             out = prog["fn"](block_points(plan), store.grids, stamps,
-                             plan.live, plan.model.space.rank_of)
+                             plan.live, plan.model.space.ranker())
             iterations, stmts = charge_blocks(plan, result, out,
                                               prog["geo"]["nreads"])
             sp.set(iterations=iterations, statements=stmts)

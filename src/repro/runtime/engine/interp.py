@@ -85,11 +85,10 @@ class InterpreterEngine(Engine):
                     return miss(array, c, False)
             return get
 
-        rank_of, rect = space.rank_of, space.rank_strides()
-        if rect is not None:   # the closed form, unrolled: no bounds checks,
-            # and a range from 0 is its own positions
-            rank_of = read_at(range(maxsize), list(rect[1]),
-                              -sum(map(mul, *rect)))
+        rect = space.rank_strides()
+        # the closed form, unrolled: a range from 0 is its own positions
+        rank_of = space.ranker() if rect is None else read_at(
+            range(maxsize), list(rect[1]), -sum(map(mul, *rect)))
 
         box, proven = space.bounding_box(), PROOFS.get(space)
         statements = [(*build_statement(stmt, nest.indices, scalars, bind,

@@ -22,10 +22,10 @@ from collections import OrderedDict
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional
 
+from repro._lazy import Sidecar
 from repro.lang.ast import (
     ArrayRef, Assign, BinOp, Expr, LoopNest, Name, UnaryOp,
 )
-from repro.runtime.layout import Sidecar
 from repro.runtime.seq import eval_expr
 
 

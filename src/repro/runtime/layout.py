@@ -15,62 +15,24 @@ from then on the dict is what counts.  A block's memory is not even
 built until something reads one (:class:`BlockMemories`), and no tier
 reads one where it can run on the lists in place (:func:`in_place`;
 DESIGN.md, "Allocation").
-:class:`Sidecar` is how the layout, and every other table derived from
-a plan, is kept beside the plan.
+The layout lives beside its plan in a :class:`~repro._lazy.Sidecar`, as
+every fact derived from a plan, a nest or a space does: nothing derived
+is stored on the object it is derived from (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, product, repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
+from repro._lazy import Sidecar
 from repro.core.partition import dot_columns, image_map
 from repro.machine.memory import LocalMemory
 from repro.obs.metrics import current_registry
-
-
-class Sidecar:
-    """Values derived from an object, cached beside it while it lives.
-
-    Keyed by ``id(owner)`` under a weak reference: owners stay
-    picklable, an id reused after collection cannot hit, dead entries
-    are dropped.  ``build(owner, *args)`` runs to completion *before*
-    its value is published, so an exception leaves no entry behind --
-    except one of the ``negative`` types, which is remembered and
-    raised again by every later ``get`` (finding a plan unsupported
-    costs as much as deriving its tables).  The owner's identity is the
-    whole key: a plan is a value, so what was derived from it holds for
-    as long as it lives.
-    """
-
-    def __init__(self, build: Callable, negative: tuple = ()) -> None:
-        self._build = build
-        self._negative = negative
-        #: id(owner) -> (weakref, value, None or a refusal's (type, args))
-        self._entries: dict[int, tuple] = {}
-
-    def get(self, owner, *args):
-        key = id(owner)
-        ref, value, refusal = self._entries.get(key, (None, None, None))
-        if ref is None or ref() is not owner:
-            try:
-                value, refusal = self._build(owner, *args), None
-            except self._negative as exc:
-                # its type and args, not the exception: once raised it
-                # holds every frame it passed through, and with them
-                # the run's plan, store and memories
-                value, refusal = None, (type(exc), exc.args)
-            weakref.finalize(owner, self._entries.pop, key, None)
-            self._entries[key] = (weakref.ref(owner), value, refusal)
-        if refusal is not None:
-            kind, exc_args = refusal
-            raise kind(*exc_args)
-        return value
 
 
 def c_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,9 +65,10 @@ def _chunks(dblocks, blocks, whole) -> list[tuple]:
     if access is None:
         chunks = []
         for db in dblocks:
-            if db.elements:
-                columns = list(zip(*db.elements))
-                chunks.append(([db.block_index] * len(db.elements),
+            elements = db.elements
+            if elements:
+                columns = list(zip(*elements))
+                chunks.append(([db.block_index] * len(elements),
                                columns, [(0,) * len(columns)]))
         return chunks
     owners, points, index = whole

@@ -37,10 +37,10 @@ from __future__ import annotations
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Mapping, Optional
 
+from repro._lazy import Sidecar
 from repro.lang.ast import ArrayRef, Assign, BinOp, Const, Expr, LoopNest, Name, UnaryOp
 from repro.lang.space import IterationSpace
 from repro.runtime.arrays import Coords, DataSpace
-from repro.runtime.layout import Sidecar
 
 #: a built expression: iteration tuple -> value
 Evaluator = Callable[[tuple], float]

@@ -119,6 +119,36 @@ class TestCacheServedPlans:
         (entry,) = cache._store.values()
         assert len({*map(id, (victim, served, again, entry.plan))}) == 4
 
+    def test_a_served_plan_inherits_nothing_from_an_earlier_run(
+            self, image_calls):
+        """Two sessions of one text get two plans that share their data
+        blocks -- the cache's saving -- and an ``interp`` run of the
+        first, which enumerates every block, leaves nothing on them: the
+        second plans and verifies without enumerating one."""
+        from repro.api import Session
+        from repro.pipeline import PLAN_CACHE
+
+        text = """for i = 1 to 4 { for j = 1 to 4 { for k = 1 to 4 {
+          S1: C[i, j] = C[i, j] + A[i, k] * B[k, j];
+        } } }"""
+        PLAN_CACHE.clear()
+        with Session(text, strategy="duplicate") as first:
+            earlier = first.plan()
+            assert first.run(backend="interp").ok
+        assert image_calls
+        with Session(text, strategy="duplicate") as second:
+            image_calls.clear()
+            plan = second.plan()
+            assert second.verify(backend="auto").ok
+            assert image_calls == []
+        assert plan is not earlier
+        for name, dblocks in plan.data_blocks.items():
+            for db, shared in zip(dblocks, earlier.data_blocks[name],
+                                  strict=True):
+                assert db is shared
+                assert vars(db).keys() == {"array", "block_index", "block",
+                                           "access"}
+
 
 class TestEvictionAndDisk:
     def test_lru_eviction(self):
@@ -158,7 +188,7 @@ class TestEvictionAndDisk:
             nest = catalog.triangular(16)
             model = extract_references(nest)
             if warm:
-                model.space.rank_of(model.space.points()[3])
+                model.space.ranker()(model.space.points()[3])
             store = tmp_path / str(warm)
             run_pipeline(nest, PipelineConfig(), model=model,
                          cache=PlanCache(maxsize=8, directory=str(store)))
@@ -167,10 +197,10 @@ class TestEvictionAndDisk:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("eliminate", [False, True])
-    def test_an_entry_holds_no_element_sets(self, eliminate):
+    def test_an_entry_holds_no_element_sets(self, eliminate, image_calls):
         """A planner's data block is pickled as its definition, whether
-        or not its elements were read before the put; it loads lazy and
-        equal."""
+        or not its elements were read before the put; it loads as an
+        image -- loading enumerates nothing -- and equal."""
         from repro.pipeline.cache import _PlanUnpickler
 
         plan = run_pipeline(catalog.l5(), PipelineConfig(
@@ -180,9 +210,11 @@ class TestEvictionAndDisk:
         held = {name: [db.elements for db in dblocks]
                 for name, dblocks in plan.data_blocks.items()}
         assert pickle.dumps(plan) == cold
+        image_calls.clear()
         served = _PlanUnpickler(io.BytesIO(cold)).load()
+        assert image_calls == []
         for dblocks in served.data_blocks.values():
-            assert not any("elements" in vars(db) for db in dblocks)
+            assert all(db.block is b for db, b in zip(dblocks, served.blocks))
         assert {name: [db.elements for db in dblocks]
                 for name, dblocks in served.data_blocks.items()} == held
 

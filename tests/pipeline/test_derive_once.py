@@ -4,8 +4,9 @@ Over ``Session(text).plan()`` and ``.run(backend="auto")``: ``Q`` (the
 integer basis of ``Ker(Psi)``) once per Psi, each subscript's and each
 bound's affine form once, each array's Smith form at most once; the
 Sec. IV transformation builds a ``Fraction`` only for ``M^-1``'s own
-entries; the memos stay out of a plan's pickled bytes; and the
-transformed nest still enumerates every iteration exactly once.
+entries; a plan's pickled bytes are the same after it ran, was audited
+and reported; and the transformed nest still enumerates every
+iteration exactly once.
 """
 
 import fractions
@@ -14,6 +15,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.core import build_plan
@@ -23,7 +25,7 @@ from repro.pipeline import PLAN_CACHE
 from repro.ratlinalg import smith, span
 from repro.transform import transform_nest
 
-from tests.strategies import loop_nests
+from tests.strategies import EXPR_SCALARS, PLAN_KWARGS, loop_nests
 
 #: a novel nest as the ledger's serve mix generates them: nonsingular
 #: ``H``, a flow dependence ``t = (1, -1)``, a read-only ``B``
@@ -35,6 +37,11 @@ NOVEL = """for i = 1 to 4 {
 """
 
 CASES = {"L1": to_source(catalog.l1()), "NOVEL": NOVEL}
+
+
+def _kwargs_id(kwargs: dict) -> str:
+    return kwargs["strategy"].value + ("-elim" if kwargs.get(
+        "eliminate_redundant") else "")
 
 
 def _subscripts_and_bounds(text: str) -> int:
@@ -145,19 +152,35 @@ def test_the_transformation_builds_fractions_only_for_m_inverse(
     assert all(type(x) is int for f in forms for x in (*f.coeffs, f.const))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_a_plans_bytes_do_not_depend_on_what_ran(case):
-    PLAN_CACHE.clear()
-    session = Session(CASES[case])
+def _bytes_before_and_after_every_op(nest, scalars, **kwargs):
+    session = Session(nest, scalars=scalars, **kwargs)
     plan = session.plan()
     before = pickle.dumps(plan)
     assert session.run(backend="auto").ok
+    assert session.run(backend="interp").ok
     assert session.audit().communication_free
+    assert session.report(p=4).ok
     transform_nest(plan.nest, plan.psi)
-    assert pickle.dumps(plan) == before
-    # the memos were there to leave out
-    assert "bound_forms" in vars(plan.nest)
-    assert all("smith" in vars(info) for info in plan.model.arrays.values())
+    return before, pickle.dumps(plan)
+
+
+@pytest.mark.parametrize("kwargs", PLAN_KWARGS, ids=_kwargs_id)
+@pytest.mark.parametrize("name", sorted(catalog.ALL_LOOPS))
+def test_a_plans_bytes_do_not_depend_on_what_ran(name, kwargs, scalars):
+    PLAN_CACHE.clear()
+    before, after = _bytes_before_and_after_every_op(
+        to_source(catalog.ALL_LOOPS[name]()), {**scalars, "ALPHA": 2.5},
+        **kwargs)
+    assert after == before
+
+
+@given(loop_nests(), st.sampled_from(PLAN_KWARGS))
+@settings(max_examples=15, deadline=None)
+def test_a_drawn_plans_bytes_do_not_depend_on_what_ran(nest, kwargs):
+    PLAN_CACHE.clear()
+    before, after = _bytes_before_and_after_every_op(nest, EXPR_SCALARS,
+                                                     **kwargs)
+    assert after == before
 
 
 @given(loop_nests())

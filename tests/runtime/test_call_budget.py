@@ -10,6 +10,7 @@ the run's executed accesses (``reads + writes``).  A change that puts a
 call back on every access moves the ratio by a whole unit or more.
 """
 
+import gc
 import sys
 
 import pytest
@@ -33,18 +34,23 @@ BUDGETS = {
 
 
 def calls_during(fn):
-    """``(fn(), the number of Python calls it made)``."""
+    """``(fn(), the number of Python calls it made)``.  The cyclic
+    collector is off meanwhile: a collection that happens to fall inside
+    ``fn`` runs the gc callbacks a test library registers (hypothesis
+    does), which are calls of no run."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    gc.disable()
     sys.setprofile(count)
     try:
         value = fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return value, calls
 
 

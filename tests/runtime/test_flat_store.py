@@ -237,7 +237,7 @@ def test_a_dropped_plan_is_collected():
     assert dropped() is None
 
 
-def test_plan_and_verify_build_no_element_set():
+def test_plan_and_verify_build_no_element_set(image_calls):
     """From source text through ``plan()`` and ``verify(backend="auto")``
     no data block is enumerated."""
     source = """
@@ -251,6 +251,7 @@ def test_plan_and_verify_build_no_element_set():
         assert not any("elements" in vars(db)
                        for dblocks in plan.data_blocks.values()
                        for db in dblocks)
+    assert image_calls == []
 
 
 def test_allocation_span_and_counter_say_whether_the_run_stayed_flat():

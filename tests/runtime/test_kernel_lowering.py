@@ -227,7 +227,7 @@ def _run_lists(plan) -> Outcome:
     mems = store.views({b.index: b.index for b in plan.blocks})
     stamps = {n: [-1] * len(store.grids[n]) for n in written}
     counted = kernel(block_points(plan), store.grids, stamps, plan.live,
-                     plan.model.space.rank_of)
+                     plan.model.space.ranker())
     out = _charged(plan, store, counted)
     store.stamps = stamps
     out.values = {b: m.values for b, m in mems.items()}
@@ -486,7 +486,7 @@ def test_an_empty_inner_range_reads_and_writes_nothing():
     before = {n: list(g) for n, g in grids.items()}
     stamps = {"y": [-1] * len(grids["y"])}
     assert kernel([(0, 6)], grids, stamps, None,
-                  plan.model.space.rank_of) is None
+                  plan.model.space.ranker()) is None
     assert grids == before and stamps == {"y": [-1] * len(grids["y"])}
 
 
